@@ -120,10 +120,8 @@ impl FpkSolver {
     /// [`FpkSolver::solve`] writing the trajectory into a caller-owned
     /// vector (resized and fully overwritten) with a reusable workspace —
     /// the allocation-free path the Picard loop of Alg. 2 runs on. The
-    /// closed-loop drift assembly is fanned out over contiguous h-columns
-    /// on [`Params::worker_threads`] scoped threads; each grid point is a
-    /// pure function of the policy, so the result is bit-identical for any
-    /// thread count.
+    /// sweep runs on the calling thread; parallelism lives one level up,
+    /// across an epoch's independent per-content solves.
     ///
     /// # Panics
     ///
@@ -142,8 +140,6 @@ impl FpkSolver {
         assert_eq!(contexts.len(), n_steps, "need one context per time step");
         assert_eq!(initial.grid(), &self.grid, "initial density grid mismatch");
         let dt = self.params.dt();
-        let (nx, ny) = (self.grid.x().len(), self.grid.y().len());
-        let threads = self.params.assembly_threads(nx);
 
         out.resize_with(n_steps + 1, || Field2d::zeros(self.grid.clone()));
         for f in out.iter() {
@@ -158,13 +154,9 @@ impl FpkSolver {
             );
             let ctx = &contexts[n];
             let pol = &policy[n];
-            crate::parallel::for_each_column(threads, ny, scratch.by.values_mut(), |i, by_col| {
-                for (j, b) in by_col.iter_mut().enumerate() {
-                    *b = self
-                        .params
-                        .drift_q(pol.at(i, j), ctx.popularity, ctx.urgency_factor);
-                }
-            });
+            for (b, &x) in scratch.by.values_mut().iter_mut().zip(pol.values()) {
+                *b = self.params.drift_q(x, ctx.popularity, ctx.urgency_factor);
+            }
             let (head, tail) = out.split_at_mut(n + 1);
             let lam = &mut tail[0];
             lam.values_mut().copy_from_slice(head[n].values());

@@ -137,10 +137,8 @@ impl HjbSolver {
     /// [`HjbSolver::solve`] writing into caller-owned `values`/`policy`
     /// vectors (resized and fully overwritten) with a reusable workspace —
     /// the allocation-free path the Picard loop of Alg. 2 runs on. The
-    /// per-grid-point assembly is fanned out over contiguous h-columns on
-    /// [`Params::worker_threads`] scoped threads; because each point is a
-    /// pure function of the previous value surface, the result is
-    /// bit-identical for any thread count.
+    /// sweep runs on the calling thread; parallelism lives one level up,
+    /// across an epoch's independent per-content solves.
     ///
     /// # Panics
     ///
@@ -159,7 +157,6 @@ impl HjbSolver {
         assert_eq!(snapshots.len(), n_steps, "need one snapshot per time step");
         let dt = self.params.dt();
         let (nx, ny) = (self.grid.x().len(), self.grid.y().len());
-        let threads = self.params.assembly_threads(nx);
 
         values.resize_with(n_steps + 1, || Field2d::zeros(self.grid.clone()));
         policy.resize_with(n_steps, || Field2d::zeros(self.grid.clone()));
@@ -183,32 +180,32 @@ impl HjbSolver {
             let v_next = &tail[0];
 
             // Extract x* from ∂_q V(t_{n+1}) (Thm. 1), then build the
-            // closed-loop drift and running reward for the step back —
-            // independently per h-column, so fanned out over threads.
+            // closed-loop drift and running reward for the step back.
             let dq = self.grid.y().dx();
-            crate::parallel::for_each_column3(
-                threads,
-                ny,
-                policy[n].values_mut(),
-                scratch.by.values_mut(),
-                scratch.source.values_mut(),
-                |i, pol_col, by_col, src_col| {
-                    let h = self.grid.x().at(i);
-                    for j in 0..ny {
-                        let dv_dq = if j == 0 {
-                            (v_next.at(i, 1) - v_next.at(i, 0)) / dq
-                        } else if j == ny - 1 {
-                            (v_next.at(i, ny - 1) - v_next.at(i, ny - 2)) / dq
-                        } else {
-                            (v_next.at(i, j + 1) - v_next.at(i, j - 1)) / (2.0 * dq)
-                        };
-                        let x = self.utility.optimal_control(dv_dq);
-                        pol_col[j] = x;
-                        by_col[j] = self.params.drift_q(x, ctx.popularity, ctx.urgency_factor);
-                        src_col[j] = self.utility.evaluate(ctx, snap, x, h, self.grid.y().at(j));
-                    }
-                },
-            );
+            for i in 0..nx {
+                let h = self.grid.x().at(i);
+                for j in 0..ny {
+                    let dv_dq = if j == 0 {
+                        (v_next.at(i, 1) - v_next.at(i, 0)) / dq
+                    } else if j == ny - 1 {
+                        (v_next.at(i, ny - 1) - v_next.at(i, ny - 2)) / dq
+                    } else {
+                        (v_next.at(i, j + 1) - v_next.at(i, j - 1)) / (2.0 * dq)
+                    };
+                    let x = self.utility.optimal_control(dv_dq);
+                    policy[n].set(i, j, x);
+                    scratch.by.set(
+                        i,
+                        j,
+                        self.params.drift_q(x, ctx.popularity, ctx.urgency_factor),
+                    );
+                    scratch.source.set(
+                        i,
+                        j,
+                        self.utility.evaluate(ctx, snap, x, h, self.grid.y().at(j)),
+                    );
+                }
+            }
 
             let v = &mut head[n];
             v.values_mut().copy_from_slice(tail[0].values());

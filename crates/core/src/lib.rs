@@ -65,7 +65,6 @@ mod framework;
 mod hjb;
 mod knapsack;
 mod mfg;
-mod parallel;
 mod params;
 mod pricing;
 mod rate;

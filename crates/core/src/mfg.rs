@@ -18,10 +18,11 @@
 //!    to equilibrium, and is recorded separately in
 //!    [`ConvergenceReport::update_norms`].
 //!
-//! The HJB/FPK sweeps run on cross-iteration scratch buffers and fan
-//! their per-grid-point assembly out over h-columns with scoped threads
-//! ([`Params::worker_threads`]); results are bit-identical for any thread
-//! count.
+//! The HJB/FPK sweeps run on cross-iteration scratch buffers, on the
+//! calling thread. A solve is a pure function of its inputs, so an
+//! epoch's per-content solves run side by side instead (the
+//! [`Params::worker_threads`] fan-out in `mfgcp-sim`) with bit-identical
+//! results.
 
 use std::mem;
 use std::sync::OnceLock;
@@ -1188,78 +1189,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_is_bit_identical_across_worker_thread_counts() {
-        let reference = MfgSolver::new(Params {
-            worker_threads: 1,
-            ..fast_params()
-        })
-        .unwrap()
-        .solve()
-        .unwrap();
-        for threads in [2, 8] {
-            let eq = MfgSolver::new(Params {
-                worker_threads: threads,
-                ..fast_params()
-            })
-            .unwrap()
-            .solve()
-            .unwrap();
-            assert_eq!(eq.report.iterations, reference.report.iterations);
-            for (n, (a, b)) in eq.policy.iter().zip(&reference.policy).enumerate() {
-                assert_eq!(a.values(), b.values(), "policy step {n}, {threads} threads");
-            }
-            for (n, (a, b)) in eq.density.iter().zip(&reference.density).enumerate() {
-                assert_eq!(
-                    a.values(),
-                    b.values(),
-                    "density step {n}, {threads} threads"
-                );
-            }
-            for (n, (a, b)) in eq.values.iter().zip(&reference.values).enumerate() {
-                assert_eq!(a.values(), b.values(), "values step {n}, {threads} threads");
-            }
-        }
-    }
-
-    /// The batched SoA kernels and the worker-thread fan-out are
-    /// independent axes, and neither may perturb results: every
-    /// (threads, batched) combination must land on the same bits.
-    #[test]
-    fn solve_is_bit_identical_across_threads_and_kernel_paths() {
-        let reference = MfgSolver::new(Params {
-            worker_threads: 1,
-            batched_kernels: false,
-            ..fast_params()
-        })
-        .unwrap()
-        .solve()
-        .unwrap();
-        for threads in [1, 8] {
-            for batched in [false, true] {
-                let eq = MfgSolver::new(Params {
-                    worker_threads: threads,
-                    batched_kernels: batched,
-                    ..fast_params()
-                })
-                .unwrap()
-                .solve()
-                .unwrap();
-                let tag = format!("{threads} threads, batched = {batched}");
-                assert_eq!(eq.report.iterations, reference.report.iterations, "{tag}");
-                for (n, (a, b)) in eq.density.iter().zip(&reference.density).enumerate() {
-                    assert_eq!(a.values(), b.values(), "density step {n}, {tag}");
-                }
-                for (n, (a, b)) in eq.values.iter().zip(&reference.values).enumerate() {
-                    assert_eq!(a.values(), b.values(), "values step {n}, {tag}");
-                }
-                for (n, (a, b)) in eq.policy.iter().zip(&reference.policy).enumerate() {
-                    assert_eq!(a.values(), b.values(), "policy step {n}, {tag}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn utility_series_cache_matches_recomputation_and_survives_clone() {
         let solver = MfgSolver::new(fast_params()).unwrap();
         let eq = solver.solve().unwrap();
@@ -1366,39 +1295,6 @@ mod tests {
             sup = sup.max(a.sup_distance(b));
         }
         assert!(sup < 10.0 * tol, "policy sup distance {sup}");
-    }
-
-    #[test]
-    fn warm_start_is_bit_deterministic_across_thread_counts() {
-        let make = |threads: usize| {
-            let solver = MfgSolver::new(Params {
-                worker_threads: threads,
-                ..fast_params()
-            })
-            .unwrap();
-            let ctx = ContentContext::from_params(solver.params());
-            let mut shifted = ctx;
-            shifted.popularity = (shifted.popularity * 1.05).min(1.0);
-            let contexts = vec![ctx; solver.params().time_steps];
-            let shifted_contexts = vec![shifted; solver.params().time_steps];
-            let eq = solver.solve_with(&contexts, None);
-            solver.solve_from(&shifted_contexts, &eq.policy, Some(&eq.density), None)
-        };
-        let reference = make(1);
-        for threads in [2, 8] {
-            let eq = make(threads);
-            assert_eq!(eq.report.iterations, reference.report.iterations);
-            for (n, (a, b)) in eq.policy.iter().zip(&reference.policy).enumerate() {
-                assert_eq!(a.values(), b.values(), "policy step {n}, {threads} threads");
-            }
-            for (n, (a, b)) in eq.density.iter().zip(&reference.density).enumerate() {
-                assert_eq!(
-                    a.values(),
-                    b.values(),
-                    "density step {n}, {threads} threads"
-                );
-            }
-        }
     }
 
     #[test]

@@ -177,9 +177,10 @@ pub struct Params {
     pub tolerance: f64,
     /// Picard relaxation weight `ω ∈ (0, 1]` mixing successive policies.
     pub relaxation: f64,
-    /// Worker threads for the per-grid-point HJB/FPK assembly passes;
-    /// `0` = one per available core. The assembly is a pure function of the
-    /// previous iterate, split over contiguous h-columns, so results are
+    /// Worker threads an epoch's per-content equilibrium solves fan out
+    /// over (`MfgCpPolicy::prepare_epoch` in `mfgcp-sim`); `0` = one per
+    /// available core. A single solve always runs on one thread, and each
+    /// content's solve is a pure function of its inputs, so results are
     /// bit-identical for any value.
     pub worker_threads: usize,
 
@@ -451,21 +452,6 @@ impl Params {
             hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
         }
         hash
-    }
-
-    /// Threads to use for an assembly pass over `nx` h-columns:
-    /// `worker_threads` (0 = one per available core), clamped so every
-    /// thread gets at least four columns — below that spawn overhead
-    /// dominates the arithmetic. Never affects results, only wall-clock.
-    pub(crate) fn assembly_threads(&self, nx: usize) -> usize {
-        let requested = if self.worker_threads > 0 {
-            self.worker_threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
-        requested.clamp(1, (nx / 4).max(1))
     }
 }
 

@@ -320,10 +320,16 @@ The per-slot trade loop resolves flattened (EDP, content) entries on
 scoped threads — bit-identical to the sequential fold for any thread
 count. `--unsharded-market` forces the sequential oracle loop instead.
 
-The implicit HJB/FPK sweeps run through batched structure-of-arrays
-column-block kernels (lane-lockstep Thomas solves). `--scalar-kernels`
-forces the one-column-at-a-time scalar oracle instead; both paths are
-bit-identical, so the flag only changes speed, never results.
+`--scalar-kernels` selects the one-column-at-a-time scalar oracle over
+the batched structure-of-arrays column-block kernels of the implicit
+HJB/FPK steppers. The CLI always solves with the explicit steppers,
+which use neither, so the flag has no effect on `solve` or `simulate`;
+both kernel paths are bit-identical in any case.
+
+A single `solve` runs on one thread; `--threads` does not change it.
+In `simulate`, `--threads N` (0 = one per core) sizes the per-epoch
+fan-out of the independent per-content equilibrium solves and the
+per-EDP market phases; results are bit-identical for any N.
 
 The Picard loop runs accelerated by default: a coarse-to-fine
 continuation ladder hands a prolonged near-fixed-point iterate to the

@@ -7,6 +7,7 @@
 //! every emit helper is a null check followed by an early return —
 //! instrumentation can stay in release builds.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -43,6 +44,19 @@ struct Inner {
     /// validator checks.
     next_seq: Mutex<u64>,
     next_span: AtomicU64,
+}
+
+impl Inner {
+    /// Stamp `event` with the next `seq` and the current `t_nanos`, then
+    /// record it. Callers hold the `next_seq` lock: stamping the clock
+    /// under it keeps `t_nanos` monotone in `seq` with concurrent
+    /// emitters, and recording under it keeps sink order == seq order.
+    fn stamp_and_record(&self, next_seq: &mut u64, mut event: Event) {
+        event.seq = *next_seq;
+        event.t_nanos = self.epoch.elapsed().as_nanos() as u64;
+        *next_seq += 1;
+        self.sink.record(event);
+    }
 }
 
 /// A cheap, cloneable handle through which instrumented code emits events.
@@ -112,13 +126,9 @@ impl RecorderHandle {
     ) {
         let Some(inner) = &self.inner else { return };
         let mut next_seq = inner.next_seq.lock().unwrap_or_else(|e| e.into_inner());
-        // Stamped under the lock: with concurrent emitters, reading the
-        // clock outside it lets a thread that sampled time first take the
-        // lock second, making t_nanos run backwards relative to seq.
-        let t_nanos = inner.epoch.elapsed().as_nanos() as u64;
         let event = Event {
-            seq: *next_seq,
-            t_nanos,
+            seq: 0,
+            t_nanos: 0,
             kind,
             name,
             span,
@@ -126,9 +136,26 @@ impl RecorderHandle {
             value,
             fields: fields.to_vec(),
         };
-        *next_seq += 1;
-        // Recording under the lock keeps sink order == seq order.
-        inner.sink.record(event);
+        inner.stamp_and_record(&mut next_seq, event);
+    }
+
+    /// Re-emit `events` recorded on another handle (typically a per-task
+    /// buffer over a [`crate::MemorySink`]) into this stream, in order and
+    /// as one uninterrupted run: `seq` and `t_nanos` are re-stamped here,
+    /// span ids are remapped to fresh ids of this handle, and each span's
+    /// measured `nanos` is kept. A balanced buffer therefore nests inside
+    /// whatever span is open here, however the buffers were produced.
+    pub fn forward(&self, events: Vec<Event>) {
+        let Some(inner) = &self.inner else { return };
+        let mut ids = HashMap::new();
+        let mut next_seq = inner.next_seq.lock().unwrap_or_else(|e| e.into_inner());
+        for mut event in events {
+            event.span = event.span.map(|old| {
+                *ids.entry(old)
+                    .or_insert_with(|| inner.next_span.fetch_add(1, Ordering::Relaxed))
+            });
+            inner.stamp_and_record(&mut next_seq, event);
+        }
     }
 
     /// Emit a point event carrying only `fields`.
@@ -395,6 +422,56 @@ mod tests {
         assert_eq!(events[3].span, events[0].span);
         assert!(events[2].nanos.is_some());
         assert_eq!(events[3].field("ok"), Some(&Value::Bool(true)));
+    }
+
+    #[test]
+    fn forwarded_buffers_nest_are_restamped_and_keep_durations() {
+        let buffered = |tag: u64| {
+            let sink = Arc::new(MemorySink::new());
+            let rec = RecorderHandle::new(sink.clone());
+            let solve = rec.span_with("solve", &[("content", tag.into())]);
+            rec.span("hjb").close(&[]);
+            rec.gauge("residual", 0.5, &[]);
+            solve.close(&[]);
+            sink.events()
+        };
+        let (a, b) = (buffered(0), buffered(1));
+        let sink = Arc::new(MemorySink::new());
+        let rec = RecorderHandle::new(sink.clone());
+        let outer = rec.span("epoch");
+        rec.forward(a.clone());
+        rec.forward(b.clone());
+        outer.close(&[]);
+        RecorderHandle::noop().forward(a.clone());
+
+        let events = sink.events();
+        let text: String = events.iter().map(|e| e.to_json_line() + "\n").collect();
+        assert_eq!(crate::schema::validate_str(&text).unwrap(), events.len());
+        assert_eq!(events.len(), 2 + a.len() + b.len());
+        for (i, w) in events.windows(2).enumerate() {
+            assert_eq!(w[1].seq, w[0].seq + 1, "seq gap at {i}");
+            assert!(
+                w[0].t_nanos <= w[1].t_nanos,
+                "t_nanos went backwards at {i}"
+            );
+        }
+        // Buffers land in call order, each span keeps its measured
+        // duration, and every span id is fresh in the merged stream.
+        let forwarded = &events[1..events.len() - 1];
+        for (got, sent) in forwarded.iter().zip(a.iter().chain(&b)) {
+            assert_eq!((got.kind, got.name), (sent.kind, sent.name));
+            assert_eq!(got.nanos, sent.nanos);
+            assert_eq!(got.fields, sent.fields);
+        }
+        let mut opened: Vec<u64> = events
+            .iter()
+            .filter(|e| e.kind == Kind::SpanOpen)
+            .filter_map(|e| e.span)
+            .collect();
+        let n_open = opened.len();
+        opened.sort_unstable();
+        opened.dedup();
+        assert_eq!(opened.len(), n_open, "span ids must be unique");
     }
 
     #[test]

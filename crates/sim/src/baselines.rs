@@ -9,10 +9,13 @@
 //! interference, without considering the pricing issue and content
 //! sharing").
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use rand::RngExt as _;
 
 use mfgcp_core::{ContentContext, Equilibrium, MfgSolver, Params};
-use mfgcp_obs::RecorderHandle;
+use mfgcp_obs::{MemorySink, RecorderHandle};
 use mfgcp_sde::SimRng;
 
 use crate::policy::{CachingPolicy, DecisionContext};
@@ -30,8 +33,9 @@ pub struct MfgCpPolicy {
     content_sizes: Vec<f64>,
     sharing: bool,
     name: &'static str,
-    /// Kept alongside the solver so the heterogeneous-size path (which
-    /// builds a dedicated solver per odd-sized content) inherits it too.
+    /// The run's recorder. `solver` itself never records: every solve
+    /// goes through [`MfgCpPolicy::solver_for`], which attaches this
+    /// handle (or, in `prepare_epoch`, a per-content buffer).
     recorder: RecorderHandle,
 }
 
@@ -82,6 +86,21 @@ impl MfgCpPolicy {
         self
     }
 
+    /// The solver for `content`, recording on `recorder`: the shared one,
+    /// or for a heterogeneous catalog a dedicated one at the content's own
+    /// size (and grid).
+    fn solver_for(&self, content: usize, recorder: RecorderHandle) -> Option<MfgSolver> {
+        let solver = match self.content_sizes.get(content) {
+            Some(&size) if size != self.solver.params().q_size => MfgSolver::new(Params {
+                q_size: size,
+                ..self.solver.params().clone()
+            })
+            .ok()?,
+            _ => self.solver.clone(),
+        };
+        Some(solver.with_recorder(recorder))
+    }
+
     /// The equilibrium for `content`, if one was computed this epoch.
     pub fn equilibrium(&self, content: usize) -> Option<&Equilibrium> {
         self.equilibria.get(content).and_then(Option::as_ref)
@@ -98,38 +117,66 @@ impl CachingPolicy for MfgCpPolicy {
     }
 
     fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.solver.set_recorder(recorder.clone());
         self.recorder = recorder;
     }
 
     fn prepare_epoch(&mut self, contexts: &[ContentContext]) {
+        // Nothing below reads the previous epoch's equilibria: dropping
+        // them first keeps one epoch's set resident instead of two.
+        self.equilibria.clear();
         // One equilibrium per demanded content (the K' filter of Alg. 1
-        // line 5); complexity independent of M (Table II).
-        self.equilibria = contexts
-            .iter()
-            .enumerate()
-            .map(|(k, ctx)| {
-                if ctx.requests <= 0.0 {
-                    return None;
-                }
-                let per_step = vec![*ctx; self.solver.params().time_steps];
-                match self.content_sizes.get(k) {
-                    Some(&size) if size != self.solver.params().q_size => {
-                        // Heterogeneous catalog: a dedicated solve at this
-                        // content's own size.
-                        let params = Params {
-                            q_size: size,
-                            ..self.solver.params().clone()
-                        };
-                        MfgSolver::new(params)
-                            .ok()
-                            .map(|solver| solver.with_recorder(self.recorder.clone()))
-                            .map(|solver| solver.solve_with(&per_step, None))
-                    }
-                    _ => Some(self.solver.solve_with(&per_step, None)),
-                }
-            })
+        // line 5); complexity independent of M (Table II). The solves are
+        // independent fixed points, so workers claim contents off a shared
+        // counter (solve lengths differ) and each result lands at its
+        // content's index: bit-identical for any thread count. With
+        // telemetry on, each solve records into its own buffer, forwarded
+        // in content order after the join so spans never interleave.
+        let demanded: Vec<usize> = (0..contexts.len())
+            .filter(|&k| contexts[k].requests > 0.0)
             .collect();
+        let threads = match self.solver.params().worker_threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        }
+        .clamp(1, demanded.len().max(1));
+        // `Relaxed` suffices: the counter only hands out indices, and the
+        // results travel back through `join`.
+        let next = AtomicUsize::new(0);
+        let this = &*self;
+        let mut solved: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut out = Vec::new();
+                        while let Some(&k) = demanded.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            let buffer =
+                                this.recorder.enabled().then(|| Arc::new(MemorySink::new()));
+                            let recorder = buffer
+                                .clone()
+                                .map_or_else(RecorderHandle::noop, RecorderHandle::new);
+                            let per_step = vec![contexts[k]; this.solver.params().time_steps];
+                            let eq = this
+                                .solver_for(k, recorder)
+                                .map(|solver| solver.solve_with(&per_step, None));
+                            out.push((k, eq, buffer));
+                        }
+                        out
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("content solve panicked"))
+                .collect()
+        });
+        solved.sort_unstable_by_key(|&(k, ..)| k);
+        self.equilibria.resize_with(contexts.len(), || None);
+        for (k, eq, buffer) in solved {
+            if let Some(buffer) = buffer {
+                self.recorder.forward(buffer.events());
+            }
+            self.equilibria[k] = eq;
+        }
     }
 
     fn prepared_equilibria(&self) -> Vec<(usize, &Equilibrium)> {
@@ -149,22 +196,7 @@ impl CachingPolicy for MfgCpPolicy {
         if ctx.requests <= 0.0 {
             return None;
         }
-        // Mirror `prepare_epoch`'s solver selection so a heterogeneous
-        // catalog reprices at the content's own size (and grid).
-        let dedicated;
-        let solver = match self.content_sizes.get(content) {
-            Some(&size) if size != self.solver.params().q_size => {
-                let params = Params {
-                    q_size: size,
-                    ..self.solver.params().clone()
-                };
-                dedicated = MfgSolver::new(params)
-                    .ok()?
-                    .with_recorder(self.recorder.clone());
-                &dedicated
-            }
-            _ => &self.solver,
-        };
+        let solver = self.solver_for(content, self.recorder.clone())?;
         let per_step = vec![*ctx; solver.params().time_steps];
         let initial = seed_density_from_occupancy(&solver.initial_density(), occupancy);
         match self.equilibrium(content) {
@@ -402,6 +434,201 @@ mod tests {
             &mut rng,
         );
         assert_eq!(x1, 0.0);
+    }
+
+    /// Five contents of a heterogeneous catalog: two on the shared solver
+    /// and three at their own sizes, one of each kind undemanded.
+    fn catalog() -> (Vec<ContentContext>, Vec<f64>) {
+        let contexts = [(10.0, 0.4), (6.0, 0.3), (0.0, 0.2), (8.0, 0.1), (0.0, 0.05)]
+            .map(|(requests, popularity)| ContentContext {
+                requests,
+                popularity,
+                urgency_factor: 0.05,
+            })
+            .to_vec();
+        (contexts, vec![1.0, 0.6, 1.0, 0.8, 0.6])
+    }
+
+    fn policy_with_threads(params: &Params, threads: usize, sizes: &[f64]) -> MfgCpPolicy {
+        MfgCpPolicy::new(Params {
+            worker_threads: threads,
+            ..params.clone()
+        })
+        .unwrap()
+        .with_content_sizes(sizes.to_vec())
+    }
+
+    fn assert_bit_identical(a: &Equilibrium, b: &Equilibrium, tag: &str) {
+        assert_eq!(a.report, b.report, "report, {tag}");
+        for (what, x, y) in [
+            ("policy", &a.policy, &b.policy),
+            ("density", &a.density, &b.density),
+            ("values", &a.values, &b.values),
+        ] {
+            assert_eq!(x.len(), y.len(), "{what} length, {tag}");
+            for (n, (p, q)) in x.iter().zip(y).enumerate() {
+                assert_eq!(p.values(), q.values(), "{what} step {n}, {tag}");
+            }
+        }
+    }
+
+    /// The epoch fan-out lands every content's equilibrium at its index,
+    /// bit-identical to a sequential `solve_with` on that content's
+    /// solver, for any thread count (including more threads than
+    /// contents).
+    #[test]
+    fn prepare_epoch_is_bit_identical_across_worker_thread_counts() {
+        let params = small_params();
+        let (contexts, sizes) = catalog();
+        let sequential: Vec<Option<Equilibrium>> = contexts
+            .iter()
+            .zip(&sizes)
+            .map(|(ctx, &size)| {
+                (ctx.requests > 0.0).then(|| {
+                    let solver = MfgSolver::new(Params {
+                        q_size: size,
+                        ..params.clone()
+                    })
+                    .unwrap();
+                    solver.solve_with(&vec![*ctx; params.time_steps], None)
+                })
+            })
+            .collect();
+        for threads in [1, 2, 3, 8] {
+            let mut p = policy_with_threads(&params, threads, &sizes);
+            p.prepare_epoch(&contexts);
+            for (k, reference) in sequential.iter().enumerate() {
+                match (p.equilibrium(k), reference) {
+                    (Some(eq), Some(reference)) => {
+                        assert_bit_identical(
+                            eq,
+                            reference,
+                            &format!("content {k}, {threads} threads"),
+                        );
+                    }
+                    (None, None) => {}
+                    _ => panic!("content {k}: demanded/undemanded mismatch at {threads} threads"),
+                }
+            }
+        }
+    }
+
+    /// The fan-out and the batched SoA kernels are independent axes, and
+    /// neither may perturb results: every (threads, batched) combination
+    /// of an implicit-stepper epoch lands on the same bits.
+    #[test]
+    fn prepare_epoch_is_bit_identical_across_threads_and_kernel_paths() {
+        let params = Params {
+            implicit_steppers: true,
+            ..small_params()
+        };
+        let (contexts, sizes) = catalog();
+        let epoch = |threads: usize, batched: bool| {
+            let params = Params {
+                batched_kernels: batched,
+                ..params.clone()
+            };
+            let mut p = policy_with_threads(&params, threads, &sizes);
+            p.prepare_epoch(&contexts);
+            p
+        };
+        let reference = epoch(1, false);
+        for threads in [1, 8] {
+            for batched in [false, true] {
+                let p = epoch(threads, batched);
+                assert_eq!(p.equilibria.len(), reference.equilibria.len());
+                for (k, eq) in reference.prepared_equilibria() {
+                    let tag = format!("content {k}, {threads} threads, batched = {batched}");
+                    assert_bit_identical(p.equilibrium(k).unwrap(), eq, &tag);
+                }
+            }
+        }
+    }
+
+    /// A warm reprice from a fanned-out epoch's stale equilibrium is
+    /// bit-deterministic across the thread counts that prepared it.
+    #[test]
+    fn warm_reprice_is_bit_deterministic_across_thread_counts() {
+        let params = small_params();
+        let (contexts, sizes) = catalog();
+        let occupancy: Vec<f64> = (0..params.num_edps)
+            .map(|i| 0.2 + 0.6 * (i % 7) as f64 / 7.0)
+            .collect();
+        let reprice = |threads: usize| {
+            let mut p = policy_with_threads(&params, threads, &sizes);
+            p.prepare_epoch(&contexts);
+            [0, 1]
+                .map(|k| {
+                    let mut shifted = contexts[k];
+                    shifted.popularity = (shifted.popularity * 1.05).min(1.0);
+                    p.reprice(k, &shifted, &occupancy).unwrap()
+                })
+                .to_vec()
+        };
+        let reference = reprice(1);
+        for threads in [2, 8] {
+            for (k, (eq, r)) in reprice(threads).iter().zip(&reference).enumerate() {
+                assert_bit_identical(eq, r, &format!("content {k}, {threads} threads"));
+            }
+        }
+    }
+
+    /// Concurrent solves record into per-content buffers forwarded after
+    /// the join: the run's stream stays schema-valid, with exactly one
+    /// `solver.solve` span per demanded content per epoch, in content
+    /// order, under unique span ids.
+    #[test]
+    fn traced_epochs_forward_one_solve_span_per_demanded_content_in_order() {
+        use mfgcp_obs::{schema, Kind, Value};
+
+        let (contexts, sizes) = catalog();
+        let mut second = contexts.clone();
+        second[0].requests = 0.0;
+        second[2].requests = 5.0;
+        let sink = Arc::new(MemorySink::new());
+        let rec = RecorderHandle::new(sink.clone());
+        let mut p = policy_with_threads(&small_params(), 2, &sizes);
+        p.set_recorder(rec.clone());
+        let mut expected = Vec::new();
+        for epoch in [&contexts, &second] {
+            let span = rec.span("epoch");
+            p.prepare_epoch(epoch);
+            span.close(&[]);
+            expected.push(
+                p.prepared_equilibria()
+                    .into_iter()
+                    .map(|(_, eq)| eq.report.clone())
+                    .collect::<Vec<_>>(),
+            );
+        }
+
+        let events = sink.events();
+        let text: String = events.iter().map(|e| e.to_json_line() + "\n").collect();
+        assert_eq!(schema::validate_str(&text).unwrap(), events.len());
+        let mut opened: Vec<u64> = events
+            .iter()
+            .filter(|e| e.kind == Kind::SpanOpen)
+            .filter_map(|e| e.span)
+            .collect();
+        let n_open = opened.len();
+        opened.sort_unstable();
+        opened.dedup();
+        assert_eq!(opened.len(), n_open, "span ids must be unique");
+
+        let epochs = events.split(|e| e.name == "epoch" && e.kind == Kind::SpanClose);
+        for (epoch, (events, reports)) in epochs.zip(&expected).enumerate() {
+            let closes: Vec<_> = events
+                .iter()
+                .filter(|e| e.name == "solver.solve" && e.kind == Kind::SpanClose)
+                .collect();
+            assert_eq!(closes.len(), reports.len(), "epoch {epoch}");
+            for (close, report) in closes.iter().zip(reports) {
+                let iterations = report.iterations as u64;
+                assert_eq!(close.field("iterations"), Some(&Value::U64(iterations)));
+                let residual = Value::F64(report.final_residual());
+                assert_eq!(close.field("final_residual"), Some(&residual));
+            }
+        }
     }
 
     #[test]

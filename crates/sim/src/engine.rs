@@ -885,10 +885,6 @@ impl Simulation {
         self.market_nanos
     }
 
-    /// Build the slot-boundary snapshot handed to the attached
-    /// [`EngineControl`]. `epoch`/`slot` index the *next* slot to run
-    /// (`epoch == cfg.epochs` with `finished` for the final publication);
-    /// every field reads end-of-previous-slot state only.
     /// Number of equilibrium hot-swaps installed so far (the generation
     /// the latest `sim.reprice.swap` event carried; `0` before any swap).
     pub fn reprice_generation(&self) -> u64 {
@@ -931,6 +927,10 @@ impl Simulation {
         }
     }
 
+    /// Build the slot-boundary snapshot handed to the attached
+    /// [`EngineControl`]. `epoch`/`slot` index the *next* slot to run
+    /// (`epoch == cfg.epochs` with `finished` for the final publication);
+    /// every field reads end-of-previous-slot state only.
     fn build_snapshot(
         &self,
         epoch: usize,
