@@ -44,8 +44,8 @@ mod tests {
         base_params().validate().unwrap();
     }
 
-    // Every experiment is smoke-tested through `reproduce_all`'s logic in
-    // the individual modules; here we only pin the shared config.
+    // Every experiment is smoke-tested in its own module; here we only
+    // pin the shared config.
     #[test]
     fn base_params_match_paper_headlines() {
         let p = base_params();

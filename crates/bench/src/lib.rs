@@ -3,9 +3,10 @@
 //! `DESIGN.md` §5.
 //!
 //! Each experiment lives in [`experiments`] as a pure function returning
-//! [`Row`]s; the `src/bin/*` binaries are thin wrappers that print the rows
-//! and write `target/experiments/<exp>.csv`. `bin/reproduce_all` runs the
-//! whole battery. Measured-vs-paper shape notes live in `EXPERIMENTS.md`.
+//! [`Row`]s, listed once in the [`EXPERIMENTS`] registry; `bin/reproduce`
+//! runs all of them, or the ones named on its command line, writing
+//! `target/experiments/<name>.csv` for each. Measured-vs-paper shape notes
+//! live in `EXPERIMENTS.md`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -44,12 +45,75 @@ impl Row {
     }
 }
 
-/// Print rows as `exp,series,x,y` CSV to stdout.
-pub fn print_rows(rows: &[Row]) {
-    println!("exp,series,x,y");
-    for r in rows {
-        println!("{},{},{},{}", r.exp, r.series, r.x, r.y);
+/// A registered experiment: its name (the CSV file stem and the
+/// `reproduce` argument) and the function producing its rows.
+pub type Experiment = (&'static str, fn() -> Vec<Row>);
+
+/// Every experiment — each figure and table of §V, then the ablations —
+/// in the order `reproduce` runs them. The single list of experiments.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("fig03_channel", experiments::fig03_channel),
+    (
+        "fig04_meanfield_evolution",
+        experiments::fig04_meanfield_evolution,
+    ),
+    (
+        "fig05_policy_evolution",
+        experiments::fig05_policy_evolution,
+    ),
+    ("fig06_heatmap_qk", experiments::fig06_heatmap_qk),
+    ("fig07_heatmap_sigma", experiments::fig07_heatmap_sigma),
+    ("fig08_w5_sweep", experiments::fig08_w5_sweep),
+    ("fig09_convergence", experiments::fig09_convergence),
+    (
+        "fig10_init_distribution",
+        experiments::fig10_init_distribution,
+    ),
+    ("fig11_eta1_time", experiments::fig11_eta1_time),
+    ("fig12_total_vs_eta1", experiments::fig12_total_vs_eta1),
+    (
+        "fig13_popularity_sweep",
+        experiments::fig13_popularity_sweep,
+    ),
+    (
+        "fig14_scheme_comparison",
+        experiments::fig14_scheme_comparison,
+    ),
+    (
+        "table2_computation_time",
+        experiments::table2_computation_time,
+    ),
+    ("ablation_dim", experiments::ablation_dim),
+    ("ablation_relaxation", experiments::ablation_relaxation),
+    ("ablation_grid", experiments::ablation_grid),
+    ("ablation_fpk_form", experiments::ablation_fpk_form),
+    ("ablation_stepper", experiments::ablation_stepper),
+    ("ablation_finite_m", experiments::ablation_finite_m),
+    ("ablation_terminal", experiments::ablation_terminal),
+    ("ablation_fictitious", experiments::ablation_fictitious),
+    ("ablation_population", experiments::ablation_population),
+];
+
+/// Resolve experiment names against [`EXPERIMENTS`], keeping the
+/// caller's order; no names selects every experiment.
+///
+/// # Errors
+///
+/// Returns the first name that is not registered.
+pub fn select_experiments(names: &[String]) -> Result<Vec<Experiment>, String> {
+    if names.is_empty() {
+        return Ok(EXPERIMENTS.to_vec());
     }
+    names
+        .iter()
+        .map(|name| {
+            EXPERIMENTS
+                .iter()
+                .find(|(n, _)| n == name)
+                .copied()
+                .ok_or_else(|| name.clone())
+        })
+        .collect()
 }
 
 /// Write rows to `target/experiments/<name>.csv`, creating directories as
@@ -70,14 +134,6 @@ pub fn write_csv(name: &str, rows: &[Row]) -> PathBuf {
     path
 }
 
-/// Standard experiment entry point used by every binary: run, print,
-/// persist.
-pub fn run_experiment(name: &str, rows: Vec<Row>) {
-    print_rows(&rows);
-    let path = write_csv(name, &rows);
-    eprintln!("wrote {} rows to {}", rows.len(), path.display());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,9 +146,27 @@ mod tests {
         assert!(text.contains("figX,s,1,2"));
     }
 
-    /// Doc-sync guard: every `bin/<target>` the DESIGN.md experiment index
-    /// promises must exist as a binary source file, and vice versa every
-    /// figure/table binary must be mentioned in DESIGN.md.
+    #[test]
+    fn registry_names_are_unique_and_unknown_names_are_rejected() {
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate experiment name");
+
+        assert_eq!(select_experiments(&[]).unwrap().len(), EXPERIMENTS.len());
+        let picked = select_experiments(&["ablation_grid".into(), "fig03_channel".into()]).unwrap();
+        assert_eq!(picked[0].0, "ablation_grid");
+        assert_eq!(picked[1].0, "fig03_channel");
+        assert_eq!(
+            select_experiments(&["fig03_channel".into(), "fig99".into()]).err(),
+            Some("fig99".to_string())
+        );
+    }
+
+    /// Doc-sync guard: every `bin/<target>` DESIGN.md mentions must exist
+    /// as a binary source file, every `reproduce <name>` it mentions must
+    /// be a registered experiment, and every registered experiment must
+    /// appear in DESIGN.md as `reproduce <name>`.
     #[test]
     fn design_md_experiment_index_matches_the_binaries() {
         let design = std::fs::read_to_string(
@@ -117,14 +191,19 @@ mod tests {
                 );
             }
         }
-        // Every figure/table binary is documented (the driver is exempt).
-        for b in &binaries {
-            if b == "reproduce_all" {
-                continue;
-            }
+        // Every `reproduce <name>` in DESIGN.md is a registered experiment.
+        for piece in design.split("`reproduce ").skip(1) {
+            let name = piece.split('`').next().unwrap_or_default();
             assert!(
-                design.contains(&format!("bin/{b}")),
-                "binary `{b}` is not referenced in DESIGN.md"
+                EXPERIMENTS.iter().any(|(n, _)| *n == name),
+                "DESIGN.md references unregistered experiment `{name}`"
+            );
+        }
+        // Every registered experiment is documented.
+        for (name, _) in EXPERIMENTS {
+            assert!(
+                design.contains(&format!("`reproduce {name}`")),
+                "experiment `{name}` is not referenced in DESIGN.md"
             );
         }
     }

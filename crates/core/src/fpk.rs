@@ -2,7 +2,7 @@
 //! under the closed-loop caching drift (Alg. 2 line 8).
 
 use mfgcp_obs::RecorderHandle;
-use mfgcp_pde::{Field2d, FokkerPlanck2d, Grid2d, ImplicitFokkerPlanck2d, StepperScratch};
+use mfgcp_pde::{Field2d, FokkerPlanck2d, Grid2d, StepperScratch};
 use mfgcp_sde::Normal;
 
 use crate::params::{CoreError, Params};
@@ -23,7 +23,6 @@ pub struct FpkScratch {
 pub struct FpkSolver {
     params: Params,
     stepper: FokkerPlanck2d,
-    implicit: ImplicitFokkerPlanck2d,
     grid: Grid2d,
     /// Channel drift `b_h(h)` — state-only, so assembled once here rather
     /// than on every solve.
@@ -42,14 +41,10 @@ impl FpkSolver {
         let grid = params.grid();
         let stepper = FokkerPlanck2d::new(params.diffusion_h(), params.diffusion_q())
             .expect("validated diffusions");
-        let mut implicit = ImplicitFokkerPlanck2d::new(params.diffusion_h(), params.diffusion_q())
-            .expect("validated diffusions");
-        implicit.set_batched(params.batched_kernels);
         let channel_drift = Field2d::from_fn(grid.clone(), |h, _q| params.drift_h(h));
         Ok(Self {
             params,
             stepper,
-            implicit,
             grid,
             channel_drift,
             recorder: RecorderHandle::noop(),
@@ -60,12 +55,11 @@ impl FpkSolver {
     /// [`FpkSolver::solve_into`] then emits the `pde.fpk.mass_drift` gauge
     /// (stepper mass-conservation error measured before clipping, with the
     /// clipped negative mass as a field); the recorder also propagates to
-    /// the underlying steppers for CFL-margin gauges and non-finite
+    /// the underlying stepper for CFL-margin gauges and non-finite
     /// sentinels. Telemetry reads state only — solves are bit-identical
     /// with recording on or off.
     pub fn set_recorder(&mut self, recorder: RecorderHandle) {
         self.stepper.set_recorder(recorder.clone());
-        self.implicit.set_recorder(recorder.clone());
         self.recorder = recorder;
     }
 
@@ -160,23 +154,13 @@ impl FpkSolver {
             let (head, tail) = out.split_at_mut(n + 1);
             let lam = &mut tail[0];
             lam.values_mut().copy_from_slice(head[n].values());
-            if self.params.implicit_steppers {
-                self.implicit.step_scratch(
-                    lam,
-                    &self.channel_drift,
-                    &scratch.by,
-                    dt,
-                    &mut scratch.stepper,
-                );
-            } else {
-                self.stepper.step_scratch(
-                    lam,
-                    &self.channel_drift,
-                    &scratch.by,
-                    dt,
-                    &mut scratch.stepper,
-                );
-            }
+            self.stepper.step_scratch(
+                lam,
+                &self.channel_drift,
+                &scratch.by,
+                dt,
+                &mut scratch.stepper,
+            );
             if self.recorder.enabled() {
                 // The mass integral and clip accumulator are telemetry-only
                 // derived quantities; the branch below leaves `lam` exactly

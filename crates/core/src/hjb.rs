@@ -8,7 +8,7 @@
 //! exactly lines 4–5 of Alg. 2.
 
 use mfgcp_obs::RecorderHandle;
-use mfgcp_pde::{BackwardParabolic2d, Field2d, Grid2d, ImplicitBackward2d, StepperScratch};
+use mfgcp_pde::{BackwardParabolic2d, Field2d, Grid2d, StepperScratch};
 
 use crate::estimator::MeanFieldSnapshot;
 use crate::params::{CoreError, Params};
@@ -48,7 +48,6 @@ pub struct HjbSolver {
     params: Params,
     utility: Utility,
     stepper: BackwardParabolic2d,
-    implicit: ImplicitBackward2d,
     grid: Grid2d,
     /// Channel drift `b_h(h)` — state-only, so assembled once here rather
     /// than on every solve.
@@ -66,28 +65,23 @@ impl HjbSolver {
         let grid = params.grid();
         let stepper = BackwardParabolic2d::new(params.diffusion_h(), params.diffusion_q())
             .expect("validated diffusions");
-        let mut implicit = ImplicitBackward2d::new(params.diffusion_h(), params.diffusion_q())
-            .expect("validated diffusions");
-        implicit.set_batched(params.batched_kernels);
         let utility = Utility::new(params.clone());
         let channel_drift = Field2d::from_fn(grid.clone(), |h, _q| params.drift_h(h));
         Ok(Self {
             params,
             utility,
             stepper,
-            implicit,
             grid,
             channel_drift,
         })
     }
 
     /// Attach a telemetry recorder, propagated to the underlying backward
-    /// steppers (CFL-margin gauges and non-finite sentinels). Telemetry
+    /// stepper (CFL-margin gauges and non-finite sentinels). Telemetry
     /// reads state only — sweeps are bit-identical with recording on or
     /// off.
     pub fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.stepper.set_recorder(recorder.clone());
-        self.implicit.set_recorder(recorder);
+        self.stepper.set_recorder(recorder);
     }
 
     /// A fresh workspace for [`HjbSolver::solve_into`].
@@ -209,25 +203,14 @@ impl HjbSolver {
 
             let v = &mut head[n];
             v.values_mut().copy_from_slice(tail[0].values());
-            if self.params.implicit_steppers {
-                self.implicit.step_back_scratch(
-                    v,
-                    &self.channel_drift,
-                    &scratch.by,
-                    &scratch.source,
-                    dt,
-                    &mut scratch.stepper,
-                );
-            } else {
-                self.stepper.step_back_scratch(
-                    v,
-                    &self.channel_drift,
-                    &scratch.by,
-                    &scratch.source,
-                    dt,
-                    &mut scratch.stepper,
-                );
-            }
+            self.stepper.step_back_scratch(
+                v,
+                &self.channel_drift,
+                &scratch.by,
+                &scratch.source,
+                dt,
+                &mut scratch.stepper,
+            );
         }
     }
 }

@@ -382,7 +382,10 @@ impl PreparedSlot<'_> {
 pub enum SolveMethod {
     /// Damped best-response iteration (`x ← (1−ω)x + ω·BR(x)`), the
     /// literal reading of Alg. 2 with the Thm. 2 contraction enforced by
-    /// the relaxation weight. The default.
+    /// the relaxation weight. The default, and the production path: a
+    /// cold solve seeds it with a coarse-to-fine continuation, and the
+    /// weight adapts between [`Params::relaxation`] and
+    /// [`Params::damping`].
     #[default]
     PicardRelaxation,
     /// Fictitious play (Cardaliaguet–Hadikhanloo): the best response is
@@ -577,7 +580,7 @@ impl MfgSolver {
     ///
     /// This is a *cold-start* entry point: the iteration begins from the
     /// density frozen at `λ(0)` and the zero policy regardless of what a
-    /// reused workspace held (under the default accelerated path, a
+    /// reused workspace held (under Picard relaxation, a
     /// coarse-to-fine continuation replaces that guess with a prolonged
     /// coarse-grid fixed point first — still a pure function of the
     /// inputs). For warm starts from a previous solution, use
@@ -711,17 +714,16 @@ impl MfgSolver {
         if let Some((policy, density)) = warm_start {
             self.seed_warm(contexts, lambda0, policy, density, ws);
         } else {
-            // Coarse-to-fine continuation (accelerated Picard only): solve
+            // Coarse-to-fine continuation (Picard relaxation only): solve
             // the same game on coarsened grids first, prolongate the
             // converged coarse policy, and use it as the fine-grid warm
             // seed. A pure function of (params, contexts, λ0), so cold
             // solves stay deterministic and workspace-independent.
-            let continuation =
-                if method == SolveMethod::PicardRelaxation && !self.params.plain_picard {
-                    self.continuation_seed(contexts, lambda0)
-                } else {
-                    None
-                };
+            let continuation = if method == SolveMethod::PicardRelaxation {
+                self.continuation_seed(contexts, lambda0)
+            } else {
+                None
+            };
             match &continuation {
                 Some(policy) => self.seed_warm(contexts, lambda0, policy, None, ws),
                 None => {
@@ -941,12 +943,12 @@ impl MfgSolver {
         let mut converged = false;
         let mut iterations = 0;
 
-        // Adaptive damping (accelerated Picard only): grow ω geometrically
+        // Adaptive damping (Picard relaxation only): grow ω geometrically
         // from `relaxation` toward the `damping` cap while the undamped
         // gap keeps shrinking; fall back to `relaxation` the moment it
         // grows. Driven purely by the residual history, so the schedule is
-        // bit-deterministic across thread counts and kernel paths.
-        let adaptive = method == SolveMethod::PicardRelaxation && !self.params.plain_picard;
+        // bit-deterministic across thread counts.
+        let adaptive = method == SolveMethod::PicardRelaxation;
         let omega_cap = self.params.damping.max(self.params.relaxation);
         let mut adaptive_omega = if adaptive && warm {
             omega_cap
@@ -972,13 +974,11 @@ impl MfgSolver {
                 &mut ws.hjb_scratch,
             );
             hjb_span.close(&[]);
-            // Mix the best response into the iterate: plain Picard uses a
-            // fixed relaxation weight ω on the policy, accelerated Picard
-            // the adaptive schedule above, and fictitious play averages
+            // Mix the best response into the iterate: Picard relaxation
+            // uses the adaptive weight ω above, fictitious play averages
             // with the 1/(ψ+1) schedule.
             let omega = match method {
-                SolveMethod::PicardRelaxation if adaptive => adaptive_omega,
-                SolveMethod::PicardRelaxation => self.params.relaxation,
+                SolveMethod::PicardRelaxation => adaptive_omega,
                 SolveMethod::FictitiousPlay => 1.0 / (psi as f64 + 1.0),
             };
             let mut residual = 0.0_f64;
@@ -1057,6 +1057,35 @@ mod tests {
             max_iterations: 60,
             ..Params::default()
         }
+    }
+
+    /// The plain fixed-damping Picard iteration of Alg. 2 — cold start,
+    /// constant `ω = relaxation` (a `damping` cap equal to `relaxation`
+    /// pins the adaptive weight), no continuation — kept as the oracle
+    /// the accelerated production path is checked against.
+    fn solve_fixed_damping_picard(params: Params) -> Equilibrium {
+        let solver = MfgSolver::new(Params {
+            damping: params.relaxation,
+            ..params
+        })
+        .unwrap();
+        let contexts =
+            vec![ContentContext::from_params(solver.params()); solver.params().time_steps];
+        let lambda0 = solver.initial_density();
+        let mut ws = solver.workspace();
+        solver.seed_cold(&lambda0, &mut ws);
+        let report = solver.run_picard(
+            &contexts,
+            &lambda0,
+            SolveMethod::PicardRelaxation,
+            false,
+            &mut ws,
+        );
+        ws.snapshots.clear();
+        ws.snapshots.extend(
+            (0..contexts.len()).map(|n| solver.estimator.snapshot(&ws.density[n], &ws.policy[n])),
+        );
+        solver.wrap_equilibrium(&contexts, &mut ws, report)
     }
 
     #[test]
@@ -1143,29 +1172,6 @@ mod tests {
     }
 
     #[test]
-    fn implicit_steppers_reach_the_same_equilibrium() {
-        let explicit = MfgSolver::new(fast_params()).unwrap().solve().unwrap();
-        let implicit = MfgSolver::new(Params {
-            implicit_steppers: true,
-            ..fast_params()
-        })
-        .unwrap()
-        .solve()
-        .unwrap();
-        let a = explicit.mean_remaining_space();
-        let b = implicit.mean_remaining_space();
-        for (n, (x, y)) in a.iter().zip(&b).enumerate() {
-            assert!(
-                (x - y).abs() < 0.05,
-                "step {n}: explicit {x} vs implicit {y}"
-            );
-        }
-        for &p in &implicit.price_series() {
-            assert!((0.0..=5.0).contains(&p));
-        }
-    }
-
-    #[test]
     fn fictitious_play_reaches_the_same_equilibrium() {
         let solver = MfgSolver::new(fast_params()).unwrap();
         let ctx = ContentContext::from_params(solver.params());
@@ -1209,12 +1215,7 @@ mod tests {
         // Plain Picard: the applied update is exactly ω times the undamped
         // gap, so the two series pin each other (the accelerated path's
         // adaptive ω breaks this fixed ratio by design).
-        let solver = MfgSolver::new(Params {
-            plain_picard: true,
-            ..fast_params()
-        })
-        .unwrap();
-        let eq = solver.solve().unwrap();
+        let eq = solve_fixed_damping_picard(fast_params());
         let r = &eq.report;
         assert_eq!(r.residuals.len(), r.update_norms.len());
         let omega = eq.params.relaxation;
@@ -1231,15 +1232,9 @@ mod tests {
     }
 
     #[test]
-    fn accelerated_and_plain_picard_agree_on_the_fixed_point() {
+    fn accelerated_and_fixed_damping_picard_agree_on_the_fixed_point() {
         let accelerated = MfgSolver::new(fast_params()).unwrap().solve().unwrap();
-        let plain = MfgSolver::new(Params {
-            plain_picard: true,
-            ..fast_params()
-        })
-        .unwrap()
-        .solve()
-        .unwrap();
+        let plain = solve_fixed_damping_picard(fast_params());
         assert!(accelerated.report.converged && plain.report.converged);
         // Both pass the same undamped-gap gate, so they sit within a few
         // gate tolerances of the unique fixed point — and of each other.
@@ -1343,16 +1338,14 @@ mod tests {
             close.field("handoff_residual"),
             Some(&Value::F64(r)) if r.is_finite()
         ));
-        // The plain-Picard oracle path runs no continuation.
-        let plain_sink = Arc::new(MemorySink::new());
-        let plain = MfgSolver::new(Params {
-            plain_picard: true,
-            ..fast_params()
-        })
-        .unwrap()
-        .with_recorder(mfgcp_obs::RecorderHandle::new(plain_sink.clone()));
-        plain.solve().unwrap();
-        assert!(!plain_sink
+        // Fictitious play runs no continuation.
+        let fp_sink = Arc::new(MemorySink::new());
+        let fp = MfgSolver::new(fast_params())
+            .unwrap()
+            .with_recorder(mfgcp_obs::RecorderHandle::new(fp_sink.clone()));
+        let contexts = vec![ContentContext::from_params(fp.params()); fp.params().time_steps];
+        fp.solve_with_method(&contexts, None, SolveMethod::FictitiousPlay);
+        assert!(!fp_sink
             .events()
             .iter()
             .any(|e| e.name.starts_with("solver.continuation")));

@@ -144,21 +144,6 @@ pub struct Params {
     /// Standard deviation of the initial distribution (paper: 0.1).
     pub lambda0_std: f64,
 
-    /// Use the unconditionally stable implicit (Thomas/Lie-split) PDE
-    /// steppers instead of the explicit CFL-sub-stepped kernels for both
-    /// the HJB and FPK sweeps. Equivalent at the solver's macro step sizes
-    /// (first-order either way); the implicit path wins when `time_steps`
-    /// is small relative to the drift scale (see `ablation_stepper`).
-    pub implicit_steppers: bool,
-
-    /// Run the implicit HJB/FPK sweeps through the batched
-    /// structure-of-arrays column-block kernels (lane-lockstep Thomas
-    /// solves) instead of one scalar solve per column. Both paths are
-    /// bit-identical — the scalar path is kept as the differential oracle
-    /// and `--scalar-kernels` escape hatch — so this only changes speed,
-    /// never results. Default on.
-    pub batched_kernels: bool,
-
     /// Terminal (salvage) value weight `γ ≥ 0`: the HJB terminal condition
     /// becomes `V(T, h, q) = γ·(Q_k − q)` — cached inventory retains value
     /// past the horizon instead of expiring worthless. The paper's finite
@@ -181,7 +166,8 @@ pub struct Params {
     /// over (`MfgCpPolicy::prepare_epoch` in `mfgcp-sim`); `0` = one per
     /// available core. A single solve always runs on one thread, and each
     /// content's solve is a pure function of its inputs, so results are
-    /// bit-identical for any value.
+    /// bit-identical for any value. Not part of the canonical encoding:
+    /// it changes how fast an equilibrium is found, never which one.
     pub worker_threads: usize,
 
     /// Adaptive-damping cap `ω̄ ∈ (0, 1]`: while the undamped
@@ -190,17 +176,8 @@ pub struct Params {
     /// `max(damping, relaxation)`, and falls back to `relaxation` the
     /// moment the gap increases. The schedule is a pure function of the
     /// residual history, so solves stay bit-identical across worker
-    /// thread counts. Ignored under [`Params::plain_picard`] and for
-    /// fictitious play.
+    /// thread counts. Ignored by fictitious play.
     pub damping: f64,
-
-    /// Disable solver acceleration: run the plain fixed-damping Picard
-    /// iteration (constant `ω = relaxation`) with no coarse-to-fine
-    /// continuation. The accelerated path converges to the same
-    /// undamped-gap gate; this flag keeps the original iteration
-    /// reachable as the differential oracle and `--plain-picard` escape
-    /// hatch, mirroring `batched_kernels`/`--scalar-kernels`.
-    pub plain_picard: bool,
 }
 
 impl Default for Params {
@@ -236,15 +213,12 @@ impl Default for Params {
             grid_q: 48,
             lambda0_mean: 0.7,
             lambda0_std: 0.1,
-            implicit_steppers: false,
-            batched_kernels: true,
             terminal_value_weight: 0.0,
             max_iterations: 40,
             tolerance: 2e-3,
             relaxation: 0.5,
             worker_threads: 0,
             damping: 0.9,
-            plain_picard: false,
         }
     }
 }
@@ -401,9 +375,9 @@ impl Params {
         0.5 * self.varrho_q * self.varrho_q
     }
 
-    /// The canonical little-endian encoding of every field, in struct
-    /// declaration order: `f64`s as raw IEEE-754 bits, `usize`s as `u64`,
-    /// `bool`s as one byte. This is the stable wire form behind
+    /// The canonical little-endian encoding of every field except
+    /// `worker_threads`, in struct declaration order: `f64`s as raw
+    /// IEEE-754 bits, `usize`s as `u64`. This is the stable wire form behind
     /// [`Params::fingerprint`] and the equilibrium artifact format of
     /// `mfgcp-serve`; adding a field to `Params` extends the encoding and
     /// therefore changes every fingerprint, which is exactly the desired
@@ -422,7 +396,8 @@ impl Params {
     ///
     /// Returns [`CoreError::InconsistentParts`] when `bytes` has the wrong
     /// length, and propagates [`Params::validate`] failures so a decoded
-    /// value upholds every invariant the solvers rely on.
+    /// value upholds every invariant the solvers rely on. `worker_threads`
+    /// is not encoded and decodes to its default.
     pub fn from_canonical_bytes(bytes: &[u8]) -> Result<Self, CoreError> {
         if bytes.len() != CANONICAL_LEN {
             return Err(CoreError::InconsistentParts {
@@ -442,8 +417,8 @@ impl Params {
 
     /// A stable 64-bit fingerprint of the parameters: FNV-1a over
     /// [`Params::canonical_bytes`]. Two `Params` values fingerprint equal
-    /// iff every field is bit-identical (including `-0.0` vs `+0.0` and
-    /// NaN payloads), so an equilibrium artifact stamped with this value
+    /// iff every encoded field is bit-identical (including `-0.0` vs `+0.0`
+    /// and NaN payloads), so an equilibrium artifact stamped with this value
     /// can be matched exactly against the parameters a reader expects.
     pub fn fingerprint(&self) -> u64 {
         let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
@@ -455,16 +430,17 @@ impl Params {
     }
 }
 
-/// Byte length of [`Params::canonical_bytes`]: 30 `f64`s, 6 `usize`s
-/// (as `u64`), 3 `bool`s. Adding `batched_kernels` (PR 7) and then
-/// `damping`/`plain_picard` (PR 10) grew this, intentionally changing
-/// every fingerprint — runs must not alias across a schema change even
-/// when the numerics are identical.
-const CANONICAL_LEN: usize = 30 * 8 + 6 * 8 + 3;
+/// Byte length of [`Params::canonical_bytes`]: 30 `f64`s and 5 `usize`s
+/// (as `u64`). Any change to the field set changes this length and every
+/// fingerprint — runs must not alias across a schema change even when
+/// the numerics are identical.
+const CANONICAL_LEN: usize = 30 * 8 + 5 * 8;
 
-/// One pass over every `Params` field in declaration order. The encoder,
-/// decoder and fingerprint all flow through this single function, so the
-/// canonical field order cannot diverge between them.
+/// One pass over every encoded `Params` field in declaration order. The
+/// encoder, decoder and fingerprint all flow through this single function,
+/// so the canonical field order cannot diverge between them.
+/// `worker_threads` is skipped: results are bit-identical for any thread
+/// count, so it must not make two runs of one model fingerprint apart.
 fn visit_canonical(p: &mut Params, v: &mut impl CanonicalVisit) {
     v.visit_usize(&mut p.num_edps);
     v.visit_f64(&mut p.q_size);
@@ -496,21 +472,16 @@ fn visit_canonical(p: &mut Params, v: &mut impl CanonicalVisit) {
     v.visit_usize(&mut p.grid_q);
     v.visit_f64(&mut p.lambda0_mean);
     v.visit_f64(&mut p.lambda0_std);
-    v.visit_bool(&mut p.implicit_steppers);
-    v.visit_bool(&mut p.batched_kernels);
     v.visit_f64(&mut p.terminal_value_weight);
     v.visit_usize(&mut p.max_iterations);
     v.visit_f64(&mut p.tolerance);
     v.visit_f64(&mut p.relaxation);
-    v.visit_usize(&mut p.worker_threads);
     v.visit_f64(&mut p.damping);
-    v.visit_bool(&mut p.plain_picard);
 }
 
 trait CanonicalVisit {
     fn visit_f64(&mut self, v: &mut f64);
     fn visit_usize(&mut self, v: &mut usize);
-    fn visit_bool(&mut self, v: &mut bool);
 }
 
 struct CanonicalEncoder(Vec<u8>);
@@ -522,10 +493,6 @@ impl CanonicalVisit for CanonicalEncoder {
 
     fn visit_usize(&mut self, v: &mut usize) {
         self.0.extend_from_slice(&(*v as u64).to_le_bytes());
-    }
-
-    fn visit_bool(&mut self, v: &mut bool) {
-        self.0.push(u8::from(*v));
     }
 }
 
@@ -553,10 +520,6 @@ impl CanonicalVisit for CanonicalDecoder<'_> {
 
     fn visit_usize(&mut self, v: &mut usize) {
         *v = u64::from_le_bytes(self.take()) as usize;
-    }
-
-    fn visit_bool(&mut self, v: &mut bool) {
-        *v = self.take::<1>()[0] != 0;
     }
 }
 
@@ -715,12 +678,8 @@ mod tests {
         let p = Params {
             eta1: 2.5,
             time_steps: 17,
-            implicit_steppers: true,
-            batched_kernels: false,
-            worker_threads: 3,
             tolerance: 1.0e-4,
             damping: 0.85,
-            plain_picard: true,
             ..Params::default()
         };
         let bytes = p.canonical_bytes();
@@ -746,19 +705,7 @@ mod tests {
                 ..base.clone()
             },
             Params {
-                implicit_steppers: !base.implicit_steppers,
-                ..base.clone()
-            },
-            Params {
-                batched_kernels: !base.batched_kernels,
-                ..base.clone()
-            },
-            Params {
                 damping: base.damping - 0.1,
-                ..base.clone()
-            },
-            Params {
-                plain_picard: !base.plain_picard,
                 ..base.clone()
             },
         ] {
@@ -774,6 +721,21 @@ mod tests {
             ..base
         };
         assert_ne!(pos.fingerprint(), neg.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_ignores_worker_threads() {
+        let base = Params::default();
+        for threads in [1, 2, 8] {
+            let p = Params {
+                worker_threads: threads,
+                ..base.clone()
+            };
+            assert_eq!(p.canonical_bytes(), base.canonical_bytes());
+            assert_eq!(p.fingerprint(), base.fingerprint());
+            let back = Params::from_canonical_bytes(&p.canonical_bytes()).unwrap();
+            assert_eq!(back.worker_threads, base.worker_threads);
+        }
     }
 
     #[test]

@@ -255,16 +255,14 @@ USAGE:
     mfgcp solve    [--eta1 X] [--w5 X] [--q-size X] [--requests X]
                    [--time-steps N] [--grid-h N] [--grid-q N]
                    [--salvage G] [--lambda0-mean X] [--threads N]
-                   [--damping X] [--plain-picard]
-                   [--scalar-kernels] [--telemetry FILE.jsonl]
+                   [--damping X] [--telemetry FILE.jsonl]
                    [--save-equilibrium FILE.eq]
     mfgcp simulate [--scheme mfg-cp|mfg|udcs|mpc|rr] [--edps N]
                    [--requesters N] [--contents K] [--epochs E]
                    [--slots N] [--seed S] [--mobility] [--audit]
                    [--audit-sample N] [--dense-channel] [--k-int N]
-                   [--adaptive-k-int] [--unsharded-market]
-                   [--scalar-kernels] [--plain-picard]
-                   [--reprice-slot N] [--telemetry FILE.jsonl]
+                   [--adaptive-k-int] [--reprice-slot N]
+                   [--telemetry FILE.jsonl]
                    [--observe HOST:PORT] [--observe-hold]
                    (plus all `solve` flags for the game parameters)
     mfgcp serve    --artifact FILE.eq [--addr HOST:PORT] [--threads N]
@@ -317,27 +315,17 @@ measured truncated-power share (doubling toward the tolerance, halving
 with hysteresis when slack); `--k-int` then only seeds the budget.
 
 The per-slot trade loop resolves flattened (EDP, content) entries on
-scoped threads — bit-identical to the sequential fold for any thread
-count. `--unsharded-market` forces the sequential oracle loop instead.
-
-`--scalar-kernels` selects the one-column-at-a-time scalar oracle over
-the batched structure-of-arrays column-block kernels of the implicit
-HJB/FPK steppers. The CLI always solves with the explicit steppers,
-which use neither, so the flag has no effect on `solve` or `simulate`;
-both kernel paths are bit-identical in any case.
+scoped threads — bit-identical for any thread count.
 
 A single `solve` runs on one thread; `--threads` does not change it.
 In `simulate`, `--threads N` (0 = one per core) sizes the per-epoch
 fan-out of the independent per-content equilibrium solves and the
 per-EDP market phases; results are bit-identical for any N.
 
-The Picard loop runs accelerated by default: a coarse-to-fine
-continuation ladder hands a prolonged near-fixed-point iterate to the
-fine grid, and the relaxation weight adapts upward (capped at
-`--damping`, default 0.9) while the best-response gap shrinks.
-`--plain-picard` forces the fixed-damping single-grid oracle the
-accelerated path is differential-tested against; both pass the same
-undamped-gap gate. `simulate --reprice-slot N` re-runs Alg. 2 at global
+The Picard loop is accelerated: a coarse-to-fine continuation ladder
+hands a prolonged near-fixed-point iterate to the fine grid, and the
+relaxation weight adapts upward (capped at `--damping`, default 0.9)
+while the best-response gap shrinks. `simulate --reprice-slot N` re-runs Alg. 2 at global
 slot boundary N, warm-started from the stale equilibrium and the live
 occupancy column, and hot-swaps the result into the policy
 (generation-counted, audited under `--audit`).
@@ -417,14 +405,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut save_equilibrium = None;
             let mut it = args[1..].iter();
             while let Some(flag) = it.next() {
-                if flag == "--scalar-kernels" {
-                    params.batched_kernels = false;
-                    continue;
-                }
-                if flag == "--plain-picard" {
-                    params.plain_picard = true;
-                    continue;
-                }
                 let value = it
                     .next()
                     .ok_or_else(|| CliError::MissingValue(flag.clone()))?;
@@ -483,18 +463,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 }
                 if flag == "--adaptive-k-int" {
                     config.network.adaptive_k_int = true;
-                    continue;
-                }
-                if flag == "--unsharded-market" {
-                    config.unsharded_market = true;
-                    continue;
-                }
-                if flag == "--scalar-kernels" {
-                    config.params.batched_kernels = false;
-                    continue;
-                }
-                if flag == "--plain-picard" {
-                    config.params.plain_picard = true;
                     continue;
                 }
                 let value = it
@@ -902,66 +870,33 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_k_int_and_unsharded_market_flags_parse() {
-        match parse(&argv("simulate --adaptive-k-int --unsharded-market")).unwrap() {
+    fn adaptive_k_int_flag_parses() {
+        match parse(&argv("simulate --adaptive-k-int")).unwrap() {
             Command::Simulate { config, .. } => {
                 assert!(config.network.adaptive_k_int);
-                assert!(config.unsharded_market);
             }
             other => panic!("unexpected {other:?}"),
         }
         match parse(&argv("simulate")).unwrap() {
             Command::Simulate { config, .. } => {
                 assert!(!config.network.adaptive_k_int, "fixed k_int is the default");
-                assert!(!config.unsharded_market, "sharded clearing is the default");
             }
             other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
-    fn scalar_kernels_flag_disables_batching_on_both_verbs() {
-        match parse(&argv("solve --scalar-kernels --grid-h 12")).unwrap() {
+    fn damping_flag_reaches_the_solver_params() {
+        match parse(&argv("solve --damping 0.7")).unwrap() {
             Command::Solve { params, .. } => {
-                assert!(!params.batched_kernels);
-                assert_eq!(params.grid_h, 12, "value flags still parse after it");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse(&argv("simulate --scalar-kernels --slots 3")).unwrap() {
-            Command::Simulate { config, .. } => {
-                assert!(!config.params.batched_kernels);
-                assert_eq!(config.slots_per_epoch, 3);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse(&argv("solve")).unwrap() {
-            Command::Solve { params, .. } => {
-                assert!(params.batched_kernels, "batched kernels are the default");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn plain_picard_and_damping_flags_reach_the_solver_params() {
-        match parse(&argv("solve --plain-picard --damping 0.7")).unwrap() {
-            Command::Solve { params, .. } => {
-                assert!(params.plain_picard);
                 assert_eq!(params.damping, 0.7);
             }
             other => panic!("unexpected {other:?}"),
         }
-        match parse(&argv("simulate --plain-picard --slots 3")).unwrap() {
+        match parse(&argv("simulate --damping 0.7 --slots 3")).unwrap() {
             Command::Simulate { config, .. } => {
-                assert!(config.params.plain_picard);
+                assert_eq!(config.params.damping, 0.7);
                 assert_eq!(config.slots_per_epoch, 3);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse(&argv("solve")).unwrap() {
-            Command::Solve { params, .. } => {
-                assert!(!params.plain_picard, "accelerated Picard is the default");
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -16,7 +16,6 @@
 //! the discretization.
 
 use crate::axis::Grid2d;
-use crate::batch::{batched_lie_sweeps, BandBlock};
 use crate::field::{Field1d, Field2d};
 use crate::linalg::solve_tridiagonal_into;
 use crate::scratch::TriScratch;
@@ -32,7 +31,6 @@ fn check_diffusion(name: &'static str, d: f64) -> Result<f64, PdeError> {
 /// Assemble and solve one implicit 1-D finite-volume step in place.
 ///
 /// `values` holds `λ^n` on entry and `λ^{n+1}` on exit; `drift` is nodal.
-/// This is the scalar oracle the batched block sweeps are checked against.
 fn implicit_sweep(
     values: &mut [f64],
     drift: &[f64],
@@ -67,52 +65,6 @@ fn implicit_sweep(
         diag[i + 1] -= r * c_right;
     }
     solve_tridiagonal_into(lower, diag, upper, values, c_star);
-}
-
-/// Lane-major FPK band assembly for one column block: the face loop of
-/// [`implicit_sweep`] replicated across `width` lanes with the per-lane
-/// accumulation order preserved, so every lane's bands are bit-identical
-/// to a scalar assembly of that column.
-#[allow(clippy::too_many_arguments)] // shape fixed by `batch::AssembleBands`
-fn assemble_fpk_block(
-    drift: &[f64],
-    stride: usize,
-    n: usize,
-    width: usize,
-    diffusion: f64,
-    dt: f64,
-    dx: f64,
-    bands: BandBlock<'_>,
-) {
-    let r = dt / dx;
-    let d_over = diffusion / dx;
-    bands.lower.fill(0.0);
-    bands.diag.fill(1.0);
-    bands.upper.fill(0.0);
-    for i in 0..n - 1 {
-        let row = i * width;
-        let next = row + width;
-        // Pre-slice the two band rows each face touches so the lane loop
-        // is a bounds-check-free elementwise map.
-        let (diag_cur, diag_next) = bands.diag.split_at_mut(next);
-        let diag_cur = &mut diag_cur[row..];
-        let diag_next = &mut diag_next[..width];
-        let upper_cur = &mut bands.upper[row..next];
-        let lower_next = &mut bands.lower[next..next + width];
-        let drift_cur = &drift[i * stride..i * stride + width];
-        let drift_next = &drift[(i + 1) * stride..(i + 1) * stride + width];
-        for l in 0..width {
-            let b_face = 0.5 * (drift_cur[l] + drift_next[l]);
-            let b_plus = b_face.max(0.0);
-            let b_minus = b_face.min(0.0);
-            let c_left = b_plus + d_over;
-            let c_right = b_minus - d_over;
-            diag_cur[l] += r * c_left;
-            upper_cur[l] += r * c_right;
-            lower_next[l] -= r * c_left;
-            diag_next[l] -= r * c_right;
-        }
-    }
 }
 
 /// Unconditionally stable implicit 1-D Fokker–Planck stepper.
@@ -160,15 +112,10 @@ impl ImplicitFokkerPlanck1d {
 pub struct ImplicitFokkerPlanck2d {
     diffusion_x: f64,
     diffusion_y: f64,
-    batched: bool,
-    recorder: mfgcp_obs::RecorderHandle,
-    nonfinite: mfgcp_obs::OnceFlag,
 }
 
 impl ImplicitFokkerPlanck2d {
-    /// Create a stepper with per-axis diffusion coefficients. Batched
-    /// column-block sweeps are on by default; see
-    /// [`ImplicitFokkerPlanck2d::set_batched`].
+    /// Create a stepper with per-axis diffusion coefficients.
     ///
     /// # Errors
     ///
@@ -177,25 +124,7 @@ impl ImplicitFokkerPlanck2d {
         Ok(Self {
             diffusion_x: check_diffusion("diffusion_x", diffusion_x)?,
             diffusion_y: check_diffusion("diffusion_y", diffusion_y)?,
-            batched: true,
-            recorder: mfgcp_obs::RecorderHandle::noop(),
-            nonfinite: mfgcp_obs::OnceFlag::new(),
         })
-    }
-
-    /// Choose between the batched column-block sweeps (default) and the
-    /// scalar one-column-at-a-time oracle. Both produce bit-identical
-    /// results — the scalar path exists as the differential oracle and as
-    /// a `--scalar-kernels` escape hatch, not as a different scheme.
-    pub fn set_batched(&mut self, batched: bool) {
-        self.batched = batched;
-    }
-
-    /// Attach a telemetry recorder: the first non-finite density value
-    /// fires the `pde.fpk.nonfinite` sentinel (once per instance). The
-    /// implicit solve has no CFL bound, so no margin gauge is emitted.
-    pub fn set_recorder(&mut self, recorder: mfgcp_obs::RecorderHandle) {
-        self.recorder = recorder;
     }
 
     /// Advance `density` by `dt`: one implicit x-sweep per column, then one
@@ -229,57 +158,34 @@ impl ImplicitFokkerPlanck2d {
         let (nx, ny) = (grid.x().len(), grid.y().len());
         let (dx, dy) = (grid.x().dx(), grid.y().dx());
 
-        if self.batched {
-            batched_lie_sweeps(
-                density.values_mut(),
-                nx,
-                ny,
-                bx.values(),
-                by.values(),
-                self.diffusion_x,
-                self.diffusion_y,
-                dt,
-                dx,
-                dy,
-                assemble_fpk_block,
-                scratch.batch(),
-            );
-        } else {
-            let (col, col_drift, row_drift, tri) = scratch.lie_buffers(nx, ny);
+        let (col, col_drift, row_drift, tri) = scratch.lie_buffers(nx, ny);
 
-            // X-direction sweeps (one tridiagonal solve per j-column).
-            for j in 0..ny {
-                for i in 0..nx {
-                    col[i] = density.at(i, j);
-                    col_drift[i] = bx.at(i, j);
-                }
-                implicit_sweep(col, col_drift, self.diffusion_x, dt, dx, tri);
-                for (i, &v) in col.iter().enumerate() {
-                    density.set(i, j, v);
-                }
-            }
-            // Y-direction sweeps (rows are contiguous in memory).
+        // X-direction sweeps (one tridiagonal solve per j-column).
+        for j in 0..ny {
             for i in 0..nx {
-                for (j, rd) in row_drift.iter_mut().enumerate() {
-                    *rd = by.at(i, j);
-                }
-                let start = grid.index(i, 0);
-                implicit_sweep(
-                    &mut density.values_mut()[start..start + ny],
-                    row_drift,
-                    self.diffusion_y,
-                    dt,
-                    dy,
-                    tri,
-                );
+                col[i] = density.at(i, j);
+                col_drift[i] = bx.at(i, j);
+            }
+            implicit_sweep(col, col_drift, self.diffusion_x, dt, dx, tri);
+            for (i, &v) in col.iter().enumerate() {
+                density.set(i, j, v);
             }
         }
-        crate::telemetry::report_nonfinite(
-            &self.recorder,
-            &self.nonfinite,
-            "pde.fpk.nonfinite",
-            density,
-        );
+        // Y-direction sweeps (rows are contiguous in memory).
+        for i in 0..nx {
+            for (j, rd) in row_drift.iter_mut().enumerate() {
+                *rd = by.at(i, j);
+            }
+            let start = grid.index(i, 0);
+            implicit_sweep(
+                &mut density.values_mut()[start..start + ny],
+                row_drift,
+                self.diffusion_y,
+                dt,
+                dy,
+                tri,
+            );
+        }
     }
 }
 

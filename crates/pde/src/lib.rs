@@ -16,8 +16,7 @@
 //!   unconditionally stable backward-Euler counterparts (Thomas solves,
 //!   Lie directional splitting in 2-D);
 //! * [`BackwardParabolic1d`] / [`BackwardParabolic2d`] — backward, upwinded
-//!   steppers for value functions `V`, and their unconditionally stable
-//!   implicit counterparts [`ImplicitBackward1d`] / [`ImplicitBackward2d`];
+//!   steppers for value functions `V`;
 //! * [`StabilityLimit`] — CFL bookkeeping; both steppers sub-step
 //!   automatically so callers can think in macro time steps;
 //! * [`restrict_density`] / [`prolong`] — mass-conserving restriction and
@@ -53,8 +52,6 @@
 
 mod axis;
 mod backward;
-mod backward_implicit;
-mod batch;
 mod field;
 mod fokker_planck;
 mod implicit;
@@ -67,7 +64,6 @@ mod transfer;
 
 pub use axis::{Axis, Grid2d};
 pub use backward::{BackwardParabolic1d, BackwardParabolic2d};
-pub use backward_implicit::{ImplicitBackward1d, ImplicitBackward2d};
 pub use field::{Field1d, Field2d, Field2dView};
 pub use fokker_planck::{FokkerPlanck1d, FokkerPlanck2d};
 pub use implicit::{ImplicitFokkerPlanck1d, ImplicitFokkerPlanck2d};

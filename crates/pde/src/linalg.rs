@@ -1,15 +1,6 @@
 //! Small linear-algebra kernels: the Thomas tridiagonal solver used by the
-//! implicit PDE steps (scalar and lane-batched SoA forms), plus a dense
-//! Gaussian-elimination reference used to validate them in tests.
-
-/// Column-block width of the batched solvers and sweeps: how many
-/// independent tridiagonal systems [`solve_tridiagonal_batch`] advances in
-/// lockstep per row. 32 lanes × 8 bytes = two cache lines per band row —
-/// wide enough that the auto-vectorizer fills full SIMD registers and the
-/// dependent-division latency of the Thomas recurrence is hidden across
-/// lanes, small enough that the working set (five `n × BLOCK_WIDTH`
-/// buffers) stays cache-resident at production grid sizes.
-pub const BLOCK_WIDTH: usize = 32;
+//! implicit PDE steps, plus a dense Gaussian-elimination reference used to
+//! validate it in tests.
 
 /// Solve the tridiagonal system
 /// `a[i]·x[i-1] + b[i]·x[i] + c[i]·x[i+1] = d[i]` with the Thomas algorithm.
@@ -64,104 +55,6 @@ pub fn solve_tridiagonal_into(a: &[f64], b: &[f64], c: &[f64], x: &mut [f64], c_
     }
     for i in (0..n - 1).rev() {
         x[i] -= c_star[i] * x[i + 1];
-    }
-}
-
-/// Solve `width` independent tridiagonal systems in lockstep.
-///
-/// The bands are stored structure-of-arrays, lane-major: row `i` of lane
-/// `l` lives at index `i * width + l` of `a`/`b`/`c` (and of the `c_star`
-/// scratch). The right-hand sides sit in `x` with a caller-chosen row
-/// stride — row `i`, lane `l` at `x[i * stride + l]` — so a block of
-/// adjacent grid columns can be solved *in place* in their native
-/// row-major field layout (`stride = ny`, no gather/scatter). On exit `x`
-/// holds the solutions.
-///
-/// Per lane, the operation kinds and order are exactly those of
-/// [`solve_tridiagonal_into`], so each lane's solution is bit-identical to
-/// a scalar solve of the same system; the speedup comes purely from the
-/// inner lane loops auto-vectorizing and from the dependent-division
-/// recurrence latency being shared across lanes. `beta` is a `width`-sized
-/// pivot scratch row.
-///
-/// # Panics
-///
-/// Panics on length/stride mismatches (`stride >= width`, bands of
-/// `n * width`, `x` covering `(n-1) * stride + width`), an empty system,
-/// or a vanishing pivot in any lane (reported with its row index).
-#[allow(clippy::too_many_arguments)]
-pub fn solve_tridiagonal_batch(
-    n: usize,
-    width: usize,
-    a: &[f64],
-    b: &[f64],
-    c: &[f64],
-    x: &mut [f64],
-    stride: usize,
-    c_star: &mut [f64],
-    beta: &mut [f64],
-) {
-    assert!(n > 0, "empty system");
-    assert!(width > 0, "empty lane block");
-    assert!(stride >= width, "stride must cover the lane block");
-    assert!(
-        a.len() == n * width && b.len() == n * width && c.len() == n * width,
-        "tridiagonal bands must be n * width lane-major"
-    );
-    assert_eq!(c_star.len(), n * width, "c_star scratch length mismatch");
-    assert_eq!(beta.len(), width, "beta scratch length mismatch");
-    assert!(
-        x.len() >= (n - 1) * stride + width,
-        "rhs slice too short for n rows at this stride"
-    );
-
-    // Row 0: beta = b[0], then one division per lane for c* and x.
-    beta.copy_from_slice(&b[..width]);
-    check_pivots(beta, 0);
-    for l in 0..width {
-        c_star[l] = c[l] / beta[l];
-        x[l] /= beta[l];
-    }
-    // Forward elimination: lanes advance in lockstep; the loop bodies are
-    // branch-free elementwise maps the auto-vectorizer turns into SIMD.
-    for i in 1..n {
-        let row = i * width;
-        let a_row = &a[row..row + width];
-        let b_row = &b[row..row + width];
-        let c_row = &c[row..row + width];
-        let (cs_prev, cs_cur) = c_star.split_at_mut(row);
-        let cs_prev = &cs_prev[row - width..];
-        let cs_row = &mut cs_cur[..width];
-        for l in 0..width {
-            beta[l] = b_row[l] - a_row[l] * cs_prev[l];
-        }
-        check_pivots(beta, i);
-        let (x_head, x_cur) = x.split_at_mut(i * stride);
-        let x_prev = &x_head[(i - 1) * stride..(i - 1) * stride + width];
-        let x_row = &mut x_cur[..width];
-        for l in 0..width {
-            cs_row[l] = c_row[l] / beta[l];
-            x_row[l] = (x_row[l] - a_row[l] * x_prev[l]) / beta[l];
-        }
-    }
-    // Back substitution, again in lockstep.
-    for i in (0..n - 1).rev() {
-        let cs_row = &c_star[i * width..i * width + width];
-        let (x_head, x_next) = x.split_at_mut((i + 1) * stride);
-        let x_row = &mut x_head[i * stride..i * stride + width];
-        let x_next = &x_next[..width];
-        for l in 0..width {
-            x_row[l] -= cs_row[l] * x_next[l];
-        }
-    }
-}
-
-/// Assert every lane's pivot is usable; kept out of the arithmetic loops so
-/// they stay vectorizable. Written so a NaN pivot fails too.
-#[inline]
-fn check_pivots(beta: &[f64], row: usize) {
-    for &p in beta {
-        assert!(p.abs() > f64::MIN_POSITIVE, "zero pivot at row {row}");
     }
 }
 

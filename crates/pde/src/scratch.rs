@@ -38,39 +38,8 @@ impl TriScratch {
     }
 }
 
-/// Structure-of-arrays scratch for the batched column-block sweeps: the
-/// three lane-major band planes (`n × width`), the batched solver's
-/// `c_star` plane and `beta` pivot row, and the transpose staging buffers
-/// the y-direction sweeps gather strided columns into. Fields are crate-
-/// visible so the block driver can borrow them disjointly.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BatchScratch {
-    pub(crate) lower: Vec<f64>,
-    pub(crate) diag: Vec<f64>,
-    pub(crate) upper: Vec<f64>,
-    pub(crate) c_star: Vec<f64>,
-    pub(crate) beta: Vec<f64>,
-    pub(crate) soa: Vec<f64>,
-    pub(crate) soa_drift: Vec<f64>,
-}
-
-impl BatchScratch {
-    /// Size every plane for an `n`-row block of `width` lanes. Band and
-    /// staging contents are stale; assembly and the gather loops fill them.
-    pub(crate) fn resize(&mut self, n: usize, width: usize) {
-        let nw = n * width;
-        self.lower.resize(nw, 0.0);
-        self.diag.resize(nw, 0.0);
-        self.upper.resize(nw, 0.0);
-        self.c_star.resize(nw, 0.0);
-        self.beta.resize(width, 0.0);
-        self.soa.resize(nw, 0.0);
-        self.soa_drift.resize(nw, 0.0);
-    }
-}
-
 /// Caller-owned scratch buffers for the 2-D steppers' `*_scratch` entry
-/// points. One instance can be shared across *all* four 2-D steppers (the
+/// points. One instance can be shared across *all* three 2-D steppers (the
 /// buffers are resized on demand and carry no state between calls).
 #[derive(Debug, Clone, Default)]
 pub struct StepperScratch {
@@ -82,10 +51,8 @@ pub struct StepperScratch {
     col_drift: Vec<f64>,
     /// Row drift copy for the implicit y-sweeps (length `ny`).
     row_drift: Vec<f64>,
-    /// Bands + `c_star` for the scalar-oracle implicit sweeps.
+    /// Bands + `c_star` for the implicit sweeps.
     tri: TriScratch,
-    /// SoA planes for the batched column-block sweeps.
-    batch: BatchScratch,
 }
 
 impl StepperScratch {
@@ -114,18 +81,13 @@ impl StepperScratch {
             &mut self.tri,
         )
     }
-
-    pub(crate) fn batch(&mut self) -> &mut BatchScratch {
-        &mut self.batch
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{
-        Axis, BackwardParabolic2d, Field2d, FokkerPlanck2d, Grid2d, ImplicitBackward2d,
-        ImplicitFokkerPlanck2d,
+        Axis, BackwardParabolic2d, Field2d, FokkerPlanck2d, Grid2d, ImplicitFokkerPlanck2d,
     };
 
     fn grid() -> Grid2d {
@@ -145,7 +107,7 @@ mod tests {
         let bx = Field2d::from_fn(g.clone(), |x, _| 0.3 * (0.5 - x));
         let by = Field2d::from_fn(g.clone(), |_, y| -0.2 * y);
         let src = Field2d::from_fn(g, |x, y| x + 0.5 * y);
-        // One shared workspace across all four steppers, reused over steps.
+        // One shared workspace across all three steppers, reused over steps.
         let mut scratch = StepperScratch::new();
 
         let fpk = FokkerPlanck2d::new(0.003, 0.005).unwrap();
@@ -165,18 +127,10 @@ mod tests {
         assert_eq!(a.values(), b.values());
 
         let ifpk = ImplicitFokkerPlanck2d::new(0.003, 0.005).unwrap();
-        let (mut a, mut b) = (lam.clone(), lam.clone());
+        let (mut a, mut b) = (lam.clone(), lam);
         for _ in 0..5 {
             ifpk.step(&mut a, &bx, &by, 0.05);
             ifpk.step_scratch(&mut b, &bx, &by, 0.05, &mut scratch);
-        }
-        assert_eq!(a.values(), b.values());
-
-        let iback = ImplicitBackward2d::new(0.003, 0.005).unwrap();
-        let (mut a, mut b) = (lam.clone(), lam);
-        for _ in 0..5 {
-            iback.step_back(&mut a, &bx, &by, &src, 0.05);
-            iback.step_back_scratch(&mut b, &bx, &by, &src, 0.05, &mut scratch);
         }
         assert_eq!(a.values(), b.values());
     }

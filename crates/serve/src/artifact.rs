@@ -1,22 +1,25 @@
 //! Versioned, CRC-protected, zero-copy binary persistence of a solved
 //! [`Equilibrium`].
 //!
-//! # Format (version 2)
+//! # Format (version 3)
 //!
 //! All multi-byte integers are little-endian; every `f64` is written as
 //! its raw IEEE-754 bits, so NaN payloads and ±∞ survive a round-trip
 //! bit-exactly (the header additionally records how many non-finite
 //! values the file carries, and verification recounts them).
 //!
-//! Version 2 splits the file into a self-contained **header** and a raw
-//! **payload** of `f64` planes at 8-byte-aligned offsets, so a reader can
-//! memory-map the file and serve interpolation queries straight out of
-//! the mapping — opening costs O(header), not O(grid · T):
+//! The file is a self-contained **header** and a raw **payload** of `f64`
+//! planes at 8-byte-aligned offsets, so a reader can memory-map the file
+//! and serve interpolation queries straight out of the mapping — opening
+//! costs O(header), not O(grid · T). Version 3 keeps version 2's layout
+//! with a shorter canonical params block (no solver switches, no worker
+//! thread count), so one model solved at any thread count writes one
+//! byte-identical artifact:
 //!
 //! ```text
 //! off  size  field
 //!   0     8  magic                b"MFGCPEQ\0"
-//!   8     2  format version       u16 = 2
+//!   8     2  format version       u16 = 3
 //!  10     2  reserved flags       u16 = 0
 //!  12     4  header_len           u32, multiple of 8; payload starts here
 //!  16     8  payload_len          u64; file length = header_len + payload_len
@@ -87,7 +90,7 @@ use crate::mmap::{self, ArtifactBytes, MapMode};
 pub const MAGIC: [u8; 8] = *b"MFGCPEQ\0";
 
 /// Format version this build writes and reads.
-pub const FORMAT_VERSION: u16 = 2;
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Size of the fixed-offset portion of the header.
 const FIXED_HEADER_LEN: usize = 32;
@@ -722,7 +725,7 @@ impl ArtifactStore {
     }
 }
 
-/// Serializes `eq` into the version-2 artifact byte layout.
+/// Serializes `eq` into the version-3 artifact byte layout.
 pub fn to_bytes(eq: &Equilibrium, build_info: &str) -> Vec<u8> {
     let mut w = Writer::new();
     w.raw(&MAGIC);

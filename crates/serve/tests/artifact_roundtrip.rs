@@ -322,13 +322,12 @@ fn bumped_format_version_is_unsupported_not_a_checksum_error() {
 
     // A future-version file whose checksums are perfectly valid must
     // still be refused as unsupported…
-    bytes[8] = 3;
+    let future = FORMAT_VERSION + 1;
+    bytes[8..10].copy_from_slice(&future.to_le_bytes());
     refix_crcs(&mut bytes);
     match from_bytes(&bytes) {
-        Err(ArtifactError::UnsupportedVersion {
-            found: 3,
-            supported,
-        }) => {
+        Err(ArtifactError::UnsupportedVersion { found, supported }) => {
+            assert_eq!(found, future);
             assert_eq!(supported, FORMAT_VERSION)
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
@@ -341,6 +340,24 @@ fn bumped_format_version_is_unsupported_not_a_checksum_error() {
     bytes[8] = 7;
     match from_bytes(&bytes) {
         Err(ArtifactError::UnsupportedVersion { found: 7, .. }) => {}
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+}
+
+#[test]
+fn version_2_artifacts_are_unsupported_not_a_params_mismatch() {
+    // Version 2 encoded a longer params block (the since-removed solver
+    // switches and the worker-thread count). A checksum-valid version-2
+    // header is refused by version before its params block is decoded.
+    let eq = synthetic_equilibrium(tiny_params(), &[1.0, 2.0]);
+    let mut bytes = to_bytes(&eq, "v2");
+    bytes[8..10].copy_from_slice(&2u16.to_le_bytes());
+    refix_crcs(&mut bytes);
+    match from_bytes(&bytes) {
+        Err(ArtifactError::UnsupportedVersion {
+            found: 2,
+            supported: 3,
+        }) => {}
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 }

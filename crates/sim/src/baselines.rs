@@ -513,38 +513,6 @@ mod tests {
         }
     }
 
-    /// The fan-out and the batched SoA kernels are independent axes, and
-    /// neither may perturb results: every (threads, batched) combination
-    /// of an implicit-stepper epoch lands on the same bits.
-    #[test]
-    fn prepare_epoch_is_bit_identical_across_threads_and_kernel_paths() {
-        let params = Params {
-            implicit_steppers: true,
-            ..small_params()
-        };
-        let (contexts, sizes) = catalog();
-        let epoch = |threads: usize, batched: bool| {
-            let params = Params {
-                batched_kernels: batched,
-                ..params.clone()
-            };
-            let mut p = policy_with_threads(&params, threads, &sizes);
-            p.prepare_epoch(&contexts);
-            p
-        };
-        let reference = epoch(1, false);
-        for threads in [1, 8] {
-            for batched in [false, true] {
-                let p = epoch(threads, batched);
-                assert_eq!(p.equilibria.len(), reference.equilibria.len());
-                for (k, eq) in reference.prepared_equilibria() {
-                    let tag = format!("content {k}, {threads} threads, batched = {batched}");
-                    assert_bit_identical(p.equilibrium(k).unwrap(), eq, &tag);
-                }
-            }
-        }
-    }
-
     /// A warm reprice from a fanned-out epoch's stale equilibrium is
     /// bit-deterministic across the thread counts that prepared it.
     #[test]

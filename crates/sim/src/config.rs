@@ -59,14 +59,6 @@ pub struct SimConfig {
     /// available core. Results are bit-identical for any value — every
     /// random draw comes from the owning EDP's private stream.
     pub worker_threads: usize,
-    /// Force the sequential (unsharded) trade-resolution loop inside
-    /// market clearing instead of the sharded parallel precompute. The
-    /// unsharded loop is the bit-parity oracle the sharded path is
-    /// differential-tested against; both resolve the exact same pure
-    /// per-entry trades in the same fold order, so results are identical
-    /// either way — this flag only exists so the oracle stays reachable
-    /// from the CLI and the differential tests.
-    pub unsharded_market: bool,
     /// Scenario hook: at this *global* slot boundary (epoch-spanning
     /// index, before the slot runs), re-run Alg. 2 for content 0
     /// warm-started from the stale equilibrium and the live occupancy
@@ -95,7 +87,6 @@ impl Default for SimConfig {
             audit_sample: 1,
             seed: 42,
             worker_threads: 0,
-            unsharded_market: false,
             reprice_slot: None,
         }
     }

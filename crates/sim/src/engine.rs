@@ -726,8 +726,8 @@ impl Simulation {
         }
 
         // Per-content Eq. (5) pricers, built once from the supply sums and
-        // shared by the sharded precompute, the sequential oracle, and the
-        // k = 0 mean-price statistic.
+        // shared by the sharded precompute and the k = 0 mean-price
+        // statistic.
         s.pricers.clear();
         for k in 0..kk {
             s.pricers.push(SharedSupplyPricer::from_sum(
@@ -743,69 +743,64 @@ impl Simulation {
         // pure function of frozen slot state — the strategy profile `x`,
         // the caching states `q`, the mean fadings, the pricer, and the
         // sharer tracker; the fold below only mutates metrics
-        // accumulators. So the entries can be flattened in fold order
-        // (`k` outer, `i` ascending) and resolved on scoped threads, and
-        // the sequential fold that consumes them is bit-identical to the
-        // unsharded loop for any thread count: each entry's outcome comes
-        // from the same pure call with the same inputs, folded in the same
-        // order. `unsharded_market` keeps the inline oracle reachable.
-        if !cfg.unsharded_market {
-            s.entries.clear();
-            for k in 0..kk {
-                for &(i, requests) in &s.requesters[k] {
-                    s.entries.push((k as u32, i as u32, requests));
-                }
-            }
-            let idle = (
-                resolve_trade(1.0, 1.0, 0.0, None, 0.0, 0, 1.0, 1.0, 0.0, 0.0),
-                0.0,
-            );
-            s.outcomes.clear();
-            s.outcomes.resize(s.entries.len(), idle);
-            let edps = &self.edps;
-            let rate_model = &self.rate_model;
-            let q_sizes = &self.q_sizes;
-            let params = &cfg.params;
-            let (entries, pricers, sharer_list, alpha_qks) =
-                (&s.entries, &s.pricers, &s.sharers, &s.alpha_qks);
-            let fill = |outs: &mut [(MarketOutcome, f64)], ents: &[(u32, u32, u64)]| {
-                for (out, &(k, i, requests)) in outs.iter_mut().zip(ents) {
-                    let (k, i) = (k as usize, i as usize);
-                    let rate_edge = rate_model.rate(mean_fadings[i]).max(1e-9);
-                    *out = trade_entry(
-                        &edps[i],
-                        k,
-                        requests,
-                        q_sizes[k],
-                        alpha_qks[k],
-                        &pricers[k],
-                        &sharer_list[k],
-                        sharing_allowed,
-                        rate_edge,
-                        params,
-                    );
-                }
-            };
-            let n_threads = thread_count(cfg.worker_threads)
-                .min(entries.len() / MIN_TRADE_ENTRIES_PER_THREAD)
-                .max(1);
-            if n_threads <= 1 {
-                fill(&mut s.outcomes, entries);
-            } else {
-                let chunk = entries.len().div_ceil(n_threads);
-                let fill = &fill;
-                std::thread::scope(|scope| {
-                    for (outs, ents) in s.outcomes.chunks_mut(chunk).zip(entries.chunks(chunk)) {
-                        scope.spawn(move || fill(outs, ents));
-                    }
-                });
+        // accumulators. So the entries are flattened in fold order (`k`
+        // outer, `i` ascending) and resolved on scoped threads, and the
+        // sequential fold that consumes them is bit-identical for any
+        // thread count: each entry's outcome comes from the same pure call
+        // with the same inputs, folded in the same order.
+        s.entries.clear();
+        for k in 0..kk {
+            for &(i, requests) in &s.requesters[k] {
+                s.entries.push((k as u32, i as u32, requests));
             }
         }
+        let idle = (
+            resolve_trade(1.0, 1.0, 0.0, None, 0.0, 0, 1.0, 1.0, 0.0, 0.0),
+            0.0,
+        );
+        s.outcomes.clear();
+        s.outcomes.resize(s.entries.len(), idle);
+        let edps = &self.edps;
+        let rate_model = &self.rate_model;
+        let q_sizes = &self.q_sizes;
+        let params = &cfg.params;
+        let (entries, pricers, sharer_list, alpha_qks) =
+            (&s.entries, &s.pricers, &s.sharers, &s.alpha_qks);
+        let fill = |outs: &mut [(MarketOutcome, f64)], ents: &[(u32, u32, u64)]| {
+            for (out, &(k, i, requests)) in outs.iter_mut().zip(ents) {
+                let (k, i) = (k as usize, i as usize);
+                let rate_edge = rate_model.rate(mean_fadings[i]).max(1e-9);
+                *out = trade_entry(
+                    &edps[i],
+                    k,
+                    requests,
+                    q_sizes[k],
+                    alpha_qks[k],
+                    &pricers[k],
+                    &sharer_list[k],
+                    sharing_allowed,
+                    rate_edge,
+                    params,
+                );
+            }
+        };
+        let n_threads = thread_count(cfg.worker_threads)
+            .min(entries.len() / MIN_TRADE_ENTRIES_PER_THREAD)
+            .max(1);
+        if n_threads <= 1 {
+            fill(&mut s.outcomes, entries);
+        } else {
+            let chunk = entries.len().div_ceil(n_threads);
+            let fill = &fill;
+            std::thread::scope(|scope| {
+                for (outs, ents) in s.outcomes.chunks_mut(chunk).zip(entries.chunks(chunk)) {
+                    scope.spawn(move || fill(outs, ents));
+                }
+            });
+        }
 
-        let mut cursor = 0usize;
+        let mut outcomes = s.outcomes.iter();
         for k in 0..kk {
-            let q_size = self.q_sizes[k];
-            let alpha_qk = s.alpha_qks[k];
             let pricer = s.pricers[k];
             // The k = 0 mean-price series averages over *every* EDP
             // (idle ones included), exactly like the per-EDP pricing
@@ -814,30 +809,8 @@ impl Simulation {
             if k == 0 {
                 agg.mean_price = s.x0.iter().map(|&x| pricer.price(x)).sum::<f64>() / m as f64;
             }
-            let sharers = s.sharers[k];
 
-            for &(i, requests) in &s.requesters[k] {
-                let (out, price) = if cfg.unsharded_market {
-                    // Oracle: resolve the entry inline, exactly where the
-                    // pre-sharding loop did.
-                    let rate_edge = self.rate_model.rate(mean_fadings[i]).max(1e-9);
-                    trade_entry(
-                        &self.edps[i],
-                        k,
-                        requests,
-                        q_size,
-                        alpha_qk,
-                        &pricer,
-                        &sharers,
-                        sharing_allowed,
-                        rate_edge,
-                        &cfg.params,
-                    )
-                } else {
-                    let r = s.outcomes[cursor];
-                    cursor += 1;
-                    r
-                };
+            for (&(i, requests), &(out, price)) in s.requesters[k].iter().zip(&mut outcomes) {
                 agg.min_price = agg.min_price.min(price);
                 agg.max_price = agg.max_price.max(price);
                 let m = &mut self.edps[i].metrics;
@@ -1066,9 +1039,8 @@ const MIN_TRADE_ENTRIES_PER_THREAD: usize = 256;
 /// for the buyer's strategy, the center's best-stocked qualified peer
 /// ("a suitable EDP", §IV-B — smallest remaining space, which both
 /// completes the most data and minimizes the buyer's fee), and the
-/// case-1/2/3 outcome. Pure in its inputs; shared verbatim by the sharded
-/// precompute and the `unsharded_market` oracle, which is what makes the
-/// two paths bit-identical by construction.
+/// case-1/2/3 outcome. Pure in its inputs, which is what makes the sharded
+/// precompute bit-identical across thread counts by construction.
 #[allow(clippy::too_many_arguments)]
 fn trade_entry(
     e: &Edp,
@@ -1436,36 +1408,40 @@ mod tests {
     }
 
     #[test]
-    fn sharded_market_matches_the_unsharded_oracle_bit_for_bit() {
-        // The tentpole differential: the sharded trade loop (flattened
-        // entries precomputed on scoped threads) against the sequential
-        // oracle it replaced, across thread counts, with mobility so
-        // epoch-boundary handovers reshuffle the shards mid-run. The
-        // population is sized so per-slot trade entries exceed
-        // 2 × MIN_TRADE_ENTRIES_PER_THREAD and the multi-thread fill path
-        // genuinely spawns.
-        let report = |threads: usize, unsharded: bool| {
+    fn sharded_market_is_bit_identical_across_thread_counts() {
+        // The sharded trade loop (flattened entries precomputed on scoped
+        // threads) at 1, 2 and 4 threads, with mobility so epoch-boundary
+        // handovers reshuffle the shards mid-run. At 1 thread the
+        // precompute runs inline, in fold order. The population is sized
+        // so per-slot trade entries exceed 4 × MIN_TRADE_ENTRIES_PER_THREAD
+        // and every multi-thread run genuinely spawns all its threads.
+        let report = |threads: usize| {
             let mut cfg = SimConfig::small();
             cfg.epochs = 2;
             cfg.slots_per_epoch = 6;
-            cfg.num_edps = 96;
-            cfg.params.num_edps = 96;
-            cfg.num_contents = 8;
-            cfg.num_requesters = 2000;
+            cfg.num_edps = 128;
+            cfg.params.num_edps = 128;
+            cfg.num_contents = 10;
+            cfg.num_requesters = 8000;
             cfg.request_prob = 0.9;
             cfg.mobility = Some(mfgcp_net::RandomWaypoint::default());
             cfg.worker_threads = threads;
-            cfg.unsharded_market = unsharded;
             Simulation::new(cfg, Box::new(RandomReplacement))
                 .unwrap()
                 .run()
         };
-        let oracle = report(1, true);
-        for threads in [1, 2, 8] {
-            let sharded = report(threads, false);
-            assert_eq!(oracle.per_edp, sharded.per_edp, "with {threads} threads");
-            assert_eq!(oracle.series.len(), sharded.series.len());
-            for (a, b) in oracle.series.iter().zip(&sharded.series) {
+        let reference = report(1);
+        let (c1, c2, c3) = reference.case_totals();
+        let entries_per_slot = (c1 + c2 + c3) / reference.series.len() as u64;
+        assert!(
+            entries_per_slot > 4 * MIN_TRADE_ENTRIES_PER_THREAD as u64,
+            "only {entries_per_slot} trade entries per slot"
+        );
+        for threads in [2, 4] {
+            let sharded = report(threads);
+            assert_eq!(reference.per_edp, sharded.per_edp, "with {threads} threads");
+            assert_eq!(reference.series.len(), sharded.series.len());
+            for (a, b) in reference.series.iter().zip(&sharded.series) {
                 assert_eq!(a, b, "with {threads} threads");
             }
         }

@@ -73,34 +73,26 @@ fn mobility_with_mfgcp_stays_consistent() {
 }
 
 #[test]
-fn salvage_and_implicit_switches_compose() {
-    // All four switch combinations produce valid, comparable equilibria.
+fn salvage_keeps_more_content_cached_at_the_horizon() {
+    // Both salvage settings produce valid equilibria on the production
+    // stepper.
     let mut trajectories = Vec::new();
-    for &implicit in &[false, true] {
-        for &salvage in &[0.0, 2.0] {
-            let params = Params {
-                implicit_steppers: implicit,
-                terminal_value_weight: salvage,
-                ..small_params()
-            };
-            let eq = MfgSolver::new(params).unwrap().solve().unwrap();
-            assert!(eq.report.converged, "implicit={implicit} salvage={salvage}");
-            for lam in &eq.density {
-                assert!((lam.integral() - 1.0).abs() < 1e-6);
-            }
-            trajectories.push((implicit, salvage, eq.mean_remaining_space()));
+    for &salvage in &[0.0, 2.0] {
+        let params = Params {
+            terminal_value_weight: salvage,
+            ..small_params()
+        };
+        let eq = MfgSolver::new(params).unwrap().solve().unwrap();
+        assert!(eq.report.converged, "salvage={salvage}");
+        for lam in &eq.density {
+            assert!((lam.integral() - 1.0).abs() < 1e-6);
         }
-    }
-    // Same salvage, different stepper → nearly identical trajectories.
-    let explicit0 = &trajectories[0].2;
-    let implicit0 = &trajectories[2].2;
-    for (a, b) in explicit0.iter().zip(implicit0) {
-        assert!((a - b).abs() < 0.06, "stepper mismatch: {a} vs {b}");
+        trajectories.push(eq.mean_remaining_space());
     }
     // Salvage keeps more content cached at the horizon (less remaining
     // space is NOT guaranteed pointwise, but the late-horizon caching is):
-    let plain_end = explicit0.last().unwrap();
-    let salvage_end = trajectories[1].2.last().unwrap();
+    let plain_end = trajectories[0].last().unwrap();
+    let salvage_end = trajectories[1].last().unwrap();
     assert!(
         salvage_end < plain_end,
         "salvage {salvage_end} vs plain {plain_end}"
