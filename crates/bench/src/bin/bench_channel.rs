@@ -1,14 +1,15 @@
-//! Channel-layer scaling benchmark: measures the sharded occupancy-local
-//! [`ChannelState`] against the exact dense `M × J` layout for
-//! M ∈ {100, 1000, 10000, 100000} EDPs and writes `BENCH_channel.json`
-//! at the workspace root.
+//! Channel-layer scaling benchmark: measures the occupancy-local
+//! [`ChannelState`] for M ∈ {100, 1000, 10000, 100000} EDPs and writes
+//! `BENCH_channel.json` at the workspace root.
 //!
-//! The sharded layout tracks `J · (k_int + 1)` links regardless of M, so
-//! its per-link fading-advance cost, its nearest-EDP association cost per
+//! The channel tracks `J · (k_int + 1)` links regardless of M, so its
+//! per-link fading-advance cost, its nearest-EDP association cost per
 //! requester (spatial hash grid), and its resident bytes should all stay
-//! flat across the sweep, while the dense columns grow linearly in M.
-//! The dense layout is only measured up to M = 10000 — beyond that the
-//! `M × J` matrices are exactly the memory wall this benchmark documents.
+//! flat across the sweep. Channel construction (`init_millis`) and
+//! re-association after mobility (`reassoc_millis`) also compute every
+//! requester's far-field tail, which grows with M only through the depth
+//! of the EDP grid's moment pyramid; both are gated lower-is-better by
+//! `bench_compare`.
 //! Run: `cargo run --release -p mfgcp-bench --bin bench_channel`
 //!
 //! A second sweep scales the *requester* population J ∈ {300, 10⁴, 10⁵,
@@ -37,13 +38,11 @@ use mfgcp_obs::{JsonlSink, RecorderHandle};
 use mfgcp_sde::seeded_rng;
 use mfgcp_sim::{baselines, SimConfig, Simulation};
 
-/// Dense measurements stop here; past it the `M × J` matrices dominate
-/// memory and the sharded layout is the only practical representation.
-const DENSE_CEILING: usize = 10_000;
-
 const REQUESTERS: usize = 300;
 const ADVANCE_STEPS: usize = 50;
-const ASSOC_ROUNDS: usize = 5;
+/// Rounds of association, channel construction and re-association; each
+/// column keeps its best round.
+const ASSOC_ROUNDS: usize = 9;
 
 /// EDP population held fixed across the requester (J) sweep: large enough
 /// that market clearing has real per-EDP fan-out, small enough that the
@@ -54,9 +53,10 @@ struct Sample {
     m: usize,
     requesters: usize,
     assoc_micros_per_requester: f64,
+    init_millis: f64,
+    reassoc_millis: f64,
     sharded_advance_ns_per_link: f64,
     sharded_bytes: usize,
-    dense: Option<(f64, usize)>, // (advance ns/link, bytes)
 }
 
 /// Best-of-three timed advance sweeps, normalized per tracked link-step.
@@ -79,10 +79,19 @@ fn measure(m: usize, recorder: &RecorderHandle) -> Sample {
     let mut rng = seeded_rng(m as u64 ^ 0xC0FFEE);
     let mut topo = Topology::random(m, REQUESTERS, &cfg, &mut rng);
 
-    // Association: re-associate every requester against the spatial grid
-    // (same code path the engine runs at each epoch boundary), best of a
-    // few rounds over fresh uniform positions.
+    let mut init_millis = f64::INFINITY;
+    let mut channels = ChannelState::init_with_seed(&topo, &cfg, 9);
+    for _ in 0..ASSOC_ROUNDS {
+        let start = Instant::now();
+        channels = ChannelState::init_with_seed(&topo, &cfg, 9);
+        init_millis = init_millis.min(start.elapsed().as_secs_f64() * 1e3);
+    }
+
+    // Association: re-associate every requester against the spatial grid,
+    // then re-track the channel (the two steps the engine runs at each
+    // epoch boundary), best of a few rounds over fresh uniform positions.
     let mut assoc_best = f64::INFINITY;
+    let mut reassoc_millis = f64::INFINITY;
     for _ in 0..ASSOC_ROUNDS {
         let positions: Vec<Point> = (0..REQUESTERS)
             .map(|_| uniform_in_disc(cfg.area_radius, &mut rng))
@@ -91,47 +100,38 @@ fn measure(m: usize, recorder: &RecorderHandle) -> Sample {
         topo.update_requesters(&positions);
         let micros = start.elapsed().as_secs_f64() * 1e6;
         assoc_best = assoc_best.min(micros / REQUESTERS as f64);
+        let start = Instant::now();
+        channels.refresh_distances(&topo);
+        reassoc_millis = reassoc_millis.min(start.elapsed().as_secs_f64() * 1e3);
     }
-
-    let mut sharded = ChannelState::init_with_seed(&topo, &cfg, 9);
-    let sharded_ns = advance_ns_per_link(&mut sharded);
-    let sharded_bytes = sharded.memory_bytes();
-
-    let dense = (m <= DENSE_CEILING).then(|| {
-        let dense_cfg = NetworkConfig {
-            dense_channel: true,
-            ..cfg.clone()
-        };
-        let mut dense = ChannelState::init_with_seed(&topo, &dense_cfg, 9);
-        (advance_ns_per_link(&mut dense), dense.memory_bytes())
-    });
 
     let sample = Sample {
         m,
         requesters: REQUESTERS,
         assoc_micros_per_requester: assoc_best,
-        sharded_advance_ns_per_link: sharded_ns,
-        sharded_bytes,
-        dense,
+        init_millis,
+        reassoc_millis,
+        sharded_advance_ns_per_link: advance_ns_per_link(&mut channels),
+        sharded_bytes: channels.memory_bytes(),
     };
-    let mut fields: Vec<(&'static str, mfgcp_obs::Value)> = vec![
-        ("m", sample.m.into()),
-        ("requesters", sample.requesters.into()),
-        (
-            "assoc_micros_per_requester",
-            sample.assoc_micros_per_requester.into(),
-        ),
-        (
-            "sharded_advance_ns_per_link",
-            sample.sharded_advance_ns_per_link.into(),
-        ),
-        ("sharded_bytes", sample.sharded_bytes.into()),
-    ];
-    if let Some((ns, bytes)) = sample.dense {
-        fields.push(("dense_advance_ns_per_link", ns.into()));
-        fields.push(("dense_bytes", bytes.into()));
-    }
-    recorder.event("bench.sample", &fields);
+    recorder.event(
+        "bench.sample",
+        &[
+            ("m", sample.m.into()),
+            ("requesters", sample.requesters.into()),
+            (
+                "assoc_micros_per_requester",
+                sample.assoc_micros_per_requester.into(),
+            ),
+            ("init_millis", sample.init_millis.into()),
+            ("reassoc_millis", sample.reassoc_millis.into()),
+            (
+                "sharded_advance_ns_per_link",
+                sample.sharded_advance_ns_per_link.into(),
+            ),
+            ("sharded_bytes", sample.sharded_bytes.into()),
+        ],
+    );
     sample
 }
 
@@ -253,8 +253,8 @@ fn main() {
         (
             "unit_note".into(),
             Json::Str(
-                "sharded columns flat in M <=> occupancy-local scaling; \
-                 dense columns measured up to M = 10000 only"
+                "advance, bytes and association columns flat in M <=> \
+                 occupancy-local scaling; init/reassoc include the far-field tail"
                     .into(),
             ),
         ),
@@ -264,24 +264,21 @@ fn main() {
                 samples
                     .iter()
                     .map(|s| {
-                        let mut obj = vec![
+                        Json::Obj(vec![
                             ("m".into(), Json::Num(s.m as f64)),
                             ("requesters".into(), Json::Num(s.requesters as f64)),
                             (
                                 "assoc_micros_per_requester".into(),
                                 Json::Num(s.assoc_micros_per_requester),
                             ),
+                            ("init_millis".into(), Json::Num(s.init_millis)),
+                            ("reassoc_millis".into(), Json::Num(s.reassoc_millis)),
                             (
                                 "sharded_advance_ns_per_link".into(),
                                 Json::Num(s.sharded_advance_ns_per_link),
                             ),
                             ("sharded_bytes".into(), Json::Num(s.sharded_bytes as f64)),
-                        ];
-                        if let Some((ns, bytes)) = s.dense {
-                            obj.push(("dense_advance_ns_per_link".into(), Json::Num(ns)));
-                            obj.push(("dense_bytes".into(), Json::Num(bytes as f64)));
-                        }
-                        Json::Obj(obj)
+                        ])
                     })
                     .collect(),
             ),
@@ -318,20 +315,16 @@ fn main() {
         .expect("write BENCH_channel.json");
 
     println!("{json}");
-    println!("m, assoc_us/req, sharded_ns/link, sharded_bytes, dense_ns/link, dense_bytes");
+    println!("m, assoc_us/req, init_ms, reassoc_ms, sharded_ns/link, sharded_bytes");
     for s in &samples {
-        let (dns, db) = s
-            .dense
-            .map(|(a, b)| (format!("{a:.2}"), b.to_string()))
-            .unwrap_or_else(|| ("-".into(), "-".into()));
         println!(
-            "{}, {:.3}, {:.2}, {}, {}, {}",
+            "{}, {:.3}, {:.3}, {:.3}, {:.2}, {}",
             s.m,
             s.assoc_micros_per_requester,
+            s.init_millis,
+            s.reassoc_millis,
             s.sharded_advance_ns_per_link,
-            s.sharded_bytes,
-            dns,
-            db
+            s.sharded_bytes
         );
     }
     println!("j, trade_ns/req, slot_us/req");

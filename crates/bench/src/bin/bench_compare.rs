@@ -8,8 +8,7 @@
 //! sweep compares against the matching subset of a committed full sweep —
 //! unmatched baseline samples are reported as skipped, never failed.
 //! Metric direction is inferred from the field name: `*_nanos`,
-//! `*_micros`, `*_millis`, `*_secs`, `*_ns_per_column` and
-//! `*_iterations` regress upward, `speedup`, `*_speedup` and `*_qps`
+//! `*_micros`, `*_millis`, `*_secs` and `*_iterations` regress upward, `speedup`, `*_speedup` and `*_qps`
 //! regress downward; every other numeric field is informational and
 //! ignored.
 //!
@@ -56,7 +55,6 @@ fn lower_is_better(name: &str) -> Option<bool> {
         || name.ends_with("_micros")
         || name.ends_with("_millis")
         || name.ends_with("_secs")
-        || name.ends_with("_ns_per_column")
         || name.ends_with("_iterations")
     {
         Some(true)
@@ -255,7 +253,11 @@ mod tests {
         assert_eq!(lower_is_better("market_per_slot_micros"), Some(true));
         assert_eq!(lower_is_better("market_per_slot_per_edp_nanos"), Some(true));
         assert_eq!(lower_is_better("epoch_wall_millis"), Some(true));
-        assert_eq!(lower_is_better("scalar_ns_per_column"), Some(true));
+        assert_eq!(lower_is_better("init_millis"), Some(true));
+        assert_eq!(lower_is_better("reassoc_millis"), Some(true));
+        // Only the channel sweep's `_millis` columns are gated; its
+        // per-link and per-requester rates stay informational.
+        assert_eq!(lower_is_better("sharded_advance_ns_per_link"), None);
         assert_eq!(lower_is_better("p99_micros"), Some(true));
         assert_eq!(lower_is_better("stream_frames_qps"), Some(false));
         assert_eq!(lower_is_better("speedup"), Some(false));
@@ -280,8 +282,8 @@ mod tests {
 
     #[test]
     fn matched_within_tolerance_passes() {
-        let base = report(r#"{"kernel":"fpk","nx":24,"ny":48,"batched_ns_per_column":100.0}"#);
-        let fresh = report(r#"{"kernel":"fpk","nx":24,"ny":48,"batched_ns_per_column":115.0}"#);
+        let base = report(r#"{"m":1000,"requesters":300,"init_millis":100.0}"#);
+        let fresh = report(r#"{"m":1000,"requesters":300,"init_millis":115.0}"#);
         let (rows, skipped) = compare(&base, &fresh, 0.2);
         assert!(skipped.is_empty());
         assert_eq!(rows.len(), 1);
@@ -290,8 +292,8 @@ mod tests {
 
     #[test]
     fn slower_time_past_tolerance_regresses() {
-        let base = report(r#"{"kernel":"hjb","nx":24,"ny":48,"batched_ns_per_column":100.0}"#);
-        let fresh = report(r#"{"kernel":"hjb","nx":24,"ny":48,"batched_ns_per_column":130.0}"#);
+        let base = report(r#"{"m":1000,"requesters":300,"reassoc_millis":100.0}"#);
+        let fresh = report(r#"{"m":1000,"requesters":300,"reassoc_millis":130.0}"#);
         let (rows, _) = compare(&base, &fresh, 0.2);
         assert_eq!(rows[0].status, Status::Regression);
         assert!((rows[0].delta - 0.3).abs() < 1e-12);

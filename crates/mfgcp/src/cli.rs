@@ -260,7 +260,7 @@ USAGE:
     mfgcp simulate [--scheme mfg-cp|mfg|udcs|mpc|rr] [--edps N]
                    [--requesters N] [--contents K] [--epochs E]
                    [--slots N] [--seed S] [--mobility] [--audit]
-                   [--audit-sample N] [--dense-channel] [--k-int N]
+                   [--audit-sample N] [--k-int N]
                    [--adaptive-k-int] [--reprice-slot N]
                    [--telemetry FILE.jsonl]
                    [--observe HOST:PORT] [--observe-hold]
@@ -305,14 +305,13 @@ violated. `--audit-sample N` implies `--audit` but runs the per-slot
 checks on every Nth slot only — the cumulative I1-I3 totals still see
 every slot, which keeps the gate affordable at production scale.
 
-The channel layer defaults to the sharded occupancy-local layout
-(serving link + the `--k-int` nearest interferers per requester, plus a
-frozen mean-field tail; memory and per-step cost are flat in the EDP
-count). `--dense-channel` switches to the exact dense M x J layout, the
-differential oracle for small runs. `--adaptive-k-int` lets the channel
-resize the tracked-interferer budget at each re-association from the
-measured truncated-power share (doubling toward the tolerance, halving
-with hysteresis when slack); `--k-int` then only seeds the budget.
+The channel layer is occupancy-local: it tracks the serving link and
+the `--k-int` nearest interferers per requester, plus a frozen
+mean-field tail for the far field; memory and per-step cost are flat in
+the EDP count. `--adaptive-k-int` lets the channel resize the
+tracked-interferer budget at each re-association from the measured
+truncated-power share (doubling toward the tolerance, halving with
+hysteresis when slack); `--k-int` then only seeds the budget.
 
 The per-slot trade loop resolves flattened (EDP, content) entries on
 scoped threads — bit-identical for any thread count.
@@ -455,10 +454,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 }
                 if flag == "--audit" {
                     config.audit = true;
-                    continue;
-                }
-                if flag == "--dense-channel" {
-                    config.network.dense_channel = true;
                     continue;
                 }
                 if flag == "--adaptive-k-int" {
@@ -849,20 +844,13 @@ mod tests {
 
     #[test]
     fn channel_layout_flags_reach_the_network_config() {
-        let cmd = parse(&argv("simulate --dense-channel --k-int 8")).unwrap();
+        let cmd = parse(&argv("simulate --k-int 8")).unwrap();
         match cmd {
-            Command::Simulate { config, .. } => {
-                assert!(config.network.dense_channel);
-                assert_eq!(config.network.k_int, 8);
-            }
+            Command::Simulate { config, .. } => assert_eq!(config.network.k_int, 8),
             other => panic!("unexpected {other:?}"),
         }
-        match parse(&argv("simulate")).unwrap() {
-            Command::Simulate { config, .. } => {
-                assert!(!config.network.dense_channel, "sharded is the default");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        // The dense layout is gone from production, and so is its flag.
+        assert!(parse(&argv("simulate --dense-channel")).is_err());
         assert!(matches!(
             parse(&argv("simulate --k-int 0")),
             Err(CliError::BadValue { flag, .. }) if flag == "--k-int"

@@ -4,50 +4,32 @@
 //! the *exact* OU transition (no discretization error), and computes the
 //! Eq. (2) rate including the interference sum `Σ_{i'≠i} |g_{i',j}|² G_{i'}`.
 //!
-//! Two representations share one API:
-//!
-//! - **Sharded** (default): occupancy-local storage tracking, per
-//!   requester, only the serving-EDP link plus the `k_int` nearest
-//!   interferers ([`NetworkConfig::k_int`]). Memory and per-slot fading
-//!   work are O(J·k_int) — flat in `M` at fixed occupancy. The Eq. (2)
-//!   interference sum is the live tracked neighborhood plus a **frozen
-//!   mean-field tail**: the untracked far field evaluated at the OU
-//!   stationary-mean fading, recomputed only at (re)association. The
-//!   tail aggregates many weak links whose fading fluctuations average
-//!   out, so the relative interference error stays within
-//!   [`NetworkConfig::truncation_tol`] (measured by the
-//!   `net.shard.truncated_power` gauge, bounded by the differential
-//!   tests).
-//! - **Dense** ([`NetworkConfig::dense_channel`]): every (EDP, requester)
-//!   link, the exact Eq. (2) sum — O(M·J) memory, the historical layout,
-//!   kept for small instances and as the differential-test oracle.
+//! The storage is occupancy-local: per requester it tracks only the
+//! serving-EDP link plus the `k_int` nearest interferers
+//! ([`NetworkConfig::k_int`]). Memory and per-slot fading work are
+//! O(J·k_int) — flat in `M` at fixed occupancy. The Eq. (2) interference
+//! sum is the live tracked neighborhood plus a **frozen mean-field tail**:
+//! the untracked far field at the OU stationary-mean fading, recomputed
+//! only at (re)association from the moment pyramid over the static EDP
+//! grid (near untracked EDPs link by link, far ones from their cell
+//! moments). The tail aggregates many weak links whose fading
+//! fluctuations average out, so the relative interference error stays
+//! within [`NetworkConfig::truncation_tol`] (measured by the
+//! `net.shard.truncated_power` gauge, bounded by the differential tests
+//! against a dense reference that exists only in test code).
 //!
 //! Every fading draw comes from a per-link counter-based stream keyed on
 //! `(channel seed, EDP, requester, draw id)` (see [`crate::shard`]), so
-//! the two representations are **bit-identical on every link they both
-//! track** — in particular on all serving links — and results do not
-//! depend on iteration order or thread count.
+//! results do not depend on iteration order or thread count.
 
 use mfgcp_obs::RecorderHandle;
 use mfgcp_sde::OrnsteinUhlenbeck;
 use rand::Rng;
 
 use crate::config::NetworkConfig;
-use crate::shard::{advance_fading, init_fading, ShardedLinks};
+use crate::shard::{Link, ShardedLinks};
 use crate::topology::Topology;
 use crate::{channel_gain, shannon_rate};
-
-/// The storage layout behind [`ChannelState`].
-#[derive(Debug, Clone)]
-enum Repr {
-    /// Exact dense fallback: row-major `[m × j]` fading and distances.
-    Dense {
-        fading: Vec<f64>,
-        distances: Vec<f64>,
-    },
-    /// Occupancy-local shards (serving link + `k_int` interferers).
-    Sharded(ShardedLinks),
-}
 
 /// Floor of the adaptive tracked-interferer budget: below this the
 /// per-record bookkeeping is noise and further shrinking saves nothing.
@@ -56,7 +38,7 @@ const MIN_ADAPTIVE_K_INT: usize = 4;
 /// Dynamic channel state for the tracked (EDP, requester) links.
 #[derive(Debug, Clone)]
 pub struct ChannelState {
-    repr: Repr,
+    links: ShardedLinks,
     num_edps: usize,
     num_requesters: usize,
     process: OrnsteinUhlenbeck,
@@ -80,30 +62,15 @@ impl ChannelState {
     }
 
     /// [`ChannelState::init`] with an explicit channel seed — the entry
-    /// point for differential tests that must build a dense and a sharded
-    /// state over identical per-link streams.
+    /// point for tests and benchmarks that must build several states over
+    /// identical per-link streams.
     pub fn init_with_seed(topo: &Topology, cfg: &NetworkConfig, seed: u64) -> Self {
         assert!(cfg.k_int > 0, "k_int must be at least 1");
         let process = cfg.fading_process();
-        let m = topo.num_edps();
-        let j = topo.num_requesters();
-        let repr = if cfg.dense_channel {
-            let mut fading = Vec::with_capacity(m * j);
-            let mut distances = Vec::with_capacity(m * j);
-            for i in 0..m {
-                for jj in 0..j {
-                    fading.push(init_fading(seed, i, jj, 0, &process, cfg));
-                    distances.push(topo.distance(i, jj));
-                }
-            }
-            Repr::Dense { fading, distances }
-        } else {
-            Repr::Sharded(ShardedLinks::build(topo, cfg, &process, seed, 0, cfg.k_int))
-        };
         Self {
-            repr,
-            num_edps: m,
-            num_requesters: j,
+            links: ShardedLinks::build(topo, cfg, &process, seed, 0, cfg.k_int),
+            num_edps: topo.num_edps(),
+            num_requesters: topo.num_requesters(),
             process,
             cfg: cfg.clone(),
             seed,
@@ -130,83 +97,55 @@ impl ChannelState {
         self.num_requesters
     }
 
-    /// Whether this state uses the exact dense fallback layout.
-    pub fn is_dense(&self) -> bool {
-        matches!(self.repr, Repr::Dense { .. })
-    }
-
     /// Number of links currently holding fading state.
     pub fn tracked_links(&self) -> usize {
-        match &self.repr {
-            Repr::Dense { .. } => self.num_edps * self.num_requesters,
-            Repr::Sharded(links) => links.records.iter().map(|r| 1 + r.interferers.len()).sum(),
-        }
+        self.links
+            .records
+            .iter()
+            .map(|r| 1 + r.interferers.len())
+            .sum()
     }
 
-    /// Resident bytes of the channel storage (fading + distances or the
-    /// sharded link records).
+    /// Resident bytes of the link records and the shard index.
     pub fn memory_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Dense { fading, distances } => {
-                (fading.capacity() + distances.capacity()) * std::mem::size_of::<f64>()
-            }
-            Repr::Sharded(links) => links.memory_bytes(),
-        }
+        self.links.memory_bytes()
     }
 
-    #[inline]
-    fn idx(&self, i: usize, j: usize) -> usize {
-        debug_assert!(i < self.num_edps && j < self.num_requesters);
-        i * self.num_requesters + j
-    }
-
-    /// Current fading coefficient `h_{i,j}`; `0` for a link the sharded
-    /// layout does not track (use [`ChannelState::link_fading`] to
-    /// distinguish untracked from faded-to-zero — the clamp band keeps
-    /// tracked fading strictly positive).
+    /// Current fading coefficient `h_{i,j}`; `0` for an untracked link
+    /// (use [`ChannelState::link_fading`] to distinguish untracked from
+    /// faded-to-zero — the clamp band keeps tracked fading strictly
+    /// positive).
     pub fn fading(&self, i: usize, j: usize) -> f64 {
         self.link_fading(i, j).unwrap_or(0.0)
     }
 
-    /// Fading of link `(i, j)` if it is tracked, `None` otherwise. Dense
-    /// states track every link.
+    /// Fading of link `(i, j)` if it is tracked, `None` otherwise.
     pub fn link_fading(&self, i: usize, j: usize) -> Option<f64> {
-        match &self.repr {
-            Repr::Dense { fading, .. } => Some(fading[self.idx(i, j)]),
-            Repr::Sharded(links) => links.records[j].link_to(i as u32).map(|l| l.fading),
-        }
+        self.links.records[j].link_to(i as u32).map(|l| l.fading)
     }
 
-    /// Tracked interferer links of requester `j` (`num_edps − 1` for the
-    /// dense layout, which tracks everything).
+    /// Tracked interferer links of requester `j`.
     pub fn interferer_count(&self, j: usize) -> usize {
-        match &self.repr {
-            Repr::Dense { .. } => self.num_edps.saturating_sub(1),
-            Repr::Sharded(links) => links.records[j].interferers.len(),
-        }
+        self.links.records[j].interferers.len()
     }
 
     /// EDP indices of the tracked interferers of requester `j`, in the
-    /// order they are summed by [`ChannelState::interference`]. Empty for
-    /// the dense layout, where the tracked-subset notion does not apply
-    /// (every link is stored).
+    /// order they are summed by [`ChannelState::interference`].
     pub fn tracked_interferers(&self, j: usize) -> Vec<usize> {
-        match &self.repr {
-            Repr::Dense { .. } => Vec::new(),
-            Repr::Sharded(links) => links.records[j]
-                .interferers
-                .iter()
-                .map(|l| l.edp as usize)
-                .collect(),
-        }
+        self.links.records[j]
+            .interferers
+            .iter()
+            .map(|l| l.edp as usize)
+            .collect()
     }
 
     /// Re-sync with a topology whose association changed (epoch-boundary
-    /// mobility): refresh link distances and, for the sharded layout,
-    /// migrate link state between shards — links tracked on both sides of
-    /// a handover keep their fading, newly tracked links draw from their
-    /// per-link stationary stream at the current step, dropped links are
-    /// forgotten. Deterministic for any thread count by construction.
+    /// mobility): refresh link distances and migrate link state between
+    /// shards — links tracked on both sides of a handover keep their
+    /// fading, newly tracked links draw from their per-link stationary
+    /// stream at the current step, dropped links are forgotten, and the
+    /// far-field tail is recomputed. Deterministic for any thread count
+    /// by construction.
     ///
     /// # Panics
     ///
@@ -218,18 +157,8 @@ impl ChannelState {
             self.num_requesters,
             "requester count changed"
         );
-        match &mut self.repr {
-            Repr::Dense { distances, .. } => {
-                for i in 0..self.num_edps {
-                    for j in 0..self.num_requesters {
-                        distances[i * self.num_requesters + j] = topo.distance(i, j);
-                    }
-                }
-            }
-            Repr::Sharded(links) => {
-                links.reassociate(topo, &self.cfg, &self.process, self.seed, self.step);
-            }
-        }
+        self.links
+            .reassociate(topo, &self.cfg, &self.process, self.seed, self.step);
         if self.cfg.adaptive_k_int {
             self.adapt_k_int(topo);
         }
@@ -250,21 +179,16 @@ impl ChannelState {
     /// for any thread count.
     fn adapt_k_int(&mut self, topo: &Topology) {
         let max_k = self.num_edps.saturating_sub(1).max(1);
+        let (cfg, process, seed, step) = (&self.cfg, &self.process, self.seed, self.step);
+        let links = &mut self.links;
         let mut grown = false;
         loop {
-            let Repr::Sharded(links) = &self.repr else {
-                return;
-            };
-            let Some((fraction, _)) = links.tail_fraction(&self.process, &self.cfg) else {
+            let Some((fraction, _)) = links.tail_fraction(process, cfg) else {
                 return;
             };
             let k = links.k_int;
-            if fraction > 0.5 * self.cfg.truncation_tol && k < max_k {
-                let target = (k * 2).min(max_k);
-                let Repr::Sharded(links) = &mut self.repr else {
-                    return;
-                };
-                links.retrack(topo, &self.cfg, &self.process, self.seed, self.step, target);
+            if fraction > 0.5 * cfg.truncation_tol && k < max_k {
+                links.retrack(topo, cfg, process, seed, step, (k * 2).min(max_k));
                 grown = true;
                 continue;
             }
@@ -275,26 +199,17 @@ impl ChannelState {
             if grown {
                 return;
             }
-            if fraction < 0.125 * self.cfg.truncation_tol && k > MIN_ADAPTIVE_K_INT {
+            if fraction < 0.125 * cfg.truncation_tol && k > MIN_ADAPTIVE_K_INT {
                 // Shrink as a measured probe, at most one halving per
                 // boundary: keep it only if the halved budget still meets
                 // the grow threshold, otherwise revert. (A zero tail
                 // carries no information about what halving would leave,
                 // so the probe must re-measure rather than assume.)
                 let target = (k / 2).max(MIN_ADAPTIVE_K_INT);
-                let Repr::Sharded(links) = &mut self.repr else {
-                    return;
-                };
-                links.retrack(topo, &self.cfg, &self.process, self.seed, self.step, target);
-                let Repr::Sharded(links) = &self.repr else {
-                    return;
-                };
-                if let Some((shrunk, _)) = links.tail_fraction(&self.process, &self.cfg) {
-                    if shrunk > 0.5 * self.cfg.truncation_tol {
-                        let Repr::Sharded(links) = &mut self.repr else {
-                            return;
-                        };
-                        links.retrack(topo, &self.cfg, &self.process, self.seed, self.step, k);
+                links.retrack(topo, cfg, process, seed, step, target);
+                if let Some((shrunk, _)) = links.tail_fraction(process, cfg) {
+                    if shrunk > 0.5 * cfg.truncation_tol {
+                        links.retrack(topo, cfg, process, seed, step, k);
                     }
                 }
             }
@@ -321,125 +236,50 @@ impl ChannelState {
             self.num_requesters,
             "requester count changed"
         );
-        match &mut self.repr {
-            Repr::Dense { distances, .. } => {
-                for i in 0..self.num_edps {
-                    let e = topo.edp(i);
-                    let row = i * self.num_requesters;
-                    for (j, p) in positions.iter().enumerate() {
-                        distances[row + j] = e.distance(p);
-                    }
-                }
-            }
-            Repr::Sharded(links) => links.refresh_distances(topo, positions),
-        }
+        self.links.refresh_distances(topo, positions);
     }
 
     /// Advance every tracked link by `dt` using the exact OU transition,
     /// clamping into the configured fading band. Each link draws from its
-    /// own counter-based stream, so the result is independent of storage
-    /// layout, iteration order, and thread count.
+    /// own counter-based stream, so the result is independent of
+    /// iteration order and thread count.
     pub fn advance(&mut self, dt: f64) {
         self.step += 1;
-        match &mut self.repr {
-            Repr::Dense { fading, .. } => {
-                let sd = self.process.transition_variance(dt).sqrt();
-                for i in 0..self.num_edps {
-                    let row = i * self.num_requesters;
-                    for j in 0..self.num_requesters {
-                        let h = &mut fading[row + j];
-                        *h = advance_fading(
-                            self.seed,
-                            i,
-                            j,
-                            self.step,
-                            *h,
-                            dt,
-                            sd,
-                            &self.process,
-                            &self.cfg,
-                        );
-                    }
-                }
-            }
-            Repr::Sharded(links) => {
-                links.advance(&self.cfg, &self.process, self.seed, self.step, dt);
-            }
-        }
+        self.links
+            .advance(&self.cfg, &self.process, self.seed, self.step, dt);
     }
 
     /// Channel gain `|g_{i,j}|²`; `0` for an untracked link.
     pub fn gain(&self, i: usize, j: usize) -> f64 {
-        match &self.repr {
-            Repr::Dense { fading, distances } => {
-                let k = self.idx(i, j);
-                channel_gain(
-                    fading[k],
-                    distances[k],
-                    self.cfg.path_loss_exp,
-                    self.cfg.min_distance,
-                )
-            }
-            Repr::Sharded(links) => match links.records[j].link_to(i as u32) {
-                Some(l) => channel_gain(
-                    l.fading,
-                    l.distance,
-                    self.cfg.path_loss_exp,
-                    self.cfg.min_distance,
-                ),
-                None => 0.0,
-            },
-        }
+        self.links.records[j]
+            .link_to(i as u32)
+            .map_or(0.0, |l| self.link_gain(l))
+    }
+
+    fn link_gain(&self, l: &Link) -> f64 {
+        channel_gain(
+            l.fading,
+            l.distance,
+            self.cfg.path_loss_exp,
+            self.cfg.min_distance,
+        )
     }
 
     /// Interference power at requester `j` from all EDPs except `i`
-    /// (`Σ_{i'≠i} |g_{i',j}|² G`, Eq. (2) denominator). The sharded
-    /// layout sums over the tracked neighborhood only — a truncation of
-    /// the exact sum whose omitted tail is controlled by `k_int` and the
-    /// path-loss exponent (see [`NetworkConfig::truncation_tol`]).
+    /// (`Σ_{i'≠i} |g_{i',j}|² G`, Eq. (2) denominator): the tracked
+    /// neighborhood with live fading plus the frozen far-field tail at
+    /// the stationary-mean fading (see [`NetworkConfig::truncation_tol`]).
     pub fn interference(&self, i: usize, j: usize) -> f64 {
-        match &self.repr {
-            Repr::Dense { fading, distances } => {
-                let mut acc = 0.0;
-                for other in 0..self.num_edps {
-                    if other != i {
-                        let k = other * self.num_requesters + j;
-                        acc += channel_gain(
-                            fading[k],
-                            distances[k],
-                            self.cfg.path_loss_exp,
-                            self.cfg.min_distance,
-                        ) * self.cfg.tx_power;
-                    }
-                }
-                acc
-            }
-            Repr::Sharded(links) => {
-                let record = &links.records[j];
-                let mut acc = 0.0;
-                if record.serving.edp as usize != i {
-                    acc += channel_gain(
-                        record.serving.fading,
-                        record.serving.distance,
-                        self.cfg.path_loss_exp,
-                        self.cfg.min_distance,
-                    ) * self.cfg.tx_power;
-                }
-                for l in &record.interferers {
-                    if l.edp as usize != i {
-                        acc += channel_gain(
-                            l.fading,
-                            l.distance,
-                            self.cfg.path_loss_exp,
-                            self.cfg.min_distance,
-                        ) * self.cfg.tx_power;
-                    }
-                }
-                // The frozen mean-field tail of the untracked far field
-                // (see `RequesterLinks::tail_gain`).
-                acc + record.tail_gain * self.cfg.tx_power
+        let record = &self.links.records[j];
+        let mut acc = 0.0;
+        for l in std::iter::once(&record.serving).chain(&record.interferers) {
+            if l.edp as usize != i {
+                acc += self.link_gain(l) * self.cfg.tx_power;
             }
         }
+        // The frozen mean-field tail of the untracked far field (see
+        // `RequesterLinks::tail_gain`).
+        acc + record.tail_gain * self.cfg.tx_power
     }
 
     /// Achievable rate `H_{i,j}` of Eq. (2), bits/s. `0` for an untracked
@@ -466,14 +306,11 @@ impl ChannelState {
     }
 
     /// The statistics behind the `net.shard.*` gauges as plain data, for
-    /// the live snapshot/query path. `None` for the dense layout (there
-    /// are no shards to report on). Pure reads — no RNG, no mutation —
+    /// the live snapshot/query path. Pure reads — no RNG, no mutation —
     /// but the truncated-power estimate costs O(J·k_int), so callers
     /// should sample it at re-association cadence, not per slot.
-    pub fn shard_stats(&self) -> Option<ShardStats> {
-        let Repr::Sharded(links) = &self.repr else {
-            return None;
-        };
+    pub fn shard_stats(&self) -> ShardStats {
+        let links = &self.links;
         let occupied = links.shards.iter().filter(|s| !s.is_empty()).count();
         let max_occ = links.shards.iter().map(Vec::len).max().unwrap_or(0);
         let mean_occ = if occupied > 0 {
@@ -487,7 +324,7 @@ impl ChannelState {
         } else {
             0.0
         };
-        Some(ShardStats {
+        ShardStats {
             mean_occupancy: mean_occ,
             max_occupancy: max_occ as u64,
             occupied_shards: occupied as u64,
@@ -496,7 +333,7 @@ impl ChannelState {
             mean_interferers: mean_int,
             k_int: links.k_int as u64,
             truncated_power: links.tail_fraction(&self.process, &self.cfg),
-        })
+        }
     }
 
     /// Emit the `net.shard.*` gauges after a re-association. Pure reads —
@@ -508,9 +345,7 @@ impl ChannelState {
         if !self.recorder.enabled() {
             return;
         }
-        let Some(stats) = self.shard_stats() else {
-            return;
-        };
+        let stats = self.shard_stats();
         self.recorder.gauge(
             "net.shard.occupancy",
             stats.mean_occupancy,
@@ -540,7 +375,7 @@ impl ChannelState {
     }
 }
 
-/// Sharded-layout channel statistics — the exact numbers behind the
+/// Channel statistics — the exact numbers behind the
 /// `net.shard.{occupancy,interferers,truncated_power}` gauges, exposed
 /// as plain data so the live control plane can serve them from snapshot
 /// queries as well as from the telemetry stream.
@@ -692,7 +527,6 @@ mod tests {
             ..NetworkConfig::default()
         };
         let ch = ChannelState::init_with_seed(&topo, &cfg, 77);
-        assert!(!ch.is_dense());
         assert_eq!(ch.tracked_links(), 2);
         assert_eq!(ch.interferer_count(0), 1);
         assert!(ch.link_fading(0, 0).is_some(), "serving link tracked");
@@ -700,19 +534,6 @@ mod tests {
         assert_eq!(ch.link_fading(5, 0), None, "distant link untracked");
         assert_eq!(ch.gain(5, 0), 0.0);
         assert_eq!(ch.rate(5, 0), 0.0);
-    }
-
-    #[test]
-    fn dense_fallback_tracks_every_link() {
-        let (topo, cfg) = small();
-        let cfg = NetworkConfig {
-            dense_channel: true,
-            ..cfg
-        };
-        let ch = ChannelState::init_with_seed(&topo, &cfg, 5);
-        assert!(ch.is_dense());
-        assert_eq!(ch.tracked_links(), 4);
-        assert_eq!(ch.interferer_count(0), 1);
     }
 
     #[test]
@@ -753,9 +574,7 @@ mod tests {
             .collect();
         topo.update_requesters(&moved);
         ch.refresh_distances(&topo);
-        let Repr::Sharded(links) = &ch.repr else {
-            panic!("expected the sharded layout");
-        };
+        let links = &ch.links;
         assert!(links.k_int > 1, "one tracked interferer leaves a fat tail");
         let (fraction, _) = links.tail_fraction(&ch.process, &ch.cfg).unwrap();
         assert!(
@@ -784,9 +603,7 @@ mod tests {
         let mut ch = ChannelState::init_with_seed(&topo, &cfg, 20);
         topo.update_requesters(&[Point::new(1.5, 0.0), Point::new(2.5, 0.0)]);
         ch.refresh_distances(&topo);
-        let Repr::Sharded(links) = &ch.repr else {
-            panic!("expected the sharded layout");
-        };
+        let links = &ch.links;
         assert_eq!(links.k_int, 4, "one probe halving, floored at 4");
     }
 
@@ -808,9 +625,7 @@ mod tests {
             .collect();
         topo.update_requesters(&moved);
         ch.refresh_distances(&topo);
-        let Repr::Sharded(links) = &ch.repr else {
-            panic!("expected the sharded layout");
-        };
+        let links = &ch.links;
         assert_eq!(links.k_int, 59, "the failed probe must be reverted");
     }
 

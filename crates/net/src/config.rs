@@ -31,12 +31,8 @@ pub struct NetworkConfig {
     pub fading_max: f64,
     /// Transmission rate `H_c` between the cloud center and any EDP, bits/s.
     pub center_rate: f64,
-    /// Use the exact dense `M × J` channel layout instead of the
-    /// occupancy-local sharded one. The dense path is the differential
-    /// oracle and stays practical only for small `M`.
-    pub dense_channel: bool,
-    /// Interferers tracked per requester in the sharded channel layout
-    /// (the `k_int` nearest non-serving EDPs). Must be at least 1. The
+    /// Interferers tracked per requester by the channel state (the
+    /// `k_int` nearest non-serving EDPs). Must be at least 1. The
     /// tracked links carry the dominant interferers with live fading;
     /// the untracked far field is covered by a frozen mean-field tail at
     /// the stationary-mean fading, so the full Eq. (2) interference
@@ -55,12 +51,12 @@ pub struct NetworkConfig {
     /// tracked geometry, so adaptive runs stay bit-reproducible.
     pub adaptive_k_int: bool,
     /// Documented worst-case bound on the relative Eq. (2) interference
-    /// error of the sharded layout at the default geometry. The tracked
+    /// error of the channel state at the default geometry. The tracked
     /// neighborhood plus the frozen mean-field tail cover the full
     /// interference power in expectation; what remains is the zero-mean
     /// fading fluctuation of the far field, which this bounds. The
-    /// sharded-vs-dense differential suite asserts the measured error
-    /// stays below it.
+    /// differential tests against a dense reference assert the measured
+    /// error stays below it.
     pub truncation_tol: f64,
 }
 
@@ -84,11 +80,14 @@ impl Default for NetworkConfig {
             // Backhaul to the cloud center is slower than a good edge link;
             // 20 Mbit/s keeps the staleness-cost trade-off of Eq. (9) alive.
             center_rate: 20e6,
-            dense_channel: false,
-            // 32 tracked interferers: with τ = 3 the interference tail past
-            // the 32nd-nearest EDP is well under 0.1% of the total for
-            // uniform placements at any density (measured by the
-            // `net.shard.truncated_power` gauge; see DESIGN.md §2f).
+            // 32 tracked interferers. With τ = 3 the untracked far field
+            // still carries a sizeable share of the stationary-mean
+            // interference power at uniform placements — 0.057 at
+            // M = 100, J = 300; 0.095 at M = 300, J = 900; 0.128 at
+            // M = 1000, J = 300; 0.158 at M = 6000, J = 18000; 0.183 at
+            // M = 10⁵, J = 300 (the `net.shard.truncated_power` gauge; see
+            // DESIGN.md §2f) — which is why the frozen tail is kept rather
+            // than dropped.
             k_int: 32,
             adaptive_k_int: false,
             truncation_tol: 2e-2,

@@ -9,12 +9,14 @@
 //!
 //! `H_{i,j} = B log₂(1 + |g_{i,j}|² G_i / (ϱ² + Σ_{i'≠i} |g_{i',j}|² G_{i'}))`.
 //!
-//! Channel state is **occupancy-local** by default: a spatial hash grid
-//! over the EDP placement answers nearest-EDP association and
-//! k-nearest-interferer queries in O(1) expected, and only each
-//! requester's serving link plus its `k_int` strongest interferers carry
-//! OU fading state. The exact dense `M × J` layout stays available behind
-//! [`NetworkConfig::dense_channel`] as the differential-test oracle.
+//! Channel state is **occupancy-local**: a spatial hash grid over the EDP
+//! placement answers nearest-EDP association and k-nearest-interferer
+//! queries in O(1) expected, and only each requester's serving link plus
+//! its `k_int` strongest interferers carry OU fading state. The untracked
+//! far field enters Eq. (2) as a frozen tail at the stationary-mean
+//! fading, summed from a moment pyramid over the same grid — link by link
+//! near the requester, from cell moments far away — so (re)association
+//! costs O(log M) per requester, not O(M).
 //!
 //! # Example
 //!
@@ -38,6 +40,8 @@ mod geometry;
 mod grid;
 mod mobility;
 mod shard;
+#[cfg(test)]
+mod sharded_vs_dense;
 mod topology;
 
 pub use channel::{ChannelState, ShardStats};

@@ -26,6 +26,8 @@
 use mfgcp_sde::{seeded_rng, OrnsteinUhlenbeck, SimRng, StandardNormal};
 
 use crate::config::NetworkConfig;
+use crate::geometry::Point;
+use crate::grid::Moments;
 use crate::topology::Topology;
 
 /// SplitMix64 finalizer: the bijective avalanche mix used to derive
@@ -112,6 +114,35 @@ pub(crate) fn advance_fading(
     cfg.clamp_fading(process.transition_mean(h, dt) + transition_sd * z)
 }
 
+/// `d^{−τ}`, with the paper's `τ = 3` (§V-A) computed without `powf`:
+/// the far-field tail evaluates it about a hundred times per requester
+/// at every (re)association, where `powf` would dominate the traversal.
+#[inline]
+fn inv_pow(d: f64, tau: f64) -> f64 {
+    if tau == 3.0 {
+        1.0 / (d * d * d)
+    } else {
+        d.powf(-tau)
+    }
+}
+
+/// Summed channel gain, at fading `h`, of the EDPs under one pyramid
+/// node seen from `p`: the second-order Taylor expansion of
+/// `h²·|r + u|^{−τ}` about the centroid offset `r`, summed over the EDP
+/// offsets `u` (the first-order term vanishes about the centroid):
+/// `n·g(r) + ½·g(r)·(−τ·tr S / r² + τ(τ+2)·rᵀSr / r⁴)`. Only called for
+/// nodes whose nearest point lies beyond `min_distance`, where the gain
+/// is the smooth power law.
+fn quadrupole_gain(h: f64, tau: f64, m: &Moments, p: &Point) -> f64 {
+    let (rx, ry) = (m.centroid.x - p.x, m.centroid.y - p.y);
+    let r2 = rx * rx + ry * ry;
+    let g = h * h * inv_pow(r2.sqrt(), tau);
+    let [sxx, sxy, syy] = m.second;
+    let trace = sxx + syy;
+    let rsr = rx * rx * sxx + 2.0 * rx * ry * sxy + ry * ry * syy;
+    g * (f64::from(m.count) + 0.5 * (-tau * trace / r2 + tau * (tau + 2.0) * rsr / (r2 * r2)))
+}
+
 /// One tracked (EDP, requester) link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Link {
@@ -135,11 +166,14 @@ pub(crate) struct RequesterLinks {
     pub interferers: Vec<Link>,
     /// Summed channel gain of every *untracked* non-serving EDP, taken at
     /// the OU stationary-mean fading — the far-field interference tail.
-    /// With `τ = 3` path loss the tail aggregates hundreds of weak links
-    /// whose fading fluctuations average out (mean-field §III), so
-    /// freezing it at the stationary mean between re-associations keeps
-    /// the Eq. (2) denominator within the configured truncation bound
-    /// while the per-slot work stays O(k_int).
+    /// Near untracked EDPs are summed link by link; far ones through the
+    /// quadrupole moments of the EDP grid's pyramid nodes, within a few
+    /// 10⁻³ relative error of the link-by-link sum. With `τ = 3` path
+    /// loss the tail aggregates hundreds of weak links whose fading
+    /// fluctuations average out (mean-field §III), so freezing it at the
+    /// stationary mean between re-associations keeps the Eq. (2)
+    /// denominator within the configured truncation bound while the
+    /// per-slot work stays O(k_int).
     pub tail_gain: f64,
 }
 
@@ -341,30 +375,24 @@ impl ShardedLinks {
             });
         }
         // Frozen mean-field tail: the untracked far field at the OU
-        // stationary-mean fading. One O(M) pass per requester, paid only
-        // at (re)association time, never per slot. Computed as
-        // (everything − tracked) so the far field needs no membership
-        // test; the subtraction uses the same distances, so cancellation
-        // error is at the rounding level.
-        let h = process.stationary_mean();
+        // stationary-mean fading, paid only at (re)association time, never
+        // per slot. The serving EDP is the nearest, so every EDP at or
+        // before the last tracked interferer in `(distance, index)` order
+        // is tracked and everything after it is the tail — one pyramid
+        // traversal, no membership test, and exactly 0 when every EDP is
+        // tracked.
         let mut tail_gain = 0.0;
-        if interferers.len() == k_int && k_int + 1 < topo.num_edps() {
-            let total: f64 = (0..topo.num_edps())
-                .filter(|&i| i != serving_edp)
-                .map(|i| {
-                    crate::channel_gain(
-                        h,
-                        topo.distance(i, jj),
-                        cfg.path_loss_exp,
-                        cfg.min_distance,
-                    )
-                })
-                .sum();
-            let tracked: f64 = interferers
-                .iter()
-                .map(|l| crate::channel_gain(h, l.distance, cfg.path_loss_exp, cfg.min_distance))
-                .sum();
-            tail_gain = (total - tracked).max(0.0);
+        if let Some(last) = interferers.last() {
+            debug_assert!(serving.distance <= last.distance);
+            let h = process.stationary_mean();
+            let (tau, d_min) = (cfg.path_loss_exp, cfg.min_distance);
+            tail_gain = topo.grid().far_field(
+                &p,
+                (last.distance, last.edp as usize),
+                d_min,
+                |d| h * h * inv_pow(d.max(d_min), tau),
+                |m| quadrupole_gain(h, tau, m, &p),
+            );
         }
         RequesterLinks {
             serving,
@@ -420,7 +448,7 @@ impl ShardedLinks {
 
     /// Refresh tracked link distances from moved requester positions
     /// without re-associating (the per-slot mobility path).
-    pub fn refresh_distances(&mut self, topo: &Topology, positions: &[crate::Point]) {
+    pub fn refresh_distances(&mut self, topo: &Topology, positions: &[Point]) {
         par_chunks(&mut self.records, |base, chunk| {
             for (off, record) in chunk.iter_mut().enumerate() {
                 let p = &positions[base + off];
@@ -454,6 +482,7 @@ impl ShardedLinks {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mfgcp_sde::seeded_rng;
 
     #[test]
     fn link_streams_are_reproducible_and_distinct() {
@@ -467,6 +496,150 @@ mod tests {
         assert_ne!(link_rng(7, 4, 11, 40).random::<u64>(), base);
         assert_ne!(link_rng(7, 3, 12, 40).random::<u64>(), base);
         assert_ne!(link_rng(7, 3, 11, 41).random::<u64>(), base);
+    }
+
+    /// Worst relative error of the pyramid tail against the O(M)
+    /// stationary-mean sum over the untracked EDPs, and of the
+    /// stationary-mean interference (tracked + tail) it feeds.
+    fn worst_tail_errors(topo: &Topology, cfg: &NetworkConfig) -> (f64, f64) {
+        let process = cfg.fading_process();
+        let h = process.stationary_mean();
+        let gain = |d: f64| crate::channel_gain(h, d, cfg.path_loss_exp, cfg.min_distance);
+        let links = ShardedLinks::build(topo, cfg, &process, 3, 0, cfg.k_int);
+        let (mut worst_tail, mut worst_interference) = (0.0_f64, 0.0_f64);
+        for (jj, rec) in links.records.iter().enumerate() {
+            let exact: f64 = (0..topo.num_edps())
+                .filter(|&i| rec.link_to(i as u32).is_none())
+                .map(|i| gain(topo.distance(i, jj)))
+                .sum();
+            let tracked: f64 = rec.interferers.iter().map(|l| gain(l.distance)).sum();
+            if exact == 0.0 {
+                assert_eq!(rec.tail_gain, 0.0, "requester {jj}: no untracked EDP");
+                continue;
+            }
+            worst_tail = worst_tail.max((rec.tail_gain - exact).abs() / exact);
+            worst_interference =
+                worst_interference.max((rec.tail_gain - exact).abs() / (tracked + exact));
+        }
+        (worst_tail, worst_interference)
+    }
+
+    fn assert_tail_within_bounds(topo: &Topology, cfg: &NetworkConfig, case: &str) {
+        let (tail, interference) = worst_tail_errors(topo, cfg);
+        assert!(tail <= 5e-3, "{case}: worst relative tail error {tail:.3e}");
+        assert!(
+            interference <= cfg.truncation_tol / 20.0,
+            "{case}: worst relative interference error {interference:.3e}"
+        );
+    }
+
+    #[test]
+    fn pyramid_tail_matches_the_exact_sum_on_uniform_discs() {
+        let cfg = NetworkConfig::default();
+        for (seed, m) in [(1_u64, 50_usize), (2, 400), (3, 6000)] {
+            let mut rng = seeded_rng(seed);
+            let topo = Topology::random(m, 200, &cfg, &mut rng);
+            assert_tail_within_bounds(&topo, &cfg, &format!("uniform M = {m}"));
+        }
+    }
+
+    #[test]
+    fn pyramid_tail_matches_the_exact_sum_on_clustered_hotspots() {
+        let cfg = NetworkConfig::default();
+        let mut rng = seeded_rng(4);
+        let centres: Vec<Point> = (0..6)
+            .map(|_| crate::uniform_in_disc(400.0, &mut rng))
+            .collect();
+        let edps: Vec<Point> = (0..600)
+            .map(|i| {
+                let u = crate::uniform_in_disc(40.0, &mut rng);
+                let c = centres[i % centres.len()];
+                Point::new(c.x + u.x, c.y + u.y)
+            })
+            .collect();
+        let requesters = (0..200)
+            .map(|_| crate::uniform_in_disc(cfg.area_radius, &mut rng))
+            .collect();
+        let topo = Topology::with_positions(edps, requesters);
+        assert_tail_within_bounds(&topo, &cfg, "clustered");
+    }
+
+    #[test]
+    fn pyramid_tail_matches_the_exact_sum_on_collinear_edps() {
+        // Zero vertical extent: the EDP grid is a single row of cells.
+        let cfg = NetworkConfig::default();
+        let mut rng = seeded_rng(5);
+        let edps: Vec<Point> = (0..300)
+            .map(|i| Point::new(-450.0 + 3.0 * i as f64, 20.0))
+            .collect();
+        let requesters = (0..200)
+            .map(|_| crate::uniform_in_disc(cfg.area_radius, &mut rng))
+            .collect();
+        let topo = Topology::with_positions(edps, requesters);
+        assert_tail_within_bounds(&topo, &cfg, "collinear");
+    }
+
+    #[test]
+    fn pyramid_tail_matches_the_exact_sum_outside_the_edp_bounding_box() {
+        let cfg = NetworkConfig::default();
+        let mut rng = seeded_rng(6);
+        let edps: Vec<Point> = (0..500)
+            .map(|_| crate::uniform_in_disc(cfg.area_radius, &mut rng))
+            .collect();
+        let requesters = (0..200)
+            .map(|k| {
+                let angle = 0.1 * k as f64;
+                let radius = 600.0 + 7.0 * k as f64;
+                Point::new(radius * angle.cos(), radius * angle.sin())
+            })
+            .collect();
+        let topo = Topology::with_positions(edps, requesters);
+        assert_tail_within_bounds(&topo, &cfg, "outside the bounding box");
+    }
+
+    #[test]
+    fn pyramid_tail_matches_the_exact_sum_with_coincident_edps() {
+        // Every site hosts three EDPs, so the last tracked interferer
+        // ties in distance with untracked ones and only the index order
+        // separates tracked from tail.
+        let cfg = NetworkConfig::default();
+        let mut rng = seeded_rng(7);
+        let sites: Vec<Point> = (0..150)
+            .map(|_| crate::uniform_in_disc(cfg.area_radius, &mut rng))
+            .collect();
+        let edps: Vec<Point> = sites.iter().flat_map(|&s| [s, s, s]).collect();
+        let requesters = (0..200)
+            .map(|_| crate::uniform_in_disc(cfg.area_radius, &mut rng))
+            .collect();
+        let topo = Topology::with_positions(edps, requesters);
+        assert_tail_within_bounds(&topo, &cfg, "coincident");
+    }
+
+    #[test]
+    fn full_tracking_leaves_an_exactly_zero_tail() {
+        let mut rng = seeded_rng(8);
+        for (m, k_int) in [(20_usize, 19_usize), (20, 40), (2, 1)] {
+            let cfg = NetworkConfig {
+                k_int,
+                ..NetworkConfig::default()
+            };
+            let topo = Topology::random(m, 50, &cfg, &mut rng);
+            let links = ShardedLinks::build(&topo, &cfg, &cfg.fading_process(), 9, 0, k_int);
+            assert!(links.records.iter().all(|r| r.tail_gain == 0.0));
+        }
+    }
+
+    #[test]
+    fn tails_are_bit_identical_across_states_of_one_topology() {
+        let cfg = NetworkConfig::default();
+        let mut rng = seeded_rng(9);
+        let topo = Topology::random(2000, 3000, &cfg, &mut rng);
+        let process = cfg.fading_process();
+        let a = ShardedLinks::build(&topo, &cfg, &process, 1, 0, cfg.k_int);
+        let b = ShardedLinks::build(&topo.clone(), &cfg, &process, 2, 0, cfg.k_int);
+        for (ra, rb) in a.records.iter().zip(&b.records) {
+            assert_eq!(ra.tail_gain.to_bits(), rb.tail_gain.to_bits());
+        }
     }
 
     #[test]

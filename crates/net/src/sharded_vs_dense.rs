@@ -1,22 +1,131 @@
-//! Differential suite: the sharded occupancy-local channel against the
-//! exact dense oracle.
+//! Differential suite: the occupancy-local [`ChannelState`] against a
+//! dense reference that tracks every (EDP, requester) link and sums
+//! Eq. (2) exactly.
 //!
-//! The per-link counter-based fading streams make every link that both
-//! representations track **bit-identical** — init, every OU transition,
-//! and every distance refresh. The only divergence the sharding is
-//! allowed is the *truncation* of the Eq. (2) interference sum to the
-//! `k_int` tracked interferers, which these tests bound by the configured
+//! The reference lives only here. It draws every link from the same
+//! crate-private per-link streams ([`init_fading`], [`advance_fading`]),
+//! so every link that both track is **bit-identical** — init, every OU
+//! transition, and every distance refresh. The only divergence the
+//! channel state is allowed is the *truncation* of the Eq. (2)
+//! interference sum to the `k_int` tracked interferers plus the frozen
+//! far-field tail, which these tests bound by the configured
 //! [`NetworkConfig::truncation_tol`].
 
 use proptest::prelude::*;
 
-use mfgcp_net::{ChannelState, NetworkConfig, Point, Topology};
-use mfgcp_sde::seeded_rng;
+use crate::shard::{advance_fading, init_fading};
+use crate::{channel_gain, shannon_rate, ChannelState, NetworkConfig, Point, Topology};
+use mfgcp_sde::{seeded_rng, OrnsteinUhlenbeck};
 
-fn dense_cfg(cfg: &NetworkConfig) -> NetworkConfig {
-    NetworkConfig {
-        dense_channel: true,
-        ..cfg.clone()
+/// Every (EDP, requester) link, row-major `[m × j]`, with live fading.
+struct Dense {
+    fading: Vec<f64>,
+    distances: Vec<f64>,
+    num_edps: usize,
+    num_requesters: usize,
+    process: OrnsteinUhlenbeck,
+    cfg: NetworkConfig,
+    seed: u64,
+    step: u64,
+}
+
+impl Dense {
+    fn init(topo: &Topology, cfg: &NetworkConfig, seed: u64) -> Self {
+        let process = cfg.fading_process();
+        let (m, j) = (topo.num_edps(), topo.num_requesters());
+        let mut fading = Vec::with_capacity(m * j);
+        let mut distances = Vec::with_capacity(m * j);
+        for i in 0..m {
+            for jj in 0..j {
+                fading.push(init_fading(seed, i, jj, 0, &process, cfg));
+                distances.push(topo.distance(i, jj));
+            }
+        }
+        Self {
+            fading,
+            distances,
+            num_edps: m,
+            num_requesters: j,
+            process,
+            cfg: cfg.clone(),
+            seed,
+            step: 0,
+        }
+    }
+
+    fn idx(&self, i: usize, j: usize) -> usize {
+        i * self.num_requesters + j
+    }
+
+    fn advance(&mut self, dt: f64) {
+        self.step += 1;
+        let sd = self.process.transition_variance(dt).sqrt();
+        for i in 0..self.num_edps {
+            for j in 0..self.num_requesters {
+                let k = self.idx(i, j);
+                self.fading[k] = advance_fading(
+                    self.seed,
+                    i,
+                    j,
+                    self.step,
+                    self.fading[k],
+                    dt,
+                    sd,
+                    &self.process,
+                    &self.cfg,
+                );
+            }
+        }
+    }
+
+    fn refresh_distances(&mut self, topo: &Topology) {
+        for i in 0..self.num_edps {
+            for j in 0..self.num_requesters {
+                let k = self.idx(i, j);
+                self.distances[k] = topo.distance(i, j);
+            }
+        }
+    }
+
+    fn refresh_distances_from_positions(&mut self, topo: &Topology, positions: &[Point]) {
+        for i in 0..self.num_edps {
+            let e = topo.edp(i);
+            for (j, p) in positions.iter().enumerate() {
+                let k = self.idx(i, j);
+                self.distances[k] = e.distance(p);
+            }
+        }
+    }
+
+    fn link_fading(&self, i: usize, j: usize) -> Option<f64> {
+        Some(self.fading[self.idx(i, j)])
+    }
+
+    fn gain(&self, i: usize, j: usize) -> f64 {
+        let k = self.idx(i, j);
+        channel_gain(
+            self.fading[k],
+            self.distances[k],
+            self.cfg.path_loss_exp,
+            self.cfg.min_distance,
+        )
+    }
+
+    fn interference(&self, i: usize, j: usize) -> f64 {
+        (0..self.num_edps)
+            .filter(|&other| other != i)
+            .map(|other| self.gain(other, j) * self.cfg.tx_power)
+            .sum()
+    }
+
+    fn rate(&self, i: usize, j: usize) -> f64 {
+        shannon_rate(
+            self.cfg.bandwidth,
+            self.gain(i, j),
+            self.cfg.tx_power,
+            self.cfg.noise_power,
+            self.interference(i, j),
+        )
     }
 }
 
@@ -31,8 +140,9 @@ fn instance(seed: u64, m: usize, j: usize) -> (Topology, NetworkConfig) {
 fn serving_links_are_bit_identical_over_time() {
     let (topo, cfg) = instance(301, 200, 80);
     let mut sharded = ChannelState::init_with_seed(&topo, &cfg, 9001);
-    let mut dense = ChannelState::init_with_seed(&topo, &dense_cfg(&cfg), 9001);
-    assert!(!sharded.is_dense() && dense.is_dense());
+    let mut dense = Dense::init(&topo, &cfg, 9001);
+    assert_eq!(sharded.tracked_links(), 80 * (cfg.k_int + 1));
+    assert_eq!(dense.fading.len(), 200 * 80);
     for step in 0..25 {
         for j in 0..topo.num_requesters() {
             let i = topo.serving(j);
@@ -56,7 +166,7 @@ fn serving_links_are_bit_identical_over_time() {
 fn every_tracked_link_matches_the_dense_oracle() {
     let (topo, cfg) = instance(302, 150, 60);
     let mut sharded = ChannelState::init_with_seed(&topo, &cfg, 77);
-    let mut dense = ChannelState::init_with_seed(&topo, &dense_cfg(&cfg), 77);
+    let mut dense = Dense::init(&topo, &cfg, 77);
     for _ in 0..10 {
         sharded.advance(0.05);
         dense.advance(0.05);
@@ -76,7 +186,7 @@ fn every_tracked_link_matches_the_dense_oracle() {
 fn interference_and_rate_stay_within_the_truncation_bound() {
     let (topo, cfg) = instance(303, 400, 100);
     let mut sharded = ChannelState::init_with_seed(&topo, &cfg, 12);
-    let mut dense = ChannelState::init_with_seed(&topo, &dense_cfg(&cfg), 12);
+    let mut dense = Dense::init(&topo, &cfg, 12);
     let mut worst_interference = 0.0_f64;
     let mut worst_rate = 0.0_f64;
     for _ in 0..5 {
@@ -121,7 +231,7 @@ fn full_tracking_reproduces_dense_rates_to_rounding() {
     let mut rng = seeded_rng(304);
     let topo = Topology::random(40, 30, &cfg, &mut rng);
     let mut sharded = ChannelState::init_with_seed(&topo, &cfg, 5);
-    let mut dense = ChannelState::init_with_seed(&topo, &dense_cfg(&cfg), 5);
+    let mut dense = Dense::init(&topo, &cfg, 5);
     for _ in 0..8 {
         sharded.advance(0.1);
         dense.advance(0.1);
@@ -147,7 +257,7 @@ fn mobility_keeps_continuously_tracked_links_bit_identical() {
     // deterministic part of the migration, covered by the proptests).
     let (mut topo, cfg) = instance(305, 120, 50);
     let mut sharded = ChannelState::init_with_seed(&topo, &cfg, 42);
-    let mut dense = ChannelState::init_with_seed(&topo, &dense_cfg(&cfg), 42);
+    let mut dense = Dense::init(&topo, &cfg, 42);
     let mut rng = seeded_rng(306);
     for _ in 0..5 {
         sharded.advance(0.05);
@@ -161,7 +271,7 @@ fn mobility_keeps_continuously_tracked_links_bit_identical() {
         })
         .collect();
     let positions: Vec<Point> = (0..topo.num_requesters())
-        .map(|_| mfgcp_net::uniform_in_disc(cfg.area_radius, &mut rng))
+        .map(|_| crate::uniform_in_disc(cfg.area_radius, &mut rng))
         .collect();
     topo.update_requesters(&positions);
     sharded.refresh_distances(&topo);
@@ -224,7 +334,7 @@ proptest! {
                 }
             }
             let positions: Vec<Point> = (0..j)
-                .map(|_| mfgcp_net::uniform_in_disc(cfg.area_radius, &mut rng))
+                .map(|_| crate::uniform_in_disc(cfg.area_radius, &mut rng))
                 .collect();
             topo.update_requesters(&positions);
             ch.refresh_distances(&topo);
@@ -269,7 +379,7 @@ proptest! {
         let mut a = ChannelState::init_with_seed(&topo, &cfg, seed);
         let mut b = ChannelState::init_with_seed(&topo, &cfg, seed);
         let positions: Vec<Point> = (0..j)
-            .map(|_| mfgcp_net::uniform_in_disc(cfg.area_radius, &mut rng))
+            .map(|_| crate::uniform_in_disc(cfg.area_radius, &mut rng))
             .collect();
         let mut t2 = topo.clone();
         t2.update_requesters(&positions);

@@ -53,16 +53,6 @@ impl StabilityLimit {
         }
     }
 
-    /// The *marginal* time step: the largest stable `dt` with the safety
-    /// factor stripped back out, i.e. exactly on the CFL boundary
-    /// `dt · Σ(|b|/dx + 2D/dx²) = 1`. Useful for stress tests that want
-    /// the worst admissible step (the implicit kernels' band diagonal
-    /// dominance is thinnest there); for actual stepping use
-    /// [`StabilityLimit::max_dt`].
-    pub fn marginal_dt(&self, axes: &[(f64, f64, f64)]) -> f64 {
-        self.max_dt(axes) / self.safety
-    }
-
     /// Split a macro step `dt` into the smallest number of equal sub-steps
     /// that satisfy `sub_dt <= max_dt`. Returns `(n_sub, sub_dt)`.
     ///
@@ -118,16 +108,6 @@ mod tests {
         assert_eq!(n, 4);
         assert!((sub * n as f64 - 1.0).abs() < 1e-12);
         assert!(sub <= 0.3);
-    }
-
-    #[test]
-    fn marginal_dt_strips_the_safety_factor() {
-        let s = StabilityLimit::with_safety(0.5);
-        let axes = [(2.0, 0.3, 0.1)];
-        assert!((s.marginal_dt(&axes) - 2.0 * s.max_dt(&axes)).abs() < 1e-15);
-        // On the boundary itself: dt · rate = 1.
-        let rate = 2.0 / 0.1 + 2.0 * 0.3 / 0.01;
-        assert!((s.marginal_dt(&axes) * rate - 1.0).abs() < 1e-12);
     }
 
     #[test]

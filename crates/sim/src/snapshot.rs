@@ -116,7 +116,7 @@ pub struct SimSnapshot {
     /// off).
     pub audit: Option<AuditStatus>,
     /// Channel shard gauges sampled at the current epoch's start
-    /// (`None` under the dense channel representation).
+    /// (`None` when no controller was attached to sample them).
     pub net: Option<ShardStats>,
 }
 
