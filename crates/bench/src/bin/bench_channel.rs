@@ -3,13 +3,15 @@
 //! `BENCH_channel.json` at the workspace root.
 //!
 //! The channel tracks `J · (k_int + 1)` links regardless of M, so its
-//! per-link fading-advance cost, its nearest-EDP association cost per
-//! requester (spatial hash grid), and its resident bytes should all stay
-//! flat across the sweep. Channel construction (`init_millis`) and
+//! per-slot fading advance (`advance_millis`: one `ChannelState::advance`
+//! over the whole state, which steps the J serving links — interferers
+//! catch up when read), its nearest-EDP association cost per requester
+//! (spatial hash grid), and its resident bytes should all stay flat
+//! across the sweep. Channel construction (`init_millis`) and
 //! re-association after mobility (`reassoc_millis`) also compute every
 //! requester's far-field tail, which grows with M only through the depth
-//! of the EDP grid's moment pyramid; both are gated lower-is-better by
-//! `bench_compare`.
+//! of the EDP grid's moment pyramid. `bench_compare` gates all three
+//! `_millis` columns lower-is-better.
 //! Run: `cargo run --release -p mfgcp-bench --bin bench_channel`
 //!
 //! A second sweep scales the *requester* population J ∈ {300, 10⁴, 10⁵,
@@ -40,6 +42,8 @@ use mfgcp_sim::{baselines, SimConfig, Simulation};
 
 const REQUESTERS: usize = 300;
 const ADVANCE_STEPS: usize = 50;
+/// Rounds of `ADVANCE_STEPS` advances; `advance_millis` keeps the best.
+const ADVANCE_ROUNDS: usize = 5;
 /// Rounds of association, channel construction and re-association; each
 /// column keeps its best round.
 const ASSOC_ROUNDS: usize = 9;
@@ -55,21 +59,21 @@ struct Sample {
     assoc_micros_per_requester: f64,
     init_millis: f64,
     reassoc_millis: f64,
-    sharded_advance_ns_per_link: f64,
+    advance_millis: f64,
     sharded_bytes: usize,
 }
 
-/// Best-of-three timed advance sweeps, normalized per tracked link-step.
-fn advance_ns_per_link(channels: &mut ChannelState) -> f64 {
-    let links = channels.tracked_links().max(1);
+/// Wall time of one full-state `ChannelState::advance`: the mean over
+/// `ADVANCE_STEPS` slots, best of `ADVANCE_ROUNDS` rounds.
+fn advance_millis(channels: &mut ChannelState) -> f64 {
     let mut best = f64::INFINITY;
-    for _ in 0..3 {
+    for _ in 0..ADVANCE_ROUNDS {
         let start = Instant::now();
         for _ in 0..ADVANCE_STEPS {
             channels.advance(0.01);
         }
-        let nanos = start.elapsed().as_secs_f64() * 1e9;
-        best = best.min(nanos / (ADVANCE_STEPS * links) as f64);
+        let millis = start.elapsed().as_secs_f64() * 1e3;
+        best = best.min(millis / ADVANCE_STEPS as f64);
     }
     best
 }
@@ -111,7 +115,7 @@ fn measure(m: usize, recorder: &RecorderHandle) -> Sample {
         assoc_micros_per_requester: assoc_best,
         init_millis,
         reassoc_millis,
-        sharded_advance_ns_per_link: advance_ns_per_link(&mut channels),
+        advance_millis: advance_millis(&mut channels),
         sharded_bytes: channels.memory_bytes(),
     };
     recorder.event(
@@ -125,10 +129,7 @@ fn measure(m: usize, recorder: &RecorderHandle) -> Sample {
             ),
             ("init_millis", sample.init_millis.into()),
             ("reassoc_millis", sample.reassoc_millis.into()),
-            (
-                "sharded_advance_ns_per_link",
-                sample.sharded_advance_ns_per_link.into(),
-            ),
+            ("advance_millis", sample.advance_millis.into()),
             ("sharded_bytes", sample.sharded_bytes.into()),
         ],
     );
@@ -273,10 +274,7 @@ fn main() {
                             ),
                             ("init_millis".into(), Json::Num(s.init_millis)),
                             ("reassoc_millis".into(), Json::Num(s.reassoc_millis)),
-                            (
-                                "sharded_advance_ns_per_link".into(),
-                                Json::Num(s.sharded_advance_ns_per_link),
-                            ),
+                            ("advance_millis".into(), Json::Num(s.advance_millis)),
                             ("sharded_bytes".into(), Json::Num(s.sharded_bytes as f64)),
                         ])
                     })
@@ -315,15 +313,15 @@ fn main() {
         .expect("write BENCH_channel.json");
 
     println!("{json}");
-    println!("m, assoc_us/req, init_ms, reassoc_ms, sharded_ns/link, sharded_bytes");
+    println!("m, assoc_us/req, init_ms, reassoc_ms, advance_ms, sharded_bytes");
     for s in &samples {
         println!(
-            "{}, {:.3}, {:.3}, {:.3}, {:.2}, {}",
+            "{}, {:.3}, {:.3}, {:.3}, {:.4}, {}",
             s.m,
             s.assoc_micros_per_requester,
             s.init_millis,
             s.reassoc_millis,
-            s.sharded_advance_ns_per_link,
+            s.advance_millis,
             s.sharded_bytes
         );
     }

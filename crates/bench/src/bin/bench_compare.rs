@@ -255,9 +255,11 @@ mod tests {
         assert_eq!(lower_is_better("epoch_wall_millis"), Some(true));
         assert_eq!(lower_is_better("init_millis"), Some(true));
         assert_eq!(lower_is_better("reassoc_millis"), Some(true));
+        assert_eq!(lower_is_better("advance_millis"), Some(true));
         // Only the channel sweep's `_millis` columns are gated; its
-        // per-link and per-requester rates stay informational.
-        assert_eq!(lower_is_better("sharded_advance_ns_per_link"), None);
+        // per-requester rates stay informational.
+        assert_eq!(lower_is_better("assoc_micros_per_requester"), None);
+        assert_eq!(lower_is_better("trade_ns_per_requester"), None);
         assert_eq!(lower_is_better("p99_micros"), Some(true));
         assert_eq!(lower_is_better("stream_frames_qps"), Some(false));
         assert_eq!(lower_is_better("speedup"), Some(false));

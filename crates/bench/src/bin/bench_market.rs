@@ -37,7 +37,8 @@ fn config(m: usize) -> SimConfig {
     SimConfig {
         num_edps: m,
         // Keep the requester side fixed and moderate so the sweep isolates
-        // the M-dependence of the market phase (ChannelState is M×J).
+        // the M-dependence of the market phase (the channel state is
+        // O(J·k_int), flat in M).
         num_requesters: 300,
         num_contents: 10,
         epochs: 1,

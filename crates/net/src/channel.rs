@@ -6,8 +6,10 @@
 //!
 //! The storage is occupancy-local: per requester it tracks only the
 //! serving-EDP link plus the `k_int` nearest interferers
-//! ([`NetworkConfig::k_int`]). Memory and per-slot fading work are
-//! O(J·k_int) — flat in `M` at fixed occupancy. The Eq. (2) interference
+//! ([`NetworkConfig::k_int`]). Memory is O(J·k_int) — flat in `M` at
+//! fixed occupancy — and per-slot fading work is O(J): each slot steps
+//! only the serving links, and an interferer catches up on read by
+//! replaying the per-link draws it missed. The Eq. (2) interference
 //! sum is the live tracked neighborhood plus a **frozen mean-field tail**:
 //! the untracked far field at the OU stationary-mean fading, recomputed
 //! only at (re)association from the moment pyramid over the static EDP
@@ -33,7 +35,7 @@ use crate::{channel_gain, shannon_rate};
 
 /// Floor of the adaptive tracked-interferer budget: below this the
 /// per-record bookkeeping is noise and further shrinking saves nothing.
-const MIN_ADAPTIVE_K_INT: usize = 4;
+pub(crate) const MIN_ADAPTIVE_K_INT: usize = 4;
 
 /// Dynamic channel state for the tracked (EDP, requester) links.
 #[derive(Debug, Clone)]
@@ -45,10 +47,6 @@ pub struct ChannelState {
     cfg: NetworkConfig,
     /// Channel substream seed; every fading draw is keyed off it.
     seed: u64,
-    /// Slot counter: [`ChannelState::advance`] increments it and draws
-    /// transition noise with draw id `2·step`; links freshly tracked at
-    /// a handover initialize with draw id `2·step + 1`.
-    step: u64,
     recorder: RecorderHandle,
 }
 
@@ -65,16 +63,27 @@ impl ChannelState {
     /// point for tests and benchmarks that must build several states over
     /// identical per-link streams.
     pub fn init_with_seed(topo: &Topology, cfg: &NetworkConfig, seed: u64) -> Self {
+        Self::starting_at(topo, cfg, seed, 0)
+    }
+
+    /// [`ChannelState::init_with_seed`] with the slot counter starting at
+    /// `step` instead of 0: tests use it to run the counter across the
+    /// `u32` stamp limit without taking billions of steps.
+    #[cfg(test)]
+    pub(crate) fn init_at_step(topo: &Topology, cfg: &NetworkConfig, seed: u64, step: u64) -> Self {
+        Self::starting_at(topo, cfg, seed, step)
+    }
+
+    fn starting_at(topo: &Topology, cfg: &NetworkConfig, seed: u64, step: u64) -> Self {
         assert!(cfg.k_int > 0, "k_int must be at least 1");
         let process = cfg.fading_process();
         Self {
-            links: ShardedLinks::build(topo, cfg, &process, seed, 0, cfg.k_int),
+            links: ShardedLinks::build(topo, cfg, &process, seed, step, cfg.k_int),
             num_edps: topo.num_edps(),
             num_requesters: topo.num_requesters(),
             process,
             cfg: cfg.clone(),
             seed,
-            step: 0,
             recorder: RecorderHandle::noop(),
         }
     }
@@ -106,7 +115,16 @@ impl ChannelState {
             .sum()
     }
 
-    /// Resident bytes of the link records and the shard index.
+    /// Summed stationary-mean gain of requester `j`'s frozen far-field
+    /// tail — the part of [`ChannelState::interference`] that no tracked
+    /// link carries.
+    #[cfg(test)]
+    pub(crate) fn tail_gain(&self, j: usize) -> f64 {
+        self.links.records[j].tail_gain
+    }
+
+    /// Resident bytes of the link records, the shard index and the `dt`
+    /// history.
     pub fn memory_bytes(&self) -> usize {
         self.links.memory_bytes()
     }
@@ -121,7 +139,17 @@ impl ChannelState {
 
     /// Fading of link `(i, j)` if it is tracked, `None` otherwise.
     pub fn link_fading(&self, i: usize, j: usize) -> Option<f64> {
-        self.links.records[j].link_to(i as u32).map(|l| l.fading)
+        self.links.records[j]
+            .link_to(i as u32)
+            .map(|l| self.current_fading(j, l))
+    }
+
+    /// Fading of requester `j`'s tracked link `l` at the current slot: an
+    /// interferer replays the transitions it missed (see
+    /// [`ChannelState::advance`]).
+    fn current_fading(&self, j: usize, l: &Link) -> f64 {
+        self.links
+            .current_fading(self.seed, j, l, &self.process, &self.cfg)
     }
 
     /// Tracked interferer links of requester `j`.
@@ -158,7 +186,7 @@ impl ChannelState {
             "requester count changed"
         );
         self.links
-            .reassociate(topo, &self.cfg, &self.process, self.seed, self.step);
+            .reassociate(topo, &self.cfg, &self.process, self.seed);
         if self.cfg.adaptive_k_int {
             self.adapt_k_int(topo);
         }
@@ -179,7 +207,7 @@ impl ChannelState {
     /// for any thread count.
     fn adapt_k_int(&mut self, topo: &Topology) {
         let max_k = self.num_edps.saturating_sub(1).max(1);
-        let (cfg, process, seed, step) = (&self.cfg, &self.process, self.seed, self.step);
+        let (cfg, process, seed) = (&self.cfg, &self.process, self.seed);
         let links = &mut self.links;
         let mut grown = false;
         loop {
@@ -188,7 +216,7 @@ impl ChannelState {
             };
             let k = links.k_int;
             if fraction > 0.5 * cfg.truncation_tol && k < max_k {
-                links.retrack(topo, cfg, process, seed, step, (k * 2).min(max_k));
+                links.retrack(topo, cfg, process, seed, (k * 2).min(max_k));
                 grown = true;
                 continue;
             }
@@ -206,10 +234,10 @@ impl ChannelState {
                 // carries no information about what halving would leave,
                 // so the probe must re-measure rather than assume.)
                 let target = (k / 2).max(MIN_ADAPTIVE_K_INT);
-                links.retrack(topo, cfg, process, seed, step, target);
+                links.retrack(topo, cfg, process, seed, target);
                 if let Some((shrunk, _)) = links.tail_fraction(process, cfg) {
                     if shrunk > 0.5 * cfg.truncation_tol {
-                        links.retrack(topo, cfg, process, seed, step, k);
+                        links.retrack(topo, cfg, process, seed, k);
                     }
                 }
             }
@@ -239,26 +267,28 @@ impl ChannelState {
         self.links.refresh_distances(topo, positions);
     }
 
-    /// Advance every tracked link by `dt` using the exact OU transition,
-    /// clamping into the configured fading band. Each link draws from its
-    /// own counter-based stream, so the result is independent of
-    /// iteration order and thread count.
+    /// Advance the channel one slot of `dt` with the exact OU transition,
+    /// clamped into the configured fading band. O(J): only serving links
+    /// are stepped. Every read of an interferer (`fading`, `link_fading`,
+    /// `gain`, `interference`, `rate`) replays the transitions it missed
+    /// from the same per-link draws, so every value is bit-identical to
+    /// stepping all tracked links here. Each link draws from its own
+    /// counter-based stream, so the result is independent of iteration
+    /// order and thread count.
     pub fn advance(&mut self, dt: f64) {
-        self.step += 1;
-        self.links
-            .advance(&self.cfg, &self.process, self.seed, self.step, dt);
+        self.links.advance(&self.cfg, &self.process, self.seed, dt);
     }
 
     /// Channel gain `|g_{i,j}|²`; `0` for an untracked link.
     pub fn gain(&self, i: usize, j: usize) -> f64 {
         self.links.records[j]
             .link_to(i as u32)
-            .map_or(0.0, |l| self.link_gain(l))
+            .map_or(0.0, |l| self.link_gain(j, l))
     }
 
-    fn link_gain(&self, l: &Link) -> f64 {
+    fn link_gain(&self, j: usize, l: &Link) -> f64 {
         channel_gain(
-            l.fading,
+            self.current_fading(j, l),
             l.distance,
             self.cfg.path_loss_exp,
             self.cfg.min_distance,
@@ -274,7 +304,7 @@ impl ChannelState {
         let mut acc = 0.0;
         for l in std::iter::once(&record.serving).chain(&record.interferers) {
             if l.edp as usize != i {
-                acc += self.link_gain(l) * self.cfg.tx_power;
+                acc += self.link_gain(j, l) * self.cfg.tx_power;
             }
         }
         // The frozen mean-field tail of the untracked far field (see

@@ -16,7 +16,9 @@
 //! far field enters Eq. (2) as a frozen tail at the stationary-mean
 //! fading, summed from a moment pyramid over the same grid — link by link
 //! near the requester, from cell moments far away — so (re)association
-//! costs O(log M) per requester, not O(M).
+//! costs O(log M) per requester, not O(M). Each slot steps only the
+//! serving links; an interferer catches up on read by replaying the
+//! per-link draws it missed.
 //!
 //! # Example
 //!

@@ -22,6 +22,11 @@
 //!   fading over unchanged, and newly tracked links draw from a stream
 //!   that depends only on the key — never on which thread or in which
 //!   order the migration ran.
+//! - **Catch-up on read**: only serving links are stepped each slot.
+//!   Each interferer keeps the step its fading is current at (its
+//!   stamp), and a read replays the transitions it missed from the same
+//!   per-step draws eager stepping would have taken, so a lazily read
+//!   interferer is bit-identical to an eagerly stepped one.
 
 use mfgcp_sde::{seeded_rng, OrnsteinUhlenbeck, SimRng, StandardNormal};
 
@@ -57,10 +62,17 @@ pub(crate) fn link_rng(seed: u64, edp: usize, requester: usize, draw: u64) -> Si
 /// any chunking — including the sequential fallback — is bit-identical.
 fn par_chunks<T: Send, F: Fn(usize, &mut [T]) + Sync>(items: &mut [T], f: F) {
     const MIN_PER_THREAD: usize = 1024;
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(items.len() / MIN_PER_THREAD);
+    // `available_parallelism` reads the affinity mask and cgroup quota on
+    // every call, so a population too small to split never asks.
+    let most = items.len() / MIN_PER_THREAD;
+    let threads = if most > 1 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(most)
+    } else {
+        1
+    };
     if threads <= 1 {
         f(0, items);
         return;
@@ -143,15 +155,110 @@ fn quadrupole_gain(h: f64, tau: f64, m: &Moments, p: &Point) -> f64 {
     g * (f64::from(m.count) + 0.5 * (-tau * trace / r2 + tau * (tau + 2.0) * rsr / (r2 * r2)))
 }
 
+/// Most `dt` runs the clock keeps before [`ShardedLinks::advance`]
+/// brings every link up to date and drops the history; only a caller
+/// that keeps changing `dt` ever reaches it.
+const MAX_DT_RUNS: usize = 64;
+
 /// One tracked (EDP, requester) link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Link {
     /// EDP side of the link.
     pub edp: u32,
-    /// Current OU fading coefficient `h_{i,j}`.
+    /// Step `fading` is current at, counted from the link store's clock
+    /// base (see `Clock`). It sits in what would otherwise be padding
+    /// after `edp`.
+    pub stamp: u32,
+    /// OU fading coefficient `h_{i,j}` at the step `stamp` names.
     pub fading: f64,
     /// Current link distance in meters.
     pub distance: f64,
+}
+
+// The stamp must not grow the link store.
+const _: () = assert!(std::mem::size_of::<Link>() == 24);
+
+/// A run of consecutive steps advanced with one `dt`: every step from
+/// `first` up to the next run's `first`.
+#[derive(Debug, Clone, Copy)]
+struct DtRun {
+    first: u64,
+    dt: f64,
+    /// `√Var` of the OU transition over `dt`, computed once per run
+    /// exactly as eager stepping computed it once per step.
+    sd: f64,
+}
+
+/// The step counter of a link store plus the run-length `dt` history a
+/// lagging link needs to replay its missed transitions.
+#[derive(Debug, Clone)]
+struct Clock {
+    /// The step every serving link is current at. Transition noise into
+    /// step `n` is draw `2·n`; a link first tracked at step `n` draws its
+    /// stationary state with draw `2·n + 1`.
+    step: u64,
+    /// The step a link stamp of 0 stands for.
+    base: u64,
+    /// `dt` runs covering every step some link may still have to replay,
+    /// in ascending `first` order.
+    runs: Vec<DtRun>,
+}
+
+impl Clock {
+    /// A clock at `step` with no history. The base is `step` with its low
+    /// 32 bits cleared, so a stamp is the low 32 bits of its step.
+    fn at(step: u64) -> Self {
+        Self {
+            step,
+            base: step & !u64::from(u32::MAX),
+            runs: Vec::new(),
+        }
+    }
+
+    /// Stamp of the current step.
+    fn stamp(&self) -> u32 {
+        u32::try_from(self.step - self.base).expect("the clock re-bases before stamps overflow")
+    }
+
+    /// Fading of `link` (requester `jj`) at the current step: its stored
+    /// fading with every missed transition replayed from the per-link
+    /// stream, the same draws and clamp eager stepping would have used.
+    /// Costs one draw per missed step and mutates nothing.
+    fn fading(
+        &self,
+        seed: u64,
+        jj: usize,
+        link: &Link,
+        process: &OrnsteinUhlenbeck,
+        cfg: &NetworkConfig,
+    ) -> f64 {
+        let from = self.base + u64::from(link.stamp);
+        let mut h = link.fading;
+        if from == self.step {
+            return h;
+        }
+        // The run holding step `from + 1`; runs cover consecutive steps,
+        // so the replay moves to the next run exactly at its `first`.
+        let mut r = self.runs.partition_point(|run| run.first <= from + 1) - 1;
+        for s in from + 1..=self.step {
+            if self.runs.get(r + 1).is_some_and(|next| next.first == s) {
+                r += 1;
+            }
+            let run = &self.runs[r];
+            h = advance_fading(
+                seed,
+                link.edp as usize,
+                jj,
+                s,
+                h,
+                run.dt,
+                run.sd,
+                process,
+                cfg,
+            );
+        }
+        h
+    }
 }
 
 /// The links tracked for one requester: its serving EDP plus its
@@ -172,8 +279,8 @@ pub(crate) struct RequesterLinks {
     /// loss the tail aggregates hundreds of weak links whose fading
     /// fluctuations average out (mean-field §III), so freezing it at the
     /// stationary mean between re-associations keeps the Eq. (2)
-    /// denominator within the configured truncation bound while the
-    /// per-slot work stays O(k_int).
+    /// denominator within the configured truncation bound at no per-slot
+    /// cost.
     pub tail_gain: f64,
 }
 
@@ -194,17 +301,19 @@ pub(crate) struct ShardedLinks {
     /// Per-requester link records, indexed by requester id.
     pub records: Vec<RequesterLinks>,
     /// `shards[i]` = requesters whose *serving* EDP is `i` (mirrors
-    /// `Topology::served_by` at the last association). The fading hot
-    /// loop iterates shard-major so each EDP's state stays cache-local.
+    /// `Topology::served_by` at the last association). Only the
+    /// occupancy statistics read it.
     pub shards: Vec<Vec<u32>>,
     /// Interferers tracked per requester.
     pub k_int: usize,
+    /// Step counter and `dt` history behind the link stamps.
+    clock: Clock,
 }
 
 impl ShardedLinks {
     /// Track the serving link and `k_int` nearest interferers for every
     /// requester, drawing initial fading from the per-link stationary
-    /// streams at step `step`.
+    /// streams at step `step`, where the clock starts.
     pub fn build(
         topo: &Topology,
         cfg: &NetworkConfig,
@@ -215,6 +324,7 @@ impl ShardedLinks {
     ) -> Self {
         let m = topo.num_edps();
         let j = topo.num_requesters();
+        let clock = Clock::at(step);
         // Each record is a pure function of its requester index (distances
         // from `topo`, fading from the per-link streams), so construction
         // fans out over record chunks like `reassociate`; only the shard
@@ -227,7 +337,7 @@ impl ShardedLinks {
                     cfg,
                     process,
                     seed,
-                    step,
+                    &clock,
                     k_int,
                     base + off,
                     None,
@@ -243,31 +353,33 @@ impl ShardedLinks {
             records,
             shards,
             k_int,
+            clock,
         }
     }
 
     /// Re-associate every requester after mobility, migrating link state
     /// between shards: links tracked both before and after the handover
-    /// keep their fading; links tracked only after draw fresh stationary
-    /// state at step `step` from their per-link stream; links no longer
-    /// tracked are dropped. Distances are refreshed from `topo`.
+    /// keep their fading and stamp (an interferer promoted to serving is
+    /// first brought up to date); links tracked only after draw fresh
+    /// stationary state at the current step from their per-link stream;
+    /// links no longer tracked are dropped. Distances are refreshed from
+    /// `topo`.
     pub fn reassociate(
         &mut self,
         topo: &Topology,
         cfg: &NetworkConfig,
         process: &OrnsteinUhlenbeck,
         seed: u64,
-        step: u64,
     ) {
         // Each record's new state depends only on its own carried links
         // and per-link streams, so the re-tracking runs on record chunks
         // across threads; only the shard index rebuild stays sequential
         // (ascending requester order, exactly as before).
-        let k_int = self.k_int;
+        let (k_int, clock) = (self.k_int, &self.clock);
         par_chunks(&mut self.records, |base, chunk| {
             for (off, rec) in chunk.iter_mut().enumerate() {
                 let jj = base + off;
-                *rec = Self::track(topo, cfg, process, seed, step, k_int, jj, Some(&*rec));
+                *rec = Self::track(topo, cfg, process, seed, clock, k_int, jj, Some(&*rec));
             }
         });
         for shard in &mut self.shards {
@@ -280,8 +392,8 @@ impl ShardedLinks {
 
     /// Resize the tracked-interferer budget to `k_int` and re-track every
     /// record under the new budget (the adaptive-k controller's lever).
-    /// Links tracked under both budgets keep their fading; newly tracked
-    /// links draw fresh stationary state, exactly as in
+    /// Links tracked under both budgets keep their fading and stamp;
+    /// newly tracked links draw fresh stationary state, exactly as in
     /// [`ShardedLinks::reassociate`].
     pub fn retrack(
         &mut self,
@@ -289,11 +401,10 @@ impl ShardedLinks {
         cfg: &NetworkConfig,
         process: &OrnsteinUhlenbeck,
         seed: u64,
-        step: u64,
         k_int: usize,
     ) {
         self.k_int = k_int.max(1);
-        self.reassociate(topo, cfg, process, seed, step);
+        self.reassociate(topo, cfg, process, seed);
     }
 
     /// Mean share of the interference power (every fading evaluated at
@@ -328,35 +439,37 @@ impl ShardedLinks {
 
     /// Build the link record for requester `jj`: serving EDP (= nearest,
     /// by the association invariant) plus the next `k_int` nearest EDPs
-    /// as interferers. `carry` supplies fading for links already tracked.
-    /// The argument list mirrors `advance_fading`'s stream-key components
-    /// plus the tracking inputs; see the lint waiver there.
+    /// as interferers. `carry` supplies fading and stamps for links
+    /// already tracked; the serving link leaves current at the clock's
+    /// step. The argument list mirrors `advance_fading`'s stream-key
+    /// components plus the tracking inputs; see the lint waiver there.
     #[allow(clippy::too_many_arguments)]
     fn track(
         topo: &Topology,
         cfg: &NetworkConfig,
         process: &OrnsteinUhlenbeck,
         seed: u64,
-        step: u64,
+        clock: &Clock,
         k_int: usize,
         jj: usize,
         carry: Option<&RequesterLinks>,
     ) -> RequesterLinks {
         let p = topo.requester(jj);
         let serving_edp = topo.serving(jj);
-        let fading_of = |edp: u32| -> f64 {
-            if let Some(prev) = carry {
-                if let Some(link) = prev.link_to(edp) {
-                    return link.fading;
-                }
+        let link_to = |edp: u32, distance: f64| -> Link {
+            match carry.and_then(|prev| prev.link_to(edp)) {
+                Some(link) => Link { distance, ..*link },
+                None => Link {
+                    edp,
+                    stamp: clock.stamp(),
+                    fading: init_fading(seed, edp as usize, jj, clock.step, process, cfg),
+                    distance,
+                },
             }
-            init_fading(seed, edp as usize, jj, step, process, cfg)
         };
-        let serving = Link {
-            edp: serving_edp as u32,
-            fading: fading_of(serving_edp as u32),
-            distance: topo.distance(serving_edp, jj),
-        };
+        let mut serving = link_to(serving_edp as u32, topo.distance(serving_edp, jj));
+        serving.fading = clock.fading(seed, jj, &serving, process, cfg);
+        serving.stamp = clock.stamp();
         // The serving EDP is the nearest by construction, so the k_int + 1
         // nearest minus the serving EDP are exactly the k_int nearest
         // interferers. Guard with a filter anyway: ties at equal distance
@@ -368,11 +481,7 @@ impl ShardedLinks {
             if edp == serving_edp || interferers.len() == k_int {
                 continue;
             }
-            interferers.push(Link {
-                edp: edp as u32,
-                fading: fading_of(edp as u32),
-                distance,
-            });
+            interferers.push(link_to(edp as u32, distance));
         }
         // Frozen mean-field tail: the untracked far field at the OU
         // stationary-mean fading, paid only at (re)association time, never
@@ -401,27 +510,53 @@ impl ShardedLinks {
         }
     }
 
-    /// Advance every tracked link by `dt` with its per-link transition
-    /// stream into step `step`. Requester-major over record chunks on
-    /// scoped threads; the counter-based streams make the result identical
-    /// for any iteration order and thread count.
+    /// Advance the clock one step of `dt` and step every *serving* link
+    /// into it with its per-link transition stream: O(J) per slot.
+    /// Interferers keep their stamps and catch up when read
+    /// ([`ShardedLinks::current_fading`]). Record chunks run on scoped
+    /// threads; the counter-based streams make the result identical for
+    /// any iteration order and thread count.
+    ///
+    /// The `dt` history grows by one run only when `dt` changes. When it
+    /// would pass [`MAX_DT_RUNS`] runs, or the next stamp would not fit a
+    /// `u32`, every link is first brought up to date, the stamps restart
+    /// at the current step and the history is dropped — the work eager
+    /// stepping would have done anyway, paid once.
     pub fn advance(
         &mut self,
         cfg: &NetworkConfig,
         process: &OrnsteinUhlenbeck,
         seed: u64,
-        step: u64,
         dt: f64,
     ) {
-        let sd = process.transition_variance(dt).sqrt();
+        let new_run = self
+            .clock
+            .runs
+            .last()
+            .map_or(true, |run| run.dt.to_bits() != dt.to_bits());
+        let stamps_full = self.clock.step + 1 - self.clock.base > u64::from(u32::MAX);
+        if stamps_full || (new_run && self.clock.runs.len() >= MAX_DT_RUNS) {
+            self.catch_up_all(cfg, process, seed);
+        }
+        let clock = &mut self.clock;
+        clock.step += 1;
+        let step = clock.step;
+        if new_run {
+            clock.runs.push(DtRun {
+                first: step,
+                dt,
+                sd: process.transition_variance(dt).sqrt(),
+            });
+        }
+        let (sd, stamp) = (clock.runs[clock.runs.len() - 1].sd, clock.stamp());
         par_chunks(&mut self.records, |base, chunk| {
             for (off, record) in chunk.iter_mut().enumerate() {
-                let jj = base + off;
                 let s = &mut record.serving;
+                debug_assert_eq!(s.stamp + 1, stamp, "serving links stay current");
                 s.fading = advance_fading(
                     seed,
                     s.edp as usize,
-                    jj,
+                    base + off,
                     step,
                     s.fading,
                     dt,
@@ -429,21 +564,41 @@ impl ShardedLinks {
                     process,
                     cfg,
                 );
-                for l in &mut record.interferers {
-                    l.fading = advance_fading(
-                        seed,
-                        l.edp as usize,
-                        jj,
-                        step,
-                        l.fading,
-                        dt,
-                        sd,
-                        process,
-                        cfg,
-                    );
+                s.stamp = stamp;
+            }
+        });
+    }
+
+    /// Bring every tracked link up to the current step, then restart the
+    /// stamps there and keep only the newest `dt` run.
+    fn catch_up_all(&mut self, cfg: &NetworkConfig, process: &OrnsteinUhlenbeck, seed: u64) {
+        let clock = &self.clock;
+        par_chunks(&mut self.records, |base, chunk| {
+            for (off, record) in chunk.iter_mut().enumerate() {
+                let jj = base + off;
+                for l in std::iter::once(&mut record.serving).chain(&mut record.interferers) {
+                    l.fading = clock.fading(seed, jj, l, process, cfg);
+                    l.stamp = 0;
                 }
             }
         });
+        let clock = &mut self.clock;
+        clock.base = clock.step;
+        let newest = clock.runs.len().saturating_sub(1);
+        clock.runs.drain(..newest);
+    }
+
+    /// Fading of requester `jj`'s tracked `link` at the current step;
+    /// replays the link's missed transitions without storing them.
+    pub fn current_fading(
+        &self,
+        seed: u64,
+        jj: usize,
+        link: &Link,
+        process: &OrnsteinUhlenbeck,
+        cfg: &NetworkConfig,
+    ) -> f64 {
+        self.clock.fading(seed, jj, link, process, cfg)
     }
 
     /// Refresh tracked link distances from moved requester positions
@@ -460,7 +615,8 @@ impl ShardedLinks {
         });
     }
 
-    /// Resident bytes of the link store (records + shard index).
+    /// Resident bytes of the link store (records, shard index and `dt`
+    /// history).
     pub fn memory_bytes(&self) -> usize {
         let records: usize = self
             .records
@@ -475,7 +631,7 @@ impl ShardedLinks {
             .iter()
             .map(|s| std::mem::size_of::<Vec<u32>>() + s.capacity() * std::mem::size_of::<u32>())
             .sum();
-        records + shards
+        records + shards + self.clock.runs.capacity() * std::mem::size_of::<DtRun>()
     }
 }
 
@@ -639,6 +795,46 @@ mod tests {
         let b = ShardedLinks::build(&topo.clone(), &cfg, &process, 2, 0, cfg.k_int);
         for (ra, rb) in a.records.iter().zip(&b.records) {
             assert_eq!(ra.tail_gain.to_bits(), rb.tail_gain.to_bits());
+        }
+    }
+
+    #[test]
+    fn dt_history_stays_bounded() {
+        let cfg = NetworkConfig::default();
+        let process = cfg.fading_process();
+        let mut rng = seeded_rng(10);
+        let topo = Topology::random(30, 20, &cfg, &mut rng);
+        let mut links = ShardedLinks::build(&topo, &cfg, &process, 1, 0, 8);
+        for _ in 0..500 {
+            links.advance(&cfg, &process, 1, 0.05);
+        }
+        assert_eq!(links.clock.runs.len(), 1, "a constant dt is one run");
+        for n in 0..300 {
+            let dt = if n % 2 == 0 { 0.013 } else { 0.05 };
+            links.advance(&cfg, &process, 1, dt);
+            assert!(links.clock.runs.len() <= MAX_DT_RUNS);
+        }
+    }
+
+    #[test]
+    fn stamps_restart_when_the_step_passes_the_u32_limit() {
+        let cfg = NetworkConfig::default();
+        let process = cfg.fading_process();
+        let mut rng = seeded_rng(11);
+        let topo = Topology::random(30, 20, &cfg, &mut rng);
+        let start = u64::from(u32::MAX) - 2;
+        let mut links = ShardedLinks::build(&topo, &cfg, &process, 1, start, 8);
+        assert_eq!(links.clock.base, 0);
+        for _ in 0..5 {
+            links.advance(&cfg, &process, 1, 0.05);
+        }
+        assert_eq!(links.clock.step, start + 5);
+        assert_eq!(links.clock.base, u64::from(u32::MAX), "re-based once");
+        let now = links.clock.stamp();
+        assert_eq!(now, 3);
+        for record in &links.records {
+            assert_eq!(record.serving.stamp, now);
+            assert!(record.interferers.iter().all(|l| l.stamp <= now));
         }
     }
 

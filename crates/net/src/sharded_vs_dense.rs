@@ -5,7 +5,9 @@
 //! The reference lives only here. It draws every link from the same
 //! crate-private per-link streams ([`init_fading`], [`advance_fading`]),
 //! so every link that both track is **bit-identical** — init, every OU
-//! transition, and every distance refresh. The only divergence the
+//! transition, and every distance refresh. The reference steps every
+//! link every call, so it is also the eager oracle for the channel
+//! state's interferers, which are stepped only when read. The only divergence the
 //! channel state is allowed is the *truncation* of the Eq. (2)
 //! interference sum to the `k_int` tracked interferers plus the frozen
 //! far-field tail, which these tests bound by the configured
@@ -16,6 +18,7 @@ use proptest::prelude::*;
 use crate::shard::{advance_fading, init_fading};
 use crate::{channel_gain, shannon_rate, ChannelState, NetworkConfig, Point, Topology};
 use mfgcp_sde::{seeded_rng, OrnsteinUhlenbeck};
+use rand::RngExt as _;
 
 /// Every (EDP, requester) link, row-major `[m × j]`, with live fading.
 struct Dense {
@@ -31,13 +34,19 @@ struct Dense {
 
 impl Dense {
     fn init(topo: &Topology, cfg: &NetworkConfig, seed: u64) -> Self {
+        Self::init_at(topo, cfg, seed, 0)
+    }
+
+    /// Every link drawn from its stationary stream at step `step`, the
+    /// slot counter starting there.
+    fn init_at(topo: &Topology, cfg: &NetworkConfig, seed: u64, step: u64) -> Self {
         let process = cfg.fading_process();
         let (m, j) = (topo.num_edps(), topo.num_requesters());
         let mut fading = Vec::with_capacity(m * j);
         let mut distances = Vec::with_capacity(m * j);
         for i in 0..m {
             for jj in 0..j {
-                fading.push(init_fading(seed, i, jj, 0, &process, cfg));
+                fading.push(init_fading(seed, i, jj, step, &process, cfg));
                 distances.push(topo.distance(i, jj));
             }
         }
@@ -49,8 +58,15 @@ impl Dense {
             process,
             cfg: cfg.clone(),
             seed,
-            step: 0,
+            step,
         }
+    }
+
+    /// Redraw link `(i, j)` from its stationary stream at the current
+    /// step, as the channel state does for a link it starts tracking.
+    fn retrack(&mut self, i: usize, j: usize) {
+        let k = self.idx(i, j);
+        self.fading[k] = init_fading(self.seed, i, j, self.step, &self.process, &self.cfg);
     }
 
     fn idx(&self, i: usize, j: usize) -> usize {
@@ -116,6 +132,20 @@ impl Dense {
             .filter(|&other| other != i)
             .map(|other| self.gain(other, j) * self.cfg.tx_power)
             .sum()
+    }
+
+    /// The channel state's truncated Eq. (2) sum at link `(i, j)` from
+    /// this reference's fading: the `tracked` links in the channel
+    /// state's summation order (serving link first), then its frozen
+    /// far-field `tail`.
+    fn truncated_interference(&self, i: usize, j: usize, tracked: &[usize], tail: f64) -> f64 {
+        let mut acc = 0.0;
+        for &other in tracked {
+            if other != i {
+                acc += self.gain(other, j) * self.cfg.tx_power;
+            }
+        }
+        acc + tail * self.cfg.tx_power
     }
 
     fn rate(&self, i: usize, j: usize) -> f64 {
@@ -302,6 +332,221 @@ fn mobility_keeps_continuously_tracked_links_bit_identical() {
         checked > 100,
         "handover kept too few links to be a real test"
     );
+}
+
+/// Requester `j`'s tracked EDPs in summation order: serving first, then
+/// the interferers.
+fn tracked_links(ch: &ChannelState, topo: &Topology, j: usize) -> Vec<usize> {
+    let mut edps = vec![topo.serving(j)];
+    edps.extend(ch.tracked_interferers(j));
+    edps
+}
+
+/// Assert that every link `ch` tracks reads bit for bit what the eager
+/// `dense` oracle holds: fading, gain, and the truncated interference
+/// sum at that link. Returns the number of links checked.
+fn assert_tracked_links_match(
+    ch: &ChannelState,
+    dense: &Dense,
+    topo: &Topology,
+    when: &str,
+) -> usize {
+    let mut checked = 0;
+    for j in 0..topo.num_requesters() {
+        let tracked = tracked_links(ch, topo, j);
+        for &i in &tracked {
+            assert_eq!(
+                ch.link_fading(i, j).map(f64::to_bits),
+                dense.link_fading(i, j).map(f64::to_bits),
+                "{when}: fading of link ({i}, {j})"
+            );
+            assert_eq!(
+                ch.gain(i, j).to_bits(),
+                dense.gain(i, j).to_bits(),
+                "{when}: gain of link ({i}, {j})"
+            );
+            let oracle = dense.truncated_interference(i, j, &tracked, ch.tail_gain(j));
+            assert_eq!(
+                ch.interference(i, j).to_bits(),
+                oracle.to_bits(),
+                "{when}: interference at link ({i}, {j})"
+            );
+            checked += 1;
+        }
+    }
+    checked
+}
+
+/// A `dt` that changes every step, so the channel state's `dt` history
+/// grows by one run per step.
+fn varying_dt(step: usize) -> f64 {
+    [0.05, 0.013, 0.2][step % 3]
+}
+
+#[test]
+fn lazy_interferers_match_eager_stepping_through_handovers_and_a_retrack() {
+    // Interferers are stepped only when read. Drive the channel state and
+    // the eager oracle through a `dt` that changes every step (past the
+    // cap on the `dt` history, which forces one full catch-up), an
+    // adaptive-k re-track, then three handovers that send requesters
+    // away from their home EDP and back, and check that every tracked
+    // link reads exactly what eager stepping holds. Links the channel
+    // state starts tracking draw fresh stationary state at the boundary
+    // step; the oracle redraws the same links. Nobody moves at the first
+    // boundary, so its re-track is the adaptive-k controller's alone.
+    let m = 40;
+    let cfg = NetworkConfig {
+        k_int: 4,
+        adaptive_k_int: true,
+        ..NetworkConfig::default()
+    };
+    let mut rng = seeded_rng(307);
+    let mut topo = Topology::random(m, 24, &cfg, &mut rng);
+    let mut sharded = ChannelState::init_with_seed(&topo, &cfg, 4242);
+    let mut dense = Dense::init(&topo, &cfg, 4242);
+    let home: Vec<Point> = (0..topo.num_requesters())
+        .map(|j| topo.requester(j))
+        .collect();
+    let away: Vec<Point> = home
+        .iter()
+        .map(|p| {
+            let angle = rng.random_range(0.0..std::f64::consts::TAU);
+            Point::new(p.x + 150.0 * angle.cos(), p.y + 150.0 * angle.sin())
+        })
+        .collect();
+    let (mut step, mut checked) = (0usize, 0usize);
+    let mut serving_before: Vec<usize> = (0..topo.num_requesters())
+        .map(|j| topo.serving(j))
+        .collect();
+    // Per requester, the EDP whose serving link the last handover turned
+    // into an interferer that kept its state.
+    let mut demoted: Vec<Option<usize>> = vec![None; topo.num_requesters()];
+    let (mut round_trips, mut promotions) = (0usize, 0usize);
+    for (boundary, positions) in [&home, &away, &home, &away].into_iter().enumerate() {
+        for _ in 0..25 {
+            sharded.advance(varying_dt(step));
+            dense.advance(varying_dt(step));
+            step += 1;
+            if step % 10 == 0 {
+                checked +=
+                    assert_tracked_links_match(&sharded, &dense, &topo, &format!("step {step}"));
+            }
+        }
+        let before: Vec<Vec<usize>> = (0..topo.num_requesters())
+            .map(|j| tracked_links(&sharded, &topo, j))
+            .collect();
+        let k_before = sharded.shard_stats().k_int as usize;
+        topo.update_requesters(positions);
+        sharded.refresh_distances(&topo);
+        dense.refresh_distances(&topo);
+        // The adaptive-k controller re-tracks after the handover, so the
+        // interferer list it leaves is ordered by distance at the new
+        // positions and only a prefix of it carried its state over:
+        // - a grown budget carries the links within the old budget; the
+        //   rest are re-tracked fresh, even links the requester tracked
+        //   before the handover;
+        // - a budget kept with a tail share below an eighth of the
+        //   tolerance was probed at half size and reverted, which
+        //   re-tracks the links past the probe's budget fresh;
+        // - a kept budget otherwise, or a halved one, carries every link
+        //   the requester tracked before.
+        let stats = sharded.shard_stats();
+        let k = stats.k_int as usize;
+        let (share, _) = stats.truncated_power.expect("interference power");
+        let min_k = crate::channel::MIN_ADAPTIVE_K_INT;
+        let fresh_from = if k > k_before {
+            k_before
+        } else if k == k_before && k > min_k && share < 0.125 * cfg.truncation_tol {
+            (k / 2).max(min_k)
+        } else {
+            usize::MAX
+        };
+        if boundary == 0 {
+            assert!(
+                k > k_before,
+                "four interferers leave a tail far above the tolerance"
+            );
+        }
+        for (j, before) in before.iter().enumerate() {
+            let interferers = sharded.tracked_interferers(j);
+            let carried = |i: usize| {
+                before.contains(&i) && interferers.iter().position(|&e| e == i) < Some(fresh_from)
+            };
+            let serving = topo.serving(j);
+            if !before.contains(&serving) {
+                dense.retrack(serving, j);
+            }
+            for &i in &interferers {
+                if !carried(i) {
+                    dense.retrack(i, j);
+                }
+            }
+            if serving != serving_before[j] && before[1..].contains(&serving) {
+                promotions += 1;
+            }
+            if demoted[j] == Some(serving) {
+                round_trips += 1;
+            }
+            demoted[j] = (serving != serving_before[j] && carried(serving_before[j]))
+                .then_some(serving_before[j]);
+            serving_before[j] = serving;
+        }
+        checked +=
+            assert_tracked_links_match(&sharded, &dense, &topo, &format!("boundary {boundary}"));
+    }
+    for _ in 0..5 {
+        sharded.advance(varying_dt(step));
+        dense.advance(varying_dt(step));
+        step += 1;
+    }
+    checked += assert_tracked_links_match(&sharded, &dense, &topo, "after the last handover");
+    assert!(
+        promotions >= 10,
+        "only {promotions} interferers promoted to serving"
+    );
+    assert!(
+        round_trips >= 5,
+        "only {round_trips} serving -> interferer -> serving round trips"
+    );
+    assert!(checked > 5_000, "only {checked} links checked");
+}
+
+#[test]
+fn stamps_restart_across_the_u32_limit_without_changing_a_value() {
+    // Start the slot counter just below the `u32` stamp limit and step
+    // across it: the channel state brings every link up to date and
+    // restarts its stamps, and every read stays bit-identical to eager
+    // stepping on both sides of the limit.
+    let (mut topo, cfg) = instance(308, 60, 30);
+    let start = u64::from(u32::MAX) - 4;
+    let mut sharded = ChannelState::init_at_step(&topo, &cfg, 99, start);
+    let mut dense = Dense::init_at(&topo, &cfg, 99, start);
+    let mut rng = seeded_rng(309);
+    for step in 0..10 {
+        sharded.advance(varying_dt(step));
+        dense.advance(varying_dt(step));
+        assert_tracked_links_match(&sharded, &dense, &topo, &format!("step {step}"));
+        if step == 6 {
+            // A handover past the limit: carried links keep their
+            // restarted stamps, fresh ones are stamped at the new base.
+            let before: Vec<Vec<usize>> = (0..topo.num_requesters())
+                .map(|j| tracked_links(&sharded, &topo, j))
+                .collect();
+            let moved: Vec<Point> = (0..topo.num_requesters())
+                .map(|_| crate::uniform_in_disc(cfg.area_radius, &mut rng))
+                .collect();
+            topo.update_requesters(&moved);
+            sharded.refresh_distances(&topo);
+            dense.refresh_distances(&topo);
+            for (j, before) in before.iter().enumerate() {
+                for i in tracked_links(&sharded, &topo, j) {
+                    if !before.contains(&i) {
+                        dense.retrack(i, j);
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
