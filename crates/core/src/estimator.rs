@@ -12,10 +12,10 @@
 //! * the average sharing benefit
 //!   `Φ̄²_k(t) = p̄_k·Δq̄·((M − M'_k)/M_k − 1)`.
 
-use mfgcp_pde::Field2d;
+use mfgcp_pde::{Axis, Field2d};
 
 use crate::params::Params;
-use crate::pricing::mean_field_price;
+use crate::pricing::price_from_supply;
 use crate::sigmoid::Sigmoid;
 
 /// The per-time-step quantities produced by the estimator and consumed by
@@ -41,13 +41,90 @@ pub struct MeanFieldSnapshot {
 pub struct MeanFieldEstimator {
     params: Params,
     sigmoid: Sigmoid,
+    /// The solver grid's `q` axis, which the rows below are tabled on.
+    q_axis: Axis,
+    /// `q_j` per `q` node.
+    q_row: Vec<f64>,
+    /// `σ(q_j − α·Q_k)` per `q` node: the own-short factor of case 3.
+    own_short_row: Vec<f64>,
+}
+
+/// The eight running sums behind one [`MeanFieldSnapshot`], each over the
+/// whole grid in row-major (`h`-major) order and not yet scaled by the
+/// cell area.
+#[derive(Debug, Clone, Copy)]
+struct MomentSums {
+    mass: f64,
+    q: f64,
+    sharer_mass: f64,
+    needer_mass: f64,
+    sharer_q: f64,
+    needer_q: f64,
+    own_short: f64,
+    supply: f64,
+}
+
+impl MomentSums {
+    /// One pass over `density`/`policy`. Every sum adds the same `w·λ`
+    /// products in the same order as the per-quantity
+    /// [`Field2d::integral`]/[`Field2d::weighted_integral`] passes of the
+    /// component methods (and [`crate::mean_field_price`]'s `λ·x`), so each
+    /// sum is bit-identical to theirs.
+    fn accumulate(
+        density: &Field2d,
+        policy: &Field2d,
+        thr: f64,
+        q_of: impl Fn(usize) -> f64,
+        own_short_of: impl Fn(usize) -> f64,
+    ) -> Self {
+        let ny = density.grid().y().len();
+        // `f64: Sum` folds from −0.0; the sign of a zero mass never reaches
+        // an output (every use is behind `mass <= 0.0`), but mirror it.
+        let mut s = Self {
+            mass: -0.0,
+            q: 0.0,
+            sharer_mass: 0.0,
+            needer_mass: 0.0,
+            sharer_q: 0.0,
+            needer_q: 0.0,
+            own_short: 0.0,
+            supply: 0.0,
+        };
+        let rows = density.values().chunks_exact(ny);
+        for (lam_row, x_row) in rows.zip(policy.values().chunks_exact(ny)) {
+            for (j, (&lam, &x)) in lam_row.iter().zip(x_row).enumerate() {
+                let q = q_of(j);
+                let sharer = q <= thr;
+                let needer = q > thr;
+                s.mass += lam;
+                s.q += q * lam;
+                s.sharer_mass += f64::from(u8::from(sharer)) * lam;
+                s.needer_mass += f64::from(u8::from(needer)) * lam;
+                s.sharer_q += (if sharer { q } else { 0.0 }) * lam;
+                s.needer_q += (if needer { q } else { 0.0 }) * lam;
+                s.own_short += own_short_of(j) * lam;
+                s.supply += lam * x;
+            }
+        }
+        s
+    }
 }
 
 impl MeanFieldEstimator {
     /// Create an estimator for the given parameters.
     pub fn new(params: Params) -> Self {
         let sigmoid = Sigmoid::new(params.sigmoid_l);
-        Self { params, sigmoid }
+        let q_axis = params.grid().y().clone();
+        let thr = params.alpha_qk();
+        let q_row = q_axis.coords();
+        let own_short_row = q_row.iter().map(|&q| sigmoid.eval(q - thr)).collect();
+        Self {
+            params,
+            sigmoid,
+            q_axis,
+            q_row,
+            own_short_row,
+        }
     }
 
     /// The parameters in use.
@@ -87,17 +164,7 @@ impl MeanFieldEstimator {
         let mass_needers = density.weighted_integral(|_h, q| f64::from(u8::from(q > thr)));
         let q_sharers = density.weighted_integral(|_h, q| if q <= thr { q } else { 0.0 });
         let q_needers = density.weighted_integral(|_h, q| if q > thr { q } else { 0.0 });
-        let avg_sharers = if mass_sharers > 1e-12 {
-            q_sharers / mass_sharers
-        } else {
-            0.0
-        };
-        let avg_needers = if mass_needers > 1e-12 {
-            q_needers / mass_needers
-        } else {
-            0.0
-        };
-        (avg_needers - avg_sharers).abs()
+        transfer_gap(mass_sharers, mass_needers, q_sharers, q_needers)
     }
 
     /// Fraction of the population in case 3: both the EDP and its potential
@@ -119,36 +186,106 @@ impl MeanFieldEstimator {
     /// qualified to share. `(M − M')/M_k − 1` counts how many buyers each
     /// qualified sharer serves beyond itself.
     pub fn share_benefit(&self, density: &Field2d) -> f64 {
-        let m = self.params.num_edps as f64;
-        let m_k = (self.sharer_fraction(density) * m).max(1.0);
-        let m_prime = self.case3_fraction(density) * m;
-        let buyers_per_sharer = ((m - m_prime) / m_k - 1.0).max(0.0);
-        self.params.p_bar * self.delta_q(density) * buyers_per_sharer
+        self.benefit(
+            self.sharer_fraction(density),
+            self.case3_fraction(density),
+            self.delta_q(density),
+        )
     }
 
-    /// Assemble the full snapshot from a density and the current policy.
+    fn benefit(&self, sharer_fraction: f64, case3_fraction: f64, delta_q: f64) -> f64 {
+        let m = self.params.num_edps as f64;
+        let m_k = (sharer_fraction * m).max(1.0);
+        let m_prime = case3_fraction * m;
+        let buyers_per_sharer = ((m - m_prime) / m_k - 1.0).max(0.0);
+        self.params.p_bar * delta_q * buyers_per_sharer
+    }
+
+    /// Assemble the full snapshot from a density and the current policy
+    /// (Alg. 2 line 9) in one pass over the grid. Bit-identical to
+    /// assembling it from [`crate::mean_field_price`] and the component methods
+    /// above, which each make their own passes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `density` and `policy` are not on the same grid.
     pub fn snapshot(&self, density: &Field2d, policy: &Field2d) -> MeanFieldSnapshot {
-        MeanFieldSnapshot {
-            price: mean_field_price(
-                self.params.p_hat,
-                self.params.eta1,
-                self.params.q_size,
+        assert_eq!(
+            density.grid(),
+            policy.grid(),
+            "density/policy grid mismatch"
+        );
+        let p = &self.params;
+        let thr = p.alpha_qk();
+        let axis = density.grid().y();
+        let s = if *axis == self.q_axis {
+            MomentSums::accumulate(
                 density,
                 policy,
-            ),
-            q_bar: self.q_bar(density),
-            delta_q: self.delta_q(density),
-            share_benefit: self.share_benefit(density),
-            sharer_fraction: self.sharer_fraction(density),
-            case3_fraction: self.case3_fraction(density),
+                thr,
+                |j| self.q_row[j],
+                |j| self.own_short_row[j],
+            )
+        } else {
+            MomentSums::accumulate(
+                density,
+                policy,
+                thr,
+                |j| axis.at(j),
+                |j| self.sigmoid.eval(axis.at(j) - thr),
+            )
+        };
+        let cell = density.grid().cell_area();
+        let mass = s.mass * cell;
+        let (q_bar, sharer_fraction, case3_fraction) = if mass <= 0.0 {
+            (0.0, 0.0, 0.0)
+        } else {
+            let q_bar = s.q * cell / mass;
+            let own_short = s.own_short * cell / mass;
+            (
+                q_bar,
+                s.sharer_mass * cell / mass,
+                own_short * self.sigmoid.eval(q_bar - thr),
+            )
+        };
+        let delta_q = transfer_gap(
+            s.sharer_mass * cell,
+            s.needer_mass * cell,
+            s.sharer_q * cell,
+            s.needer_q * cell,
+        );
+        MeanFieldSnapshot {
+            price: price_from_supply(p.p_hat, p.eta1, p.q_size, s.supply * cell),
+            q_bar,
+            delta_q,
+            share_benefit: self.benefit(sharer_fraction, case3_fraction, delta_q),
+            sharer_fraction,
+            case3_fraction,
         }
     }
+}
+
+/// `Δq̄ = |q̄_needers − q̄_sharers|` from the two populations' masses and
+/// `q`-moments (an empty population averages to 0).
+fn transfer_gap(mass_sharers: f64, mass_needers: f64, q_sharers: f64, q_needers: f64) -> f64 {
+    let avg_sharers = if mass_sharers > 1e-12 {
+        q_sharers / mass_sharers
+    } else {
+        0.0
+    };
+    let avg_needers = if mass_needers > 1e-12 {
+        q_needers / mass_needers
+    } else {
+        0.0
+    };
+    (avg_needers - avg_sharers).abs()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfgcp_pde::{Axis, Grid2d};
+    use crate::pricing::mean_field_price;
+    use mfgcp_pde::Grid2d;
 
     fn grid() -> Grid2d {
         Grid2d::new(
@@ -234,6 +371,127 @@ mod tests {
         lam.normalize();
         let b = est.share_benefit(&lam);
         assert!(b > 0.05, "benefit {b}");
+    }
+
+    /// Asserts `snapshot` equals the component methods and
+    /// `mean_field_price`, each field compared bit for bit.
+    fn assert_snapshot_matches_components(
+        est: &MeanFieldEstimator,
+        lam: &Field2d,
+        policy: &Field2d,
+    ) {
+        let p = est.params();
+        let snap = est.snapshot(lam, policy);
+        let price = mean_field_price(p.p_hat, p.eta1, p.q_size, lam, policy);
+        let fields = [
+            ("price", snap.price, price),
+            ("q_bar", snap.q_bar, est.q_bar(lam)),
+            ("delta_q", snap.delta_q, est.delta_q(lam)),
+            ("share_benefit", snap.share_benefit, est.share_benefit(lam)),
+            (
+                "sharer_fraction",
+                snap.sharer_fraction,
+                est.sharer_fraction(lam),
+            ),
+            (
+                "case3_fraction",
+                snap.case3_fraction,
+                est.case3_fraction(lam),
+            ),
+        ];
+        for (name, one_pass, reference) in fields {
+            assert_eq!(
+                one_pass.to_bits(),
+                reference.to_bits(),
+                "{name}: one-pass {one_pass} vs components {reference}"
+            );
+        }
+    }
+
+    fn random_field(grid: Grid2d, rng: &mut mfgcp_sde::SimRng, lo: f64, hi: f64) -> Field2d {
+        use rand::RngExt;
+        let n = grid.len();
+        let values = (0..n).map(|_| rng.random_range(lo..hi)).collect();
+        Field2d::from_values(grid, values).unwrap()
+    }
+
+    #[test]
+    fn one_pass_snapshot_matches_components_to_0_ulp() {
+        let mut rng = mfgcp_sde::seeded_rng(2024);
+        // Tabled path (the solver grid), with the sigmoid sharp and soft.
+        for (l, num_edps) in [(10.0, 300), (0.7, 5), (60.0, 10_000)] {
+            let params = Params {
+                sigmoid_l: l,
+                num_edps,
+                ..Params::default()
+            };
+            let est = MeanFieldEstimator::new(params.clone());
+            for _ in 0..8 {
+                let mut lam = random_field(params.grid(), &mut rng, 0.0, 1.0);
+                lam.normalize();
+                let policy = random_field(params.grid(), &mut rng, 0.0, 1.0);
+                assert_snapshot_matches_components(&est, &lam, &policy);
+            }
+            // Unnormalized mass with small negative undershoots.
+            let lam = random_field(params.grid(), &mut rng, -0.05, 3.0);
+            let policy = random_field(params.grid(), &mut rng, 0.0, 1.0);
+            assert_snapshot_matches_components(&est, &lam, &policy);
+        }
+        // Off-grid fallback path: a density on a grid the estimator did
+        // not table.
+        let est = estimator();
+        let mut lam = random_field(grid(), &mut rng, 0.0, 1.0);
+        lam.normalize();
+        let policy = random_field(grid(), &mut rng, 0.0, 1.0);
+        assert_snapshot_matches_components(&est, &lam, &policy);
+        // Concentrated densities on either side of the threshold.
+        for q0 in [0.05, 0.5, 0.9] {
+            assert_snapshot_matches_components(&est, &delta_density(q0), &policy);
+        }
+    }
+
+    #[test]
+    fn one_pass_snapshot_of_a_zero_mass_density_matches_components_to_0_ulp() {
+        let params = Params::default();
+        let est = MeanFieldEstimator::new(params.clone());
+        let policy = Field2d::from_fn(params.grid(), |_h, q| q);
+        for zero in [0.0, -0.0] {
+            let lam = Field2d::from_fn(params.grid(), |_h, _q| zero);
+            assert_snapshot_matches_components(&est, &lam, &policy);
+            let snap = est.snapshot(&lam, &policy);
+            assert_eq!(snap.q_bar, 0.0);
+            assert_eq!(snap.sharer_fraction, 0.0);
+            assert_eq!(snap.case3_fraction, 0.0);
+        }
+    }
+
+    #[test]
+    fn one_pass_snapshot_with_the_threshold_on_a_node_matches_components_to_0_ulp() {
+        // q nodes at k/10: α·Q_k = 0.2 is node 2 exactly, so the `q ≤ α·Q_k`
+        // split and σ(0) = ½ both land on a grid column.
+        let params = Params {
+            grid_q: 11,
+            alpha: 0.2,
+            q_size: 1.0,
+            ..Params::default()
+        };
+        let thr = params.alpha_qk();
+        assert!(
+            params.grid().y().coords().contains(&thr),
+            "α·Q_k must sit on a q node"
+        );
+        let est = MeanFieldEstimator::new(params.clone());
+        let mut rng = mfgcp_sde::seeded_rng(7);
+        for _ in 0..8 {
+            let mut lam = random_field(params.grid(), &mut rng, 0.0, 1.0);
+            lam.normalize();
+            let policy = random_field(params.grid(), &mut rng, 0.0, 1.0);
+            assert_snapshot_matches_components(&est, &lam, &policy);
+        }
+        // All mass on the threshold column.
+        let lam = Field2d::from_fn(params.grid(), |_h, q| f64::from(u8::from(q == thr)));
+        let policy = Field2d::from_fn(params.grid(), |_h, _q| 0.5);
+        assert_snapshot_matches_components(&est, &lam, &policy);
     }
 
     #[test]

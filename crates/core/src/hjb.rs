@@ -10,6 +10,7 @@
 use mfgcp_obs::RecorderHandle;
 use mfgcp_pde::{BackwardParabolic2d, Field2d, Grid2d, StepperScratch};
 
+use crate::cases::CaseProbabilities;
 use crate::estimator::MeanFieldSnapshot;
 use crate::params::{CoreError, Params};
 use crate::utility::{ContentContext, Utility};
@@ -32,13 +33,17 @@ impl HjbSolution {
 }
 
 /// Reusable cross-iteration workspace for [`HjbSolver::solve_into`]: the
-/// closed-loop drift and running-reward fields plus the stepper scratch,
-/// allocated once (via [`HjbSolver::scratch`]) and reused across every
-/// Picard iteration of Alg. 2.
+/// closed-loop drift and running-reward fields, the step's case-probability
+/// row and the stepper scratch, allocated once (via
+/// [`HjbSolver::scratch`]) and reused across every Picard iteration of
+/// Alg. 2.
 #[derive(Debug, Clone)]
 pub struct HjbScratch {
     by: Field2d,
     source: Field2d,
+    /// `CaseProbabilities` at `(q_j, q̄₋(t_n))` per `q` node, rebuilt each
+    /// step.
+    cases: Vec<CaseProbabilities>,
     stepper: StepperScratch,
 }
 
@@ -52,6 +57,10 @@ pub struct HjbSolver {
     /// Channel drift `b_h(h)` — state-only, so assembled once here rather
     /// than on every solve.
     channel_drift: Field2d,
+    /// Floored edge rate `H(h_i)` per `h` node (state-only, like the drift).
+    edge_rates: Vec<f64>,
+    /// `q_j` per `q` node.
+    q_nodes: Vec<f64>,
 }
 
 impl HjbSolver {
@@ -67,12 +76,21 @@ impl HjbSolver {
             .expect("validated diffusions");
         let utility = Utility::new(params.clone());
         let channel_drift = Field2d::from_fn(grid.clone(), |h, _q| params.drift_h(h));
+        let edge_rates = grid
+            .x()
+            .coords()
+            .iter()
+            .map(|&h| utility.edge_rate(h))
+            .collect();
+        let q_nodes = grid.y().coords();
         Ok(Self {
             params,
             utility,
             stepper,
             grid,
             channel_drift,
+            edge_rates,
+            q_nodes,
         })
     }
 
@@ -89,6 +107,7 @@ impl HjbSolver {
         HjbScratch {
             by: Field2d::zeros(self.grid.clone()),
             source: Field2d::zeros(self.grid.clone()),
+            cases: Vec::with_capacity(self.q_nodes.len()),
             stepper: StepperScratch::new(),
         }
     }
@@ -173,31 +192,41 @@ impl HjbSolver {
             let (head, tail) = values.split_at_mut(n + 1);
             let v_next = &tail[0];
 
+            // The step's state-only factors: every transcendental of
+            // Eq. (10) depends on q_j and q̄₋(t_n), or on h_i alone.
+            scratch.cases.clear();
+            scratch.cases.extend(
+                self.q_nodes
+                    .iter()
+                    .map(|&q| self.utility.cases(q, snap.q_bar)),
+            );
+
             // Extract x* from ∂_q V(t_{n+1}) (Thm. 1), then build the
             // closed-loop drift and running reward for the step back.
             let dq = self.grid.y().dx();
-            for i in 0..nx {
-                let h = self.grid.x().at(i);
+            let rows = v_next
+                .values()
+                .chunks_exact(ny)
+                .zip(policy[n].values_mut().chunks_exact_mut(ny))
+                .zip(scratch.by.values_mut().chunks_exact_mut(ny))
+                .zip(scratch.source.values_mut().chunks_exact_mut(ny))
+                .zip(&self.edge_rates);
+            for ((((v_row, pol_row), by_row), src_row), &hj) in rows {
                 for j in 0..ny {
                     let dv_dq = if j == 0 {
-                        (v_next.at(i, 1) - v_next.at(i, 0)) / dq
+                        (v_row[1] - v_row[0]) / dq
                     } else if j == ny - 1 {
-                        (v_next.at(i, ny - 1) - v_next.at(i, ny - 2)) / dq
+                        (v_row[ny - 1] - v_row[ny - 2]) / dq
                     } else {
-                        (v_next.at(i, j + 1) - v_next.at(i, j - 1)) / (2.0 * dq)
+                        (v_row[j + 1] - v_row[j - 1]) / (2.0 * dq)
                     };
                     let x = self.utility.optimal_control(dv_dq);
-                    policy[n].set(i, j, x);
-                    scratch.by.set(
-                        i,
-                        j,
-                        self.params.drift_q(x, ctx.popularity, ctx.urgency_factor),
-                    );
-                    scratch.source.set(
-                        i,
-                        j,
-                        self.utility.evaluate(ctx, snap, x, h, self.grid.y().at(j)),
-                    );
+                    pol_row[j] = x;
+                    by_row[j] = self.params.drift_q(x, ctx.popularity, ctx.urgency_factor);
+                    src_row[j] = self
+                        .utility
+                        .breakdown_with(ctx, snap, x, self.q_nodes[j], &scratch.cases[j], hj)
+                        .total();
                 }
             }
 
@@ -389,6 +418,143 @@ mod tests {
             early_mass(&ramped),
             early_mass(&flat)
         );
+    }
+
+    /// The backward sweep with the untabled per-cell Eq. (10): the
+    /// reference the tabled sweep must match bit for bit at every step.
+    fn reference_sweep(
+        solver: &HjbSolver,
+        contexts: &[ContentContext],
+        snapshots: &[MeanFieldSnapshot],
+    ) -> (Vec<Field2d>, Vec<Field2d>) {
+        let p = &solver.params;
+        let grid = solver.grid();
+        let (nx, ny) = (grid.x().len(), grid.y().len());
+        let dq = grid.y().dx();
+        let mut values = vec![Field2d::zeros(grid.clone()); p.time_steps + 1];
+        let mut policy = vec![Field2d::zeros(grid.clone()); p.time_steps];
+        for i in 0..nx {
+            for j in 0..ny {
+                let terminal = p.terminal_value_weight * (p.q_size - grid.y().at(j));
+                values[p.time_steps].set(i, j, terminal);
+            }
+        }
+        for n in (0..p.time_steps).rev() {
+            let (ctx, snap) = (&contexts[n], &snapshots[n]);
+            let v_next = values[n + 1].clone();
+            let mut by = Field2d::zeros(grid.clone());
+            let mut source = Field2d::zeros(grid.clone());
+            for i in 0..nx {
+                for j in 0..ny {
+                    let dv_dq = if j == 0 {
+                        (v_next.at(i, 1) - v_next.at(i, 0)) / dq
+                    } else if j == ny - 1 {
+                        (v_next.at(i, ny - 1) - v_next.at(i, ny - 2)) / dq
+                    } else {
+                        (v_next.at(i, j + 1) - v_next.at(i, j - 1)) / (2.0 * dq)
+                    };
+                    let x = solver.utility.optimal_control(dv_dq);
+                    let (h, q) = (grid.x().at(i), grid.y().at(j));
+                    policy[n].set(i, j, x);
+                    by.set(i, j, p.drift_q(x, ctx.popularity, ctx.urgency_factor));
+                    source.set(i, j, solver.utility.evaluate(ctx, snap, x, h, q));
+                }
+            }
+            let mut v = v_next;
+            solver
+                .stepper
+                .step_back(&mut v, &solver.channel_drift, &by, &source, p.dt());
+            values[n] = v;
+        }
+        (values, policy)
+    }
+
+    #[test]
+    fn tabled_sweep_matches_per_cell_reference_to_0_ulp() {
+        for (grid_h, grid_q) in [(4, 4), (5, 7), (24, 48)] {
+            let params = Params {
+                time_steps: 8,
+                grid_h,
+                grid_q,
+                terminal_value_weight: 0.4,
+                ..Params::default()
+            };
+            let solver = HjbSolver::new(params.clone()).unwrap();
+            // Every step sees its own peer state and demand.
+            let snaps: Vec<MeanFieldSnapshot> = (0..params.time_steps)
+                .map(|n| MeanFieldSnapshot {
+                    q_bar: 0.1 * n as f64,
+                    price: 4.0 + 0.1 * n as f64,
+                    ..snapshot()
+                })
+                .collect();
+            let contexts: Vec<ContentContext> = (0..params.time_steps)
+                .map(|n| ContentContext {
+                    requests: 4.0 + n as f64,
+                    ..ContentContext::from_params(&params)
+                })
+                .collect();
+            let tabled = solver.solve(&contexts, &snaps);
+            let (values, policy) = reference_sweep(&solver, &contexts, &snaps);
+            let planes = tabled.values.iter().zip(&values);
+            let planes = planes.chain(tabled.policy.iter().zip(&policy));
+            for (k, (a, b)) in planes.enumerate() {
+                let bits = |f: &Field2d| f.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "{grid_h}x{grid_q}, plane {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn tabled_source_matches_breakdown_to_0_ulp() {
+        // The last step swept (n = 0) leaves its drift and source in the
+        // scratch; check them cell by cell against the untabled Eq. (10)
+        // and Eq. (4) for a spread of peer states q̄₋, including one on a
+        // q node, one at α·Q_k and the walls.
+        for (grid_h, grid_q) in [(4, 4), (5, 7), (24, 48)] {
+            let params = Params {
+                time_steps: 6,
+                grid_h,
+                grid_q,
+                terminal_value_weight: 0.7,
+                ..Params::default()
+            };
+            let solver = HjbSolver::new(params.clone()).unwrap();
+            let grid = solver.grid().clone();
+            let ctx = ContentContext {
+                requests: 13.0,
+                popularity: 0.4,
+                urgency_factor: 0.3,
+            };
+            let node = grid.y().at(grid_q / 2);
+            for q_bar in [0.0, 0.13, node, params.alpha_qk(), 0.61, params.q_size] {
+                let snaps: Vec<MeanFieldSnapshot> = (0..params.time_steps)
+                    .map(|n| MeanFieldSnapshot {
+                        q_bar: q_bar * (1.0 - 0.01 * n as f64),
+                        ..snapshot()
+                    })
+                    .collect();
+                let contexts = vec![ctx; params.time_steps];
+                let (mut values, mut policy) = (Vec::new(), Vec::new());
+                let mut scratch = solver.scratch();
+                solver.solve_into(&contexts, &snaps, &mut values, &mut policy, &mut scratch);
+                for i in 0..grid.x().len() {
+                    let h = grid.x().at(i);
+                    for j in 0..grid.y().len() {
+                        let q = grid.y().at(j);
+                        let x = policy[0].at(i, j);
+                        let reference = solver.utility().breakdown(&ctx, &snaps[0], x, h, q);
+                        assert_eq!(
+                            scratch.source.at(i, j).to_bits(),
+                            reference.total().to_bits(),
+                            "source at ({i}, {j}), q̄ = {q_bar}"
+                        );
+                        let drift = params.drift_q(x, ctx.popularity, ctx.urgency_factor);
+                        assert_eq!(scratch.by.at(i, j).to_bits(), drift.to_bits());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -228,26 +228,37 @@ impl Equilibrium {
     fn compute_utility_series(&self) -> Vec<UtilityBreakdown> {
         let utility = Utility::new(self.params.clone());
         let grid = self.policy[0].grid().clone();
-        let (nx, ny) = (grid.x().len(), grid.y().len());
+        let ny = grid.y().len();
         let cell = grid.cell_area();
+        // State-only factors of Eq. (10), tabled per h node and (per step)
+        // per q node.
+        let edge_rates: Vec<f64> = grid
+            .x()
+            .coords()
+            .iter()
+            .map(|&h| utility.edge_rate(h))
+            .collect();
+        let q_nodes = grid.y().coords();
+        let mut cases = Vec::with_capacity(ny);
         let mut out = Vec::with_capacity(self.params.time_steps);
         for n in 0..self.params.time_steps {
             let lam = &self.density[n];
             let pol = &self.policy[n];
             let ctx = &self.contexts[n];
             let snap = &self.snapshots[n];
+            cases.clear();
+            cases.extend(q_nodes.iter().map(|&q| utility.cases(q, snap.q_bar)));
             let mut acc = UtilityBreakdown::default();
             let mut mass = 0.0;
-            for i in 0..nx {
-                let h = grid.x().at(i);
+            for (i, &hj) in edge_rates.iter().enumerate() {
                 for j in 0..ny {
                     let w = lam.at(i, j) * cell;
                     if w <= 0.0 {
                         continue;
                     }
                     mass += w;
-                    let q = grid.y().at(j);
-                    let b = utility.breakdown(ctx, snap, pol.at(i, j), h, q);
+                    let q = q_nodes[j];
+                    let b = utility.breakdown_with(ctx, snap, pol.at(i, j), q, &cases[j], hj);
                     acc.trading_income += w * b.trading_income;
                     acc.sharing_benefit += w * b.sharing_benefit;
                     acc.placement_cost += w * b.placement_cost;

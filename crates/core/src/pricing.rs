@@ -128,7 +128,12 @@ pub fn mean_field_price(
     for (lam, x) in density.values().iter().zip(policy.values()) {
         supply += lam * x;
     }
-    supply *= density.grid().cell_area();
+    price_from_supply(p_hat, eta1, q_size, supply * density.grid().cell_area())
+}
+
+/// The Eq. (17) price given the mean-field supply `∬ λ·x* dh dq` — shared
+/// by [`mean_field_price`] and the one-pass estimator snapshot.
+pub(crate) fn price_from_supply(p_hat: f64, eta1: f64, q_size: f64, supply: f64) -> f64 {
     (p_hat - eta1 * q_size * supply).max(0.0)
 }
 

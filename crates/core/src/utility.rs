@@ -103,13 +103,28 @@ impl Utility {
         CaseProbabilities::compute(self.sigmoid, q, q_peer, self.params.alpha_qk())
     }
 
+    /// The edge delivery rate `H(h)` at fading `h`, floored at `1e-9` so
+    /// the per-case delays of Eq. (9) stay finite.
+    pub(crate) fn edge_rate(&self, h: f64) -> f64 {
+        self.rate.rate(h).max(1e-9)
+    }
+
     /// Trading income `Φ¹` (Eq. (6)): each of the `|I_k|` requesters pays
     /// `p_k` per unit for the data actually delivered — the cached part
     /// `Q_k − q` in case 1, the peer-completed `Q_k − q̄₋` in case 2, the
     /// full `Q_k` in case 3.
     pub fn trading_income(&self, ctx: &ContentContext, mf: &MeanFieldSnapshot, q: f64) -> f64 {
+        self.trading_income_with(ctx, mf, q, &self.cases(q, mf.q_bar))
+    }
+
+    fn trading_income_with(
+        &self,
+        ctx: &ContentContext,
+        mf: &MeanFieldSnapshot,
+        q: f64,
+        c: &CaseProbabilities,
+    ) -> f64 {
         let qk = self.params.q_size;
-        let c = self.cases(q, mf.q_bar);
         let sold = c.p1 * (qk - q).max(0.0) + c.p2 * (qk - mf.q_bar).max(0.0) + c.p3 * qk;
         ctx.requests * mf.price * sold
     }
@@ -128,11 +143,21 @@ impl Utility {
         h: f64,
         q: f64,
     ) -> f64 {
+        self.staleness_cost_with(ctx, mf, x, q, &self.cases(q, mf.q_bar), self.edge_rate(h))
+    }
+
+    fn staleness_cost_with(
+        &self,
+        ctx: &ContentContext,
+        mf: &MeanFieldSnapshot,
+        x: f64,
+        q: f64,
+        c: &CaseProbabilities,
+        hj: f64,
+    ) -> f64 {
         let p = &self.params;
         let qk = p.q_size;
         let hc = p.center_rate;
-        let hj = self.rate.rate(h).max(1e-9);
-        let c = self.cases(q, mf.q_bar);
         // Downloading the caching rate's worth of data from the center.
         let download = qk * x / hc;
         // Per-requester delivery delay under each case.
@@ -145,7 +170,10 @@ impl Utility {
     /// Sharing cost `C³ = P²·p̄_k·(q − q̄₋)`: the remuneration paid to the
     /// peer for completing the missing `q − q̄₋` units in case 2.
     pub fn sharing_cost(&self, mf: &MeanFieldSnapshot, q: f64) -> f64 {
-        let c = self.cases(q, mf.q_bar);
+        self.sharing_cost_with(mf, q, &self.cases(q, mf.q_bar))
+    }
+
+    fn sharing_cost_with(&self, mf: &MeanFieldSnapshot, q: f64, c: &CaseProbabilities) -> f64 {
         c.p2 * self.params.p_bar * (q - mf.q_bar).max(0.0)
     }
 
@@ -158,12 +186,31 @@ impl Utility {
         h: f64,
         q: f64,
     ) -> UtilityBreakdown {
+        self.breakdown_with(ctx, mf, x, q, &self.cases(q, mf.q_bar), self.edge_rate(h))
+    }
+
+    /// [`Utility::breakdown`] from precomputed state-only factors: the
+    /// case probabilities `cases` at `(q, mf.q_bar)` (see
+    /// [`Utility::cases`]) and the edge rate `hj` at the state's fading
+    /// (see [`Utility::edge_rate`]). These hold every transcendental of
+    /// Eq. (10), so callers sweeping a grid table them once per row or
+    /// column instead of once per cell; [`Utility::breakdown`] calls this,
+    /// so both give the same bits.
+    pub(crate) fn breakdown_with(
+        &self,
+        ctx: &ContentContext,
+        mf: &MeanFieldSnapshot,
+        x: f64,
+        q: f64,
+        cases: &CaseProbabilities,
+        hj: f64,
+    ) -> UtilityBreakdown {
         UtilityBreakdown {
-            trading_income: self.trading_income(ctx, mf, q),
+            trading_income: self.trading_income_with(ctx, mf, q, cases),
             sharing_benefit: mf.share_benefit,
             placement_cost: self.placement_cost(x),
-            staleness_cost: self.staleness_cost(ctx, mf, x, h, q),
-            sharing_cost: self.sharing_cost(mf, q),
+            staleness_cost: self.staleness_cost_with(ctx, mf, x, q, cases, hj),
+            sharing_cost: self.sharing_cost_with(mf, q, cases),
         }
     }
 

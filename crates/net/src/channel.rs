@@ -123,8 +123,8 @@ impl ChannelState {
         self.links.records[j].tail_gain
     }
 
-    /// Resident bytes of the link records, the shard index and the `dt`
-    /// history.
+    /// Resident bytes of the link records, the per-EDP shard occupancy
+    /// counts and the `dt` history.
     pub fn memory_bytes(&self) -> usize {
         self.links.memory_bytes()
     }
@@ -341,8 +341,8 @@ impl ChannelState {
     /// should sample it at re-association cadence, not per slot.
     pub fn shard_stats(&self) -> ShardStats {
         let links = &self.links;
-        let occupied = links.shards.iter().filter(|s| !s.is_empty()).count();
-        let max_occ = links.shards.iter().map(Vec::len).max().unwrap_or(0);
+        let occupied = links.shard_sizes.iter().filter(|&&n| n > 0).count();
+        let max_occ = links.shard_sizes.iter().copied().max().unwrap_or(0);
         let mean_occ = if occupied > 0 {
             self.num_requesters as f64 / occupied as f64
         } else {
@@ -574,11 +574,11 @@ mod tests {
         let big = Topology::random(5_000, 40, &cfg, &mut rng);
         let ch_small = ChannelState::init_with_seed(&small, &cfg, 1);
         let ch_big = ChannelState::init_with_seed(&big, &cfg, 1);
-        // Tracked links are J·(1 + k_int) in both; only the shard index
-        // (one Vec header per EDP) grows with M.
+        // Tracked links are J·(1 + k_int) in both; only the shard
+        // occupancy index (one u32 count per EDP) grows with M.
         assert_eq!(ch_small.tracked_links(), ch_big.tracked_links());
-        // One Vec header per EDP plus allocation-granularity slack for the
-        // occupied shards' small buffers.
+        // Bounded by the former index (one Vec header per EDP plus
+        // allocation-granularity slack for the occupied shards' buffers)...
         let index_growth = (5_000 - 50) * std::mem::size_of::<Vec<u32>>() + 1024;
         assert!(
             ch_big.memory_bytes() <= ch_small.memory_bytes() + index_growth,
@@ -587,6 +587,38 @@ mod tests {
             ch_big.memory_bytes(),
             ch_small.memory_bytes()
         );
+        // ...and exactly by the counts that replaced it.
+        assert_eq!(
+            ch_big.memory_bytes() - ch_small.memory_bytes(),
+            (5_000 - 50) * std::mem::size_of::<u32>()
+        );
+    }
+
+    #[test]
+    fn shard_stats_mirror_the_association() {
+        let cfg = NetworkConfig::default();
+        let mut rng = seeded_rng(16);
+        let mut topo = Topology::random(40, 300, &cfg, &mut rng);
+        let mut ch = ChannelState::init_with_seed(&topo, &cfg, 5);
+        for round in 0..3 {
+            let sizes: Vec<usize> = (0..topo.num_edps())
+                .map(|i| topo.served_by(i).len())
+                .collect();
+            let occupied = sizes.iter().filter(|&&n| n > 0).count();
+            let stats = ch.shard_stats();
+            assert_eq!(stats.occupied_shards, occupied as u64, "round {round}");
+            assert_eq!(
+                stats.max_occupancy,
+                *sizes.iter().max().unwrap() as u64,
+                "round {round}"
+            );
+            assert_eq!(stats.mean_occupancy, 300.0 / occupied as f64);
+            // Scatter the requesters afresh and re-associate.
+            let scatter = Topology::random(40, 300, &cfg, &mut rng);
+            let moved: Vec<Point> = (0..300).map(|j| scatter.requester(j)).collect();
+            topo.update_requesters(&moved);
+            ch.refresh_distances(&topo);
+        }
     }
 
     #[test]

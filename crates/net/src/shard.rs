@@ -300,10 +300,11 @@ impl RequesterLinks {
 pub(crate) struct ShardedLinks {
     /// Per-requester link records, indexed by requester id.
     pub records: Vec<RequesterLinks>,
-    /// `shards[i]` = requesters whose *serving* EDP is `i` (mirrors
-    /// `Topology::served_by` at the last association). Only the
-    /// occupancy statistics read it.
-    pub shards: Vec<Vec<u32>>,
+    /// `shard_sizes[i]` = number of requesters whose *serving* EDP is `i`
+    /// (the shard occupancy at the last association, as
+    /// `Topology::served_by(i).len()`). Only the occupancy statistics
+    /// read it, so the shards' member lists are not kept.
+    pub shard_sizes: Vec<u32>,
     /// Interferers tracked per requester.
     pub k_int: usize,
     /// Step counter and `dt` history behind the link stamps.
@@ -328,7 +329,7 @@ impl ShardedLinks {
         // Each record is a pure function of its requester index (distances
         // from `topo`, fading from the per-link streams), so construction
         // fans out over record chunks like `reassociate`; only the shard
-        // index rebuild stays sequential in ascending requester order.
+        // occupancy count stays sequential.
         let mut slots: Vec<Option<RequesterLinks>> = vec![None; j];
         par_chunks(&mut slots, |base, chunk| {
             for (off, slot) in chunk.iter_mut().enumerate() {
@@ -345,15 +346,21 @@ impl ShardedLinks {
             }
         });
         let records: Vec<RequesterLinks> = slots.into_iter().flatten().collect();
-        let mut shards = vec![Vec::new(); m];
-        for (jj, rec) in records.iter().enumerate() {
-            shards[rec.serving.edp as usize].push(jj as u32);
-        }
-        Self {
+        let mut links = Self {
             records,
-            shards,
+            shard_sizes: vec![0; m],
             k_int,
             clock,
+        };
+        links.count_shards();
+        links
+    }
+
+    /// Recount every shard's occupancy from the records' serving EDPs.
+    fn count_shards(&mut self) {
+        self.shard_sizes.fill(0);
+        for rec in &self.records {
+            self.shard_sizes[rec.serving.edp as usize] += 1;
         }
     }
 
@@ -373,8 +380,8 @@ impl ShardedLinks {
     ) {
         // Each record's new state depends only on its own carried links
         // and per-link streams, so the re-tracking runs on record chunks
-        // across threads; only the shard index rebuild stays sequential
-        // (ascending requester order, exactly as before).
+        // across threads; only the shard occupancy count stays
+        // sequential.
         let (k_int, clock) = (self.k_int, &self.clock);
         par_chunks(&mut self.records, |base, chunk| {
             for (off, rec) in chunk.iter_mut().enumerate() {
@@ -382,12 +389,7 @@ impl ShardedLinks {
                 *rec = Self::track(topo, cfg, process, seed, clock, k_int, jj, Some(&*rec));
             }
         });
-        for shard in &mut self.shards {
-            shard.clear();
-        }
-        for (jj, rec) in self.records.iter().enumerate() {
-            self.shards[rec.serving.edp as usize].push(jj as u32);
-        }
+        self.count_shards();
     }
 
     /// Resize the tracked-interferer budget to `k_int` and re-track every
@@ -615,8 +617,8 @@ impl ShardedLinks {
         });
     }
 
-    /// Resident bytes of the link store (records, shard index and `dt`
-    /// history).
+    /// Resident bytes of the link store (records, shard occupancy counts
+    /// and `dt` history).
     pub fn memory_bytes(&self) -> usize {
         let records: usize = self
             .records
@@ -626,11 +628,7 @@ impl ShardedLinks {
                     + r.interferers.capacity() * std::mem::size_of::<Link>()
             })
             .sum();
-        let shards: usize = self
-            .shards
-            .iter()
-            .map(|s| std::mem::size_of::<Vec<u32>>() + s.capacity() * std::mem::size_of::<u32>())
-            .sum();
+        let shards = self.shard_sizes.capacity() * std::mem::size_of::<u32>();
         records + shards + self.clock.runs.capacity() * std::mem::size_of::<DtRun>()
     }
 }

@@ -206,6 +206,9 @@ impl BackwardParabolic2d {
         report_nonfinite(&self.recorder, &self.nonfinite, "pde.hjb.nonfinite", value);
     }
 
+    /// One explicit sub-step, row by row over row slices (no per-cell
+    /// index math). Each cell's arithmetic is exactly that of the
+    /// per-cell reference kept in the tests.
     #[allow(clippy::too_many_arguments)] // internal kernel: all fields are hot-loop state
     fn substep(
         &self,
@@ -221,48 +224,61 @@ impl BackwardParabolic2d {
         let (dx, dy) = (grid.x().dx(), grid.y().dx());
         let inv_dx2 = 1.0 / (dx * dx);
         let inv_dy2 = 1.0 / (dy * dy);
-        for i in 0..nx {
+        let v = value.values();
+        let rows = next
+            .chunks_exact_mut(ny)
+            .zip(bx.values().chunks_exact(ny))
+            .zip(by.values().chunks_exact(ny))
+            .zip(source.values().chunks_exact(ny))
+            .enumerate();
+        for (i, (((out, bx_row), by_row), src_row)) in rows {
+            let row = |r: usize| &v[r * ny..(r + 1) * ny];
+            let cur = row(i);
+            // Neighbour rows; at a wall the missing one is never read, so
+            // any row stands in for it.
+            let up = if i > 0 { row(i - 1) } else { cur };
+            let down = if i + 1 < nx { row(i + 1) } else { cur };
             for j in 0..ny {
-                let v = value.at(i, j);
-                let b_x = bx.at(i, j);
-                let b_y = by.at(i, j);
+                let v = cur[j];
+                let b_x = bx_row[j];
+                let b_y = by_row[j];
 
                 // Upwinded first derivatives against the reversed speed;
                 // reflecting ghosts zero the gradient at the walls (an
                 // anti-upwind fallback would violate the maximum principle).
                 let grad_x = match backward_upwind_dir(b_x) {
-                    Derivative1d::Forward if i + 1 < nx => (value.at(i + 1, j) - v) / dx,
-                    Derivative1d::Backward if i > 0 => (v - value.at(i - 1, j)) / dx,
+                    Derivative1d::Forward if i + 1 < nx => (down[j] - v) / dx,
+                    Derivative1d::Backward if i > 0 => (v - up[j]) / dx,
                     _ => 0.0,
                 };
                 let grad_y = match backward_upwind_dir(b_y) {
-                    Derivative1d::Forward if j + 1 < ny => (value.at(i, j + 1) - v) / dy,
-                    Derivative1d::Backward if j > 0 => (v - value.at(i, j - 1)) / dy,
+                    Derivative1d::Forward if j + 1 < ny => (cur[j + 1] - v) / dy,
+                    Derivative1d::Backward if j > 0 => (v - cur[j - 1]) / dy,
                     _ => 0.0,
                 };
 
                 // Second differences with reflecting (zero-Neumann) walls.
                 let lap_x = if i == 0 {
-                    (value.at(1, j) - v) * inv_dx2
+                    (down[j] - v) * inv_dx2
                 } else if i == nx - 1 {
-                    (value.at(nx - 2, j) - v) * inv_dx2
+                    (up[j] - v) * inv_dx2
                 } else {
-                    (value.at(i - 1, j) - 2.0 * v + value.at(i + 1, j)) * inv_dx2
+                    (up[j] - 2.0 * v + down[j]) * inv_dx2
                 };
                 let lap_y = if j == 0 {
-                    (value.at(i, 1) - v) * inv_dy2
+                    (cur[1] - v) * inv_dy2
                 } else if j == ny - 1 {
-                    (value.at(i, ny - 2) - v) * inv_dy2
+                    (cur[ny - 2] - v) * inv_dy2
                 } else {
-                    (value.at(i, j - 1) - 2.0 * v + value.at(i, j + 1)) * inv_dy2
+                    (cur[j - 1] - 2.0 * v + cur[j + 1]) * inv_dy2
                 };
 
-                next[grid.index(i, j)] = v + dt
+                out[j] = v + dt
                     * (b_x * grad_x
                         + b_y * grad_y
                         + self.diffusion_x * lap_x
                         + self.diffusion_y * lap_y
-                        + source.at(i, j));
+                        + src_row[j]);
             }
         }
         value.values_mut().copy_from_slice(next);
@@ -273,6 +289,7 @@ impl BackwardParabolic2d {
 mod tests {
     use super::*;
     use crate::axis::Axis;
+    use crate::testing::{mixed_drift, noise};
 
     fn axis(lo: f64, hi: f64, n: usize) -> Axis {
         Axis::new(lo, hi, n).unwrap()
@@ -365,6 +382,96 @@ mod tests {
             for j in 0..9 {
                 let x = v.grid().x().at(i);
                 assert!((v.at(i, j) - (1.0 + x)).abs() < 1e-10);
+            }
+        }
+    }
+
+    /// The per-cell form of [`BackwardParabolic2d`]'s sub-step, through
+    /// `Field2d::at` and `Grid2d::index`: the reference the row-slice
+    /// kernel must match bit for bit.
+    fn substep_reference(
+        stepper: &BackwardParabolic2d,
+        value: &mut Field2d,
+        bx: &Field2d,
+        by: &Field2d,
+        source: &Field2d,
+        dt: f64,
+    ) {
+        let grid = value.grid().clone();
+        let (nx, ny) = (grid.x().len(), grid.y().len());
+        let (dx, dy) = (grid.x().dx(), grid.y().dx());
+        let inv_dx2 = 1.0 / (dx * dx);
+        let inv_dy2 = 1.0 / (dy * dy);
+        let mut next = vec![0.0; grid.len()];
+        for i in 0..nx {
+            for j in 0..ny {
+                let v = value.at(i, j);
+                let b_x = bx.at(i, j);
+                let b_y = by.at(i, j);
+                let grad_x = match backward_upwind_dir(b_x) {
+                    Derivative1d::Forward if i + 1 < nx => (value.at(i + 1, j) - v) / dx,
+                    Derivative1d::Backward if i > 0 => (v - value.at(i - 1, j)) / dx,
+                    _ => 0.0,
+                };
+                let grad_y = match backward_upwind_dir(b_y) {
+                    Derivative1d::Forward if j + 1 < ny => (value.at(i, j + 1) - v) / dy,
+                    Derivative1d::Backward if j > 0 => (v - value.at(i, j - 1)) / dy,
+                    _ => 0.0,
+                };
+                let lap_x = if i == 0 {
+                    (value.at(1, j) - v) * inv_dx2
+                } else if i == nx - 1 {
+                    (value.at(nx - 2, j) - v) * inv_dx2
+                } else {
+                    (value.at(i - 1, j) - 2.0 * v + value.at(i + 1, j)) * inv_dx2
+                };
+                let lap_y = if j == 0 {
+                    (value.at(i, 1) - v) * inv_dy2
+                } else if j == ny - 1 {
+                    (value.at(i, ny - 2) - v) * inv_dy2
+                } else {
+                    (value.at(i, j - 1) - 2.0 * v + value.at(i, j + 1)) * inv_dy2
+                };
+                next[grid.index(i, j)] = v + dt
+                    * (b_x * grad_x
+                        + b_y * grad_y
+                        + stepper.diffusion_x * lap_x
+                        + stepper.diffusion_y * lap_y
+                        + source.at(i, j));
+            }
+        }
+        value.values_mut().copy_from_slice(&next);
+    }
+
+    #[test]
+    fn row_slice_substep_matches_per_cell_reference_to_0_ulp() {
+        for (nx, ny) in [(4, 4), (5, 7), (24, 48)] {
+            let grid = Grid2d::new(axis(1.0, 2.0, nx), axis(0.0, 1.0, ny));
+            let stepper = BackwardParabolic2d::new(0.003, 0.007).unwrap();
+            let bx = mixed_drift(&grid, 1);
+            let by = mixed_drift(&grid, 2);
+            let src = Field2d::from_fn(grid.clone(), |x, y| 3.0 * x - y * y);
+            let v0 = Field2d::from_values(
+                grid.clone(),
+                (0..grid.len())
+                    .map(|k| 5.0 * noise(3, k / ny, k % ny))
+                    .collect(),
+            )
+            .unwrap();
+            for n_sub in [1, 3] {
+                let (mut kernel, mut reference) = (v0.clone(), v0.clone());
+                let mut next = vec![0.0; grid.len()];
+                for _ in 0..n_sub {
+                    stepper.substep(&mut kernel, &bx, &by, &src, 0.004, &grid, &mut next);
+                    substep_reference(&stepper, &mut reference, &bx, &by, &src, 0.004);
+                }
+                for (k, (a, b)) in kernel.values().iter().zip(reference.values()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{nx}x{ny}, {n_sub} substeps, cell {k}: {a} vs {b}"
+                    );
+                }
             }
         }
     }

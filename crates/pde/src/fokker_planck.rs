@@ -197,6 +197,11 @@ impl FokkerPlanck2d {
         );
     }
 
+    /// One explicit sub-step over row slices (no per-cell index math).
+    /// Each face flux, and the order in which the fluxes accumulate into
+    /// a cell's `delta` (x-faces low then high, then y-faces low then
+    /// high, starting from 0.0), is exactly that of the per-cell
+    /// reference kept in the tests.
     fn substep(
         &self,
         density: &mut Field2d,
@@ -210,40 +215,40 @@ impl FokkerPlanck2d {
         let (dx, dy) = (grid.x().dx(), grid.y().dx());
         delta.fill(0.0);
 
-        // X-direction face fluxes between (i, j) and (i+1, j).
+        // X-direction face fluxes between rows i and i + 1.
         let scale_x = dt / dx;
+        let (lam, bx) = (density.values(), bx.values());
         for i in 0..nx - 1 {
+            let rows = i * ny..(i + 2) * ny;
+            let (lam_lo, lam_hi) = lam[rows.clone()].split_at(ny);
+            let (bx_lo, bx_hi) = bx[rows.clone()].split_at(ny);
+            let (d_lo, d_hi) = delta[rows].split_at_mut(ny);
             for j in 0..ny {
-                let b_face = 0.5 * (bx.at(i, j) + bx.at(i + 1, j));
-                let f = face_flux(
-                    b_face,
-                    density.at(i, j),
-                    density.at(i + 1, j),
-                    self.diffusion_x,
-                    dx,
-                );
-                delta[grid.index(i, j)] -= scale_x * f;
-                delta[grid.index(i + 1, j)] += scale_x * f;
+                let b_face = 0.5 * (bx_lo[j] + bx_hi[j]);
+                let f = face_flux(b_face, lam_lo[j], lam_hi[j], self.diffusion_x, dx);
+                d_lo[j] -= scale_x * f;
+                d_hi[j] += scale_x * f;
             }
         }
-        // Y-direction face fluxes between (i, j) and (i, j+1).
+        // Y-direction face fluxes between (i, j) and (i, j + 1); a row's
+        // delta is final after its y pass, so it is applied right away.
         let scale_y = dt / dy;
-        for i in 0..nx {
+        let rows = density
+            .values_mut()
+            .chunks_exact_mut(ny)
+            .zip(by.values().chunks_exact(ny))
+            .zip(delta.chunks_exact_mut(ny));
+        for ((lam_row, by_row), d_row) in rows {
+            let (by_row, d_row) = (&by_row[..ny], &mut d_row[..ny]);
             for j in 0..ny - 1 {
-                let b_face = 0.5 * (by.at(i, j) + by.at(i, j + 1));
-                let f = face_flux(
-                    b_face,
-                    density.at(i, j),
-                    density.at(i, j + 1),
-                    self.diffusion_y,
-                    dy,
-                );
-                delta[grid.index(i, j)] -= scale_y * f;
-                delta[grid.index(i, j + 1)] += scale_y * f;
+                let b_face = 0.5 * (by_row[j] + by_row[j + 1]);
+                let f = face_flux(b_face, lam_row[j], lam_row[j + 1], self.diffusion_y, dy);
+                d_row[j] -= scale_y * f;
+                d_row[j + 1] += scale_y * f;
             }
-        }
-        for (v, d) in density.values_mut().iter_mut().zip(delta.iter()) {
-            *v += d;
+            for (v, d) in lam_row.iter_mut().zip(d_row.iter()) {
+                *v += d;
+            }
         }
     }
 }
@@ -252,6 +257,7 @@ impl FokkerPlanck2d {
 mod tests {
     use super::*;
     use crate::axis::Axis;
+    use crate::testing::{mixed_drift, noise};
 
     fn axis(lo: f64, hi: f64, n: usize) -> Axis {
         Axis::new(lo, hi, n).unwrap()
@@ -401,6 +407,88 @@ mod tests {
             "dist {}",
             marg.sup_distance(&lam1)
         );
+    }
+
+    /// The per-cell form of [`FokkerPlanck2d`]'s sub-step, through
+    /// `Field2d::at` and `Grid2d::index`: the reference the row-slice
+    /// kernel must match bit for bit.
+    fn substep_reference(
+        fpk: &FokkerPlanck2d,
+        density: &mut Field2d,
+        bx: &Field2d,
+        by: &Field2d,
+        dt: f64,
+    ) {
+        let grid = density.grid().clone();
+        let (nx, ny) = (grid.x().len(), grid.y().len());
+        let (dx, dy) = (grid.x().dx(), grid.y().dx());
+        let mut delta = vec![0.0; grid.len()];
+        let scale_x = dt / dx;
+        for i in 0..nx - 1 {
+            for j in 0..ny {
+                let b_face = 0.5 * (bx.at(i, j) + bx.at(i + 1, j));
+                let f = face_flux(
+                    b_face,
+                    density.at(i, j),
+                    density.at(i + 1, j),
+                    fpk.diffusion_x,
+                    dx,
+                );
+                delta[grid.index(i, j)] -= scale_x * f;
+                delta[grid.index(i + 1, j)] += scale_x * f;
+            }
+        }
+        let scale_y = dt / dy;
+        for i in 0..nx {
+            for j in 0..ny - 1 {
+                let b_face = 0.5 * (by.at(i, j) + by.at(i, j + 1));
+                let f = face_flux(
+                    b_face,
+                    density.at(i, j),
+                    density.at(i, j + 1),
+                    fpk.diffusion_y,
+                    dy,
+                );
+                delta[grid.index(i, j)] -= scale_y * f;
+                delta[grid.index(i, j + 1)] += scale_y * f;
+            }
+        }
+        for (v, d) in density.values_mut().iter_mut().zip(delta.iter()) {
+            *v += d;
+        }
+    }
+
+    #[test]
+    fn row_slice_substep_matches_per_cell_reference_to_0_ulp() {
+        for (nx, ny) in [(4, 4), (5, 7), (24, 48)] {
+            let grid = Grid2d::new(axis(1.0, 2.0, nx), axis(0.0, 1.0, ny));
+            let fpk = FokkerPlanck2d::new(0.003, 0.007).unwrap();
+            let bx = mixed_drift(&grid, 1);
+            let by = mixed_drift(&grid, 2);
+            let mut lam0 = Field2d::from_values(
+                grid.clone(),
+                (0..grid.len())
+                    .map(|k| 1.0 + noise(3, k / ny, k % ny))
+                    .collect(),
+            )
+            .unwrap();
+            lam0.normalize();
+            for n_sub in [1, 3] {
+                let (mut kernel, mut reference) = (lam0.clone(), lam0.clone());
+                let mut delta = vec![0.0; grid.len()];
+                for _ in 0..n_sub {
+                    fpk.substep(&mut kernel, &bx, &by, 0.004, &grid, &mut delta);
+                    substep_reference(&fpk, &mut reference, &bx, &by, 0.004);
+                }
+                for (k, (a, b)) in kernel.values().iter().zip(reference.values()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{nx}x{ny}, {n_sub} substeps, cell {k}: {a} vs {b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

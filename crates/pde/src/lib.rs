@@ -60,6 +60,8 @@ mod ops;
 mod scratch;
 mod stability;
 mod telemetry;
+#[cfg(test)]
+mod testing;
 mod transfer;
 
 pub use axis::{Axis, Grid2d};
