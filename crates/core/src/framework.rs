@@ -1,62 +1,44 @@
-//! The per-epoch framework loop of Alg. 1.
+//! The per-epoch framework loop of Alg. 1: the workspace's one epoch
+//! driver.
 //!
 //! For each optimization epoch the EDP records the requests for every
 //! content, computes popularity (Eq. (3)) and timeliness (Def. 2), filters
 //! the content set `K'` to the contents actually worth caching (line 5),
 //! runs the best-response learning scheme per content (line 9, Alg. 2),
 //! and trades under the resulting policy (lines 11–14, executed by the
-//! finite-population simulator in `mfgcp-sim`).
+//! finite-population simulator in `mfgcp-sim`). [`Framework`] owns the
+//! solve half: the per-content fan-out over [`Params::worker_threads`],
+//! the telemetry forwarding, per-content sizes, and the occupancy-seeded
+//! mid-run reprice that the simulator's policy and the control plane
+//! share.
 //!
 //! `mfgcp-core` deliberately does not depend on the workload crate: epoch
 //! inputs arrive as plain [`ContentContext`] schedules, so any request
 //! source (synthetic, trace-driven, or the simulator's own bookkeeping)
 //! can drive the framework.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use mfgcp_obs::{MemorySink, RecorderHandle};
+use mfgcp_pde::Field2d;
+
 use crate::knapsack::{solve_fractional, CachePlan, KnapsackItem};
 use crate::mfg::{Equilibrium, MfgSolver};
 use crate::params::{CoreError, Params};
 use crate::utility::ContentContext;
 
-/// Static configuration of the framework loop.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrameworkConfig {
-    /// Skip contents with fewer expected requests per epoch than this
-    /// (the `Σ|I_k| > 0` filter of Alg. 1 line 5, made tolerance-friendly).
-    pub min_requests: f64,
-}
-
-impl Default for FrameworkConfig {
-    fn default() -> Self {
-        Self { min_requests: 1e-9 }
-    }
-}
-
-/// The outcome of optimizing one content in one epoch.
-#[derive(Debug, Clone)]
-pub struct EpochOutcome {
-    /// Which content this is (index into the epoch's context slice).
-    pub content: usize,
-    /// The mean-field equilibrium for this content.
-    pub equilibrium: Equilibrium,
-}
-
-impl EpochOutcome {
-    /// Accumulated average utility over the epoch.
-    pub fn utility(&self) -> f64 {
-        self.equilibrium.accumulated_utility()
-    }
-
-    /// Accumulated average trading income over the epoch.
-    pub fn trading_income(&self) -> f64 {
-        self.equilibrium.accumulated_trading_income()
-    }
-}
-
-/// Alg. 1 driver: one [`MfgSolver`] invocation per cached content per epoch.
+/// Alg. 1 driver: one [`MfgSolver`] invocation per demanded content per
+/// epoch.
 #[derive(Debug, Clone)]
 pub struct Framework {
     solver: MfgSolver,
-    config: FrameworkConfig,
+    /// Per-content sizes; empty = uniform at the solver's `q_size`.
+    content_sizes: Vec<f64>,
+    /// The run's recorder. `solver` itself never records: every solve
+    /// goes through [`Framework::solver_for`], which attaches this handle
+    /// (or, in `run_epoch`, a per-content buffer).
+    recorder: RecorderHandle,
 }
 
 impl Framework {
@@ -65,95 +47,52 @@ impl Framework {
     /// # Errors
     ///
     /// Propagates parameter-validation failures.
-    pub fn new(params: Params, config: FrameworkConfig) -> Result<Self, CoreError> {
+    pub fn new(params: Params) -> Result<Self, CoreError> {
         Ok(Self {
             solver: MfgSolver::new(params)?,
-            config,
+            content_sizes: Vec::new(),
+            recorder: RecorderHandle::noop(),
         })
     }
 
-    /// The underlying solver.
+    /// Use heterogeneous per-content sizes: content `k` is solved at
+    /// `Q_k = sizes[k]` (its own state range, threshold and economics).
+    #[must_use]
+    pub fn with_content_sizes(mut self, sizes: Vec<f64>) -> Self {
+        self.content_sizes = sizes;
+        self
+    }
+
+    /// Record every solve's telemetry on `recorder`. Solves are
+    /// bit-identical with recording on or off.
+    pub fn set_recorder(&mut self, recorder: RecorderHandle) {
+        self.recorder = recorder;
+    }
+
+    /// The shared solver (contents at the default size).
     pub fn solver(&self) -> &MfgSolver {
         &self.solver
     }
 
-    /// Run one epoch under a total caching-capacity budget (the knapsack
-    /// extension of §IV-C's Remark): solve every demanded content's MFG as
-    /// in [`Framework::run_epoch`], then derive the final plan by solving
-    /// the fractional knapsack over the per-content `(utility, storage)`
-    /// pairs. Returns the raw outcomes and the capacity plan (fractions
-    /// scale the equilibrium caching rates).
-    pub fn run_epoch_with_capacity(
-        &self,
-        contexts: &[ContentContext],
-        capacity: f64,
-    ) -> (Vec<Option<EpochOutcome>>, CachePlan) {
-        let outcomes = self.run_epoch(contexts);
-        let items: Vec<KnapsackItem> = outcomes
-            .iter()
-            .enumerate()
-            .map(|(k, o)| match o {
-                Some(out) => KnapsackItem::from_equilibrium(k, &out.equilibrium),
-                None => KnapsackItem {
-                    content: k,
-                    value: 0.0,
-                    weight: 0.0,
-                },
-            })
-            .collect();
-        let plan = solve_fractional(&items, capacity);
-        (outcomes, plan)
+    /// The `K'` filter of Alg. 1 line 5: a content is solved only when it
+    /// has demand.
+    fn demanded(ctx: &ContentContext) -> bool {
+        ctx.requests > 0.0
     }
 
-    /// Run a sequence of optimization epochs (the `σ ≤ σ_max` outer loop of
-    /// Alg. 1), *chaining the mean field across epochs*: content `k`'s
-    /// epoch-`σ+1` solve starts from its epoch-`σ` final density instead of
-    /// resetting to `λ(0)`. This is the rolling-horizon reading of the
-    /// paper's per-epoch optimization; combined with a positive
-    /// `terminal_value_weight` it removes both end-of-epoch artifacts.
-    ///
-    /// `epochs[σ][k]` is the context of content `k` in epoch `σ`; every
-    /// epoch must cover the same contents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if epochs have inconsistent content counts.
-    pub fn run_epochs(&self, epochs: &[Vec<ContentContext>]) -> Vec<Vec<Option<EpochOutcome>>> {
-        let Some(first) = epochs.first() else {
-            return Vec::new();
+    /// The solver for `content`, recording on `recorder`: the shared one,
+    /// or for a heterogeneous catalog a dedicated one at the content's own
+    /// size (and grid).
+    fn solver_for(&self, content: usize, recorder: RecorderHandle) -> Option<MfgSolver> {
+        let solver = match self.content_sizes.get(content) {
+            Some(&size) if size != self.solver.params().q_size => MfgSolver::new(Params {
+                q_size: size,
+                ..self.solver.params().clone()
+            })
+            .ok()?,
+            _ => self.solver.clone(),
         };
-        let k_contents = first.len();
-        let mut carried: Vec<Option<mfgcp_pde::Field2d>> = vec![None; k_contents];
-        let mut all = Vec::with_capacity(epochs.len());
-        for contexts in epochs {
-            assert_eq!(
-                contexts.len(),
-                k_contents,
-                "content count changed between epochs"
-            );
-            let outcomes: Vec<Option<EpochOutcome>> = contexts
-                .iter()
-                .enumerate()
-                .map(|(k, ctx)| {
-                    if ctx.requests < self.config.min_requests {
-                        return None;
-                    }
-                    let per_step = vec![*ctx; self.solver.params().time_steps];
-                    let equilibrium = self.solver.solve_with(&per_step, carried[k].clone());
-                    Some(EpochOutcome {
-                        content: k,
-                        equilibrium,
-                    })
-                })
-                .collect();
-            for (k, o) in outcomes.iter().enumerate() {
-                if let Some(out) = o {
-                    carried[k] = Some(out.equilibrium.density.last().expect("non-empty").clone());
-                }
-            }
-            all.push(outcomes);
-        }
-        all
+        Some(solver.with_recorder(recorder))
     }
 
     /// Run one optimization epoch.
@@ -165,24 +104,152 @@ impl Framework {
     /// filtered out of `K'` (no demand).
     ///
     /// The complexity is `O(K'·ψ_th)` — independent of `M`, the claim of
-    /// the Remark in §IV-C and of Table II.
-    pub fn run_epoch(&self, contexts: &[ContentContext]) -> Vec<Option<EpochOutcome>> {
-        contexts
+    /// the Remark in §IV-C and of Table II. The solves are independent
+    /// fixed points, so workers claim contents off a shared counter (solve
+    /// lengths differ) and each result lands at its content's index:
+    /// bit-identical for any thread count. With telemetry on, each solve
+    /// records into its own buffer, forwarded in content order after the
+    /// join so spans never interleave.
+    pub fn run_epoch(&self, contexts: &[ContentContext]) -> Vec<Option<Equilibrium>> {
+        let demanded: Vec<usize> = (0..contexts.len())
+            .filter(|&k| Self::demanded(&contexts[k]))
+            .collect();
+        let threads = match self.solver.params().worker_threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        }
+        .clamp(1, demanded.len().max(1));
+        // `Relaxed` suffices: the counter only hands out indices, and the
+        // results travel back through `join`.
+        let next = AtomicUsize::new(0);
+        let mut solved: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut out = Vec::new();
+                        while let Some(&k) = demanded.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            let buffer =
+                                self.recorder.enabled().then(|| Arc::new(MemorySink::new()));
+                            let recorder = buffer
+                                .clone()
+                                .map_or_else(RecorderHandle::noop, RecorderHandle::new);
+                            let per_step = vec![contexts[k]; self.solver.params().time_steps];
+                            let eq = self
+                                .solver_for(k, recorder)
+                                .map(|solver| solver.solve_with(&per_step, None));
+                            out.push((k, eq, buffer));
+                        }
+                        out
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("content solve panicked"))
+                .collect()
+        });
+        solved.sort_unstable_by_key(|&(k, ..)| k);
+        let mut equilibria = Vec::new();
+        equilibria.resize_with(contexts.len(), || None);
+        for (k, eq, buffer) in solved {
+            if let Some(buffer) = buffer {
+                self.recorder.forward(buffer.events());
+            }
+            equilibria[k] = eq;
+        }
+        equilibria
+    }
+
+    /// Run one epoch under a total caching-capacity budget (the knapsack
+    /// extension of §IV-C's Remark): solve every demanded content's MFG as
+    /// in [`Framework::run_epoch`], then derive the final plan by solving
+    /// the fractional knapsack over the per-content `(utility, storage)`
+    /// pairs. Returns the raw equilibria and the capacity plan (fractions
+    /// scale the equilibrium caching rates).
+    pub fn run_epoch_with_capacity(
+        &self,
+        contexts: &[ContentContext],
+        capacity: f64,
+    ) -> (Vec<Option<Equilibrium>>, CachePlan) {
+        let equilibria = self.run_epoch(contexts);
+        let items: Vec<KnapsackItem> = equilibria
             .iter()
             .enumerate()
-            .map(|(k, ctx)| {
-                if ctx.requests < self.config.min_requests {
-                    return None;
-                }
-                let per_step = vec![*ctx; self.solver.params().time_steps];
-                let equilibrium = self.solver.solve_with(&per_step, None);
-                Some(EpochOutcome {
+            .map(|(k, eq)| match eq {
+                Some(eq) => KnapsackItem::from_equilibrium(k, eq),
+                None => KnapsackItem {
                     content: k,
-                    equilibrium,
-                })
+                    value: 0.0,
+                    weight: 0.0,
+                },
             })
-            .collect()
+            .collect();
+        let plan = solve_fractional(&items, capacity);
+        (equilibria, plan)
     }
+
+    /// Re-solve `content` mid-run from live population state: Alg. 2
+    /// seeded with [`seed_density_from_occupancy`] over `occupancy`,
+    /// warm-started from `stale` — the `(policy, density)` trajectories of
+    /// a previous equilibrium for this content — when given, cold
+    /// otherwise. Returns `None` for an undemanded content or a size the
+    /// parameters reject.
+    pub fn reprice(
+        &self,
+        content: usize,
+        ctx: &ContentContext,
+        occupancy: &[f64],
+        stale: Option<(&[Field2d], &[Field2d])>,
+    ) -> Option<Equilibrium> {
+        if !Self::demanded(ctx) {
+            return None;
+        }
+        let solver = self.solver_for(content, self.recorder.clone())?;
+        let per_step = vec![*ctx; solver.params().time_steps];
+        let initial = seed_density_from_occupancy(&solver.initial_density(), occupancy);
+        Some(match stale {
+            Some((policy, density)) => {
+                solver.solve_from(&per_step, policy, Some(density), Some(&initial))
+            }
+            None => solver.solve_with(&per_step, Some(initial)),
+        })
+    }
+}
+
+/// Product density on the solver grid seeding a mid-run (re)solve from
+/// live population state: the base density's `h`-marginal (the run's
+/// fading statistics are stationary, so the §V-A marginal is the right
+/// prior) times the empirical distribution of the live per-EDP occupancy
+/// column, normalized to unit mass. Falls back to the base density when
+/// the occupancy column is empty.
+pub fn seed_density_from_occupancy(base: &Field2d, occupancy: &[f64]) -> Field2d {
+    if occupancy.is_empty() {
+        return base.clone();
+    }
+    let grid = base.grid().clone();
+    let (nx, ny) = (grid.x().len(), grid.y().len());
+    // h-marginal of the base density: f(h_i) = Σ_j λ(h_i, q_j) dq.
+    let mut fh = vec![0.0; nx];
+    for (i, f) in fh.iter_mut().enumerate() {
+        for j in 0..ny {
+            *f += base.at(i, j);
+        }
+    }
+    // Empirical occupancy mass per q-cell (nearest-node binning).
+    let mut gq = vec![0.0; ny];
+    for &q in occupancy {
+        if q.is_finite() {
+            gq[grid.y().nearest(q)] += 1.0;
+        }
+    }
+    let mut out = Field2d::zeros(grid);
+    for (i, &f) in fh.iter().enumerate() {
+        for (j, &g) in gq.iter().enumerate() {
+            out.set(i, j, f * g);
+        }
+    }
+    out.normalize();
+    out
 }
 
 #[cfg(test)]
@@ -201,7 +268,7 @@ mod tests {
 
     #[test]
     fn epoch_skips_undemanded_contents() {
-        let fw = Framework::new(tiny_params(), FrameworkConfig::default()).unwrap();
+        let fw = Framework::new(tiny_params()).unwrap();
         let contexts = vec![
             ContentContext {
                 requests: 10.0,
@@ -221,22 +288,23 @@ mod tests {
 
     #[test]
     fn demanded_contents_earn_positive_utility() {
-        let fw = Framework::new(tiny_params(), FrameworkConfig::default()).unwrap();
+        let fw = Framework::new(tiny_params()).unwrap();
         let contexts = vec![ContentContext {
             requests: 10.0,
             popularity: 0.4,
             urgency_factor: 0.1,
         }];
         let outcomes = fw.run_epoch(&contexts);
-        let out = outcomes[0].as_ref().unwrap();
-        assert_eq!(out.content, 0);
-        assert!(out.utility() > 0.0);
-        assert!(out.trading_income() > 0.0);
+        // Equilibria land at their content's index.
+        assert_eq!(outcomes.len(), 1);
+        let eq = outcomes[0].as_ref().unwrap();
+        assert!(eq.accumulated_utility() > 0.0);
+        assert!(eq.accumulated_trading_income() > 0.0);
     }
 
     #[test]
     fn capacity_budget_prunes_the_plan() {
-        let fw = Framework::new(tiny_params(), FrameworkConfig::default()).unwrap();
+        let fw = Framework::new(tiny_params()).unwrap();
         let contexts = vec![
             ContentContext {
                 requests: 20.0,
@@ -266,56 +334,8 @@ mod tests {
     }
 
     #[test]
-    fn rolling_epochs_chain_the_density() {
-        let fw = Framework::new(tiny_params(), FrameworkConfig::default()).unwrap();
-        let ctx = ContentContext {
-            requests: 10.0,
-            popularity: 0.4,
-            urgency_factor: 0.05,
-        };
-        let epochs = vec![vec![ctx], vec![ctx], vec![ctx]];
-        let all = fw.run_epochs(&epochs);
-        assert_eq!(all.len(), 3);
-        // Epoch 1 starts where epoch 0 ended (the chained mean field),
-        // not at the λ(0) prior.
-        let end_of_0 = all[0][0]
-            .as_ref()
-            .unwrap()
-            .equilibrium
-            .mean_remaining_space()
-            .last()
-            .copied()
-            .unwrap();
-        let start_of_1 = all[1][0]
-            .as_ref()
-            .unwrap()
-            .equilibrium
-            .mean_remaining_space()[0];
-        assert!(
-            (end_of_0 - start_of_1).abs() < 1e-9,
-            "epoch 1 start {start_of_1} vs epoch 0 end {end_of_0}"
-        );
-        // And differs from the fresh-prior start of epoch 0.
-        let start_of_0 = all[0][0]
-            .as_ref()
-            .unwrap()
-            .equilibrium
-            .mean_remaining_space()[0];
-        assert!(
-            (start_of_1 - start_of_0).abs() > 1e-3,
-            "chaining had no effect"
-        );
-    }
-
-    #[test]
-    fn rolling_epochs_handle_empty_input() {
-        let fw = Framework::new(tiny_params(), FrameworkConfig::default()).unwrap();
-        assert!(fw.run_epochs(&[]).is_empty());
-    }
-
-    #[test]
     fn more_popular_content_earns_more() {
-        let fw = Framework::new(tiny_params(), FrameworkConfig::default()).unwrap();
+        let fw = Framework::new(tiny_params()).unwrap();
         let contexts = vec![
             ContentContext {
                 requests: 20.0,
@@ -329,8 +349,8 @@ mod tests {
             },
         ];
         let outcomes = fw.run_epoch(&contexts);
-        let hot = outcomes[0].as_ref().unwrap().utility();
-        let cold = outcomes[1].as_ref().unwrap().utility();
+        let hot = outcomes[0].as_ref().unwrap().accumulated_utility();
+        let cold = outcomes[1].as_ref().unwrap().accumulated_utility();
         assert!(hot > cold, "hot {hot} vs cold {cold}");
     }
 }

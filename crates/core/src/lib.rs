@@ -21,7 +21,9 @@
 //!   Picard relaxation implementing the contraction of Thm. 2;
 //! * the capacity-constrained knapsack extension of §IV-C's Remark
 //!   (`knapsack`);
-//! * the per-epoch framework loop of Alg. 1 (`framework`);
+//! * the per-epoch framework loop of Alg. 1 (`framework`): the one epoch
+//!   driver, fanning the per-content solves out over worker threads, and
+//!   the occupancy-seeded mid-run reprice;
 //! * a reduced 1-D (`q`-only) solver for ablations (`reduced`).
 //!
 //! ## Unit conventions
@@ -76,7 +78,7 @@ pub use cases::CaseProbabilities;
 pub use diag::ConvergenceReport;
 pub use estimator::{MeanFieldEstimator, MeanFieldSnapshot};
 pub use fpk::{FpkScratch, FpkSolver};
-pub use framework::{EpochOutcome, Framework, FrameworkConfig};
+pub use framework::{seed_density_from_occupancy, Framework};
 pub use hjb::{HjbScratch, HjbSolution, HjbSolver};
 pub use knapsack::{solve_01, solve_fractional, CachePlan, KnapsackItem};
 pub use mfg::{Equilibrium, MfgSolver, PreparedSlot, SolveMethod, SolveWorkspace};

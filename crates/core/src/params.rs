@@ -163,7 +163,7 @@ pub struct Params {
     /// Picard relaxation weight `ω ∈ (0, 1]` mixing successive policies.
     pub relaxation: f64,
     /// Worker threads an epoch's per-content equilibrium solves fan out
-    /// over (`MfgCpPolicy::prepare_epoch` in `mfgcp-sim`); `0` = one per
+    /// over (`Framework::run_epoch`, the Alg. 1 driver); `0` = one per
     /// available core. A single solve always runs on one thread, and each
     /// content's solve is a pure function of its inputs, so results are
     /// bit-identical for any value. Not part of the canonical encoding:

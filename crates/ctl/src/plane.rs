@@ -13,13 +13,11 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use mfgcp_core::{ContentContext, MfgSolver, Params};
+use mfgcp_core::{ContentContext, Framework, Params};
 use mfgcp_obs::json::Json;
 use mfgcp_obs::BroadcastSink;
 use mfgcp_pde::Field2d;
-use mfgcp_sim::{
-    seed_density_from_occupancy, EngineControl, Histogram, PreparedEquilibrium, SimSnapshot,
-};
+use mfgcp_sim::{EngineControl, Histogram, PreparedEquilibrium, SimSnapshot};
 
 /// Gate flags as seen by [`ControlPlane::gate_status`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,7 +178,7 @@ impl ControlPlane {
             let outcome = run_fork(&params, &snap.occupancy);
             plane.forks.entries.lock().unwrap().insert(id, outcome);
         });
-        self.forks.threads.lock().unwrap().push(handle);
+        retain_live(&self.forks.threads, handle);
         Some(id)
     }
 
@@ -194,20 +192,17 @@ impl ControlPlane {
     /// the `0x2B` verb.
     ///
     /// # Errors
-    /// When no snapshot has been published yet, or the run's parameters
-    /// cannot rebuild a solver.
+    /// When no snapshot has been published yet, the run's parameters
+    /// cannot rebuild a solver, or their nominal demand is zero.
     pub fn reprice(&self) -> Result<Json, String> {
         let snap = self.latest().ok_or_else(|| "no snapshot yet".to_string())?;
-        let solver = MfgSolver::new(self.params.clone()).map_err(|e| e.to_string())?;
-        let contexts = vec![ContentContext::from_params(&self.params); self.params.time_steps];
-        let initial = seed_density_from_occupancy(&solver.initial_density(), &snap.occupancy);
+        let framework = Framework::new(self.params.clone()).map_err(|e| e.to_string())?;
+        let ctx = ContentContext::from_params(&self.params);
         let warm = self.reprice_cache.lock().unwrap().take();
-        let eq = match &warm {
-            Some((policy, density)) => {
-                solver.solve_from(&contexts, policy, Some(density), Some(&initial))
-            }
-            None => solver.solve_with(&contexts, Some(initial)),
-        };
+        let stale = warm.as_ref().map(|(p, d)| (p.as_slice(), d.as_slice()));
+        let eq = framework
+            .reprice(0, &ctx, &snap.occupancy, stale)
+            .ok_or_else(|| "content 0 has no demand".to_string())?;
         *self.reprice_cache.lock().unwrap() = Some((eq.policy.clone(), eq.density.clone()));
         let reply = Json::Obj(vec![
             ("content".to_string(), Json::Num(0.0)),
@@ -240,13 +235,7 @@ impl ControlPlane {
 
     /// Block until every fork thread has finished (shutdown path).
     pub fn join_forks(&self) {
-        let threads: Vec<JoinHandle<()>> = {
-            let mut guard = self.forks.threads.lock().unwrap();
-            guard.drain(..).collect()
-        };
-        for t in threads {
-            let _ = t.join();
-        }
+        join_all(&self.forks.threads);
     }
 
     /// Render the gate/stream status as the JSON document of the `0x29`
@@ -305,13 +294,14 @@ impl EngineControl for ControlPlane {
 /// The detached what-if solve: §V-A fading marginal × empirical
 /// occupancy histogram as the initial density, then Alg. 2 as usual.
 fn run_fork(params: &Params, occupancy: &[f64]) -> ForkOutcome {
-    let solver = match MfgSolver::new(params.clone()) {
-        Ok(s) => s,
+    let ctx = ContentContext::from_params(params);
+    let eq = match Framework::new(params.clone()) {
+        Ok(framework) => framework.reprice(0, &ctx, occupancy, None),
         Err(e) => return ForkOutcome::Failed(e.to_string()),
     };
-    let contexts = vec![ContentContext::from_params(params); params.time_steps];
-    let initial = seed_density_from_occupancy(&solver.initial_density(), occupancy);
-    let eq = solver.solve_with(&contexts, Some(initial));
+    let Some(eq) = eq else {
+        return ForkOutcome::Failed("content 0 has no demand".to_string());
+    };
     let mass_drift = eq
         .mass_series()
         .iter()
@@ -322,6 +312,22 @@ fn run_fork(params: &Params, occupancy: &[f64]) -> ForkOutcome {
         iterations: eq.report.iterations,
         price0: eq.price_at(0.0),
         mass_drift,
+    }
+}
+
+/// Keep `handle`, first dropping the handles of threads that have
+/// already finished, so a long-lived server retains only live threads.
+pub(crate) fn retain_live(handles: &Mutex<Vec<JoinHandle<()>>>, handle: JoinHandle<()>) {
+    let mut handles = handles.lock().unwrap();
+    handles.retain(|h| !h.is_finished());
+    handles.push(handle);
+}
+
+/// Join every retained thread (shutdown path).
+pub(crate) fn join_all(handles: &Mutex<Vec<JoinHandle<()>>>) {
+    let drained: Vec<JoinHandle<()>> = handles.lock().unwrap().drain(..).collect();
+    for h in drained {
+        let _ = h.join();
     }
 }
 
@@ -525,5 +531,39 @@ mod tests {
             warm_its <= cold_its,
             "warm reprice took {warm_its} iterations vs cold {cold_its}"
         );
+    }
+
+    /// The policy's reprice with nothing prepared and the plane's first
+    /// reprice are one seeded cold solve: bit-identical equilibria.
+    #[test]
+    fn policy_and_plane_cold_reprices_are_bit_identical() {
+        use mfgcp_sim::{baselines::MfgCpPolicy, CachingPolicy};
+
+        let plane = test_plane();
+        let p = plane.params.clone();
+        let occ = vec![0.2, 0.5, 0.8, 1.0];
+        plane.at_slot_boundary(snapshot(occ.clone()));
+        plane.reprice().expect("cold reprice");
+        let staged = plane.take_prepared_equilibrium().unwrap().equilibrium;
+        let policy = MfgCpPolicy::new(p.clone()).unwrap();
+        let direct = policy
+            .reprice(0, &ContentContext::from_params(&p), &occ)
+            .unwrap();
+
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (a, b) = (&direct.report, &staged.report);
+        assert_eq!((a.converged, a.iterations), (b.converged, b.iterations));
+        assert_eq!(bits(&a.residuals), bits(&b.residuals));
+        assert_eq!(bits(&a.update_norms), bits(&b.update_norms));
+        for (what, x, y) in [
+            ("policy", &direct.policy, &staged.policy),
+            ("density", &direct.density, &staged.density),
+            ("values", &direct.values, &staged.values),
+        ] {
+            assert_eq!(x.len(), y.len(), "{what} length");
+            for (n, (f, g)) in x.iter().zip(y).enumerate() {
+                assert_eq!(bits(f.values()), bits(g.values()), "{what} step {n}");
+            }
+        }
     }
 }

@@ -26,9 +26,9 @@ use std::time::Duration;
 use mfgcp_core::Params;
 use mfgcp_obs::{BroadcastSink, Subscription, SubscriptionFilter};
 use mfgcp_serve::wire::{linger_close, read_frame, write_frame, ConnectionRegistry};
-use mfgcp_serve::{ErrorCode, WireError, MAX_FRAME_LEN};
+use mfgcp_serve::{ErrorCode, FrameReadError, WireError, MAX_FRAME_LEN};
 
-use crate::plane::{fork_json, snapshot_json, ControlPlane};
+use crate::plane::{fork_json, join_all, retain_live, snapshot_json, ControlPlane};
 use crate::protocol::{CtlReply, CtlRequest};
 
 /// How often the writer wakes to drain stream events when idle.
@@ -96,7 +96,7 @@ impl CtlServer {
                     let worker = std::thread::spawn(move || {
                         serve_connection(stream, token, plane, closing, registry, addr_for_poke);
                     });
-                    workers.lock().unwrap().push(worker);
+                    retain_live(&workers, worker);
                 }
             })
         };
@@ -135,13 +135,7 @@ impl CtlServer {
         }
         // Writers notice `closing` within one poll tick, drain their
         // queues, half-close, and exit; join them all.
-        let workers: Vec<JoinHandle<()>> = {
-            let mut guard = self.workers.lock().unwrap();
-            guard.drain(..).collect()
-        };
-        for w in workers {
-            let _ = w.join();
-        }
+        join_all(&self.workers);
         // Anything still registered (raced the drain) is closed hard.
         self.registry.drain();
         self.plane.sink().close_all();
@@ -175,13 +169,22 @@ fn serve_connection(
             registry.deregister(token);
             return;
         };
-        std::thread::spawn(move || {
-            // Clean EOF or a framing-level failure: the connection is
-            // done reading either way.
-            while let Ok(Some(payload)) = read_frame(&mut rstream, MAX_FRAME_LEN) {
-                if tx.send(CtlRequest::decode(&payload)).is_err() {
-                    break;
-                }
+        std::thread::spawn(move || loop {
+            let decoded = match read_frame(&mut rstream, MAX_FRAME_LEN) {
+                Ok(Some(payload)) => CtlRequest::decode(&payload),
+                // The unread payload would desynchronize the stream: the
+                // writer replies with the typed error, then closes.
+                Err(FrameReadError::TooLong { declared, max }) => Err(WireError::new(
+                    ErrorCode::FrameTooLong,
+                    format!("frame length {declared} exceeds maximum {max}"),
+                )),
+                // Clean EOF or another framing-level failure: the
+                // connection is done reading either way.
+                _ => break,
+            };
+            let too_long = matches!(&decoded, Err(e) if e.code == ErrorCode::FrameTooLong);
+            if tx.send(decoded).is_err() || too_long {
+                break;
             }
         })
     };
@@ -205,7 +208,11 @@ fn serve_connection(
                             code: e.code,
                             message: e.message,
                         },
-                        Next::Continue,
+                        if e.code == ErrorCode::FrameTooLong {
+                            Next::CloseConnection
+                        } else {
+                            Next::Continue
+                        },
                     ),
                 };
                 if write_frame(&mut stream, &reply.encode()).is_err() {
@@ -387,5 +394,71 @@ fn handle_request(
             )])),
             Next::CloseConnection,
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Instant;
+
+    use super::*;
+
+    fn spawn_server() -> CtlServer {
+        let params = mfgcp_sim::SimConfig::small().params;
+        CtlServer::spawn("127.0.0.1:0", params, Arc::new(BroadcastSink::new()), false).unwrap()
+    }
+
+    /// One reply frame, after which the server must close the connection.
+    fn reply_then_eof(peer: &mut TcpStream) -> CtlReply {
+        let payload = read_frame(peer, MAX_FRAME_LEN).unwrap().expect("reply");
+        let eof = read_frame(peer, MAX_FRAME_LEN).expect("eof");
+        assert!(eof.is_none(), "server should close after the reply");
+        CtlReply::decode(&payload).expect("decodable reply")
+    }
+
+    fn all_finished(handles: &Mutex<Vec<JoinHandle<()>>>) -> bool {
+        handles.lock().unwrap().iter().all(JoinHandle::is_finished)
+    }
+
+    #[test]
+    fn detached_observers_leave_at_most_one_worker_handle() {
+        let server = spawn_server();
+        for cycle in 0..20 {
+            let mut peer = TcpStream::connect(server.local_addr()).unwrap();
+            write_frame(&mut peer, &CtlRequest::Detach.encode()).unwrap();
+            assert!(matches!(reply_then_eof(&mut peer), CtlReply::Ok(_)));
+            drop(peer);
+            // The peer has closed; wait for its worker to exit, so the
+            // next accept finds only finished handles to reap.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !server.registry.is_empty() || !all_finished(&server.workers) {
+                assert!(Instant::now() < deadline, "cycle {cycle}: worker hangs");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let retained = server.workers.lock().unwrap().len();
+            assert!(retained <= 1, "cycle {cycle}: {retained} handles retained");
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversize_length_prefix_gets_a_typed_reply_then_close() {
+        let server = spawn_server();
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
+        match reply_then_eof(&mut raw) {
+            CtlReply::Error {
+                code: ErrorCode::FrameTooLong,
+                ..
+            } => {}
+            other => panic!("expected FrameTooLong error, got {other:?}"),
+        }
+        // The server stays up for well-formed peers.
+        let mut fresh = TcpStream::connect(server.local_addr()).unwrap();
+        write_frame(&mut fresh, &CtlRequest::Ping.encode()).unwrap();
+        let pong = read_frame(&mut fresh, MAX_FRAME_LEN).unwrap().unwrap();
+        assert!(matches!(CtlReply::decode(&pong), Ok(CtlReply::Pong)));
+        drop(fresh);
+        server.shutdown();
     }
 }

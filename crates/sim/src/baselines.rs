@@ -9,34 +9,25 @@
 //! interference, without considering the pricing issue and content
 //! sharing").
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
 use rand::RngExt as _;
 
-use mfgcp_core::{ContentContext, Equilibrium, MfgSolver, Params};
-use mfgcp_obs::{MemorySink, RecorderHandle};
+use mfgcp_core::{ContentContext, Equilibrium, Framework, Params};
+use mfgcp_obs::RecorderHandle;
 use mfgcp_sde::SimRng;
 
 use crate::policy::{CachingPolicy, DecisionContext};
-use crate::snapshot::seed_density_from_occupancy;
 use crate::SimError;
 
 /// MFG-CP (Alg. 1 + Alg. 2): at each epoch, solve one mean-field
 /// equilibrium per demanded content; every EDP then reads its caching rate
 /// off the shared equilibrium policy surface at its own local state —
 /// no inter-EDP communication, exactly the paper's decentralization claim.
+/// A thin adapter over the core [`Framework`] driver.
 pub struct MfgCpPolicy {
-    solver: MfgSolver,
+    framework: Framework,
     equilibria: Vec<Option<Equilibrium>>,
-    /// Per-content sizes; empty = uniform at the solver's `q_size`.
-    content_sizes: Vec<f64>,
     sharing: bool,
     name: &'static str,
-    /// The run's recorder. `solver` itself never records: every solve
-    /// goes through [`MfgCpPolicy::solver_for`], which attaches this
-    /// handle (or, in `prepare_epoch`, a per-content buffer).
-    recorder: RecorderHandle,
 }
 
 impl MfgCpPolicy {
@@ -47,12 +38,10 @@ impl MfgCpPolicy {
     /// Propagates parameter validation failures.
     pub fn new(params: Params) -> Result<Self, SimError> {
         Ok(Self {
-            solver: MfgSolver::new(params)?,
+            framework: Framework::new(params)?,
             equilibria: Vec::new(),
-            content_sizes: Vec::new(),
             sharing: true,
             name: "MFG-CP",
-            recorder: RecorderHandle::noop(),
         })
     }
 
@@ -69,12 +58,9 @@ impl MfgCpPolicy {
             ..params
         };
         Ok(Self {
-            solver: MfgSolver::new(no_share)?,
-            equilibria: Vec::new(),
-            content_sizes: Vec::new(),
             sharing: false,
             name: "MFG",
-            recorder: RecorderHandle::noop(),
+            ..Self::new(no_share)?
         })
     }
 
@@ -82,23 +68,8 @@ impl MfgCpPolicy {
     /// `Q_k = sizes[k]` (its own state range, threshold and economics).
     #[must_use]
     pub fn with_content_sizes(mut self, sizes: Vec<f64>) -> Self {
-        self.content_sizes = sizes;
+        self.framework = self.framework.with_content_sizes(sizes);
         self
-    }
-
-    /// The solver for `content`, recording on `recorder`: the shared one,
-    /// or for a heterogeneous catalog a dedicated one at the content's own
-    /// size (and grid).
-    fn solver_for(&self, content: usize, recorder: RecorderHandle) -> Option<MfgSolver> {
-        let solver = match self.content_sizes.get(content) {
-            Some(&size) if size != self.solver.params().q_size => MfgSolver::new(Params {
-                q_size: size,
-                ..self.solver.params().clone()
-            })
-            .ok()?,
-            _ => self.solver.clone(),
-        };
-        Some(solver.with_recorder(recorder))
     }
 
     /// The equilibrium for `content`, if one was computed this epoch.
@@ -117,66 +88,14 @@ impl CachingPolicy for MfgCpPolicy {
     }
 
     fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder = recorder;
+        self.framework.set_recorder(recorder);
     }
 
     fn prepare_epoch(&mut self, contexts: &[ContentContext]) {
         // Nothing below reads the previous epoch's equilibria: dropping
         // them first keeps one epoch's set resident instead of two.
         self.equilibria.clear();
-        // One equilibrium per demanded content (the K' filter of Alg. 1
-        // line 5); complexity independent of M (Table II). The solves are
-        // independent fixed points, so workers claim contents off a shared
-        // counter (solve lengths differ) and each result lands at its
-        // content's index: bit-identical for any thread count. With
-        // telemetry on, each solve records into its own buffer, forwarded
-        // in content order after the join so spans never interleave.
-        let demanded: Vec<usize> = (0..contexts.len())
-            .filter(|&k| contexts[k].requests > 0.0)
-            .collect();
-        let threads = match self.solver.params().worker_threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        }
-        .clamp(1, demanded.len().max(1));
-        // `Relaxed` suffices: the counter only hands out indices, and the
-        // results travel back through `join`.
-        let next = AtomicUsize::new(0);
-        let this = &*self;
-        let mut solved: Vec<_> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out = Vec::new();
-                        while let Some(&k) = demanded.get(next.fetch_add(1, Ordering::Relaxed)) {
-                            let buffer =
-                                this.recorder.enabled().then(|| Arc::new(MemorySink::new()));
-                            let recorder = buffer
-                                .clone()
-                                .map_or_else(RecorderHandle::noop, RecorderHandle::new);
-                            let per_step = vec![contexts[k]; this.solver.params().time_steps];
-                            let eq = this
-                                .solver_for(k, recorder)
-                                .map(|solver| solver.solve_with(&per_step, None));
-                            out.push((k, eq, buffer));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("content solve panicked"))
-                .collect()
-        });
-        solved.sort_unstable_by_key(|&(k, ..)| k);
-        self.equilibria.resize_with(contexts.len(), || None);
-        for (k, eq, buffer) in solved {
-            if let Some(buffer) = buffer {
-                self.recorder.forward(buffer.events());
-            }
-            self.equilibria[k] = eq;
-        }
+        self.equilibria = self.framework.run_epoch(contexts);
     }
 
     fn prepared_equilibria(&self) -> Vec<(usize, &Equilibrium)> {
@@ -193,23 +112,12 @@ impl CachingPolicy for MfgCpPolicy {
         ctx: &ContentContext,
         occupancy: &[f64],
     ) -> Option<Equilibrium> {
-        if ctx.requests <= 0.0 {
-            return None;
-        }
-        let solver = self.solver_for(content, self.recorder.clone())?;
-        let per_step = vec![*ctx; solver.params().time_steps];
-        let initial = seed_density_from_occupancy(&solver.initial_density(), occupancy);
-        match self.equilibrium(content) {
-            // Warm start (Alg. 2 from the stale fixed point) — the cheap
-            // path the perf bar gates.
-            Some(stale) => Some(solver.solve_from(
-                &per_step,
-                &stale.policy,
-                Some(&stale.density),
-                Some(&initial),
-            )),
-            None => Some(solver.solve_with(&per_step, Some(initial))),
-        }
+        // Warm from the stale fixed point when this epoch solved the
+        // content — the cheap path the perf bar gates.
+        let stale = self
+            .equilibrium(content)
+            .map(|eq| (eq.policy.as_slice(), eq.density.as_slice()));
+        self.framework.reprice(content, ctx, occupancy, stale)
     }
 
     fn install_equilibrium(&mut self, content: usize, equilibrium: Equilibrium) -> bool {
@@ -221,7 +129,7 @@ impl CachingPolicy for MfgCpPolicy {
     }
 
     fn decide(&self, ctx: &DecisionContext, _rng: &mut SimRng) -> f64 {
-        match self.equilibria.get(ctx.content).and_then(Option::as_ref) {
+        match self.equilibrium(ctx.content) {
             Some(eq) => eq.policy_at(ctx.t_in_epoch, ctx.h, ctx.q),
             None => 0.0,
         }
@@ -328,7 +236,10 @@ impl CachingPolicy for Udcs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mfgcp_core::MfgSolver;
+    use mfgcp_obs::MemorySink;
     use mfgcp_sde::seeded_rng;
+    use std::sync::Arc;
 
     fn ctx(rank: usize, q: f64) -> DecisionContext {
         DecisionContext {
@@ -604,6 +515,6 @@ mod tests {
         let p = MfgCpPolicy::without_sharing(small_params()).unwrap();
         assert_eq!(p.name(), "MFG");
         assert!(!p.allows_sharing());
-        assert_eq!(p.solver.params().p_bar, 0.0);
+        assert_eq!(p.framework.solver().params().p_bar, 0.0);
     }
 }

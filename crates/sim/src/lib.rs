@@ -62,10 +62,7 @@ pub use engine::{SimReport, Simulation};
 pub use market::{resolve_trade, MarketOutcome, TradeCase};
 pub use metrics::{EdpMetrics, SlotMetrics};
 pub use policy::{CachingPolicy, DecisionContext};
-pub use snapshot::{
-    seed_density_from_occupancy, EngineControl, Histogram, PreparedEquilibrium, SimSnapshot,
-    SNAPSHOT_BINS,
-};
+pub use snapshot::{EngineControl, Histogram, PreparedEquilibrium, SimSnapshot, SNAPSHOT_BINS};
 
 /// Errors from simulator construction.
 #[derive(Debug, Clone, PartialEq)]

@@ -27,7 +27,6 @@
 use mfgcp_check::AuditStatus;
 use mfgcp_core::Equilibrium;
 use mfgcp_net::ShardStats;
-use mfgcp_pde::Field2d;
 
 use crate::metrics::SlotMetrics;
 
@@ -165,43 +164,6 @@ pub trait EngineControl: Send + Sync {
     fn take_prepared_equilibrium(&self) -> Option<PreparedEquilibrium> {
         None
     }
-}
-
-/// Product density on the solver grid seeding a mid-run (re)solve from
-/// live population state: the base density's `h`-marginal (the run's
-/// fading statistics are stationary, so the §V-A marginal is the right
-/// prior) times the empirical distribution of the live per-EDP occupancy
-/// column, normalized to unit mass. Falls back to the base density when
-/// the occupancy column is empty. Shared by the control plane's seed
-/// forks and the engine's repricing hook.
-pub fn seed_density_from_occupancy(base: &Field2d, occupancy: &[f64]) -> Field2d {
-    if occupancy.is_empty() {
-        return base.clone();
-    }
-    let grid = base.grid().clone();
-    let (nx, ny) = (grid.x().len(), grid.y().len());
-    // h-marginal of the base density: f(h_i) = Σ_j λ(h_i, q_j) dq.
-    let mut fh = vec![0.0; nx];
-    for (i, f) in fh.iter_mut().enumerate() {
-        for j in 0..ny {
-            *f += base.at(i, j);
-        }
-    }
-    // Empirical occupancy mass per q-cell (nearest-node binning).
-    let mut gq = vec![0.0; ny];
-    for &q in occupancy {
-        if q.is_finite() {
-            gq[grid.y().nearest(q)] += 1.0;
-        }
-    }
-    let mut out = Field2d::zeros(grid);
-    for (i, &f) in fh.iter().enumerate() {
-        for (j, &g) in gq.iter().enumerate() {
-            out.set(i, j, f * g);
-        }
-    }
-    out.normalize();
-    out
 }
 
 #[cfg(test)]

@@ -31,16 +31,13 @@ fn main() {
         .collect();
 
     println!("Solving one MFG equilibrium per content (Alg. 1 epoch)...\n");
-    let framework = Framework::new(params, FrameworkConfig::default()).unwrap();
+    let framework = Framework::new(params).unwrap();
     let outcomes = framework.run_epoch(&contexts);
 
     let items: Vec<KnapsackItem> = outcomes
         .iter()
         .enumerate()
-        .filter_map(|(k, o)| {
-            o.as_ref()
-                .map(|out| KnapsackItem::from_equilibrium(k, &out.equilibrium))
-        })
+        .filter_map(|(k, eq)| eq.as_ref().map(|eq| KnapsackItem::from_equilibrium(k, eq)))
         .collect();
 
     println!(

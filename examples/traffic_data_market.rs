@@ -38,16 +38,12 @@ fn main() {
         traffic.urgency_factor, news.urgency_factor
     );
 
-    let framework =
-        Framework::new(params.clone(), FrameworkConfig::default()).expect("valid parameters");
+    let framework = Framework::new(params.clone()).expect("valid parameters");
     println!("Running one Alg. 1 epoch over the two contents...");
     let outcomes = framework.run_epoch(&[traffic, news]);
 
-    let traffic_eq = &outcomes[0]
-        .as_ref()
-        .expect("traffic is demanded")
-        .equilibrium;
-    let news_eq = &outcomes[1].as_ref().expect("news is demanded").equilibrium;
+    let traffic_eq = outcomes[0].as_ref().expect("traffic is demanded");
+    let news_eq = outcomes[1].as_ref().expect("news is demanded");
 
     println!("\nMean remaining space over the epoch (lower = more cached):");
     println!("{:>6} {:>10} {:>10}", "t", "traffic", "news");

@@ -101,7 +101,7 @@ fn salvage_keeps_more_content_cached_at_the_horizon() {
 
 #[test]
 fn capacity_framework_scales_rates_sensibly() {
-    let fw = Framework::new(small_params(), FrameworkConfig::default()).unwrap();
+    let fw = Framework::new(small_params()).unwrap();
     let contexts = vec![
         ContentContext {
             requests: 20.0,
@@ -120,8 +120,8 @@ fn capacity_framework_scales_rates_sensibly() {
     let items: Vec<KnapsackItem> = outcomes
         .iter()
         .enumerate()
-        .map(|(k, o)| match o {
-            Some(out) => KnapsackItem::from_equilibrium(k, &out.equilibrium),
+        .map(|(k, eq)| match eq {
+            Some(eq) => KnapsackItem::from_equilibrium(k, eq),
             None => KnapsackItem {
                 content: k,
                 value: 0.0,

@@ -97,7 +97,7 @@ fn finite_population_tracks_the_mean_field() {
 
 #[test]
 fn framework_epoch_over_multiple_contents() {
-    let fw = Framework::new(params(), FrameworkConfig::default()).unwrap();
+    let fw = Framework::new(params()).unwrap();
     let zipf = Zipf::new(4, 0.8).unwrap();
     let contexts: Vec<ContentContext> = (0..4)
         .map(|k| ContentContext {
@@ -110,7 +110,7 @@ fn framework_epoch_over_multiple_contents() {
     assert_eq!(outcomes.len(), 4);
     let utils: Vec<f64> = outcomes
         .iter()
-        .map(|o| o.as_ref().map(|e| e.utility()).unwrap_or(0.0))
+        .map(|eq| eq.as_ref().map(|e| e.accumulated_utility()).unwrap_or(0.0))
         .collect();
     // Popular contents earn more at equilibrium.
     assert!(utils[0] > utils[3], "utilities {utils:?}");
