@@ -18,7 +18,7 @@
 //! can drive the framework.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use mfgcp_obs::{MemorySink, RecorderHandle};
 use mfgcp_pde::Field2d;
@@ -27,6 +27,25 @@ use crate::knapsack::{solve_fractional, CachePlan, KnapsackItem};
 use crate::mfg::{Equilibrium, MfgSolver};
 use crate::params::{CoreError, Params};
 use crate::utility::ContentContext;
+
+/// How an epoch's demanded contents were seeded: the close fields of the
+/// simulator's `sim.prepare_epoch` span. Each demanded content counts once.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EpochSeeds {
+    /// Warm-started from the previous epoch's equilibrium, converged.
+    pub warm: usize,
+    /// Solved cold: no previous equilibrium under identical parameters.
+    pub cold: usize,
+    /// Warm-started, missed the convergence gate, re-solved cold.
+    pub fallback: usize,
+}
+
+/// How one content's epoch solve was seeded.
+enum Seeded {
+    Warm,
+    Cold,
+    Fallback,
+}
 
 /// Alg. 1 driver: one [`MfgSolver`] invocation per demanded content per
 /// epoch.
@@ -103,17 +122,38 @@ impl Framework {
     /// time scale of the optimization epoch"). Returns `None` for contents
     /// filtered out of `K'` (no demand).
     ///
+    /// `previous` is the last epoch's result (empty for the first epoch).
+    /// Because demand drifts slowly, a content's previous equilibrium is a
+    /// near fixed point of this epoch's game: when it was solved under
+    /// identical parameters, the content re-solves warm *in its buffers*
+    /// ([`MfgSolver::resolve`]) and skips the continuation; a warm solve
+    /// that misses the convergence gate is replaced by a cold one. Every
+    /// other content solves cold, and previous equilibria of contents no
+    /// longer demanded are dropped before any solve starts.
+    ///
     /// The complexity is `O(K'·ψ_th)` — independent of `M`, the claim of
     /// the Remark in §IV-C and of Table II. The solves are independent
     /// fixed points, so workers claim contents off a shared counter (solve
     /// lengths differ) and each result lands at its content's index:
-    /// bit-identical for any thread count. With telemetry on, each solve
-    /// records into its own buffer, forwarded in content order after the
-    /// join so spans never interleave.
-    pub fn run_epoch(&self, contexts: &[ContentContext]) -> Vec<Option<Equilibrium>> {
+    /// bit-identical for any thread count, since each content's seed is its
+    /// own previous equilibrium. With telemetry on, each solve records
+    /// into its own buffer, forwarded in content order after the join so
+    /// spans never interleave.
+    pub fn run_epoch(
+        &self,
+        contexts: &[ContentContext],
+        mut previous: Vec<Option<Equilibrium>>,
+    ) -> (Vec<Option<Equilibrium>>, EpochSeeds) {
         let demanded: Vec<usize> = (0..contexts.len())
             .filter(|&k| Self::demanded(&contexts[k]))
             .collect();
+        previous.resize_with(contexts.len(), || None);
+        for (prev, ctx) in previous.iter_mut().zip(contexts) {
+            if !Self::demanded(ctx) {
+                *prev = None;
+            }
+        }
+        let previous = Mutex::new(previous);
         let threads = match self.solver.params().worker_threads {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
@@ -133,10 +173,11 @@ impl Framework {
                             let recorder = buffer
                                 .clone()
                                 .map_or_else(RecorderHandle::noop, RecorderHandle::new);
+                            let prev = previous.lock().expect("epoch lock poisoned")[k].take();
                             let per_step = vec![contexts[k]; self.solver.params().time_steps];
                             let eq = self
                                 .solver_for(k, recorder)
-                                .map(|solver| solver.solve_with(&per_step, None));
+                                .map(|solver| Self::solve_content(&solver, &per_step, prev));
                             out.push((k, eq, buffer));
                         }
                         out
@@ -151,13 +192,46 @@ impl Framework {
         solved.sort_unstable_by_key(|&(k, ..)| k);
         let mut equilibria = Vec::new();
         equilibria.resize_with(contexts.len(), || None);
+        let mut seeds = EpochSeeds::default();
         for (k, eq, buffer) in solved {
             if let Some(buffer) = buffer {
                 self.recorder.forward(buffer.events());
             }
-            equilibria[k] = eq;
+            equilibria[k] = eq.map(|(eq, seeded)| {
+                match seeded {
+                    Seeded::Warm => seeds.warm += 1,
+                    Seeded::Cold => seeds.cold += 1,
+                    Seeded::Fallback => seeds.fallback += 1,
+                }
+                eq
+            });
         }
-        equilibria
+        (equilibria, seeds)
+    }
+
+    /// One content's epoch solve: warm in `previous`'s buffers when it was
+    /// solved under `solver`'s exact parameters and the warm solve
+    /// converges, cold otherwise.
+    fn solve_content(
+        solver: &MfgSolver,
+        per_step: &[ContentContext],
+        previous: Option<Equilibrium>,
+    ) -> (Equilibrium, Seeded) {
+        let same_game =
+            |prev: &Equilibrium| prev.params.canonical_bytes() == solver.params().canonical_bytes();
+        match previous.filter(same_game) {
+            Some(prev) => {
+                let warm = solver.resolve(per_step, prev);
+                if warm.report.converged {
+                    return (warm, Seeded::Warm);
+                }
+                // Free the warm trajectories before the cold solve
+                // allocates its own.
+                drop(warm);
+                (solver.solve_with(per_step, None), Seeded::Fallback)
+            }
+            None => (solver.solve_with(per_step, None), Seeded::Cold),
+        }
     }
 
     /// Run one epoch under a total caching-capacity budget (the knapsack
@@ -171,7 +245,7 @@ impl Framework {
         contexts: &[ContentContext],
         capacity: f64,
     ) -> (Vec<Option<Equilibrium>>, CachePlan) {
-        let equilibria = self.run_epoch(contexts);
+        let (equilibria, _) = self.run_epoch(contexts, Vec::new());
         let items: Vec<KnapsackItem> = equilibria
             .iter()
             .enumerate()
@@ -266,6 +340,116 @@ mod tests {
         }
     }
 
+    /// Content 0 of `paper_market` (seed 23) in two consecutive epochs: a
+    /// recorded epoch-to-epoch drift, far larger than a mid-epoch reprice's.
+    const EPOCH_1: ContentContext = ContentContext {
+        requests: 10.91,
+        popularity: 0.212,
+        urgency_factor: 0.0032,
+    };
+    const EPOCH_2: ContentContext = ContentContext {
+        requests: 8.88,
+        popularity: 0.257,
+        urgency_factor: 0.0049,
+    };
+
+    fn assert_same_bits(a: &Equilibrium, b: &Equilibrium) {
+        assert_eq!(a.report, b.report);
+        let bits = |f: &Field2d| f.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (x, y) in [
+            (&a.policy, &b.policy),
+            (&a.density, &b.density),
+            (&a.values, &b.values),
+        ] {
+            assert_eq!(x.len(), y.len());
+            for (f, g) in x.iter().zip(y) {
+                assert_eq!(bits(f), bits(g));
+            }
+        }
+    }
+
+    #[test]
+    fn warm_second_epoch_agrees_with_a_cold_solve() {
+        let fw = Framework::new(tiny_params()).unwrap();
+        let (first, seeds) = fw.run_epoch(&[EPOCH_1], Vec::new());
+        assert_eq!(
+            seeds,
+            EpochSeeds {
+                cold: 1,
+                ..EpochSeeds::default()
+            }
+        );
+        let (second, seeds) = fw.run_epoch(&[EPOCH_2], first);
+        assert_eq!(
+            seeds,
+            EpochSeeds {
+                warm: 1,
+                ..EpochSeeds::default()
+            }
+        );
+        let warm = second[0].as_ref().unwrap();
+        let cold = fw
+            .solver()
+            .solve_with(&vec![EPOCH_2; tiny_params().time_steps], None);
+        assert!(warm.report.converged && cold.report.converged);
+        let sup = warm
+            .policy
+            .iter()
+            .zip(&cold.policy)
+            .map(|(a, b)| a.sup_distance(b))
+            .fold(0.0, f64::max);
+        assert!(sup <= tiny_params().tolerance, "policy sup distance {sup}");
+        let (u_warm, u_cold) = (warm.accumulated_utility(), cold.accumulated_utility());
+        let gap = (u_warm - u_cold).abs() / u_cold.abs();
+        assert!(gap <= 1e-4, "utility {u_warm} warm vs {u_cold} cold");
+    }
+
+    #[test]
+    fn mismatched_params_and_failed_warm_solves_fall_back_to_the_cold_solve() {
+        let n = tiny_params().time_steps;
+        // Re-sized content: the previous equilibrium is another game.
+        let (first, _) = Framework::new(tiny_params())
+            .unwrap()
+            .run_epoch(&[EPOCH_1], Vec::new());
+        let resized = Framework::new(tiny_params())
+            .unwrap()
+            .with_content_sizes(vec![0.8]);
+        let (second, seeds) = resized.run_epoch(&[EPOCH_2], first);
+        assert_eq!(
+            seeds,
+            EpochSeeds {
+                cold: 1,
+                ..EpochSeeds::default()
+            }
+        );
+        let cold = MfgSolver::new(Params {
+            q_size: 0.8,
+            ..tiny_params()
+        })
+        .unwrap()
+        .solve_with(&vec![EPOCH_2; n], None);
+        assert_same_bits(second[0].as_ref().unwrap(), &cold);
+
+        // One Picard iteration cannot absorb the drift: the warm solve
+        // stops unconverged and the cold solve replaces it.
+        let capped = Framework::new(Params {
+            max_iterations: 1,
+            ..tiny_params()
+        })
+        .unwrap();
+        let (first, _) = capped.run_epoch(&[EPOCH_1], Vec::new());
+        let (second, seeds) = capped.run_epoch(&[EPOCH_2], first);
+        assert_eq!(
+            seeds,
+            EpochSeeds {
+                fallback: 1,
+                ..EpochSeeds::default()
+            }
+        );
+        let cold = capped.solver().solve_with(&vec![EPOCH_2; n], None);
+        assert_same_bits(second[0].as_ref().unwrap(), &cold);
+    }
+
     #[test]
     fn epoch_skips_undemanded_contents() {
         let fw = Framework::new(tiny_params()).unwrap();
@@ -281,7 +465,7 @@ mod tests {
                 urgency_factor: 0.1,
             },
         ];
-        let outcomes = fw.run_epoch(&contexts);
+        let (outcomes, _) = fw.run_epoch(&contexts, Vec::new());
         assert!(outcomes[0].is_some());
         assert!(outcomes[1].is_none());
     }
@@ -294,7 +478,7 @@ mod tests {
             popularity: 0.4,
             urgency_factor: 0.1,
         }];
-        let outcomes = fw.run_epoch(&contexts);
+        let (outcomes, _) = fw.run_epoch(&contexts, Vec::new());
         // Equilibria land at their content's index.
         assert_eq!(outcomes.len(), 1);
         let eq = outcomes[0].as_ref().unwrap();
@@ -348,7 +532,7 @@ mod tests {
                 urgency_factor: 0.1,
             },
         ];
-        let outcomes = fw.run_epoch(&contexts);
+        let (outcomes, _) = fw.run_epoch(&contexts, Vec::new());
         let hot = outcomes[0].as_ref().unwrap().accumulated_utility();
         let cold = outcomes[1].as_ref().unwrap().accumulated_utility();
         assert!(hot > cold, "hot {hot} vs cold {cold}");

@@ -78,7 +78,7 @@ pub use cases::CaseProbabilities;
 pub use diag::ConvergenceReport;
 pub use estimator::{MeanFieldEstimator, MeanFieldSnapshot};
 pub use fpk::{FpkScratch, FpkSolver};
-pub use framework::{seed_density_from_occupancy, Framework};
+pub use framework::{seed_density_from_occupancy, EpochSeeds, Framework};
 pub use hjb::{HjbScratch, HjbSolution, HjbSolver};
 pub use knapsack::{solve_01, solve_fractional, CachePlan, KnapsackItem};
 pub use mfg::{Equilibrium, MfgSolver, PreparedSlot, SolveMethod, SolveWorkspace};

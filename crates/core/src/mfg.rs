@@ -595,7 +595,7 @@ impl MfgSolver {
     /// coarse-to-fine continuation replaces that guess with a prolonged
     /// coarse-grid fixed point first — still a pure function of the
     /// inputs). For warm starts from a previous solution, use
-    /// [`MfgSolver::solve_from_with_workspace`].
+    /// [`MfgSolver::solve_from_with_workspace`] or [`MfgSolver::resolve`].
     ///
     /// # Panics
     ///
@@ -608,7 +608,11 @@ impl MfgSolver {
         method: SolveMethod,
         ws: &mut SolveWorkspace,
     ) -> ConvergenceReport {
-        self.solve_impl(contexts, initial, None, method, ws)
+        let seed = match method {
+            SolveMethod::PicardRelaxation => Seed::Continuation,
+            SolveMethod::FictitiousPlay => Seed::Cold,
+        };
+        self.solve_impl(contexts, initial, seed, method, ws)
     }
 
     /// Warm-started counterpart of [`MfgSolver::solve_with_workspace`]:
@@ -643,7 +647,7 @@ impl MfgSolver {
         self.solve_impl(
             contexts,
             initial,
-            Some((warm_policy, warm_density)),
+            Seed::Copy(warm_policy, warm_density),
             SolveMethod::PicardRelaxation,
             ws,
         )
@@ -672,6 +676,46 @@ impl MfgSolver {
         self.wrap_equilibrium(contexts, &mut ws, report)
     }
 
+    /// Re-solve under new `contexts`, warm-started from `previous` — an
+    /// equilibrium of this solver's game (same parameters and grid), such
+    /// as the previous epoch's solve of the same content. The solve runs
+    /// *in* `previous`'s own trajectory buffers: its policy is the initial
+    /// iterate and its density seeds the first mean-field snapshots,
+    /// exactly as [`MfgSolver::solve_from`] with `Some(&previous.density)`
+    /// would (bit-identical results), but without copying either or
+    /// allocating fresh trajectories. No continuation and no seed FPK pass
+    /// run, and the initial density is the §V-A default. Always returns
+    /// the last iterate — check `report.converged`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `contexts.len() != params.time_steps` or `previous`'s
+    /// trajectories have the wrong length or grid.
+    pub fn resolve(&self, contexts: &[ContentContext], previous: Equilibrium) -> Equilibrium {
+        let Equilibrium {
+            policy,
+            density,
+            values,
+            snapshots,
+            ..
+        } = previous;
+        let mut ws = SolveWorkspace {
+            policy,
+            density,
+            values,
+            snapshots,
+            ..self.workspace()
+        };
+        let report = self.solve_impl(
+            contexts,
+            None,
+            Seed::InPlace,
+            SolveMethod::PicardRelaxation,
+            &mut ws,
+        );
+        self.wrap_equilibrium(contexts, &mut ws, report)
+    }
+
     fn wrap_equilibrium(
         &self,
         contexts: &[ContentContext],
@@ -694,7 +738,7 @@ impl MfgSolver {
         &self,
         contexts: &[ContentContext],
         initial: Option<&Field2d>,
-        warm_start: Option<(&[Field2d], Option<&[Field2d]>)>,
+        seed: Seed<'_>,
         method: SolveMethod,
         ws: &mut SolveWorkspace,
     ) -> ConvergenceReport {
@@ -715,34 +759,42 @@ impl MfgSolver {
             "solver.solve",
             &[
                 ("method", method.as_str().into()),
+                ("seed", seed.label().into()),
                 ("time_steps", n_steps.into()),
                 ("grid_h", grid.x().len().into()),
                 ("grid_q", grid.y().len().into()),
             ],
         );
 
-        let mut warm = true;
-        if let Some((policy, density)) = warm_start {
-            self.seed_warm(contexts, lambda0, policy, density, ws);
-        } else {
-            // Coarse-to-fine continuation (Picard relaxation only): solve
-            // the same game on coarsened grids first, prolongate the
-            // converged coarse policy, and use it as the fine-grid warm
-            // seed. A pure function of (params, contexts, λ0), so cold
-            // solves stay deterministic and workspace-independent.
-            let continuation = if method == SolveMethod::PicardRelaxation {
-                self.continuation_seed(contexts, lambda0)
-            } else {
-                None
-            };
-            match &continuation {
-                Some(policy) => self.seed_warm(contexts, lambda0, policy, None, ws),
+        let warm = match seed {
+            Seed::Cold => {
+                self.seed_cold(lambda0, ws);
+                false
+            }
+            // Coarse-to-fine continuation: solve the same game on
+            // coarsened grids first, prolongate the converged coarse
+            // policy, and use it as the fine-grid warm seed. A pure
+            // function of (params, contexts, λ0), so cold solves stay
+            // deterministic and workspace-independent.
+            Seed::Continuation => match self.continuation_seed(contexts, lambda0) {
+                Some(policy) => {
+                    self.seed_warm(contexts, lambda0, &policy, None, ws);
+                    true
+                }
                 None => {
                     self.seed_cold(lambda0, ws);
-                    warm = false;
+                    false
                 }
+            },
+            Seed::Copy(policy, density) => {
+                self.seed_warm(contexts, lambda0, policy, density, ws);
+                true
             }
-        }
+            Seed::InPlace => {
+                self.check_in_place(ws);
+                true
+            }
+        };
 
         let report = self.run_picard(contexts, lambda0, method, warm, ws);
 
@@ -831,6 +883,27 @@ impl MfgSolver {
                 &mut ws.density,
                 &mut ws.fpk_scratch,
             ),
+        }
+    }
+
+    /// The shape checks of an in-place warm start: the workspace already
+    /// holds the warm policy (`time_steps` fields) and its stale density
+    /// (`time_steps + 1` fields), both on this solver's grid.
+    fn check_in_place(&self, ws: &SolveWorkspace) {
+        let n_steps = self.params.time_steps;
+        let grid = self.fpk.grid();
+        assert_eq!(
+            ws.policy.len(),
+            n_steps,
+            "warm policy needs one field per time step"
+        );
+        assert_eq!(
+            ws.density.len(),
+            n_steps + 1,
+            "warm density needs one field per time node"
+        );
+        for f in ws.policy.iter().chain(&ws.density) {
+            assert_eq!(f.grid(), grid, "warm trajectory grid mismatch");
         }
     }
 
@@ -1047,6 +1120,33 @@ impl MfgSolver {
             iterations,
             residuals: ws.residuals.clone(),
             update_norms: ws.update_norms.clone(),
+        }
+    }
+}
+
+/// How [`MfgSolver::solve_impl`] seeds the fixed-point iterate.
+#[derive(Clone, Copy)]
+enum Seed<'a> {
+    /// The Alg. 2 initial guess: density frozen at `λ0`, zero policy.
+    Cold,
+    /// A cold solve opened by the coarse-to-fine continuation (the plain
+    /// cold guess on grids too small to coarsen).
+    Continuation,
+    /// Copy a warm policy into the workspace; pair it with the given
+    /// stale density, or else with one FPK pass from `λ0`.
+    Copy(&'a [Field2d], Option<&'a [Field2d]>),
+    /// The workspace already holds the warm policy and its stale density
+    /// (a previous equilibrium's buffers, moved in by
+    /// [`MfgSolver::resolve`]).
+    InPlace,
+}
+
+impl Seed<'_> {
+    /// The `seed` field of the `solver.solve` span.
+    fn label(self) -> &'static str {
+        match self {
+            Seed::Cold | Seed::Continuation => "cold",
+            Seed::Copy(..) | Seed::InPlace => "warm",
         }
     }
 }

@@ -35,6 +35,6 @@ pub mod protocol;
 pub mod server;
 
 pub use client::CtlClient;
-pub use plane::{snapshot_json, ControlPlane, ForkOutcome, GateStatus};
+pub use plane::{snapshot_json, ControlPlane, ForkError, ForkOutcome, GateStatus};
 pub use protocol::{CtlReply, CtlRequest};
 pub use server::CtlServer;

@@ -8,12 +8,12 @@
 //! and forks run on detached threads against cloned state — no code path
 //! writes anything the engine reads.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use mfgcp_core::{ContentContext, Framework, Params};
+use mfgcp_core::{Equilibrium, Framework, Params};
 use mfgcp_obs::json::Json;
 use mfgcp_obs::BroadcastSink;
 use mfgcp_pde::Field2d;
@@ -63,11 +63,60 @@ pub enum ForkOutcome {
     ),
 }
 
+/// Fork solves that may run at once; a further request is refused with
+/// [`ForkError::Busy`] until one finishes.
+pub const MAX_RUNNING_FORKS: usize = 2;
+
+/// Finished fork outcomes kept for polling; past this, the oldest are
+/// evicted (their ids then poll as unknown).
+pub const MAX_FORK_OUTCOMES: usize = 64;
+
+/// Why [`ControlPlane::fork`] refused a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ForkError {
+    /// No slot-boundary snapshot has been published yet.
+    NoSnapshot,
+    /// [`MAX_RUNNING_FORKS`] fork solves are already running.
+    Busy,
+}
+
+impl std::fmt::Display for ForkError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ForkError::NoSnapshot => write!(f, "no snapshot published yet; cannot fork"),
+            ForkError::Busy => write!(
+                f,
+                "{MAX_RUNNING_FORKS} fork solves already running; retry when one finishes"
+            ),
+        }
+    }
+}
+
 #[derive(Default)]
 struct ForkTable {
     next: AtomicU32,
-    entries: Mutex<HashMap<u32, ForkOutcome>>,
+    /// Outcomes by id; ids are handed out in increasing order, so the
+    /// first finished entry is the oldest.
+    entries: Mutex<BTreeMap<u32, ForkOutcome>>,
+    /// Handles of the running solves (at most [`MAX_RUNNING_FORKS`]).
     threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl ForkTable {
+    /// Record fork `id`'s outcome, then evict the oldest finished
+    /// outcomes past [`MAX_FORK_OUTCOMES`].
+    fn finish(&self, id: u32, outcome: ForkOutcome) {
+        let mut entries = self.entries.lock().unwrap();
+        entries.insert(id, outcome);
+        let finished: Vec<u32> = entries
+            .iter()
+            .filter(|(_, o)| **o != ForkOutcome::Running)
+            .map(|(&id, _)| id)
+            .collect();
+        for id in &finished[..finished.len().saturating_sub(MAX_FORK_OUTCOMES)] {
+            entries.remove(id);
+        }
+    }
 }
 
 /// The shared observer/control state: gate + snapshot cell + fork table
@@ -160,12 +209,23 @@ impl ControlPlane {
     }
 
     /// Start a what-if equilibrium solve seeded from the live density:
-    /// Alg. 2 re-entered with the §V-A fading marginal crossed with the
-    /// *empirical* occupancy distribution of the latest snapshot. Returns
-    /// the fork id to poll with [`ControlPlane::fork_outcome`], or `None`
-    /// when no snapshot has been published yet.
-    pub fn fork(self: &Arc<Self>) -> Option<u32> {
-        let snap = self.latest()?;
+    /// Alg. 2 re-entered for content 0 at the epoch's live demand, with
+    /// the §V-A fading marginal crossed with the *empirical* occupancy
+    /// distribution of the latest snapshot. Returns the fork id to poll
+    /// with [`ControlPlane::fork_outcome`].
+    ///
+    /// # Errors
+    /// [`ForkError::NoSnapshot`] before the first snapshot, and
+    /// [`ForkError::Busy`] while [`MAX_RUNNING_FORKS`] solves run.
+    pub fn fork(self: &Arc<Self>) -> Result<u32, ForkError> {
+        let snap = self.latest().ok_or(ForkError::NoSnapshot)?;
+        // The handle list is the admission lock: a handle leaves it only
+        // once its thread has finished.
+        let mut threads = self.forks.threads.lock().unwrap();
+        threads.retain(|h| !h.is_finished());
+        if threads.len() >= MAX_RUNNING_FORKS {
+            return Err(ForkError::Busy);
+        }
         let id = self.forks.next.fetch_add(1, Ordering::Relaxed);
         self.forks
             .entries
@@ -174,18 +234,17 @@ impl ControlPlane {
             .insert(id, ForkOutcome::Running);
         let plane = Arc::clone(self);
         let params = self.params.clone();
-        let handle = std::thread::spawn(move || {
-            let outcome = run_fork(&params, &snap.occupancy);
-            plane.forks.entries.lock().unwrap().insert(id, outcome);
-        });
-        retain_live(&self.forks.threads, handle);
-        Some(id)
+        threads.push(std::thread::spawn(move || {
+            plane.forks.finish(id, run_fork(&params, &snap));
+        }));
+        Ok(id)
     }
 
-    /// Re-run Alg. 2 for the live run — seeded from the latest snapshot's
-    /// empirical occupancy, warm-started from the previous reprice when
-    /// one exists — and stage the result for the engine's next
-    /// slot-boundary poll. Unlike [`ControlPlane::fork`] (a detached
+    /// Re-run Alg. 2 for content 0 of the live run — at the epoch's live
+    /// demand and the content's own size, seeded from the latest
+    /// snapshot's empirical occupancy, warm-started from the previous
+    /// reprice when one exists — and stage the result for the engine's
+    /// next slot-boundary poll. Unlike [`ControlPlane::fork`] (a detached
     /// what-if), this solve runs synchronously on the caller's thread so
     /// the reply carries the outcome and a pause/reprice/resume sequence
     /// lands the swap on a deterministic slot. Returns the reply JSON of
@@ -193,16 +252,12 @@ impl ControlPlane {
     ///
     /// # Errors
     /// When no snapshot has been published yet, the run's parameters
-    /// cannot rebuild a solver, or their nominal demand is zero.
+    /// cannot rebuild a solver, or content 0 has no live demand.
     pub fn reprice(&self) -> Result<Json, String> {
         let snap = self.latest().ok_or_else(|| "no snapshot yet".to_string())?;
-        let framework = Framework::new(self.params.clone()).map_err(|e| e.to_string())?;
-        let ctx = ContentContext::from_params(&self.params);
         let warm = self.reprice_cache.lock().unwrap().take();
         let stale = warm.as_ref().map(|(p, d)| (p.as_slice(), d.as_slice()));
-        let eq = framework
-            .reprice(0, &ctx, &snap.occupancy, stale)
-            .ok_or_else(|| "content 0 has no demand".to_string())?;
+        let eq = live_reprice(&self.params, &snap, stale)?;
         *self.reprice_cache.lock().unwrap() = Some((eq.policy.clone(), eq.density.clone()));
         let reply = Json::Obj(vec![
             ("content".to_string(), Json::Num(0.0)),
@@ -291,16 +346,32 @@ impl EngineControl for ControlPlane {
     }
 }
 
+/// Content 0's occupancy-seeded solve at the snapshot's live demand and
+/// size — the [`Framework::reprice`] the engine's `reprice_slot` hook
+/// runs — warm from `stale` when given.
+fn live_reprice(
+    params: &Params,
+    snap: &SimSnapshot,
+    stale: Option<(&[Field2d], &[Field2d])>,
+) -> Result<Equilibrium, String> {
+    let ctx = snap
+        .contexts
+        .first()
+        .ok_or_else(|| "no epoch has started yet".to_string())?;
+    let framework = Framework::new(params.clone())
+        .map_err(|e| e.to_string())?
+        .with_content_sizes(snap.q_sizes.clone());
+    framework
+        .reprice(0, ctx, &snap.occupancy, stale)
+        .ok_or_else(|| "content 0 has no demand".to_string())
+}
+
 /// The detached what-if solve: §V-A fading marginal × empirical
 /// occupancy histogram as the initial density, then Alg. 2 as usual.
-fn run_fork(params: &Params, occupancy: &[f64]) -> ForkOutcome {
-    let ctx = ContentContext::from_params(params);
-    let eq = match Framework::new(params.clone()) {
-        Ok(framework) => framework.reprice(0, &ctx, occupancy, None),
-        Err(e) => return ForkOutcome::Failed(e.to_string()),
-    };
-    let Some(eq) = eq else {
-        return ForkOutcome::Failed("content 0 has no demand".to_string());
+fn run_fork(params: &Params, snap: &SimSnapshot) -> ForkOutcome {
+    let eq = match live_reprice(params, snap, None) {
+        Ok(eq) => eq,
+        Err(reason) => return ForkOutcome::Failed(reason),
     };
     let mass_drift = eq
         .mass_series()
@@ -467,6 +538,8 @@ pub fn fork_json(id: u32, outcome: Option<&ForkOutcome>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mfgcp_core::ContentContext;
+    use mfgcp_sim::CachingPolicy;
 
     fn test_plane() -> Arc<ControlPlane> {
         let params = mfgcp_sim::SimConfig::small().params;
@@ -491,10 +564,33 @@ mod tests {
             num_contents: 4,
             occupancy,
             occupancy_hist: None,
+            contexts: vec![ContentContext::from_params(&Params::default()); 4],
+            q_sizes: vec![1.0; 4],
             price_hist: None,
             last_slot: None,
             audit: None,
             net: None,
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_bit_identical(a: &Equilibrium, b: &Equilibrium) {
+        let (x, y) = (&a.report, &b.report);
+        assert_eq!((x.converged, x.iterations), (y.converged, y.iterations));
+        assert_eq!(bits(&x.residuals), bits(&y.residuals));
+        assert_eq!(bits(&x.update_norms), bits(&y.update_norms));
+        for (what, x, y) in [
+            ("policy", &a.policy, &b.policy),
+            ("density", &a.density, &b.density),
+            ("values", &a.values, &b.values),
+        ] {
+            assert_eq!(x.len(), y.len(), "{what} length");
+            for (n, (f, g)) in x.iter().zip(y).enumerate() {
+                assert_eq!(bits(f.values()), bits(g.values()), "{what} step {n}");
+            }
         }
     }
 
@@ -549,21 +645,138 @@ mod tests {
         let direct = policy
             .reprice(0, &ContentContext::from_params(&p), &occ)
             .unwrap();
+        assert_bit_identical(&direct, &staged);
+    }
 
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let (a, b) = (&direct.report, &staged.report);
-        assert_eq!((a.converged, a.iterations), (b.converged, b.iterations));
-        assert_eq!(bits(&a.residuals), bits(&b.residuals));
-        assert_eq!(bits(&a.update_norms), bits(&b.update_norms));
-        for (what, x, y) in [
-            ("policy", &direct.policy, &staged.policy),
-            ("density", &direct.density, &staged.density),
-            ("values", &direct.values, &staged.values),
-        ] {
-            assert_eq!(x.len(), y.len(), "{what} length");
-            for (n, (f, g)) in x.iter().zip(y).enumerate() {
-                assert_eq!(bits(f.values()), bits(g.values()), "{what} step {n}");
-            }
+    /// MFG-CP that records the contexts the engine prepares each epoch for.
+    struct Recording {
+        inner: mfgcp_sim::baselines::MfgCpPolicy,
+        prepared: Arc<Mutex<Vec<ContentContext>>>,
+    }
+
+    impl CachingPolicy for Recording {
+        fn name(&self) -> &'static str {
+            self.inner.name()
         }
+
+        fn prepare_epoch(&mut self, contexts: &[ContentContext]) {
+            *self.prepared.lock().unwrap() = contexts.to_vec();
+            self.inner.prepare_epoch(contexts);
+        }
+
+        fn decide(&self, ctx: &mfgcp_sim::DecisionContext, rng: &mut mfgcp_sde::SimRng) -> f64 {
+            self.inner.decide(ctx, rng)
+        }
+    }
+
+    /// A reprice over the control plane on a paused run solves at the
+    /// epoch's live demand, not the nominal one: bit-identical to the
+    /// policy's own (cold) reprice with the engine's context and
+    /// occupancy.
+    #[test]
+    fn paused_run_reprice_matches_the_policy_reprice_at_live_demand() {
+        use mfgcp_sim::{baselines::MfgCpPolicy, SimConfig, Simulation};
+
+        let cfg = SimConfig::small();
+        let plane = Arc::new(ControlPlane::new(
+            cfg.params.clone(),
+            Arc::new(BroadcastSink::new()),
+            true,
+        ));
+        let prepared = Arc::new(Mutex::new(Vec::new()));
+        let policy = Recording {
+            inner: MfgCpPolicy::new(cfg.params.clone()).unwrap(),
+            prepared: Arc::clone(&prepared),
+        };
+        let mut sim = Simulation::new(cfg.clone(), Box::new(policy)).unwrap();
+        sim.set_control(Arc::clone(&plane) as Arc<dyn EngineControl>);
+        let run = std::thread::spawn(move || sim.run());
+
+        plane.step(3);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        let snap = loop {
+            match plane.latest() {
+                Some(s) if s.global_slot == 3 => break s,
+                _ => {
+                    assert!(std::time::Instant::now() < deadline, "run never parked");
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                }
+            }
+        };
+        let reply = plane.reprice().expect("live reprice");
+        assert_eq!(reply.get("warm").and_then(Json::as_bool), Some(false));
+        let staged = plane.take_prepared_equilibrium().unwrap().equilibrium;
+        plane.detach();
+        run.join().unwrap();
+
+        let ctx = prepared.lock().unwrap()[0];
+        assert_ne!(ctx, ContentContext::from_params(&cfg.params));
+        assert_eq!(staged.contexts[0], ctx);
+        let direct = MfgCpPolicy::new(cfg.params.clone())
+            .unwrap()
+            .reprice(0, &ctx, &snap.occupancy)
+            .unwrap();
+        assert_bit_identical(&direct, &staged);
+    }
+
+    /// Back-to-back forks never run more than the cap of solve threads at
+    /// once, the outcome table stays bounded, and the server answers.
+    #[test]
+    fn fork_flood_is_bounded_and_the_server_stays_up() {
+        use crate::{CtlClient, CtlReply, CtlRequest, CtlServer};
+        use mfgcp_serve::{ClientError, ErrorCode};
+
+        // Paper-grid solves: slow enough that the flood outruns them.
+        let params = Params::default();
+        let server = CtlServer::spawn(
+            "127.0.0.1:0",
+            params.clone(),
+            Arc::new(BroadcastSink::new()),
+            false,
+        )
+        .unwrap();
+        let plane = server.plane();
+        plane.at_slot_boundary(snapshot(vec![0.2, 0.5, 0.8, 1.0]));
+
+        let mut client = CtlClient::connect(&server.local_addr().to_string()).unwrap();
+        let timeout = std::time::Duration::from_secs(10);
+        let (mut accepted, mut busy) = (0, 0);
+        for _ in 0..50 {
+            match client.request(&CtlRequest::Fork, timeout) {
+                Ok(CtlReply::Ok(_)) => accepted += 1,
+                Err(ClientError::Server(e)) if e.code == ErrorCode::Busy => busy += 1,
+                other => panic!("unexpected fork reply {other:?}"),
+            }
+            let running = plane.forks.threads.lock().unwrap().len();
+            assert!(running <= MAX_RUNNING_FORKS, "{running} solve threads");
+            let held = plane.forks.entries.lock().unwrap().len();
+            assert!(held <= MAX_RUNNING_FORKS + MAX_FORK_OUTCOMES);
+        }
+        assert_eq!(accepted + busy, 50);
+        assert!(busy > 0, "the flood never reached the cap");
+        assert!(matches!(
+            client.request(&CtlRequest::Ping, timeout).unwrap(),
+            CtlReply::Pong
+        ));
+        plane.join_forks();
+        server.shutdown();
+    }
+
+    /// Finished outcomes past the cap evict the oldest first.
+    #[test]
+    fn finished_fork_outcomes_evict_the_oldest() {
+        let table = ForkTable::default();
+        let done = ForkOutcome::Failed("test".into());
+        for id in 0..(MAX_FORK_OUTCOMES as u32 + 10) {
+            table
+                .entries
+                .lock()
+                .unwrap()
+                .insert(id, ForkOutcome::Running);
+            table.finish(id, done.clone());
+        }
+        let entries = table.entries.lock().unwrap();
+        assert_eq!(entries.len(), MAX_FORK_OUTCOMES);
+        assert_eq!(entries.keys().next(), Some(&10));
     }
 }

@@ -28,7 +28,7 @@ use mfgcp_obs::{BroadcastSink, Subscription, SubscriptionFilter};
 use mfgcp_serve::wire::{linger_close, read_frame, write_frame, ConnectionRegistry};
 use mfgcp_serve::{ErrorCode, FrameReadError, WireError, MAX_FRAME_LEN};
 
-use crate::plane::{fork_json, join_all, retain_live, snapshot_json, ControlPlane};
+use crate::plane::{fork_json, join_all, retain_live, snapshot_json, ControlPlane, ForkError};
 use crate::protocol::{CtlReply, CtlRequest};
 
 /// How often the writer wakes to drain stream events when idle.
@@ -352,14 +352,17 @@ fn handle_request(
             (ok(plane.status_json()), Next::Continue)
         }
         CtlRequest::Fork => match plane.fork() {
-            Some(id) => (
+            Ok(id) => (
                 ok(fork_json(id, Some(&crate::plane::ForkOutcome::Running))),
                 Next::Continue,
             ),
-            None => (
+            Err(e) => (
                 CtlReply::Error {
-                    code: ErrorCode::Internal,
-                    message: "no snapshot published yet; cannot fork".to_string(),
+                    code: match e {
+                        ForkError::NoSnapshot => ErrorCode::Internal,
+                        ForkError::Busy => ErrorCode::Busy,
+                    },
+                    message: e.to_string(),
                 },
                 Next::Continue,
             ),

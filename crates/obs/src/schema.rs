@@ -20,6 +20,13 @@
 //! are allowed. `fields` values must be numbers, strings or booleans —
 //! never nested objects, arrays or null.
 //!
+//! Two series carry fields the validator checks by name:
+//!
+//! | series | kind | fields |
+//! |--------|------|--------|
+//! | `solver.solve` | `span_open` | `seed`: `"cold"` or `"warm"` (required) |
+//! | `sim.prepare_epoch` | `span_close` | `warm`, `cold`, `fallback`: u64 counts — all three or none |
+//!
 //! The [`Validator`] checks a stream line-by-line; the
 //! `validate_telemetry` binary applies it to files (CI runs it over
 //! bench-emitted telemetry and fails the build on any violation).
@@ -209,7 +216,8 @@ impl Validator {
             }
         }
 
-        if let Some(fields) = doc.get("fields") {
+        let fields = doc.get("fields");
+        if let Some(fields) = fields {
             let members = fields
                 .members()
                 .ok_or_else(|| self.fail("\"fields\" is not an object"))?;
@@ -222,8 +230,7 @@ impl Validator {
                 }
             }
         }
-
-        Ok(())
+        check_named_fields(kind, name, fields).map_err(|m| self.fail(m))
     }
 
     /// End-of-stream checks: every span must have been closed.
@@ -255,6 +262,34 @@ pub fn validate_str(text: &str) -> Result<usize, SchemaError> {
     Ok(v.lines())
 }
 
+/// The per-series field rules of the table in the module docs.
+fn check_named_fields(kind: Kind, name: &str, fields: Option<&Json>) -> Result<(), String> {
+    let field = |key: &str| fields.and_then(|f| f.get(key));
+    match (kind, name) {
+        (Kind::SpanOpen, "solver.solve") => match field("seed").and_then(Json::as_str) {
+            Some("cold" | "warm") => Ok(()),
+            other => Err(format!(
+                "solver.solve needs a \"seed\" field of \"cold\" or \"warm\", got {other:?}"
+            )),
+        },
+        (Kind::SpanClose, "sim.prepare_epoch") => {
+            let counts = ["warm", "cold", "fallback"].map(field);
+            if counts.iter().all(Option::is_none)
+                || counts.iter().all(|c| c.and_then(Json::as_u64).is_some())
+            {
+                Ok(())
+            } else {
+                Err(
+                    "sim.prepare_epoch close needs all of \"warm\", \"cold\", \"fallback\" \
+                     as counts, or none"
+                        .to_string(),
+                )
+            }
+        }
+        _ => Ok(()),
+    }
+}
+
 fn require_u64(doc: &Json, key: &str) -> Result<u64, String> {
     doc.get(key)
         .and_then(Json::as_u64)
@@ -270,7 +305,11 @@ mod tests {
     fn emitted_stream() -> String {
         let sink = Arc::new(MemorySink::new());
         let rec = RecorderHandle::new(sink.clone());
-        let solve = rec.span_with("solver.solve", &[("method", "picard".into())]);
+        let prep = rec.span_with("sim.prepare_epoch", &[("epoch", 0u64.into())]);
+        let solve = rec.span_with(
+            "solver.solve",
+            &[("method", "picard".into()), ("seed", "cold".into())],
+        );
         // Coarse-to-fine continuation: per-level iteration counts and the
         // residual at hand-off, inside one solver.continuation span.
         let cont = rec.span_with("solver.continuation", &[("levels", 1u64.into())]);
@@ -300,6 +339,11 @@ mod tests {
             rec.counter("market.trades", 10 * psi, &[]);
         }
         solve.close(&[("converged", true.into())]);
+        prep.close(&[
+            ("warm", 0u64.into()),
+            ("cold", 1u64.into()),
+            ("fallback", 0u64.into()),
+        ]);
         // Mid-run equilibrium hot-swap (generation-counted, audited).
         rec.event(
             "sim.reprice.swap",
@@ -377,6 +421,16 @@ mod tests {
     }
 
     #[test]
+    fn rejects_partial_epoch_seed_counts() {
+        let open =
+            r#"{"seq":0,"t_nanos":1,"kind":"span_open","name":"sim.prepare_epoch","span":0}"#;
+        let close = r#"{"seq":1,"t_nanos":2,"kind":"span_close","name":"sim.prepare_epoch","span":0,"nanos":1,"fields":{"warm":2,"cold":1}}"#;
+        let err = validate_str(&format!("{open}\n{close}")).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("all of"), "{err}");
+    }
+
+    #[test]
     fn rejects_kind_payload_mismatches() {
         for (line, needle) in [
             (
@@ -411,6 +465,14 @@ mod tests {
             (
                 r#"{"seq":0,"t_nanos":1,"kind":"event","name":"e","fields":{"k":[1]}}"#,
                 "not a scalar",
+            ),
+            (
+                r#"{"seq":0,"t_nanos":1,"kind":"span_open","name":"solver.solve","span":0}"#,
+                "\"seed\"",
+            ),
+            (
+                r#"{"seq":0,"t_nanos":1,"kind":"span_open","name":"solver.solve","span":0,"fields":{"seed":"tepid"}}"#,
+                "\"seed\"",
             ),
             (r#"not json"#, "not valid JSON"),
             (r#"[1,2]"#, "not an object"),

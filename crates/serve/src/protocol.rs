@@ -84,6 +84,9 @@ pub enum ErrorCode {
     /// A batched point carried a coordinate the policy surface cannot
     /// evaluate (non-finite `t`, `h` or `q`).
     PointOutOfDomain = 6,
+    /// The server is already running its fixed maximum of the requested
+    /// background work (control-plane fork solves); retry later.
+    Busy = 7,
 }
 
 impl ErrorCode {
@@ -101,6 +104,7 @@ impl ErrorCode {
             4 => Some(ErrorCode::BatchTooLarge),
             5 => Some(ErrorCode::Internal),
             6 => Some(ErrorCode::PointOutOfDomain),
+            7 => Some(ErrorCode::Busy),
             _ => None,
         }
     }

@@ -9,9 +9,11 @@
 //! interference, without considering the pricing issue and content
 //! sharing").
 
+use std::mem;
+
 use rand::RngExt as _;
 
-use mfgcp_core::{ContentContext, Equilibrium, Framework, Params};
+use mfgcp_core::{ContentContext, EpochSeeds, Equilibrium, Framework, Params};
 use mfgcp_obs::RecorderHandle;
 use mfgcp_sde::SimRng;
 
@@ -26,6 +28,8 @@ use crate::SimError;
 pub struct MfgCpPolicy {
     framework: Framework,
     equilibria: Vec<Option<Equilibrium>>,
+    /// How the last `prepare_epoch` seeded its solves.
+    seeds: Option<EpochSeeds>,
     sharing: bool,
     name: &'static str,
 }
@@ -40,6 +44,7 @@ impl MfgCpPolicy {
         Ok(Self {
             framework: Framework::new(params)?,
             equilibria: Vec::new(),
+            seeds: None,
             sharing: true,
             name: "MFG-CP",
         })
@@ -92,10 +97,17 @@ impl CachingPolicy for MfgCpPolicy {
     }
 
     fn prepare_epoch(&mut self, contexts: &[ContentContext]) {
-        // Nothing below reads the previous epoch's equilibria: dropping
-        // them first keeps one epoch's set resident instead of two.
-        self.equilibria.clear();
-        self.equilibria = self.framework.run_epoch(contexts);
+        // The previous epoch's equilibria (including any installed
+        // reprice) seed this epoch's warm solves, which run in their
+        // buffers: one epoch's set stays resident, not two.
+        let previous = mem::take(&mut self.equilibria);
+        let (equilibria, seeds) = self.framework.run_epoch(contexts, previous);
+        self.equilibria = equilibria;
+        self.seeds = Some(seeds);
+    }
+
+    fn epoch_seeds(&self) -> Option<EpochSeeds> {
+        self.seeds
     }
 
     fn prepared_equilibria(&self) -> Vec<(usize, &Equilibrium)> {
@@ -174,6 +186,10 @@ impl Default for MostPopularCaching {
 impl CachingPolicy for MostPopularCaching {
     fn name(&self) -> &'static str {
         "MPC"
+    }
+
+    fn reads_rank(&self) -> bool {
+        true
     }
 
     fn allows_sharing(&self) -> bool {
@@ -384,41 +400,93 @@ mod tests {
     }
 
     /// The epoch fan-out lands every content's equilibrium at its index,
-    /// bit-identical to a sequential `solve_with` on that content's
-    /// solver, for any thread count (including more threads than
-    /// contents).
+    /// bit-identical to a sequential solve on that content's solver, for
+    /// any thread count (including more threads than contents) — over two
+    /// epochs: a cold first one, then a drifted second one whose
+    /// still-demanded contents go warm from their first-epoch equilibria
+    /// and whose newly demanded content goes cold.
     #[test]
     fn prepare_epoch_is_bit_identical_across_worker_thread_counts() {
         let params = small_params();
-        let (contexts, sizes) = catalog();
-        let sequential: Vec<Option<Equilibrium>> = contexts
+        let (first, sizes) = catalog();
+        let second: Vec<ContentContext> = first
+            .iter()
+            .enumerate()
+            .map(|(k, ctx)| ContentContext {
+                requests: if k == 2 { 5.0 } else { ctx.requests * 0.8 },
+                popularity: ctx.popularity * 1.2,
+                urgency_factor: ctx.urgency_factor * 1.5,
+            })
+            .collect();
+        let solver = |size: f64| {
+            MfgSolver::new(Params {
+                q_size: size,
+                ..params.clone()
+            })
+            .unwrap()
+        };
+        let per_step = |ctx: &ContentContext| vec![*ctx; params.time_steps];
+        let cold: Vec<Option<Equilibrium>> = first
             .iter()
             .zip(&sizes)
             .map(|(ctx, &size)| {
-                (ctx.requests > 0.0).then(|| {
-                    let solver = MfgSolver::new(Params {
-                        q_size: size,
-                        ..params.clone()
-                    })
-                    .unwrap();
-                    solver.solve_with(&vec![*ctx; params.time_steps], None)
-                })
+                (ctx.requests > 0.0).then(|| solver(size).solve_with(&per_step(ctx), None))
+            })
+            .collect();
+        let warm: Vec<Option<Equilibrium>> = second
+            .iter()
+            .zip(&sizes)
+            .zip(&cold)
+            .map(|((ctx, &size), prev)| match prev {
+                Some(prev) => {
+                    let eq = solver(size).solve_from(
+                        &per_step(ctx),
+                        &prev.policy,
+                        Some(&prev.density),
+                        None,
+                    );
+                    assert!(eq.report.converged, "warm reference converges");
+                    Some(eq)
+                }
+                None => (ctx.requests > 0.0).then(|| solver(size).solve_with(&per_step(ctx), None)),
             })
             .collect();
         for threads in [1, 2, 3, 8] {
             let mut p = policy_with_threads(&params, threads, &sizes);
-            p.prepare_epoch(&contexts);
-            for (k, reference) in sequential.iter().enumerate() {
-                match (p.equilibrium(k), reference) {
-                    (Some(eq), Some(reference)) => {
-                        assert_bit_identical(
-                            eq,
-                            reference,
-                            &format!("content {k}, {threads} threads"),
-                        );
+            for (epoch, contexts, reference, seeds) in [
+                (
+                    0,
+                    &first,
+                    &cold,
+                    EpochSeeds {
+                        cold: 3,
+                        ..EpochSeeds::default()
+                    },
+                ),
+                (
+                    1,
+                    &second,
+                    &warm,
+                    EpochSeeds {
+                        warm: 3,
+                        cold: 1,
+                        fallback: 0,
+                    },
+                ),
+            ] {
+                p.prepare_epoch(contexts);
+                assert_eq!(
+                    p.epoch_seeds(),
+                    Some(seeds),
+                    "epoch {epoch}, {threads} threads"
+                );
+                for (k, reference) in reference.iter().enumerate() {
+                    let tag = format!("epoch {epoch}, content {k}, {threads} threads");
+                    match (p.equilibrium(k), reference) {
+                        (Some(eq), Some(reference)) => assert_bit_identical(eq, reference, &tag),
+                        (None, None) => {}
+                        _ => panic!("{tag}: demanded/undemanded mismatch"),
                     }
-                    (None, None) => {}
-                    _ => panic!("content {k}: demanded/undemanded mismatch at {threads} threads"),
                 }
             }
         }

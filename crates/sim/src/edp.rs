@@ -63,15 +63,6 @@ impl Edp {
     pub fn can_share(&self, content: usize, alpha_qk: f64) -> bool {
         self.q[content] <= alpha_qk
     }
-
-    /// Popularity rank of `content` at this EDP (0 = most popular).
-    pub fn rank_of(&self, content: usize) -> usize {
-        self.popularity
-            .ranked()
-            .iter()
-            .position(|&k| k == content)
-            .expect("content is in the catalog")
-    }
 }
 
 #[cfg(test)]
@@ -116,9 +107,9 @@ mod tests {
     fn rank_follows_popularity() {
         let mut e = edp(0);
         // Zipf prior: content 0 is most popular.
-        assert_eq!(e.rank_of(0), 0);
+        assert_eq!(e.popularity.ranked()[0], 0);
         // Flood content 3 with requests.
         e.popularity.update(&[0, 0, 0, 50]);
-        assert_eq!(e.rank_of(3), 0);
+        assert_eq!(e.popularity.ranked()[0], 3);
     }
 }

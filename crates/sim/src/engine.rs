@@ -133,6 +133,13 @@ pub struct Simulation {
     /// for snapshot publication (only maintained while a controller is
     /// attached; `None` until the first sample).
     shard_sample: Option<ShardStats>,
+    /// The current epoch's per-content contexts (what `prepare_epoch`
+    /// solved for; the reprice hook and snapshots read them).
+    contexts: Vec<ContentContext>,
+    /// `ranks[i·K + k]` = popularity rank of content `k` at EDP `i`,
+    /// computed once per epoch (Eq. (3) popularity only changes at the
+    /// epoch's end) and only for a policy that reads it.
+    ranks: Vec<u32>,
 }
 
 /// Reusable per-slot buffers of [`Simulation::clear_market`]'s fused
@@ -251,6 +258,8 @@ impl Simulation {
             control: None,
             reprice_generation: 0,
             shard_sample: None,
+            contexts: Vec::new(),
+            ranks: Vec::new(),
         })
     }
 
@@ -411,13 +420,32 @@ impl Simulation {
             self.shard_sample = Some(self.channels.shard_stats());
         }
         let weights = self.trace.normalized_weights(epoch);
-        let contexts = self.epoch_contexts(&weights);
+        self.contexts = self.epoch_contexts(&weights);
         let prep = self.recorder.span_with(
             "sim.prepare_epoch",
-            &[("epoch", epoch.into()), ("contents", contexts.len().into())],
+            &[
+                ("epoch", epoch.into()),
+                ("contents", self.contexts.len().into()),
+            ],
         );
-        self.policy.prepare_epoch(&contexts);
-        prep.close(&[]);
+        self.policy.prepare_epoch(&self.contexts);
+        match self.policy.epoch_seeds() {
+            Some(seeds) => prep.close(&[
+                ("warm", seeds.warm.into()),
+                ("cold", seeds.cold.into()),
+                ("fallback", seeds.fallback.into()),
+            ]),
+            None => prep.close(&[]),
+        }
+        if self.policy.reads_rank() {
+            let k_contents = self.cfg.num_contents;
+            self.ranks.resize(self.edps.len() * k_contents, 0);
+            for (e, ranks) in self.edps.iter().zip(self.ranks.chunks_mut(k_contents)) {
+                for (r, k) in e.popularity.ranked().into_iter().enumerate() {
+                    ranks[k] = r as u32;
+                }
+            }
+        }
         if let Some(aud) = auditor.as_mut() {
             // I4: gate every freshly solved equilibrium before it steers
             // a single decision.
@@ -455,7 +483,7 @@ impl Simulation {
             // slot boundary, warm-started from the live occupancy.
             if self.cfg.reprice_slot == Some(epoch * self.cfg.slots_per_epoch + slot) {
                 let occupancy: Vec<f64> = self.edps.iter().map(|e| e.q[0]).collect();
-                if let Some(eq) = self.policy.reprice(0, &contexts[0], &occupancy) {
+                if let Some(eq) = self.policy.reprice(0, &self.contexts[0], &occupancy) {
                     self.install_prepared(epoch, slot, 0, eq, auditor);
                 }
             }
@@ -580,6 +608,7 @@ impl Simulation {
         let policy = &*self.policy;
         let topology = &self.topology;
         let q_sizes = &self.q_sizes;
+        let ranks = &self.ranks;
         let n_threads = thread_count(cfg.worker_threads);
         let chunk_size = self.edps.len().div_ceil(n_threads).max(1);
         let mut batches: Vec<RequestBatch> =
@@ -606,11 +635,7 @@ impl Simulation {
                             e.timeliness.observe(k, &batch.urgencies[k]);
                         }
                         // Decisions + Eq. (4) Euler–Maruyama integration.
-                        let ranked = e.popularity.ranked();
-                        let mut rank_of = vec![0usize; cfg.num_contents];
-                        for (r, &k) in ranked.iter().enumerate() {
-                            rank_of[k] = r;
-                        }
+                        let base = e.id * cfg.num_contents;
                         for k in 0..cfg.num_contents {
                             let q_size = q_sizes[k];
                             let ctx = DecisionContext {
@@ -622,7 +647,7 @@ impl Simulation {
                                 h: mean_fadings[e.id],
                                 popularity: e.popularity.get(k),
                                 urgency_factor: e.timeliness.factor(k),
-                                rank: rank_of[k],
+                                rank: ranks.get(base + k).map_or(0, |&r| r as usize),
                                 num_contents: cfg.num_contents,
                                 neighbor_cached_fraction: cached_fraction[k],
                             };
@@ -939,6 +964,8 @@ impl Simulation {
             num_contents: self.cfg.num_contents,
             occupancy,
             occupancy_hist,
+            contexts: self.contexts.clone(),
+            q_sizes: self.q_sizes.clone(),
             price_hist,
             last_slot: series.last().copied(),
             audit: auditor.map(|a| a.status()),
@@ -1339,11 +1366,15 @@ mod tests {
         assert_ne!(free.series[10..], report.series[10..], "post-swap slots");
     }
 
+    /// Two epochs with a reprice in the first: the second epoch's warm
+    /// starts (one from the installed reprice) stay thread-count-free.
     #[test]
     fn reprice_run_is_bit_identical_across_thread_counts() {
         let report = |threads: usize| {
             let mut cfg = SimConfig::small();
+            cfg.epochs = 2;
             cfg.worker_threads = threads;
+            cfg.params.worker_threads = threads;
             cfg.reprice_slot = Some(7);
             let policy = crate::baselines::MfgCpPolicy::new(cfg.params.clone()).unwrap();
             Simulation::new(cfg, Box::new(policy)).unwrap().run()
@@ -1357,6 +1388,91 @@ mod tests {
                 assert_eq!(a, b, "with {threads} threads");
             }
         }
+    }
+
+    /// The once-per-epoch ranks a rank-reading policy sees order each
+    /// EDP's catalog by its current popularity (ties to the lower id), in
+    /// every epoch — including after the Eq. (3) update.
+    #[test]
+    fn rank_reading_policies_see_the_current_popularity_order() {
+        use std::collections::HashMap;
+        use std::sync::Mutex;
+
+        /// `(content, rank, popularity)` per decision, keyed by
+        /// `(edp, slot time)`; epochs append in order.
+        type Seen = Arc<Mutex<HashMap<(usize, u64), Vec<(usize, usize, f64)>>>>;
+        struct RankProbe(Seen);
+        impl CachingPolicy for RankProbe {
+            fn name(&self) -> &'static str {
+                "PROBE"
+            }
+            fn reads_rank(&self) -> bool {
+                true
+            }
+            fn decide(&self, ctx: &DecisionContext, _rng: &mut SimRng) -> f64 {
+                let key = (ctx.edp, ctx.t_in_epoch.to_bits());
+                let mut seen = self.0.lock().unwrap();
+                seen.entry(key)
+                    .or_default()
+                    .push((ctx.content, ctx.rank, ctx.popularity));
+                0.5
+            }
+        }
+
+        let mut cfg = SimConfig::small();
+        cfg.epochs = 3;
+        let k = cfg.num_contents;
+        let seen = Seen::default();
+        let _ = Simulation::new(cfg, Box::new(RankProbe(Arc::clone(&seen))))
+            .unwrap()
+            .run();
+        let seen = seen.lock().unwrap();
+        let mut reordered = false;
+        for decisions in seen.values() {
+            assert_eq!(decisions.len(), 3 * k);
+            for epoch in decisions.chunks(k) {
+                let mut by_rank = epoch.to_vec();
+                by_rank.sort_by_key(|&(_, rank, _)| rank);
+                for (r, pair) in by_rank.windows(2).enumerate() {
+                    let ((a, ra, pa), (b, rb, pb)) = (pair[0], pair[1]);
+                    assert_eq!((ra, rb), (r, r + 1), "ranks are a permutation");
+                    assert!(
+                        pa > pb || (pa == pb && a < b),
+                        "{a}@{pa} ranked above {b}@{pb}"
+                    );
+                }
+                reordered |= by_rank.iter().map(|d| d.0).ne(0..k);
+            }
+        }
+        assert!(reordered, "popularity never reordered the catalog");
+    }
+
+    #[test]
+    fn prepare_epoch_span_reports_how_the_epoch_was_seeded() {
+        use mfgcp_obs::{Kind, MemorySink, RecorderHandle, Value};
+        let mut cfg = SimConfig::small();
+        cfg.epochs = 2;
+        let policy = crate::baselines::MfgCpPolicy::new(cfg.params.clone()).unwrap();
+        let mut sim = Simulation::new(cfg, Box::new(policy)).unwrap();
+        let sink = std::sync::Arc::new(MemorySink::new());
+        sim.set_recorder(RecorderHandle::new(sink.clone()));
+        let _ = sim.run();
+        let counts: Vec<[u64; 3]> = sink
+            .events()
+            .iter()
+            .filter(|e| e.name == "sim.prepare_epoch" && e.kind == Kind::SpanClose)
+            .map(|e| {
+                ["warm", "cold", "fallback"].map(|k| match e.field(k) {
+                    Some(&Value::U64(n)) => n,
+                    other => panic!("{k}: {other:?}"),
+                })
+            })
+            .collect();
+        assert_eq!(counts.len(), 2);
+        let [warm, cold, fallback] = counts[0];
+        assert!(warm == 0 && fallback == 0 && cold > 0, "{:?}", counts[0]);
+        let [warm, _, fallback] = counts[1];
+        assert!(warm > 0 && fallback == 0, "{:?}", counts[1]);
     }
 
     #[test]

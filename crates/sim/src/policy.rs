@@ -1,6 +1,6 @@
 //! The placement-policy abstraction shared by MFG-CP and the baselines.
 
-use mfgcp_core::{ContentContext, Equilibrium};
+use mfgcp_core::{ContentContext, EpochSeeds, Equilibrium};
 use mfgcp_obs::RecorderHandle;
 use mfgcp_sde::SimRng;
 
@@ -29,6 +29,8 @@ pub struct DecisionContext {
     /// Current urgency factor `ξ^{L_k(t)}`.
     pub urgency_factor: f64,
     /// Popularity rank of this content at this EDP (0 = most popular).
+    /// Ranked once per epoch, and only for a policy whose
+    /// [`CachingPolicy::reads_rank`] is `true`; `0` for every other.
     pub rank: usize,
     /// Number of contents in the catalog.
     pub num_contents: usize,
@@ -53,6 +55,13 @@ pub trait CachingPolicy: Send + Sync {
         true
     }
 
+    /// Whether [`CachingPolicy::decide`] reads [`DecisionContext::rank`]
+    /// (MPC). The engine sorts every EDP's catalog by popularity once per
+    /// epoch for such a policy, and not at all for others (default).
+    fn reads_rank(&self) -> bool {
+        false
+    }
+
     /// Attach a telemetry recorder. Policies that run a solver (MFG-CP)
     /// propagate it so their per-epoch solves emit `solver.*` and `pde.*`
     /// events; the stateless baselines ignore it (default). Recording
@@ -67,6 +76,14 @@ pub trait CachingPolicy: Send + Sync {
     /// so. Default: no preparation.
     fn prepare_epoch(&mut self, contexts: &[ContentContext]) {
         let _ = contexts;
+    }
+
+    /// How the last [`CachingPolicy::prepare_epoch`] seeded its
+    /// equilibrium solves (warm / cold / fallback counts, reported on the
+    /// `sim.prepare_epoch` span close). Policies that solve nothing
+    /// return `None` (default).
+    fn epoch_seeds(&self) -> Option<EpochSeeds> {
+        None
     }
 
     /// The mean-field equilibria the last [`CachingPolicy::prepare_epoch`]

@@ -25,7 +25,7 @@
 //! the engine skips it entirely.
 
 use mfgcp_check::AuditStatus;
-use mfgcp_core::Equilibrium;
+use mfgcp_core::{ContentContext, Equilibrium};
 use mfgcp_net::ShardStats;
 
 use crate::metrics::SlotMetrics;
@@ -105,6 +105,12 @@ pub struct SimSnapshot {
     pub occupancy: Vec<f64>,
     /// Histogram of [`occupancy`](Self::occupancy).
     pub occupancy_hist: Option<Histogram>,
+    /// The current epoch's per-content workload contexts — the live
+    /// demand the epoch's equilibria were solved for (empty before the
+    /// first epoch starts).
+    pub contexts: Vec<ContentContext>,
+    /// Per-content sizes `Q_k`.
+    pub q_sizes: Vec<f64>,
     /// Histogram of the Eq. (5) per-EDP prices for content 0 from the
     /// previous slot's cleared market (`None` before the first slot).
     pub price_hist: Option<Histogram>,
@@ -207,6 +213,8 @@ mod tests {
             num_contents: 2,
             occupancy: vec![0.0; 4],
             occupancy_hist: None,
+            contexts: Vec::new(),
+            q_sizes: vec![1.0; 2],
             price_hist: None,
             last_slot: None,
             audit: None,

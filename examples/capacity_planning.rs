@@ -32,7 +32,7 @@ fn main() {
 
     println!("Solving one MFG equilibrium per content (Alg. 1 epoch)...\n");
     let framework = Framework::new(params).unwrap();
-    let outcomes = framework.run_epoch(&contexts);
+    let (outcomes, _) = framework.run_epoch(&contexts, Vec::new());
 
     let items: Vec<KnapsackItem> = outcomes
         .iter()

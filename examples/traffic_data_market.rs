@@ -40,7 +40,7 @@ fn main() {
 
     let framework = Framework::new(params.clone()).expect("valid parameters");
     println!("Running one Alg. 1 epoch over the two contents...");
-    let outcomes = framework.run_epoch(&[traffic, news]);
+    let (outcomes, _) = framework.run_epoch(&[traffic, news], Vec::new());
 
     let traffic_eq = outcomes[0].as_ref().expect("traffic is demanded");
     let news_eq = outcomes[1].as_ref().expect("news is demanded");

@@ -106,7 +106,7 @@ fn framework_epoch_over_multiple_contents() {
             urgency_factor: 0.05,
         })
         .collect();
-    let outcomes = fw.run_epoch(&contexts);
+    let (outcomes, _) = fw.run_epoch(&contexts, Vec::new());
     assert_eq!(outcomes.len(), 4);
     let utils: Vec<f64> = outcomes
         .iter()
