@@ -251,6 +251,7 @@ mod tests {
     #[test]
     fn direction_rules_cover_the_committed_reports() {
         assert_eq!(lower_is_better("market_per_slot_micros"), Some(true));
+        assert_eq!(lower_is_better("slot_micros"), Some(true));
         assert_eq!(lower_is_better("market_per_slot_per_edp_nanos"), Some(true));
         assert_eq!(lower_is_better("epoch_wall_millis"), Some(true));
         assert_eq!(lower_is_better("init_millis"), Some(true));

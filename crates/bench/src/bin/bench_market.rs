@@ -6,7 +6,10 @@
 //! (one supply-sum pass plus O(1) prices and a two-smallest qualified-sharer
 //! scan per content), so `per_slot_micros / M` should stay roughly constant
 //! across the sweep — the old per-EDP competitor sums made it grow linearly
-//! in M. Run: `cargo run --release -p mfgcp-bench --bin bench_market`
+//! in M. Each sample also carries `slot_micros`, the whole slot (run wall
+//! over slots: requests, decisions, integration and the market), so a
+//! regression anywhere in the slot loop is gated, not only in clearing.
+//! Run: `cargo run --release -p mfgcp-bench --bin bench_market`
 //!
 //! Flags:
 //!
@@ -29,6 +32,7 @@ struct Sample {
     m: usize,
     slots: usize,
     wall_millis: f64,
+    slot_micros: f64,
     market_per_slot_micros: f64,
     market_per_slot_per_edp_nanos: f64,
 }
@@ -88,6 +92,7 @@ fn measure(m: usize, recorder: &RecorderHandle) -> Sample {
             m,
             slots,
             wall_millis: wall.as_secs_f64() * 1e3,
+            slot_micros: wall.as_secs_f64() * 1e6 / slots as f64,
             market_per_slot_micros: market_nanos / slots as f64 / 1e3,
             market_per_slot_per_edp_nanos: market_nanos / slots as f64 / m as f64,
         };
@@ -104,6 +109,7 @@ fn measure(m: usize, recorder: &RecorderHandle) -> Sample {
             ("m", best.m.into()),
             ("slots", best.slots.into()),
             ("wall_millis", best.wall_millis.into()),
+            ("slot_micros", best.slot_micros.into()),
             ("market_per_slot_micros", best.market_per_slot_micros.into()),
             (
                 "market_per_slot_per_edp_nanos",
@@ -168,6 +174,7 @@ fn main() {
                             ("m".into(), Json::Num(s.m as f64)),
                             ("slots".into(), Json::Num(s.slots as f64)),
                             ("epoch_wall_millis".into(), Json::Num(s.wall_millis)),
+                            ("slot_micros".into(), Json::Num(s.slot_micros)),
                             (
                                 "market_per_slot_micros".into(),
                                 Json::Num(s.market_per_slot_micros),
@@ -190,11 +197,11 @@ fn main() {
         .expect("write BENCH_market.json");
 
     println!("{json}");
-    println!("m, market_per_slot_micros, market_per_slot_per_edp_nanos");
+    println!("m, slot_micros, market_per_slot_micros, market_per_slot_per_edp_nanos");
     for s in &samples {
         println!(
-            "{}, {:.3}, {:.3}",
-            s.m, s.market_per_slot_micros, s.market_per_slot_per_edp_nanos
+            "{}, {:.3}, {:.3}, {:.3}",
+            s.m, s.slot_micros, s.market_per_slot_micros, s.market_per_slot_per_edp_nanos
         );
     }
     recorder.flush();

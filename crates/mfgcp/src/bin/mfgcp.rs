@@ -310,18 +310,10 @@ fn run_simulate(
         config.seed,
         if mobility { ", mobile requesters" } else { "" }
     );
-    let params = config.params.clone();
-    let built = match scheme {
-        Scheme::MfgCp => MfgCpPolicy::new(params).map(|p| Box::new(p) as Box<dyn CachingPolicy>),
-        Scheme::Mfg => {
-            MfgCpPolicy::without_sharing(params).map(|p| Box::new(p) as Box<dyn CachingPolicy>)
-        }
-        Scheme::Udcs => Ok(Box::new(Udcs::default()) as Box<dyn CachingPolicy>),
-        Scheme::Mpc => Ok(Box::new(MostPopularCaching::default()) as Box<dyn CachingPolicy>),
-        Scheme::Rr => Ok(Box::new(RandomReplacement) as Box<dyn CachingPolicy>),
-    };
-    let policy = match built {
-        Ok(p) => p,
+    // The control plane reprices with the policy's own parameters, which
+    // differ from the run's under MFG (no paid sharing).
+    let (policy, policy_params) = match scheme.build(config.params.clone()) {
+        Ok(built) => built,
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(1);
@@ -343,18 +335,14 @@ fn run_simulate(
                     }
                 },
             });
-            let server = match CtlServer::spawn(
-                addr,
-                config.params.clone(),
-                Arc::clone(&sink),
-                observe_hold,
-            ) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: cannot bind control plane on `{addr}`: {e}");
-                    std::process::exit(1);
-                }
-            };
+            let server =
+                match CtlServer::spawn(addr, policy_params, Arc::clone(&sink), observe_hold) {
+                    Ok(s) => s,
+                    Err(e) => {
+                        eprintln!("error: cannot bind control plane on `{addr}`: {e}");
+                        std::process::exit(1);
+                    }
+                };
             println!(
                 "Control plane on {} ({}; attach with `mfgcp watch` / `mfgcp ctl`)",
                 server.local_addr(),

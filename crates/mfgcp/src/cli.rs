@@ -19,7 +19,8 @@
 //! unit-testable without spawning processes.
 
 use mfgcp_core::Params;
-use mfgcp_sim::SimConfig;
+use mfgcp_sim::baselines::{MfgCpPolicy, MostPopularCaching, RandomReplacement, Udcs};
+use mfgcp_sim::{CachingPolicy, SimConfig, SimError};
 
 /// Default address for `serve` and `query` when `--addr` is omitted.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
@@ -69,6 +70,28 @@ impl Scheme {
             Self::Mpc => "MPC",
             Self::Rr => "RR",
         }
+    }
+
+    /// Build the scheme's policy for a run under `params`, together with
+    /// the parameters its equilibria are solved under (MFG solves at
+    /// `p̄ = 0`; the baselines solve nothing and hand `params` back). A
+    /// control plane attached to the run reprices with the latter.
+    ///
+    /// # Errors
+    ///
+    /// Propagates parameter validation failures.
+    pub fn build(self, params: Params) -> Result<(Box<dyn CachingPolicy>, Params), SimError> {
+        let solved = |p: MfgCpPolicy| {
+            let params = p.params().clone();
+            (Box::new(p) as Box<dyn CachingPolicy>, params)
+        };
+        Ok(match self {
+            Self::MfgCp => solved(MfgCpPolicy::new(params)?),
+            Self::Mfg => solved(MfgCpPolicy::without_sharing(params)?),
+            Self::Udcs => (Box::new(Udcs::default()), params),
+            Self::Mpc => (Box::new(MostPopularCaching::default()), params),
+            Self::Rr => (Box::new(RandomReplacement), params),
+        })
     }
 }
 

@@ -77,6 +77,14 @@ impl MfgCpPolicy {
         self
     }
 
+    /// The parameters this policy's equilibria are solved under — the
+    /// run's, except that the MFG baseline solves at `p̄ = 0`. A solve made
+    /// on the policy's behalf elsewhere (a control-plane reprice) must use
+    /// these, not the run's.
+    pub fn params(&self) -> &Params {
+        self.framework.solver().params()
+    }
+
     /// The equilibrium for `content`, if one was computed this epoch.
     pub fn equilibrium(&self, content: usize) -> Option<&Equilibrium> {
         self.equilibria.get(content).and_then(Option::as_ref)

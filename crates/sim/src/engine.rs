@@ -6,10 +6,15 @@
 //! `slots_per_epoch` trading slots. Each slot:
 //!
 //! 1. advance every channel link (exact OU transitions);
-//! 2. every EDP records its requesters' demands (`I_{i,k}(t)`, Def. 2
-//!    urgencies included) — per-EDP RNG streams, parallel;
+//! 2. every EDP tallies its requesters' demands in place — per content,
+//!    the count `|I_{i,k}(t)|` and the sum of the Def. 2 urgencies, drawn
+//!    from per-requester streams into flat buffers reused across slots —
+//!    and folds the urgency sums into its running `L_k`; the Eq. (4)
+//!    factor `ξ^{L_k}` is recomputed only for the contents requested this
+//!    slot — parallel;
 //! 3. every EDP picks its caching rates via the [`CachingPolicy`] and
-//!    integrates its caching state (Eq. (4), Euler–Maruyama) — parallel;
+//!    integrates its caching state (Eq. (4), Euler–Maruyama) — parallel
+//!    and allocation-free;
 //! 4. the market clears sequentially: per content, Eq. (5) prices from the
 //!    realized strategy profile, center-assigned peer matching, trade
 //!    resolution and metric accounting (Alg. 1 lines 11–14).
@@ -28,7 +33,7 @@ use mfgcp_core::{ContentContext, Equilibrium, Params, RateModel, SharedSupplyPri
 use mfgcp_net::{ChannelState, MobileRequesters, ShardStats, Topology};
 use mfgcp_obs::{RecorderHandle, Value};
 use mfgcp_sde::{seeded_rng, SimRng};
-use mfgcp_workload::{trace::SyntheticYoutubeTrace, trace::Trace, RequestBatch, RequestProcess};
+use mfgcp_workload::{trace::SyntheticYoutubeTrace, trace::Trace, RequestProcess};
 
 use crate::config::SimConfig;
 use crate::edp::Edp;
@@ -165,6 +170,39 @@ struct MarketScratch {
     entries: Vec<(u32, u32, u64)>,
     /// Sharded precompute results, `(outcome, unit price)` per entry.
     outcomes: Vec<(MarketOutcome, f64)>,
+}
+
+/// Reusable buffers of the slot loop outside the market: each EDP's
+/// demand, the per-slot decision inputs and the parallel phase's costs.
+/// Built once per epoch after the epoch's equilibria are solved (so it is
+/// not resident during the epoch solves) and reused by every slot, so a
+/// slot allocates nothing.
+#[derive(Debug)]
+struct SlotScratch {
+    /// `counts[i·K + k] = |I_{i,k}(t)|`, this slot's requests.
+    counts: Vec<u32>,
+    /// `urgency_sums[i·K + k]` = the clamped urgencies of those requests,
+    /// summed in request order (the Def. 2 batch total).
+    urgency_sums: Vec<f64>,
+    /// Center-published fraction of EDPs that can share each content
+    /// (the UDCS overlap input).
+    cached_fraction: Vec<f64>,
+    /// Mean fading from each EDP towards its served requesters.
+    mean_fadings: Vec<f64>,
+    /// Rate-type costs each EDP accrued in the parallel phase.
+    costs: Vec<PhaseCost>,
+}
+
+impl SlotScratch {
+    fn new(edps: usize, contents: usize) -> Self {
+        Self {
+            counts: vec![0; edps * contents],
+            urgency_sums: vec![0.0; edps * contents],
+            cached_fraction: vec![0.0; contents],
+            mean_fadings: vec![0.0; edps],
+            costs: vec![PhaseCost::default(); edps],
+        }
+    }
 }
 
 impl Simulation {
@@ -328,18 +366,29 @@ impl Simulation {
             .collect()
     }
 
-    /// Mean fading coefficient from EDP `i` towards its served requesters
-    /// (falls back to the long-term mean when it serves nobody).
-    fn mean_fading(&self, i: usize) -> f64 {
-        let served = self.topology.served_by(i);
-        if served.is_empty() {
-            return self.cfg.params.upsilon_h;
+    /// Refresh the slot's decision inputs in place: the center-published
+    /// occupancy per content (for UDCS overlap) and each EDP's mean fading
+    /// towards its served requesters (the long-term mean when it serves
+    /// nobody).
+    fn refresh_slot_inputs(&self, s: &mut SlotScratch) {
+        let cfg = &self.cfg;
+        for (k, frac) in s.cached_fraction.iter_mut().enumerate() {
+            let thr = cfg.params.alpha * self.q_sizes[k];
+            *frac = self.edps.iter().filter(|e| e.can_share(k, thr)).count() as f64
+                / cfg.num_edps as f64;
         }
-        served
-            .iter()
-            .map(|&j| self.channels.fading(i, j))
-            .sum::<f64>()
-            / served.len() as f64
+        for (i, h) in s.mean_fadings.iter_mut().enumerate() {
+            let served = self.topology.served_by(i);
+            *h = if served.is_empty() {
+                cfg.params.upsilon_h
+            } else {
+                served
+                    .iter()
+                    .map(|&j| self.channels.fading(i, j))
+                    .sum::<f64>()
+                    / served.len() as f64
+            };
+        }
     }
 
     /// Run the configured number of epochs, consuming per-slot dynamics.
@@ -458,8 +507,10 @@ impl Simulation {
 
         let dt = self.cfg.slot_dt();
         let k_contents = self.cfg.num_contents;
-        // Per-epoch request tallies for the Eq. (3) popularity update.
-        let mut epoch_counts: Vec<Vec<usize>> = vec![vec![0; k_contents]; self.cfg.num_edps];
+        // Per-epoch request tallies for the Eq. (3) popularity update,
+        // `epoch_counts[i·K + k]`.
+        let mut epoch_counts = vec![0usize; self.edps.len() * k_contents];
+        let mut scratch = SlotScratch::new(self.edps.len(), k_contents);
 
         for slot in 0..self.cfg.slots_per_epoch {
             // Slot boundary: publish the end-of-previous-slot state and
@@ -500,31 +551,14 @@ impl Simulation {
                     .refresh_distances_from_positions(&self.topology, mob.positions());
             }
 
-            // Center-published occupancy per content (for UDCS overlap).
-            let cached_fraction: Vec<f64> = (0..k_contents)
-                .map(|k| {
-                    let thr = self.cfg.params.alpha * self.q_sizes[k];
-                    self.edps.iter().filter(|e| e.can_share(k, thr)).count() as f64
-                        / self.cfg.num_edps as f64
-                })
-                .collect();
-            let mean_fadings: Vec<f64> = (0..self.cfg.num_edps)
-                .map(|i| self.mean_fading(i))
-                .collect();
+            self.refresh_slot_inputs(&mut scratch);
 
             // ---- Parallel phase: requests, decisions, state integration.
             let global_slot = (epoch * self.cfg.slots_per_epoch + slot) as u64;
-            let (batches, phase_costs) = self.parallel_edp_phase(
-                &process,
-                &mean_fadings,
-                &cached_fraction,
-                t_in_epoch,
-                global_slot,
-                dt,
-            );
+            self.parallel_edp_phase(&mut scratch, &process, t_in_epoch, global_slot, dt);
 
             // ---- Sequential phase: market clearing per content.
-            let mut slot_stats = self.clear_market(&batches, &mean_fadings, dt);
+            let mut slot_stats = self.clear_market(&scratch.counts, &scratch.mean_fadings);
             // Fold the parallel phase's rate-type costs (Eq. (8) placement,
             // Eq. (9) center-download term) into the slot aggregates so the
             // series carries every Eq. (10) term the per-EDP accumulators
@@ -532,7 +566,7 @@ impl Simulation {
             // written by whichever thread owns the chunk, but each entry is
             // that EDP's alone, so this sum is bit-identical for any
             // thread count.
-            for c in &phase_costs {
+            for c in &scratch.costs {
                 slot_stats.placement += c.placement;
                 slot_stats.staleness += c.rate_staleness;
                 slot_stats.utility -= c.placement + c.rate_staleness;
@@ -556,10 +590,8 @@ impl Simulation {
                 });
             }
 
-            for (e, batch) in self.edps.iter().zip(&batches) {
-                for (k, &c) in batch.counts.iter().enumerate() {
-                    epoch_counts[e.id][k] += c;
-                }
+            for (total, &c) in epoch_counts.iter_mut().zip(&scratch.counts) {
+                *total += c as usize;
             }
 
             let m = self.cfg.num_edps as f64;
@@ -578,65 +610,72 @@ impl Simulation {
         }
 
         // Eq. (3): popularity refresh from the epoch's realized requests.
-        for e in &mut self.edps {
-            e.popularity.update(&epoch_counts[e.id]);
+        for (e, counts) in self.edps.iter_mut().zip(epoch_counts.chunks(k_contents)) {
+            e.popularity.update(counts);
         }
     }
 
     /// Requests + decisions + Eq. (4) integration, parallel over disjoint
-    /// EDP chunks. Returns each EDP's request batch and the rate-type
-    /// costs it accrued this slot (one entry per EDP, written only by the
-    /// thread owning that EDP's chunk, so downstream sequential sums are
-    /// thread-count-independent).
+    /// EDP chunks. Leaves each EDP's demand tally and the rate-type costs
+    /// it accrued this slot in `s` (one row per EDP, written
+    /// only by the thread owning that EDP's chunk, so downstream
+    /// sequential sums are thread-count-independent).
     fn parallel_edp_phase(
         &mut self,
+        s: &mut SlotScratch,
         process: &RequestProcess,
-        mean_fadings: &[f64],
-        cached_fraction: &[f64],
         t_in_epoch: f64,
         global_slot: u64,
         dt: f64,
-    ) -> (Vec<RequestBatch>, Vec<PhaseCost>) {
+    ) {
         let cfg = &self.cfg;
+        let kk = cfg.num_contents;
         // Requests draw from per-requester counter streams keyed by the
-        // requester's identity and the global slot, so a batch depends
+        // requester's identity and the global slot, so a tally depends
         // only on *who* an EDP serves — not on the EDP's own stream, not
         // on the thread schedule, and not on past handovers. The constant
         // detunes the request-stream key space from the per-link channel
         // streams that also derive from `cfg.seed`.
         let request_seed = cfg.seed ^ 0xA076_1D64_78BD_642F;
+        // `varrho_q·√dt` is slot-invariant; `(a·b)·z` is the same product
+        // the per-decision expression evaluated, so the bits are kept.
+        let noise_scale = cfg.params.varrho_q * dt.sqrt();
         let policy = &*self.policy;
         let topology = &self.topology;
         let q_sizes = &self.q_sizes;
         let ranks = &self.ranks;
         let n_threads = thread_count(cfg.worker_threads);
         let chunk_size = self.edps.len().div_ceil(n_threads).max(1);
-        let mut batches: Vec<RequestBatch> =
-            vec![RequestBatch::empty(cfg.num_contents); self.edps.len()];
-        let mut costs: Vec<PhaseCost> = vec![PhaseCost::default(); self.edps.len()];
+        let (cached_fraction, mean_fadings) = (&s.cached_fraction, &s.mean_fadings);
+        let demand = s
+            .counts
+            .chunks_mut(chunk_size * kk)
+            .zip(s.urgency_sums.chunks_mut(chunk_size * kk));
+        let chunks = self
+            .edps
+            .chunks_mut(chunk_size)
+            .zip(demand)
+            .zip(s.costs.chunks_mut(chunk_size));
 
         std::thread::scope(|scope| {
-            let mut edp_chunks: Vec<&mut [Edp]> = self.edps.chunks_mut(chunk_size).collect();
-            let batch_chunks: Vec<&mut [RequestBatch]> = batches.chunks_mut(chunk_size).collect();
-            let cost_chunks: Vec<&mut [PhaseCost]> = costs.chunks_mut(chunk_size).collect();
-            for ((edp_chunk, batch_chunk), cost_chunk) in
-                edp_chunks.drain(..).zip(batch_chunks).zip(cost_chunks)
-            {
+            for ((edp_chunk, (count_chunk, sum_chunk)), cost_chunk) in chunks {
                 scope.spawn(move || {
-                    for ((e, batch), cost) in edp_chunk
-                        .iter_mut()
-                        .zip(batch_chunk.iter_mut())
-                        .zip(cost_chunk.iter_mut())
+                    let rows = count_chunk.chunks_mut(kk).zip(sum_chunk.chunks_mut(kk));
+                    for ((e, (counts, sums)), cost) in
+                        edp_chunk.iter_mut().zip(rows).zip(cost_chunk.iter_mut())
                     {
                         let served = topology.served_by(e.id);
-                        *batch = process.generate_batched(served, request_seed, global_slot);
-                        // Timeliness observations (Def. 2).
-                        for k in 0..cfg.num_contents {
-                            e.timeliness.observe(k, &batch.urgencies[k]);
+                        process.tally_batched(served, request_seed, global_slot, counts, sums);
+                        // Timeliness observations (Def. 2); only a
+                        // requested content's `L_k`, and so its `ξ^{L_k}`,
+                        // moves.
+                        for (k, (&n, &sum)) in counts.iter().zip(sums.iter()).enumerate() {
+                            e.timeliness.observe_totals(k, sum, n as usize);
                         }
+                        *cost = PhaseCost::default();
                         // Decisions + Eq. (4) Euler–Maruyama integration.
-                        let base = e.id * cfg.num_contents;
-                        for k in 0..cfg.num_contents {
+                        let base = e.id * kk;
+                        for k in 0..kk {
                             let q_size = q_sizes[k];
                             let ctx = DecisionContext {
                                 edp: e.id,
@@ -648,7 +687,7 @@ impl Simulation {
                                 popularity: e.popularity.get(k),
                                 urgency_factor: e.timeliness.factor(k),
                                 rank: ranks.get(base + k).map_or(0, |&r| r as usize),
-                                num_contents: cfg.num_contents,
+                                num_contents: kk,
                                 neighbor_cached_fraction: cached_fraction[k],
                             };
                             let raw = policy.decide(&ctx, &mut e.rng);
@@ -661,9 +700,7 @@ impl Simulation {
                             };
                             e.x[k] = x;
                             let drift = cfg.params.drift_q(x, ctx.popularity, ctx.urgency_factor);
-                            let noise = cfg.params.varrho_q
-                                * dt.sqrt()
-                                * mfgcp_sde::StandardNormal.sample(&mut e.rng);
+                            let noise = noise_scale * mfgcp_sde::StandardNormal.sample(&mut e.rng);
                             e.q[k] = (e.q[k] + drift * dt + noise).clamp(0.0, q_size);
                             // Rate-type costs: placement (Eq. (8)) and the
                             // center download of the caching rate (Eq. (9),
@@ -682,7 +719,6 @@ impl Simulation {
                 });
             }
         });
-        (batches, costs)
     }
 
     /// Sequential market clearing; returns slot-level aggregates.
@@ -694,12 +730,8 @@ impl Simulation {
     /// center's best-stocked-peer assignment likewise precomputes the two
     /// lowest-remaining-space qualified sharers per content once, so each
     /// request resolves its peer in O(1) instead of scanning all sharers.
-    fn clear_market(
-        &mut self,
-        batches: &[RequestBatch],
-        mean_fadings: &[f64],
-        _dt: f64,
-    ) -> SlotAggregates {
+    /// `counts[i·K + k]` is EDP `i`'s slot demand for content `k`.
+    fn clear_market(&mut self, counts: &[u32], mean_fadings: &[f64]) -> SlotAggregates {
         let start = std::time::Instant::now();
         let cfg = &self.cfg;
         let sharing_allowed = self.policy.allows_sharing();
@@ -743,7 +775,7 @@ impl Simulation {
                 if e.can_share(k, s.alpha_qks[k]) {
                     s.sharers[k].offer(e.id, e.q[k]);
                 }
-                let requests = batches[i].counts[k] as u64;
+                let requests = u64::from(counts[i * kk + k]);
                 if requests > 0 {
                     s.requesters[k].push((i, requests));
                 }
@@ -1693,9 +1725,9 @@ mod tests {
             e.x[0] = 0.05 + 0.9 * (i as f64) / 11.0;
         }
         let m = sim.edps.len();
-        let batches = vec![RequestBatch::empty(sim.cfg.num_contents); m];
+        let counts = vec![0; m * sim.cfg.num_contents];
         let mean_fadings = vec![sim.cfg.params.upsilon_h; m];
-        let agg = sim.clear_market(&batches, &mean_fadings, 0.1);
+        let agg = sim.clear_market(&counts, &mean_fadings);
         let strategies: Vec<f64> = sim.edps.iter().map(|e| e.x[0]).collect();
         let oracle = (0..m)
             .map(|i| {
@@ -1887,9 +1919,9 @@ mod tests {
         // produces the idle shape straight from the engine's aggregates.
         let mut sim = small_sim(Box::new(MostPopularCaching::default()));
         let m = sim.edps.len();
-        let batches = vec![RequestBatch::empty(sim.cfg.num_contents); m];
+        let counts = vec![0; m * sim.cfg.num_contents];
         let mean_fadings = vec![sim.cfg.params.upsilon_h; m];
-        let agg = sim.clear_market(&batches, &mean_fadings, 0.1);
+        let agg = sim.clear_market(&counts, &mean_fadings);
         assert_eq!(agg.volume, 0);
         let fields = slot_event_fields(0, 0, &agg);
         assert!(fields

@@ -182,6 +182,51 @@ impl RequestProcess {
     /// batches on different threads with bit-identical results.
     pub fn generate_batched(&self, served: &[usize], seed: u64, slot: u64) -> RequestBatch {
         let mut batch = RequestBatch::empty(self.len());
+        self.walk_batched(served, seed, slot, |k, urgency| {
+            batch.counts[k] += 1;
+            batch.urgencies[k].push(urgency);
+        });
+        batch
+    }
+
+    /// The same requests as [`RequestProcess::generate_batched`], tallied
+    /// in place instead of materialized: `counts[k] = |I_k(t)|` and
+    /// `urgency_sums[k]` = the sum of those requests' urgencies, each
+    /// clamped into `[0, L_max]` and added in `served` order — exactly the
+    /// `(sum, n)` that [`crate::Timeliness::observe_totals`] takes. Both
+    /// slices are overwritten and must hold one entry per content.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either slice is shorter than the catalog.
+    pub fn tally_batched(
+        &self,
+        served: &[usize],
+        seed: u64,
+        slot: u64,
+        counts: &mut [u32],
+        urgency_sums: &mut [f64],
+    ) {
+        counts.fill(0);
+        urgency_sums.fill(0.0);
+        self.walk_batched(served, seed, slot, |k, urgency| {
+            counts[k] += 1;
+            urgency_sums[k] += self.timeliness.clamp(urgency);
+        });
+    }
+
+    /// The one request walk behind [`RequestProcess::generate_batched`]
+    /// and [`RequestProcess::tally_batched`]: per requester in `served`
+    /// order, the request gate, then the content choice and the urgency
+    /// draw, all from that requester's own stream; `visit(k, urgency)`
+    /// sees each request.
+    fn walk_batched(
+        &self,
+        served: &[usize],
+        seed: u64,
+        slot: u64,
+        mut visit: impl FnMut(usize, f64),
+    ) {
         for &j in served {
             let mut rng = requester_rng(seed, j, slot);
             if rng.random_range(0.0_f64..1.0) < self.request_prob {
@@ -190,11 +235,9 @@ impl RequestProcess {
                     .cumulative
                     .partition_point(|&c| c < u)
                     .min(self.len() - 1);
-                batch.counts[k] += 1;
-                batch.urgencies[k].push(rng.random_range(0.0..self.timeliness.l_max));
+                visit(k, rng.random_range(0.0..self.timeliness.l_max));
             }
         }
-        batch
     }
 }
 

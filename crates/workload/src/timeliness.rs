@@ -78,24 +78,36 @@ impl TimelinessConfig {
         })
     }
 
+    /// An urgency clamped into `[0, L_max]`.
+    pub fn clamp(&self, l: f64) -> f64 {
+        l.clamp(0.0, self.l_max)
+    }
+
     /// The urgency factor `ξ^L` appearing in the caching dynamics (Eq. (4)).
     pub fn urgency_factor(&self, l: f64) -> f64 {
-        self.xi.powf(l.clamp(0.0, self.l_max))
+        self.xi.powf(self.clamp(l))
     }
 }
 
 /// Per-content running-average timeliness for one EDP.
+///
+/// The Eq. (4) factor `ξ^{L_k}` is cached next to `L_k` and refreshed only
+/// when an observation moves `L_k`, so reading it is a load, not a `powf`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Timeliness {
     config: TimelinessConfig,
     current: Vec<f64>,
+    /// `factors[k] = config.urgency_factor(current[k])`, always.
+    factors: Vec<f64>,
 }
 
 impl Timeliness {
     /// Start with all contents at half of `L_max` (no information yet).
     pub fn new(k: usize, config: TimelinessConfig) -> Self {
+        let start = config.l_max / 2.0;
         Self {
-            current: vec![config.l_max / 2.0; k],
+            current: vec![start; k],
+            factors: vec![config.urgency_factor(start); k],
             config,
         }
     }
@@ -112,7 +124,7 @@ impl Timeliness {
 
     /// The urgency factor `ξ^{L_k(t)}` for content `k`.
     pub fn factor(&self, k: usize) -> f64 {
-        self.config.urgency_factor(self.current[k])
+        self.factors[k]
     }
 
     /// Record the per-request urgencies for content `k` in this slot and
@@ -120,16 +132,22 @@ impl Timeliness {
     /// see [`TimelinessConfig::smoothing`]). Empty slices leave the
     /// average unchanged (no requesters expressed a requirement).
     pub fn observe(&mut self, k: usize, urgencies: &[f64]) {
-        if urgencies.is_empty() {
+        let sum: f64 = urgencies.iter().map(|&l| self.config.clamp(l)).sum();
+        self.observe_totals(k, sum, urgencies.len());
+    }
+
+    /// [`Timeliness::observe`] from a slot's totals: `sum` of the `n`
+    /// urgencies for content `k`, each already clamped into `[0, L_max]`
+    /// and added in request order (so the average matches `observe` on the
+    /// same requests bit for bit). `n = 0` leaves the average unchanged.
+    pub fn observe_totals(&mut self, k: usize, sum: f64, n: usize) {
+        if n == 0 {
             return;
         }
-        let sum: f64 = urgencies
-            .iter()
-            .map(|l| l.clamp(0.0, self.config.l_max))
-            .sum();
-        let batch_mean = sum / urgencies.len() as f64;
+        let batch_mean = sum / n as f64;
         let alpha = self.config.smoothing;
         self.current[k] = (1.0 - alpha) * self.current[k] + alpha * batch_mean;
+        self.factors[k] = self.config.urgency_factor(self.current[k]);
     }
 
     /// Draw a requester urgency uniformly in `[0, L_max]`.

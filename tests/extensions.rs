@@ -159,3 +159,68 @@ fn cli_surface_is_reachable_from_the_facade() {
         other => panic!("unexpected {other:?}"),
     }
 }
+
+#[test]
+fn ctl_reprice_under_mfg_solves_without_sharing() {
+    // `simulate --scheme mfg --observe` hands the control plane the
+    // parameters `Scheme::build` returns with the policy; a reprice on the
+    // paused run must then solve the MFG game (p̄ = 0), bit-identical to
+    // the policy's own cold reprice at the same live context and
+    // occupancy — never the run's paid-sharing game.
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    use mfgcp::cli::Scheme;
+    use mfgcp::ctl::ControlPlane;
+    use mfgcp::obs::BroadcastSink;
+    use mfgcp::sim::EngineControl;
+
+    let cfg = small_config();
+    assert!(cfg.params.p_bar > 0.0);
+    let (policy, solve_params) = Scheme::Mfg.build(cfg.params.clone()).unwrap();
+    assert_eq!(solve_params.p_bar, 0.0);
+    let plane = Arc::new(ControlPlane::new(
+        solve_params,
+        Arc::new(BroadcastSink::new()),
+        true,
+    ));
+    let mut sim = Simulation::new(cfg.clone(), policy).unwrap();
+    sim.set_control(Arc::clone(&plane) as Arc<dyn EngineControl>);
+    let run = std::thread::spawn(move || sim.run());
+
+    plane.step(3);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let snap = loop {
+        match plane.latest() {
+            Some(s) if s.global_slot == 3 => break s,
+            _ => {
+                assert!(Instant::now() < deadline, "run never parked");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+    };
+    plane.reprice().expect("live reprice");
+    let staged = plane.take_prepared_equilibrium().unwrap().equilibrium;
+    plane.detach();
+    run.join().unwrap();
+
+    assert_eq!(staged.params.p_bar, 0.0);
+    let direct = MfgCpPolicy::without_sharing(cfg.params.clone())
+        .unwrap()
+        .reprice(0, &snap.contexts[0], &snap.occupancy)
+        .unwrap();
+    assert_eq!(staged.params, direct.params);
+    assert_eq!(
+        (staged.report.converged, staged.report.iterations),
+        (direct.report.converged, direct.report.iterations)
+    );
+    let bits = |fields: &[mfgcp::pde::Field2d]| -> Vec<u64> {
+        fields
+            .iter()
+            .flat_map(|f| f.values().iter().map(|v| v.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(&staged.policy), bits(&direct.policy));
+    assert_eq!(bits(&staged.density), bits(&direct.density));
+    assert_eq!(bits(&staged.values), bits(&direct.values));
+}
