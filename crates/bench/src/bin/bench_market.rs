@@ -9,6 +9,9 @@
 //! in M. Each sample also carries `slot_micros`, the whole slot (run wall
 //! over slots: requests, decisions, integration and the market), so a
 //! regression anywhere in the slot loop is gated, not only in clearing.
+//! A sample repeats the measured epoch until it spans [`MIN_EDP_SLOTS`]
+//! EDP-slots (`repetitions` in the report), so at small M it times more
+//! than the ≈ 1 ms one epoch of clearing takes.
 //! Run: `cargo run --release -p mfgcp-bench --bin bench_market`
 //!
 //! Flags:
@@ -28,9 +31,15 @@ use mfgcp_obs::{JsonlSink, RecorderHandle};
 use mfgcp_sim::baselines::MostPopularCaching;
 use mfgcp_sim::{SimConfig, Simulation};
 
+/// EDP-slots one sample spans at least: the measured epoch is repeated
+/// `⌈MIN_EDP_SLOTS / (M·slots)⌉` times (25 at M = 100, once from
+/// M = 2500 up).
+const MIN_EDP_SLOTS: usize = 50_000;
+
 struct Sample {
     m: usize,
     slots: usize,
+    repetitions: usize,
     wall_millis: f64,
     slot_micros: f64,
     market_per_slot_micros: f64,
@@ -61,7 +70,8 @@ fn config(m: usize) -> SimConfig {
 
 fn measure(m: usize, recorder: &RecorderHandle) -> Sample {
     // Warm-up epoch to page in the allocator and caches, then take the
-    // best of three measured epochs (minimum filters scheduler noise).
+    // best of three samples of `repetitions` identical measured epochs
+    // each (minimum filters scheduler noise).
     // The warm-up doubles as a conservation check: the auditor runs on
     // this untimed epoch only, so the measured epochs stay unperturbed.
     let warmup = SimConfig {
@@ -77,24 +87,32 @@ fn measure(m: usize, recorder: &RecorderHandle) -> Sample {
         "M = {m}: conservation audit failed: {:?}",
         audit.violations
     );
+    let slots = {
+        let cfg = config(m);
+        cfg.epochs * cfg.slots_per_epoch
+    };
+    let repetitions = MIN_EDP_SLOTS.div_ceil(m * slots);
     let mut best: Option<Sample> = None;
     for _ in 0..3 {
-        let cfg = config(m);
-        let slots = cfg.epochs * cfg.slots_per_epoch;
-        let mut sim =
-            Simulation::new(cfg, Box::new(MostPopularCaching::default())).expect("valid config");
-        sim.set_recorder(recorder.clone());
-        let start = Instant::now();
-        let _ = sim.run();
-        let wall = start.elapsed();
-        let market_nanos = sim.market_clearing_nanos() as f64;
+        let (mut wall_secs, mut market_nanos) = (0.0, 0.0);
+        for _ in 0..repetitions {
+            let mut sim = Simulation::new(config(m), Box::new(MostPopularCaching::default()))
+                .expect("valid config");
+            sim.set_recorder(recorder.clone());
+            let start = Instant::now();
+            let _ = sim.run();
+            wall_secs += start.elapsed().as_secs_f64();
+            market_nanos += sim.market_clearing_nanos() as f64;
+        }
+        let measured_slots = (slots * repetitions) as f64;
         let sample = Sample {
             m,
             slots,
-            wall_millis: wall.as_secs_f64() * 1e3,
-            slot_micros: wall.as_secs_f64() * 1e6 / slots as f64,
-            market_per_slot_micros: market_nanos / slots as f64 / 1e3,
-            market_per_slot_per_edp_nanos: market_nanos / slots as f64 / m as f64,
+            repetitions,
+            wall_millis: wall_secs * 1e3 / repetitions as f64,
+            slot_micros: wall_secs * 1e6 / measured_slots,
+            market_per_slot_micros: market_nanos / measured_slots / 1e3,
+            market_per_slot_per_edp_nanos: market_nanos / measured_slots / m as f64,
         };
         if best.as_ref().map_or(true, |b| {
             sample.market_per_slot_micros < b.market_per_slot_micros
@@ -108,6 +126,7 @@ fn measure(m: usize, recorder: &RecorderHandle) -> Sample {
         &[
             ("m", best.m.into()),
             ("slots", best.slots.into()),
+            ("repetitions", best.repetitions.into()),
             ("wall_millis", best.wall_millis.into()),
             ("slot_micros", best.slot_micros.into()),
             ("market_per_slot_micros", best.market_per_slot_micros.into()),
@@ -173,6 +192,7 @@ fn main() {
                         Json::Obj(vec![
                             ("m".into(), Json::Num(s.m as f64)),
                             ("slots".into(), Json::Num(s.slots as f64)),
+                            ("repetitions".into(), Json::Num(s.repetitions as f64)),
                             ("epoch_wall_millis".into(), Json::Num(s.wall_millis)),
                             ("slot_micros".into(), Json::Num(s.slot_micros)),
                             (

@@ -1,58 +1,15 @@
-//! Ablations of the design choices documented in `DESIGN.md` §5: state
-//! dimensionality, Picard relaxation weight, grid resolution, and the
-//! conservative-vs-advective FPK discretization.
-
-use std::time::Instant;
+//! Ablations of the design choices documented in `DESIGN.md` §5: Picard
+//! relaxation weight, grid resolution, the conservative-vs-advective FPK
+//! discretization, the mean-field approximation in `M`, the terminal
+//! condition and the Picard-vs-fictitious-play update.
 
 use mfgcp_core::{
-    finite_population_price, mean_field_price, ContentContext, MfgSolver, Params, ReducedMfgSolver,
-    SolveMethod,
+    finite_population_price, mean_field_price, ContentContext, MfgSolver, Params, SolveMethod,
 };
-use mfgcp_pde::{Axis, Field1d, Field2d, FokkerPlanck2d, Grid2d, ImplicitFokkerPlanck2d};
+use mfgcp_pde::{Axis, Field1d, Field2d};
 
 use super::base_params;
 use crate::Row;
-
-/// Ablation: the full 2-D `(h, q)` solver vs the reduced 1-D `q`-only
-/// solver. Series `full-state` / `reduced-state` (mean remaining space
-/// over time) and `solve-seconds` (x = 2 or 1 for the dimensionality).
-pub fn ablation_dim() -> Vec<Row> {
-    let params = base_params();
-    let mut rows = Vec::new();
-
-    let t0 = Instant::now();
-    let full = MfgSolver::new(params.clone())
-        .expect("valid params")
-        .solve()
-        .expect("default game converges");
-    let full_secs = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    let reduced = ReducedMfgSolver::new(params.clone())
-        .expect("valid params")
-        .solve();
-    let reduced_secs = t0.elapsed().as_secs_f64();
-
-    for (n, &q) in full.mean_remaining_space().iter().enumerate() {
-        rows.push(Row::new(
-            "ablation_dim",
-            "full-state",
-            n as f64 * full.dt(),
-            q,
-        ));
-    }
-    for (n, &q) in reduced.mean_remaining_space().iter().enumerate() {
-        rows.push(Row::new(
-            "ablation_dim",
-            "reduced-state",
-            n as f64 * params.dt(),
-            q,
-        ));
-    }
-    rows.push(Row::new("ablation_dim", "solve-seconds", 2.0, full_secs));
-    rows.push(Row::new("ablation_dim", "solve-seconds", 1.0, reduced_secs));
-    rows
-}
 
 /// Ablation: the Picard relaxation weight `ω` of Alg. 2. Series
 /// `iterations` (x = ω) and `converged` (1.0 / 0.0).
@@ -196,79 +153,6 @@ pub fn ablation_fpk_form() -> Vec<Row> {
             fpk.step(&mut conservative, &drift, dt);
             advective_step(&mut advective, &drift, diffusion, dt);
         }
-    }
-    rows
-}
-
-/// Ablation: explicit (CFL-sub-stepped) vs implicit (Thomas/Lie-split) FPK
-/// steppers. For a range of macro step sizes, both advance the same initial
-/// density through the same drift field for one time unit; series
-/// `explicit-error` / `implicit-error` report the sup-distance to a
-/// fine-step reference, `explicit-seconds` / `implicit-seconds` the wall
-/// time. The explicit kernel hides its CFL bound behind sub-stepping, so
-/// its cost is flat in the macro dt while the implicit solve gets cheaper.
-pub fn ablation_stepper() -> Vec<Row> {
-    let grid = Grid2d::new(
-        Axis::new(1.0e-5, 10.0e-5, 16).expect("valid axis"),
-        Axis::new(0.0, 1.0, 64).expect("valid axis"),
-    );
-    let params = base_params();
-    let mut initial = Field2d::from_fn(grid.clone(), |_h, q| {
-        let z = (q - 0.7) / 0.1;
-        (-0.5 * z * z).exp()
-    });
-    initial.normalize();
-    let bx = Field2d::from_fn(grid.clone(), |h, _q| params.drift_h(h));
-    let by = Field2d::from_fn(grid.clone(), |_h, q| 0.4 - 0.9 * q);
-    let explicit =
-        FokkerPlanck2d::new(params.diffusion_h(), params.diffusion_q()).expect("valid diffusions");
-    let implicit = ImplicitFokkerPlanck2d::new(params.diffusion_h(), params.diffusion_q())
-        .expect("valid diffusions");
-
-    // Fine-step reference.
-    let mut reference = initial.clone();
-    for _ in 0..1000 {
-        explicit.step(&mut reference, &bx, &by, 1e-3);
-    }
-
-    let mut rows = Vec::new();
-    for &steps in &[8usize, 16, 32, 64] {
-        let dt = 1.0 / steps as f64;
-        let mut a = initial.clone();
-        let t0 = Instant::now();
-        for _ in 0..steps {
-            explicit.step(&mut a, &bx, &by, dt);
-        }
-        let te = t0.elapsed().as_secs_f64();
-        let mut b = initial.clone();
-        let t0 = Instant::now();
-        for _ in 0..steps {
-            implicit.step(&mut b, &bx, &by, dt);
-        }
-        let ti = t0.elapsed().as_secs_f64();
-        // Relative to the reference peak (absolute densities on this grid
-        // are O(1e4) because the h-band is 9e-5 wide).
-        let peak = reference.max();
-        rows.push(Row::new(
-            "ablation_stepper",
-            "explicit-error",
-            dt,
-            a.sup_distance(&reference) / peak,
-        ));
-        rows.push(Row::new(
-            "ablation_stepper",
-            "implicit-error",
-            dt,
-            b.sup_distance(&reference) / peak,
-        ));
-        rows.push(Row::new("ablation_stepper", "explicit-seconds", dt, te));
-        rows.push(Row::new("ablation_stepper", "implicit-seconds", dt, ti));
-        rows.push(Row::new(
-            "ablation_stepper",
-            "implicit-mass-error",
-            dt,
-            (b.integral() - 1.0).abs(),
-        ));
     }
     rows
 }
@@ -506,28 +390,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dim_ablation_shows_speedup_and_agreement() {
-        let rows = ablation_dim();
-        let secs = |x: f64| {
-            rows.iter()
-                .find(|r| r.series == "solve-seconds" && r.x == x)
-                .map(|r| r.y)
-                .expect("timing row")
-        };
-        assert!(secs(1.0) < secs(2.0), "reduced should be faster");
-        // Trajectories agree within a few percent of storage.
-        let full: Vec<&Row> = rows.iter().filter(|r| r.series == "full-state").collect();
-        let reduced: Vec<&Row> = rows
-            .iter()
-            .filter(|r| r.series == "reduced-state")
-            .collect();
-        assert_eq!(full.len(), reduced.len());
-        for (f, r) in full.iter().zip(&reduced) {
-            assert!((f.y - r.y).abs() < 0.08, "t={}: {} vs {}", f.x, f.y, r.y);
-        }
-    }
-
-    #[test]
     fn relaxation_ablation_reports_all_weights() {
         let rows = ablation_relaxation();
         let iters: Vec<(f64, f64)> = rows
@@ -557,27 +419,6 @@ mod tests {
         let d1 = (q(48.0) - q(24.0)).abs();
         let d2 = (q(96.0) - q(48.0)).abs();
         assert!(d2 <= d1 + 0.01, "no refinement convergence: {d1} then {d2}");
-    }
-
-    #[test]
-    fn stepper_ablation_orders_costs_correctly() {
-        let rows = ablation_stepper();
-        // Implicit mass error is machine precision at every dt.
-        assert!(rows
-            .iter()
-            .filter(|r| r.series == "implicit-mass-error")
-            .all(|r| r.y < 1e-9));
-        // At the largest macro dt the implicit solve is cheaper than the
-        // explicit one (which must sub-step through its CFL bound).
-        let at = |series: &str, dt: f64| {
-            rows.iter()
-                .find(|r| r.series == series && (r.x - dt).abs() < 1e-12)
-                .map(|r| r.y)
-                .expect("row")
-        };
-        assert!(at("implicit-seconds", 0.125) < at("explicit-seconds", 0.125) * 1.5);
-        // Both converge as dt shrinks.
-        assert!(at("implicit-error", 1.0 / 64.0) < at("implicit-error", 0.125));
     }
 
     #[test]

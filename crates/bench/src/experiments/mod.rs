@@ -9,8 +9,8 @@ mod meanfield;
 mod sweeps;
 
 pub use ablations::{
-    ablation_dim, ablation_fictitious, ablation_finite_m, ablation_fpk_form, ablation_grid,
-    ablation_population, ablation_relaxation, ablation_stepper, ablation_terminal,
+    ablation_fictitious, ablation_finite_m, ablation_fpk_form, ablation_grid, ablation_population,
+    ablation_relaxation, ablation_terminal,
 };
 pub use channel::fig03_channel;
 pub use comparisons::{

@@ -83,11 +83,9 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "table2_computation_time",
         experiments::table2_computation_time,
     ),
-    ("ablation_dim", experiments::ablation_dim),
     ("ablation_relaxation", experiments::ablation_relaxation),
     ("ablation_grid", experiments::ablation_grid),
     ("ablation_fpk_form", experiments::ablation_fpk_form),
-    ("ablation_stepper", experiments::ablation_stepper),
     ("ablation_finite_m", experiments::ablation_finite_m),
     ("ablation_terminal", experiments::ablation_terminal),
     ("ablation_fictitious", experiments::ablation_fictitious),
@@ -206,5 +204,98 @@ mod tests {
                 "experiment `{name}` is not referenced in DESIGN.md"
             );
         }
+    }
+
+    /// Whether `word` is spelled like an experiment name: `fig<digit>…`,
+    /// `table<digit>…` or `ablation_…`, all word characters.
+    fn looks_like_experiment(word: &str) -> bool {
+        let numbered = |prefix: &str| {
+            word.strip_prefix(prefix)
+                .is_some_and(|rest| rest.starts_with(|c: char| c.is_ascii_digit()))
+        };
+        let named = numbered("fig") || numbered("table") || word.starts_with("ablation_");
+        named && word.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+    }
+
+    /// The experiment names `text` cites: every backticked name spelled
+    /// like one, and the arguments of every `reproduce` command line (all
+    /// of them after `reproduce --`, name-like ones after bare `reproduce`).
+    fn cited_experiments(text: &str) -> Vec<String> {
+        let mut names: Vec<String> = text
+            .split('`')
+            .filter(|piece| looks_like_experiment(piece))
+            .map(str::to_string)
+            .collect();
+        for (i, _) in text.match_indices("reproduce") {
+            let rest = &text[i + "reproduce".len()..];
+            if !rest.starts_with(char::is_whitespace) {
+                continue;
+            }
+            let mut words = rest.split_whitespace().peekable();
+            let after_dashes = words.next_if_eq(&"--").is_some();
+            for word in words {
+                let end = word
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                    .unwrap_or(word.len());
+                let name = &word[..end];
+                if name.is_empty() || !(after_dashes || looks_like_experiment(name)) {
+                    break;
+                }
+                names.push(name.to_string());
+                if end < word.len() {
+                    break;
+                }
+            }
+        }
+        names
+    }
+
+    /// Doc-sync guard: every experiment name that EXPERIMENTS.md,
+    /// DESIGN.md §5 or README.md cites resolves through
+    /// [`select_experiments`], so a deleted experiment cannot leave a
+    /// dangling reference (a `reproduce` line that would fail with
+    /// "unknown experiment").
+    #[test]
+    fn docs_name_only_registered_experiments() {
+        let design = include_str!("../../../DESIGN.md");
+        let section5 = design
+            .split("\n## 5. ")
+            .nth(1)
+            .and_then(|s| s.split("\n## ").next())
+            .expect("DESIGN.md has a §5");
+        let docs = [
+            ("EXPERIMENTS.md", include_str!("../../../EXPERIMENTS.md")),
+            ("DESIGN.md §5", section5),
+            ("README.md", include_str!("../../../README.md")),
+        ];
+        for (doc, text) in docs {
+            let names = cited_experiments(text);
+            assert!(!names.is_empty(), "{doc} cites no experiment");
+            for name in names {
+                assert!(
+                    select_experiments(std::slice::from_ref(&name)).is_ok(),
+                    "{doc} cites unregistered experiment `{name}`"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cited_experiments_reads_backticks_and_reproduce_lines() {
+        let text = "see `fig03_channel` and `fig06`, not `figure` or `ablation_x y`;\n\
+                    reproduce -- fig04_meanfield_evolution ablation_gone\n```\n\
+                    `reproduce ablation_grid`, `reproduce --\nfig14_scheme_comparison`, \
+                    the `reproduce` binary, reproduce the paper";
+        assert_eq!(
+            cited_experiments(text),
+            [
+                "fig03_channel",
+                "fig06",
+                "fig04_meanfield_evolution",
+                "ablation_gone",
+                "ablation_grid",
+                "fig14_scheme_comparison",
+            ]
+        );
     }
 }

@@ -23,8 +23,7 @@
 //!   (`knapsack`);
 //! * the per-epoch framework loop of Alg. 1 (`framework`): the one epoch
 //!   driver, fanning the per-content solves out over worker threads, and
-//!   the occupancy-seeded mid-run reprice;
-//! * a reduced 1-D (`q`-only) solver for ablations (`reduced`).
+//!   the occupancy-seeded mid-run reprice.
 //!
 //! ## Unit conventions
 //!
@@ -70,7 +69,6 @@ mod mfg;
 mod params;
 mod pricing;
 mod rate;
-mod reduced;
 mod sigmoid;
 mod utility;
 
@@ -85,6 +83,5 @@ pub use mfg::{Equilibrium, MfgSolver, PreparedSlot, SolveMethod, SolveWorkspace}
 pub use params::{CoreError, Params};
 pub use pricing::{finite_population_price, mean_field_price, SharedSupplyPricer};
 pub use rate::RateModel;
-pub use reduced::{ReducedEquilibrium, ReducedMfgSolver};
 pub use sigmoid::Sigmoid;
 pub use utility::{ContentContext, Utility, UtilityBreakdown};

@@ -65,12 +65,6 @@ impl RateModel {
         self.scale
     }
 
-    /// Rate averaged over the stationary fading distribution, approximated
-    /// at the long-term mean `υ_h` (used by the reduced 1-D solver).
-    pub fn rate_at_mean(&self, upsilon_h: f64) -> f64 {
-        self.rate(upsilon_h)
-    }
-
     /// Top of the calibrated band.
     pub fn h_max(&self) -> f64 {
         self.h_max
@@ -118,7 +112,7 @@ mod tests {
         // beat the center rate.
         let p = Params::default();
         let m = RateModel::from_params(&p);
-        assert!(m.rate_at_mean(p.upsilon_h) > p.center_rate);
+        assert!(m.rate(p.upsilon_h) > p.center_rate);
     }
 
     #[test]

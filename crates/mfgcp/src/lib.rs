@@ -59,8 +59,8 @@ pub mod prelude {
     pub use mfgcp_check::{AuditError, AuditReport, Auditor};
     pub use mfgcp_core::{
         solve_01, solve_fractional, CachePlan, ContentContext, Equilibrium, Framework,
-        KnapsackItem, MeanFieldEstimator, MeanFieldSnapshot, MfgSolver, Params, ReducedMfgSolver,
-        Utility, UtilityBreakdown,
+        KnapsackItem, MeanFieldEstimator, MeanFieldSnapshot, MfgSolver, Params, Utility,
+        UtilityBreakdown,
     };
     pub use mfgcp_net::{ChannelState, NetworkConfig, Topology};
     pub use mfgcp_obs::{JsonlSink, MemorySink, RecorderHandle};

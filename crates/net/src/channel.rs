@@ -325,7 +325,7 @@ impl ChannelState {
     }
 
     /// Mean rate from EDP `i` to its served requesters; `None` if it serves
-    /// nobody. Used when a scalar per-EDP rate is needed (reduced solver).
+    /// nobody: a scalar per-EDP summary of the Eq. (2) rates.
     pub fn mean_rate_to_served(&self, topo: &Topology, i: usize) -> Option<f64> {
         let served = topo.served_by(i);
         if served.is_empty() {

@@ -15,7 +15,7 @@
 use mfgcp_obs::{OnceFlag, RecorderHandle};
 
 use crate::axis::Grid2d;
-use crate::field::{Field1d, Field2d};
+use crate::field::Field2d;
 use crate::ops::Derivative1d;
 use crate::stability::StabilityLimit;
 use crate::telemetry::{report_cfl, report_nonfinite};
@@ -37,79 +37,6 @@ fn backward_upwind_dir(b: f64) -> Derivative1d {
         Derivative1d::Forward
     } else {
         Derivative1d::Backward
-    }
-}
-
-/// 1-D backward parabolic stepper (used by the reduced q-only HJB solver).
-#[derive(Debug, Clone)]
-pub struct BackwardParabolic1d {
-    diffusion: f64,
-    limit: StabilityLimit,
-    scratch: Vec<f64>,
-}
-
-impl BackwardParabolic1d {
-    /// Create a stepper with diffusion coefficient `D = ½ϱ²`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `diffusion` is negative or non-finite.
-    pub fn new(diffusion: f64) -> Result<Self, PdeError> {
-        Ok(Self {
-            diffusion: check_diffusion("diffusion", diffusion)?,
-            limit: StabilityLimit::default(),
-            scratch: Vec::new(),
-        })
-    }
-
-    /// Step `value` backwards by `dt`: given `V(t + dt)` in `value`,
-    /// overwrite it with `V(t)` under nodal `drift` and `source` terms
-    /// (both held frozen across the step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `drift` or `source` lengths do not match.
-    pub fn step_back(&mut self, value: &mut Field1d, drift: &[f64], source: &[f64], dt: f64) {
-        let n = value.values().len();
-        assert_eq!(drift.len(), n, "drift length mismatch");
-        assert_eq!(source.len(), n, "source length mismatch");
-        let dx = value.axis().dx();
-        let b_max = drift.iter().fold(0.0_f64, |m, b| m.max(b.abs()));
-        let max_dt = self.limit.max_dt_1d(b_max, self.diffusion, dx);
-        let (n_sub, sub_dt) = self.limit.substeps(dt, max_dt);
-        for _ in 0..n_sub {
-            self.substep(value, drift, source, sub_dt);
-        }
-    }
-
-    fn substep(&mut self, value: &mut Field1d, drift: &[f64], source: &[f64], dt: f64) {
-        let dx = value.axis().dx();
-        let v = value.values();
-        let n = v.len();
-        self.scratch.clear();
-        self.scratch.reserve(n);
-        let inv_dx2 = 1.0 / (dx * dx);
-        for i in 0..n {
-            // Upwinded gradient; where the upwind neighbour is outside the
-            // wall, the reflecting (zero-Neumann) ghost makes it zero —
-            // using the opposite one-sided stencil instead would break the
-            // scheme's monotonicity (maximum principle).
-            let grad = match backward_upwind_dir(drift[i]) {
-                Derivative1d::Forward if i + 1 < n => (v[i + 1] - v[i]) / dx,
-                Derivative1d::Backward if i > 0 => (v[i] - v[i - 1]) / dx,
-                _ => 0.0,
-            };
-            let lap = if i == 0 {
-                (v[1] - v[0]) * inv_dx2
-            } else if i == n - 1 {
-                (v[n - 2] - v[n - 1]) * inv_dx2
-            } else {
-                (v[i - 1] - 2.0 * v[i] + v[i + 1]) * inv_dx2
-            };
-            self.scratch
-                .push(v[i] + dt * (drift[i] * grad + self.diffusion * lap + source[i]));
-        }
-        value.values_mut().copy_from_slice(&self.scratch);
     }
 }
 
@@ -296,62 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_source_constant_terminal_stays_constant_1d() {
-        let mut stepper = BackwardParabolic1d::new(0.05).unwrap();
-        let mut v = Field1d::from_fn(axis(0.0, 1.0, 41), |_| 2.0);
-        let drift = vec![0.7; 41];
-        let src = vec![0.0; 41];
-        for _ in 0..20 {
-            stepper.step_back(&mut v, &drift, &src, 0.05);
-        }
-        for &x in v.values() {
-            assert!((x - 2.0).abs() < 1e-10, "drifted to {x}");
-        }
-    }
-
-    #[test]
-    fn pure_source_accumulates_linearly_1d() {
-        // With b = D = 0, V(t) = V(T) + (T − t)·U.
-        let mut stepper = BackwardParabolic1d::new(0.0).unwrap();
-        let mut v = Field1d::zeros(axis(0.0, 1.0, 11));
-        let drift = vec![0.0; 11];
-        let src = vec![3.0; 11];
-        for _ in 0..10 {
-            stepper.step_back(&mut v, &drift, &src, 0.1);
-        }
-        for &x in v.values() {
-            assert!((x - 3.0).abs() < 1e-10, "got {x}");
-        }
-    }
-
-    #[test]
-    fn advection_shifts_the_profile_1d() {
-        // ∂_t V + b ∂_x V = 0 has solution V(t, x) = V(T, x + b(T − t)).
-        let b = 0.3;
-        let mut stepper = BackwardParabolic1d::new(0.0).unwrap();
-        let ax = axis(0.0, 2.0, 801);
-        let terminal = |x: f64| (-40.0 * (x - 1.3) * (x - 1.3)).exp();
-        let mut v = Field1d::from_fn(ax.clone(), terminal);
-        let drift = vec![b; 801];
-        let src = vec![0.0; 801];
-        let horizon = 1.0;
-        for _ in 0..50 {
-            stepper.step_back(&mut v, &drift, &src, horizon / 50.0);
-        }
-        // Peak should now be near x = 1.3 − b·T = 1.0 (characteristics
-        // x(t) = x₀ + b·t reach 1.3 at T from 1.0 at 0).
-        let peak_idx = v
-            .values()
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        let peak_x = ax.at(peak_idx);
-        assert!((peak_x - 1.0).abs() < 0.05, "peak at {peak_x}");
-    }
-
-    #[test]
     fn heat_kernel_smooths_2d() {
         let grid = Grid2d::new(axis(0.0, 1.0, 31), axis(0.0, 1.0, 31));
         let stepper = BackwardParabolic2d::new(0.01, 0.01).unwrap();
@@ -478,7 +349,6 @@ mod tests {
 
     #[test]
     fn invalid_diffusion_rejected() {
-        assert!(BackwardParabolic1d::new(-1.0).is_err());
         assert!(BackwardParabolic2d::new(0.1, -0.2).is_err());
     }
 }

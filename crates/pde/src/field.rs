@@ -13,15 +13,6 @@ pub struct Field1d {
 }
 
 impl Field1d {
-    /// A zero field on `axis`.
-    pub fn zeros(axis: Axis) -> Self {
-        let n = axis.len();
-        Self {
-            axis,
-            values: vec![0.0; n],
-        }
-    }
-
     /// A field filled from a function of the coordinate.
     pub fn from_fn(axis: Axis, f: impl Fn(f64) -> f64) -> Self {
         let values = (0..axis.len()).map(|i| f(axis.at(i))).collect();
@@ -56,11 +47,6 @@ impl Field1d {
     /// Mutable field values.
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.values
-    }
-
-    /// Value at index `i`.
-    pub fn at(&self, i: usize) -> f64 {
-        self.values[i]
     }
 
     /// Linear interpolation at coordinate `x` (clamped to the axis range).
@@ -100,19 +86,6 @@ impl Field1d {
             }
         }
     }
-
-    /// Supremum-norm distance to another field on the same axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the axes differ.
-    pub fn sup_distance(&self, other: &Self) -> f64 {
-        assert_eq!(self.axis, other.axis, "fields live on different axes");
-        self.values
-            .iter()
-            .zip(&other.values)
-            .fold(0.0_f64, |m, (a, b)| m.max((a - b).abs()))
-    }
 }
 
 /// A borrowed, read-only view of a scalar field on a [`Grid2d`]: a grid
@@ -145,19 +118,9 @@ impl<'a> Field2dView<'a> {
         Ok(Self { grid, values })
     }
 
-    /// The underlying grid.
-    pub fn grid(&self) -> &'a Grid2d {
-        self.grid
-    }
-
-    /// Raw row-major values.
-    pub fn values(&self) -> &'a [f64] {
-        self.values
-    }
-
     /// Value at `(i, j)`.
     #[inline]
-    pub fn at(&self, i: usize, j: usize) -> f64 {
+    fn at(&self, i: usize, j: usize) -> f64 {
         self.values[self.grid.index(i, j)]
     }
 
@@ -408,7 +371,7 @@ mod tests {
         f.normalize();
         assert!((f.integral() - 1.0).abs() < 1e-12);
         // Normalizing a zero field is a no-op, not a NaN factory.
-        let mut z = Field1d::zeros(axis(5));
+        let mut z = Field1d::from_fn(axis(5), |_| 0.0);
         z.normalize();
         assert!(z.values().iter().all(|v| *v == 0.0));
     }

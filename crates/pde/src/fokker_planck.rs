@@ -40,8 +40,9 @@ fn face_flux(b_face: f64, left: f64, right: f64, d: f64, dx: f64) -> f64 {
     advective - d * (right - left) / dx
 }
 
-/// 1-D forward Fokker–Planck stepper (used by the reduced q-only solver and
-/// as the validation target for the 2-D kernel).
+/// 1-D forward Fokker–Planck stepper: the conservative scheme of the
+/// `ablation_fpk_form` comparison and the validation target for the 2-D
+/// kernel.
 #[derive(Debug, Clone)]
 pub struct FokkerPlanck1d {
     diffusion: f64,
@@ -62,11 +63,6 @@ impl FokkerPlanck1d {
             limit: StabilityLimit::default(),
             flux: Vec::new(),
         })
-    }
-
-    /// The diffusion coefficient.
-    pub fn diffusion(&self) -> f64 {
-        self.diffusion
     }
 
     /// Advance `density` by `dt` under nodal `drift` values, automatically
@@ -272,6 +268,12 @@ mod tests {
         f
     }
 
+    /// Supremum-norm distance between two fields on one axis.
+    fn sup_distance(a: &Field1d, b: &Field1d) -> f64 {
+        let pairs = a.values().iter().zip(b.values());
+        pairs.fold(0.0_f64, |m, (x, y)| m.max((x - y).abs()))
+    }
+
     #[test]
     fn mass_is_conserved_1d() {
         let mut fpk = FokkerPlanck1d::new(0.02).unwrap();
@@ -339,11 +341,8 @@ mod tests {
         }
         let sd = (varrho * varrho / (2.0 * theta)).sqrt();
         let reference = gaussian_field(ax, mu, sd);
-        assert!(
-            lam.sup_distance(&reference) < 0.25,
-            "sup dist {}",
-            lam.sup_distance(&reference)
-        );
+        let dist = sup_distance(&lam, &reference);
+        assert!(dist < 0.25, "sup dist {dist}");
         // Moments are a sharper check than pointwise density values.
         assert!((lam.first_moment() - mu).abs() < 0.01);
     }
@@ -402,11 +401,8 @@ mod tests {
         }
         let marg = lam2.marginal_y();
         // Same initial data, same scheme → the agreement should be tight.
-        assert!(
-            marg.sup_distance(&lam1) < 1e-8,
-            "dist {}",
-            marg.sup_distance(&lam1)
-        );
+        let dist = sup_distance(&marg, &lam1);
+        assert!(dist < 1e-8, "dist {dist}");
     }
 
     /// The per-cell form of [`FokkerPlanck2d`]'s sub-step, through

@@ -7,16 +7,11 @@
 //! * [`Axis`] / [`Grid2d`] — uniform 1-D axes and their tensor-product grid
 //!   over the game state `S = (h, q)`;
 //! * [`Field1d`] / [`Field2d`] — dense scalar fields on those grids;
-//! * [`linalg`] — Thomas (tridiagonal) solver and a dense Gaussian
-//!   elimination reference used to validate it;
-//! * [`FokkerPlanck1d`] / [`FokkerPlanck2d`] — forward, mass-conservative
-//!   (flux-form, upwinded) advection–diffusion steppers for the mean-field
-//!   density `λ`;
-//! * [`ImplicitFokkerPlanck1d`] / [`ImplicitFokkerPlanck2d`] — their
-//!   unconditionally stable backward-Euler counterparts (Thomas solves,
-//!   Lie directional splitting in 2-D);
-//! * [`BackwardParabolic1d`] / [`BackwardParabolic2d`] — backward, upwinded
-//!   steppers for value functions `V`;
+//! * [`FokkerPlanck2d`] — the forward, mass-conservative (flux-form,
+//!   upwinded) advection–diffusion stepper for the mean-field density `λ`,
+//!   with its 1-D counterpart [`FokkerPlanck1d`];
+//! * [`BackwardParabolic2d`] — the backward, upwinded stepper for value
+//!   functions `V`;
 //! * [`StabilityLimit`] — CFL bookkeeping; both steppers sub-step
 //!   automatically so callers can think in macro time steps;
 //! * [`restrict_density`] / [`prolong`] — mass-conserving restriction and
@@ -54,8 +49,6 @@ mod axis;
 mod backward;
 mod field;
 mod fokker_planck;
-mod implicit;
-pub mod linalg;
 mod ops;
 mod scratch;
 mod stability;
@@ -65,11 +58,10 @@ mod testing;
 mod transfer;
 
 pub use axis::{Axis, Grid2d};
-pub use backward::{BackwardParabolic1d, BackwardParabolic2d};
+pub use backward::BackwardParabolic2d;
 pub use field::{Field1d, Field2d, Field2dView};
 pub use fokker_planck::{FokkerPlanck1d, FokkerPlanck2d};
-pub use implicit::{ImplicitFokkerPlanck1d, ImplicitFokkerPlanck2d};
-pub use ops::{central_gradient, second_difference, upwind_gradient, Derivative1d};
+pub use ops::Derivative1d;
 pub use scratch::StepperScratch;
 pub use stability::StabilityLimit;
 pub use transfer::{coarsen_axis, coarsen_grid, mass, prolong, restrict_density, ulp_distance};

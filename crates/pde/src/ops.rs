@@ -1,177 +1,14 @@
-//! Finite-difference derivative operators on 1-D slices.
+//! Finite-difference stencil directions.
 //!
-//! These are the building blocks the backward (HJB) stepper uses to evaluate
-//! `∂_h V`, `∂_q V`, `∂_hh V`, `∂_qq V` in Eq. (20). All operators are
-//! second-order in the interior and first-order one-sided at the boundary.
+//! The backward (HJB) stepper upwinds `∂_h V` and `∂_q V` in Eq. (20)
+//! against the time-reversed characteristic speed; [`Derivative1d`] names
+//! the one-sided stencil it picks at each cell.
 
 /// Which one-sided stencil to use at a point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Derivative1d {
     /// Backward difference `(f[i] − f[i−1]) / dx`.
     Backward,
-    /// Central difference `(f[i+1] − f[i−1]) / 2dx`.
-    Central,
     /// Forward difference `(f[i+1] − f[i]) / dx`.
     Forward,
-}
-
-/// Central first derivative of `f` (one-sided at the boundary), writing into
-/// `out`.
-///
-/// # Panics
-///
-/// Panics if `f.len() < 2` or `out.len() != f.len()`.
-pub fn central_gradient(f: &[f64], dx: f64, out: &mut [f64]) {
-    let n = f.len();
-    assert!(n >= 2, "need at least 2 points");
-    assert_eq!(out.len(), n, "output length mismatch");
-    out[0] = (f[1] - f[0]) / dx;
-    for i in 1..n - 1 {
-        out[i] = (f[i + 1] - f[i - 1]) / (2.0 * dx);
-    }
-    out[n - 1] = (f[n - 1] - f[n - 2]) / dx;
-}
-
-/// Upwind first derivative for the transport form `∂_t u + c ∂_x u = 0`:
-/// where the local velocity `c > 0`, information flows rightward and the
-/// stencil looks left (backward difference); where `c < 0` it looks right.
-///
-/// The boundary falls back to the only available one-sided stencil.
-///
-/// # Panics
-///
-/// Panics if lengths are inconsistent or `f.len() < 2`.
-pub fn upwind_gradient(f: &[f64], velocity: &[f64], dx: f64, out: &mut [f64]) {
-    let n = f.len();
-    assert!(n >= 2, "need at least 2 points");
-    assert_eq!(velocity.len(), n, "velocity length mismatch");
-    assert_eq!(out.len(), n, "output length mismatch");
-    for i in 0..n {
-        let dir = if velocity[i] > 0.0 {
-            Derivative1d::Backward
-        } else {
-            Derivative1d::Forward
-        };
-        out[i] = one_sided(f, i, dx, dir);
-    }
-}
-
-/// A single one-sided/central first-derivative evaluation at index `i`,
-/// clamping to the available stencil at the boundary.
-pub(crate) fn one_sided(f: &[f64], i: usize, dx: f64, dir: Derivative1d) -> f64 {
-    let n = f.len();
-    match dir {
-        Derivative1d::Backward => {
-            if i == 0 {
-                (f[1] - f[0]) / dx
-            } else {
-                (f[i] - f[i - 1]) / dx
-            }
-        }
-        Derivative1d::Forward => {
-            if i == n - 1 {
-                (f[n - 1] - f[n - 2]) / dx
-            } else {
-                (f[i + 1] - f[i]) / dx
-            }
-        }
-        Derivative1d::Central => {
-            if i == 0 {
-                (f[1] - f[0]) / dx
-            } else if i == n - 1 {
-                (f[n - 1] - f[n - 2]) / dx
-            } else {
-                (f[i + 1] - f[i - 1]) / (2.0 * dx)
-            }
-        }
-    }
-}
-
-/// Second difference `(f[i−1] − 2f[i] + f[i+1]) / dx²` with reflecting
-/// (zero-Neumann) boundary treatment: the ghost value mirrors the interior
-/// neighbour, so the boundary second difference is `(f[i±1] − f[i]) / dx²`.
-///
-/// # Panics
-///
-/// Panics if `f.len() < 2` or `out.len() != f.len()`.
-pub fn second_difference(f: &[f64], dx: f64, out: &mut [f64]) {
-    let n = f.len();
-    assert!(n >= 2, "need at least 2 points");
-    assert_eq!(out.len(), n, "output length mismatch");
-    let inv = 1.0 / (dx * dx);
-    out[0] = (f[1] - f[0]) * inv;
-    for i in 1..n - 1 {
-        out[i] = (f[i - 1] - 2.0 * f[i] + f[i + 1]) * inv;
-    }
-    out[n - 1] = (f[n - 2] - f[n - 1]) * inv;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn linspace(lo: f64, hi: f64, n: usize) -> (Vec<f64>, f64) {
-        let dx = (hi - lo) / (n - 1) as f64;
-        ((0..n).map(|i| lo + i as f64 * dx).collect(), dx)
-    }
-
-    #[test]
-    fn central_gradient_is_second_order_on_quadratic() {
-        let (xs, dx) = linspace(0.0, 1.0, 101);
-        let f: Vec<f64> = xs.iter().map(|x| x * x).collect();
-        let mut g = vec![0.0; f.len()];
-        central_gradient(&f, dx, &mut g);
-        // Interior: exact for quadratics.
-        for i in 1..f.len() - 1 {
-            assert!((g[i] - 2.0 * xs[i]).abs() < 1e-10, "at {i}");
-        }
-    }
-
-    #[test]
-    fn upwind_picks_the_correct_side() {
-        let f = vec![0.0, 1.0, 3.0];
-        let dx = 1.0;
-        let mut g = vec![0.0; 3];
-        // Positive velocity at index 1 → backward difference = 1.
-        upwind_gradient(&f, &[1.0, 1.0, 1.0], dx, &mut g);
-        assert_eq!(g[1], 1.0);
-        // Negative velocity at index 1 → forward difference = 2.
-        upwind_gradient(&f, &[-1.0, -1.0, -1.0], dx, &mut g);
-        assert_eq!(g[1], 2.0);
-    }
-
-    #[test]
-    fn second_difference_exact_on_quadratic_interior() {
-        let (xs, dx) = linspace(0.0, 2.0, 81);
-        let f: Vec<f64> = xs.iter().map(|x| 3.0 * x * x).collect();
-        let mut d2 = vec![0.0; f.len()];
-        second_difference(&f, dx, &mut d2);
-        for (i, &v) in d2.iter().enumerate().take(f.len() - 1).skip(1) {
-            assert!((v - 6.0).abs() < 1e-8, "at {i}: {v}");
-        }
-    }
-
-    #[test]
-    fn second_difference_vanishes_on_constants_everywhere() {
-        let f = vec![4.0; 10];
-        let mut d2 = vec![0.0; 10];
-        second_difference(&f, 0.1, &mut d2);
-        assert!(d2.iter().all(|v| v.abs() < 1e-12));
-    }
-
-    #[test]
-    fn gradient_of_constant_is_zero() {
-        let f = vec![2.5; 7];
-        let mut g = vec![1.0; 7];
-        central_gradient(&f, 0.3, &mut g);
-        assert!(g.iter().all(|v| v.abs() < 1e-12));
-    }
-
-    #[test]
-    #[should_panic(expected = "output length mismatch")]
-    fn mismatched_output_rejected() {
-        let f = vec![0.0; 5];
-        let mut g = vec![0.0; 4];
-        central_gradient(&f, 0.1, &mut g);
-    }
 }

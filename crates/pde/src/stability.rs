@@ -6,7 +6,7 @@
 /// For the scheme `u' = −∂(b u) + D ∂² u` (or its backward counterpart) the
 /// explicit step is stable when
 /// `dt · ( |b_x|/dx + |b_y|/dy + 2 D_x/dx² + 2 D_y/dy² ) <= 1`.
-/// A safety factor (default 0.9) keeps the step strictly inside the bound.
+/// A safety factor of 0.9 keeps the step strictly inside the bound.
 #[derive(Debug, Clone, Copy)]
 pub struct StabilityLimit {
     safety: f64,
@@ -19,19 +19,6 @@ impl Default for StabilityLimit {
 }
 
 impl StabilityLimit {
-    /// Create a limit with a custom safety factor in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `safety` is outside `(0, 1]`.
-    pub fn with_safety(safety: f64) -> Self {
-        assert!(
-            safety > 0.0 && safety <= 1.0,
-            "safety must be in (0, 1], got {safety}"
-        );
-        Self { safety }
-    }
-
     /// Largest stable `dt` for one axis with max speed `b_max`, diffusion
     /// `d`, spacing `dx`. Returns `f64::INFINITY` when both vanish.
     pub fn max_dt_1d(&self, b_max: f64, d: f64, dx: f64) -> f64 {
@@ -75,23 +62,23 @@ mod tests {
 
     #[test]
     fn pure_diffusion_bound() {
-        let s = StabilityLimit::with_safety(1.0);
-        // dt <= dx²/(2D): D=1, dx=0.1 → 0.005.
-        assert!((s.max_dt_1d(0.0, 1.0, 0.1) - 0.005).abs() < 1e-12);
+        let s = StabilityLimit::default();
+        // dt <= 0.9·dx²/(2D): D=1, dx=0.1 → 0.0045.
+        assert!((s.max_dt_1d(0.0, 1.0, 0.1) - 0.0045).abs() < 1e-12);
     }
 
     #[test]
     fn pure_advection_bound() {
-        let s = StabilityLimit::with_safety(1.0);
-        // dt <= dx/|b|: b=2, dx=0.1 → 0.05.
-        assert!((s.max_dt_1d(2.0, 0.0, 0.1) - 0.05).abs() < 1e-12);
+        let s = StabilityLimit::default();
+        // dt <= 0.9·dx/|b|: b=2, dx=0.1 → 0.045.
+        assert!((s.max_dt_1d(2.0, 0.0, 0.1) - 0.045).abs() < 1e-12);
     }
 
     #[test]
     fn combined_axes_sum_rates() {
-        let s = StabilityLimit::with_safety(1.0);
+        let s = StabilityLimit::default();
         let dt = s.max_dt(&[(1.0, 0.0, 0.1), (1.0, 0.0, 0.1)]);
-        assert!((dt - 0.05).abs() < 1e-12);
+        assert!((dt - 0.045).abs() < 1e-12);
     }
 
     #[test]
@@ -108,11 +95,5 @@ mod tests {
         assert_eq!(n, 4);
         assert!((sub * n as f64 - 1.0).abs() < 1e-12);
         assert!(sub <= 0.3);
-    }
-
-    #[test]
-    #[should_panic(expected = "safety")]
-    fn bad_safety_rejected() {
-        StabilityLimit::with_safety(0.0);
     }
 }

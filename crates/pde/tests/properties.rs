@@ -2,45 +2,9 @@
 
 use proptest::prelude::*;
 
-use mfgcp_pde::{
-    linalg, Axis, BackwardParabolic1d, Field1d, Field2d, FokkerPlanck1d, Grid2d,
-    ImplicitFokkerPlanck1d, StabilityLimit,
-};
-
-/// A diagonally dominant tridiagonal system (always solvable by Thomas).
-fn dominant_system(n: usize) -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>)> {
-    (
-        proptest::collection::vec(-1.0_f64..1.0, n),
-        proptest::collection::vec(-1.0_f64..1.0, n),
-        proptest::collection::vec(-5.0_f64..5.0, n),
-    )
-        .prop_map(move |(a, c, d)| {
-            let b: Vec<f64> = (0..n).map(|i| 2.5 + a[i].abs() + c[i].abs()).collect();
-            (a, b, c, d)
-        })
-}
+use mfgcp_pde::{Axis, Field1d, Field2d, FokkerPlanck1d, Grid2d, StabilityLimit};
 
 proptest! {
-    /// Thomas agrees with dense Gaussian elimination on random diagonally
-    /// dominant systems.
-    #[test]
-    fn thomas_matches_dense((a, b, c, d) in dominant_system(12)) {
-        let n = b.len();
-        let x_tri = linalg::solve_tridiagonal(&a, &b, &c, &d);
-        let mut dense = vec![0.0; n * n];
-        for i in 0..n {
-            dense[i * n + i] = b[i];
-            if i > 0 {
-                dense[i * n + i - 1] = a[i];
-            }
-            if i + 1 < n {
-                dense[i * n + i + 1] = c[i];
-            }
-        }
-        let x_dense = linalg::solve_dense(&dense, &d, n);
-        prop_assert!(linalg::max_abs_diff(&x_tri, &x_dense) < 1e-9);
-    }
-
     /// Axis lookups: `locate` reconstructs the coordinate, `nearest` is
     /// consistent with `locate`.
     #[test]
@@ -92,57 +56,6 @@ proptest! {
         }
         prop_assert!((lam.integral() - m0).abs() < 1e-10);
         prop_assert!(lam.values().iter().all(|&v| v >= -1e-10));
-    }
-
-    /// Implicit FPK conserves mass for ANY dt — including ones far past
-    /// the explicit CFL bound.
-    #[test]
-    fn implicit_fpk_unconditionally_conservative(
-        dt in 0.001_f64..50.0,
-        drift0 in -3.0_f64..3.0,
-    ) {
-        let axis = Axis::new(0.0, 1.0, 41).unwrap();
-        let mut lam = Field1d::from_fn(axis, |x| 1.0 + x);
-        lam.normalize();
-        let drift = vec![drift0; 41];
-        let stepper = ImplicitFokkerPlanck1d::new(0.01).unwrap();
-        let m0 = lam.integral();
-        for _ in 0..5 {
-            stepper.step(&mut lam, &drift, dt);
-        }
-        prop_assert!((lam.integral() - m0).abs() < 1e-9);
-        prop_assert!(lam.values().iter().all(|&v| v >= -1e-10));
-    }
-
-    /// The backward stepper satisfies a discrete maximum principle with
-    /// zero source: values stay within the terminal data's range.
-    #[test]
-    fn backward_step_maximum_principle(
-        terminal_knots in proptest::collection::vec(-5.0_f64..5.0, 5),
-        drift0 in -2.0_f64..2.0,
-        diffusion in 0.0_f64..0.05,
-    ) {
-        let n = 51;
-        let axis = Axis::new(0.0, 1.0, n).unwrap();
-        let v0 = Field1d::from_fn(axis, |x| {
-            let s = x * 4.0;
-            let k = (s.floor() as usize).min(3);
-            let w = s - k as f64;
-            (1.0 - w) * terminal_knots[k] + w * terminal_knots[k + 1]
-        });
-        let (lo, hi) = v0.values().iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), &x| {
-            (l.min(x), h.max(x))
-        });
-        let mut v = v0;
-        let drift = vec![drift0; n];
-        let source = vec![0.0; n];
-        let mut stepper = BackwardParabolic1d::new(diffusion).unwrap();
-        for _ in 0..10 {
-            stepper.step_back(&mut v, &drift, &source, 0.02);
-        }
-        for &x in v.values() {
-            prop_assert!(x >= lo - 1e-9 && x <= hi + 1e-9, "{x} outside [{lo}, {hi}]");
-        }
     }
 
     /// Bilinear interpolation of a 2-D field never exceeds the field's

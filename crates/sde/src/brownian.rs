@@ -1,4 +1,4 @@
-//! Standard Brownian motion: increments and discretely sampled paths.
+//! Standard Brownian motion increments.
 //!
 //! `W_{i,j}(t)` in Eq. (1) and `W_i(t)` in Eq. (4) are standard Brownian
 //! motions; the Euler–Maruyama integrator consumes their increments
@@ -7,7 +7,6 @@
 use rand::Rng;
 
 use crate::gaussian::StandardNormal;
-use crate::path::SamplePath;
 use crate::{require_positive, SdeError};
 
 /// An iterator-style source of Brownian increments `ΔW ~ N(0, dt)` for a
@@ -43,49 +42,6 @@ impl BrownianIncrements {
     }
 }
 
-/// A discretely sampled standard Brownian path `W(0) = 0, W(t_n)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BrownianPath {
-    path: SamplePath,
-}
-
-impl BrownianPath {
-    /// Sample a Brownian path on `[0, horizon]` with `steps` uniform steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps == 0` or `horizon <= 0`.
-    pub fn sample<R: Rng + ?Sized>(horizon: f64, steps: usize, rng: &mut R) -> Self {
-        assert!(steps > 0, "steps must be > 0");
-        assert!(horizon > 0.0, "horizon must be > 0");
-        let dt = horizon / steps as f64;
-        let inc = BrownianIncrements::new(dt).expect("dt > 0 by construction");
-        let mut times = Vec::with_capacity(steps + 1);
-        let mut values = Vec::with_capacity(steps + 1);
-        let mut w = 0.0;
-        times.push(0.0);
-        values.push(0.0);
-        for n in 1..=steps {
-            w += inc.sample(rng);
-            times.push(n as f64 * dt);
-            values.push(w);
-        }
-        Self {
-            path: SamplePath::new(times, values),
-        }
-    }
-
-    /// Borrow the underlying sample path.
-    pub fn path(&self) -> &SamplePath {
-        &self.path
-    }
-
-    /// The terminal value `W(horizon)`.
-    pub fn terminal(&self) -> f64 {
-        self.path.last_value()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,37 +63,6 @@ mod tests {
         let var = sum_sq / n as f64 - mean * mean;
         assert!(mean.abs() < 1e-3, "mean {mean}");
         assert!((var - 0.01).abs() < 3e-4, "variance {var}");
-    }
-
-    #[test]
-    fn path_starts_at_zero_with_uniform_times() {
-        let mut rng = seeded_rng(11);
-        let bp = BrownianPath::sample(1.0, 100, &mut rng);
-        assert_eq!(bp.path().len(), 101);
-        assert_eq!(bp.path().values()[0], 0.0);
-        let times = bp.path().times();
-        for (n, &t) in times.iter().enumerate() {
-            assert!((t - n as f64 * 0.01).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn terminal_variance_matches_horizon() {
-        // Var[W(T)] = T.
-        let horizon = 2.0;
-        let mut rng = seeded_rng(12);
-        let n = 5_000;
-        let mut sum = 0.0;
-        let mut sum_sq = 0.0;
-        for _ in 0..n {
-            let w = BrownianPath::sample(horizon, 50, &mut rng).terminal();
-            sum += w;
-            sum_sq += w * w;
-        }
-        let mean = sum / n as f64;
-        let var = sum_sq / n as f64 - mean * mean;
-        assert!(mean.abs() < 0.1, "mean {mean}");
-        assert!((var - horizon).abs() < 0.15, "variance {var}");
     }
 
     #[test]

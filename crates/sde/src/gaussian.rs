@@ -30,13 +30,6 @@ impl StandardNormal {
             }
         }
     }
-
-    /// Fill `out` with i.i.d. standard normal variates.
-    pub fn fill<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        for x in out {
-            *x = self.sample(rng);
-        }
-    }
 }
 
 /// A normal distribution `N(mean, std_dev²)`.
@@ -52,27 +45,12 @@ impl Normal {
     /// # Errors
     ///
     /// Returns an error if `mean` is not finite or `std_dev` is not strictly
-    /// positive (use [`Normal::degenerate`] for a point mass).
+    /// positive.
     pub fn new(mean: f64, std_dev: f64) -> Result<Self, SdeError> {
         Ok(Self {
             mean: require_finite("mean", mean)?,
             std_dev: require_positive("std_dev", std_dev)?,
         })
-    }
-
-    /// A degenerate (zero-variance) distribution: every sample is `mean`.
-    pub fn degenerate(mean: f64) -> Self {
-        Self { mean, std_dev: 0.0 }
-    }
-
-    /// The mean of the distribution.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// The standard deviation of the distribution.
-    pub fn std_dev(&self) -> f64 {
-        self.std_dev
     }
 
     /// Draw one variate.
@@ -82,9 +60,6 @@ impl Normal {
 
     /// Probability density function at `x`.
     pub fn pdf(&self, x: f64) -> f64 {
-        if self.std_dev == 0.0 {
-            return if x == self.mean { f64::INFINITY } else { 0.0 };
-        }
         let z = (x - self.mean) / self.std_dev;
         (-0.5 * z * z).exp() / (self.std_dev * (2.0 * core::f64::consts::PI).sqrt())
     }
@@ -138,15 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_normal_is_point_mass() {
-        let mut rng = seeded_rng(3);
-        let d = Normal::degenerate(1.5);
-        for _ in 0..10 {
-            assert_eq!(d.sample(&mut rng), 1.5);
-        }
-    }
-
-    #[test]
     fn pdf_integrates_to_one() {
         let d = Normal::new(0.7, 0.1).unwrap();
         // Trapezoidal rule over ±6σ.
@@ -166,16 +132,6 @@ mod tests {
         let d = Normal::new(2.0, 0.3).unwrap();
         for dx in [0.1, 0.2, 0.5] {
             assert!((d.pdf(2.0 + dx) - d.pdf(2.0 - dx)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn fill_produces_distinct_values() {
-        let mut rng = seeded_rng(4);
-        let mut buf = [0.0; 8];
-        StandardNormal.fill(&mut rng, &mut buf);
-        for w in buf.windows(2) {
-            assert_ne!(w[0], w[1]);
         }
     }
 }

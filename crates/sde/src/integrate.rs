@@ -31,11 +31,6 @@ impl EulerMaruyama {
         Self { dt }
     }
 
-    /// The integrator step size.
-    pub fn dt(&self) -> f64 {
-        self.dt
-    }
-
     /// Integrate `sde` from `x0` over `[t0, t1]`, recording every step.
     ///
     /// The final step is shortened so the path ends exactly at `t1`.
@@ -73,28 +68,37 @@ impl EulerMaruyama {
     }
 
     /// One Euler–Maruyama step given a pre-sampled Brownian increment `dw`.
-    pub fn step_with<S: Sde>(&self, sde: &S, t: f64, x: f64, dt: f64, dw: f64) -> f64 {
+    fn step_with<S: Sde>(&self, sde: &S, t: f64, x: f64, dt: f64, dw: f64) -> f64 {
         x + sde.drift(t, x) * dt + sde.diffusion(t, x) * dw
-    }
-
-    /// One step drawing the increment from `rng`.
-    pub fn step<S: Sde, R: Rng + ?Sized>(&self, sde: &S, t: f64, x: f64, rng: &mut R) -> f64 {
-        let inc = BrownianIncrements::new(self.dt).expect("dt validated in new()");
-        self.step_with(sde, t, x, self.dt, inc.sample(rng))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::DriftDiffusion;
     use crate::seeded_rng;
     use crate::OrnsteinUhlenbeck;
+
+    /// `dX = −k·X dt + s dW` with constant `k` and `s`.
+    struct Linear {
+        k: f64,
+        s: f64,
+    }
+
+    impl Sde for Linear {
+        fn drift(&self, _t: f64, x: f64) -> f64 {
+            -self.k * x
+        }
+
+        fn diffusion(&self, _t: f64, _x: f64) -> f64 {
+            self.s
+        }
+    }
 
     #[test]
     fn deterministic_ode_limit() {
         // With σ = 0 the scheme reduces to explicit Euler: dx = -x dt.
-        let sde = DriftDiffusion::new(|_t, x: f64| -x, |_t, _x| 0.0);
+        let sde = Linear { k: 1.0, s: 0.0 };
         let em = EulerMaruyama::new(1e-4);
         let mut rng = seeded_rng(30);
         let path = em.integrate(&sde, 1.0, 0.0, 1.0, &mut rng);
@@ -104,7 +108,7 @@ mod tests {
 
     #[test]
     fn path_spans_exact_interval() {
-        let sde = DriftDiffusion::new(|_t, _x| 0.0, |_t, _x| 1.0);
+        let sde = Linear { k: 0.0, s: 1.0 };
         let em = EulerMaruyama::new(0.3);
         let mut rng = seeded_rng(31);
         let path = em.integrate(&sde, 0.0, 0.0, 1.0, &mut rng);

@@ -10,9 +10,9 @@
 //!
 //! This crate provides the generic machinery both need: seedable Gaussian
 //! sampling (implemented in-tree — `rand_distr` is deliberately not a
-//! dependency), Brownian increments and paths, a generic [`Sde`] trait with an
-//! Euler–Maruyama integrator, an exact Ornstein–Uhlenbeck transition sampler,
-//! and path statistics used by the tests and the Fig. 3 experiment.
+//! dependency), Brownian increments, a generic [`Sde`] trait with an
+//! Euler–Maruyama integrator that records [`SamplePath`]s, and an exact
+//! Ornstein–Uhlenbeck transition sampler.
 //!
 //! # Example
 //!
@@ -36,15 +36,13 @@ mod integrate;
 mod ou;
 mod path;
 mod process;
-mod stats;
 
-pub use brownian::{BrownianIncrements, BrownianPath};
+pub use brownian::BrownianIncrements;
 pub use gaussian::{Normal, StandardNormal};
 pub use integrate::EulerMaruyama;
 pub use ou::OrnsteinUhlenbeck;
 pub use path::SamplePath;
-pub use process::{ControlledSde, DriftDiffusion, Sde};
-pub use stats::{autocovariance, mean, sample_variance, PathEnsemble};
+pub use process::Sde;
 
 /// Error type for invalid SDE parameters.
 #[derive(Debug, Clone, PartialEq)]

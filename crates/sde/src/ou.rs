@@ -57,7 +57,7 @@ impl OrnsteinUhlenbeck {
     }
 
     /// Effective mean-reversion rate `θ = ς_h / 2`.
-    pub fn reversion_rate(&self) -> f64 {
+    fn reversion_rate(&self) -> f64 {
         0.5 * self.varsigma
     }
 

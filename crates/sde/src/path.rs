@@ -26,16 +26,6 @@ impl SamplePath {
         Self { times, values }
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// Whether the path is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Sampling times.
     pub fn times(&self) -> &[f64] {
         &self.times
@@ -44,11 +34,6 @@ impl SamplePath {
     /// Sampled values.
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// The first sampled value.
-    pub fn first_value(&self) -> f64 {
-        self.values[0]
     }
 
     /// The final sampled value.
@@ -77,16 +62,6 @@ impl SamplePath {
         let (t0, t1) = (self.times[lo], self.times[hi]);
         let (x0, x1) = (self.values[lo], self.values[hi]);
         x0 + (x1 - x0) * (t - t0) / (t1 - t0)
-    }
-
-    /// Iterate over `(t, x)` samples.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.times.iter().copied().zip(self.values.iter().copied())
-    }
-
-    /// Pathwise supremum norm `max |x_n|`.
-    pub fn sup_norm(&self) -> f64 {
-        self.values.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
     }
 }
 
@@ -123,18 +98,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn rejects_length_mismatch() {
         SamplePath::new(vec![0.0, 1.0], vec![1.0]);
-    }
-
-    #[test]
-    fn sup_norm_takes_absolute_values() {
-        let p = SamplePath::new(vec![0.0, 1.0], vec![-3.0, 2.0]);
-        assert_eq!(p.sup_norm(), 3.0);
-    }
-
-    #[test]
-    fn iter_yields_pairs_in_order() {
-        let p = path();
-        let pairs: Vec<_> = p.iter().collect();
-        assert_eq!(pairs, vec![(0.0, 0.0), (1.0, 10.0), (2.0, 0.0)]);
     }
 }

@@ -1,9 +1,8 @@
-//! Generic Itô diffusion traits.
+//! The generic Itô diffusion trait.
 //!
 //! The game's state dynamics (Eqs. (1) and (4)) are scalar Itô diffusions
-//! `dX = b(t, X) dt + σ(t, X) dW`, optionally with a control entering the
-//! drift (the caching rate `x_{i,k}(t)` in Eq. (4)). [`Sde`] models the
-//! uncontrolled case; [`ControlledSde`] threads a control value through.
+//! `dX = b(t, X) dt + σ(t, X) dW`; [`Sde`] is what the Euler–Maruyama
+//! integrator steps.
 
 /// A scalar time-inhomogeneous Itô diffusion `dX = b(t, X) dt + σ(t, X) dW`.
 pub trait Sde {
@@ -12,118 +11,4 @@ pub trait Sde {
 
     /// Diffusion coefficient `σ(t, x)`.
     fn diffusion(&self, t: f64, x: f64) -> f64;
-}
-
-/// A scalar controlled diffusion `dX = b(t, X, u) dt + σ(t, X) dW`.
-pub trait ControlledSde {
-    /// Drift coefficient `b(t, x, u)` under control `u`.
-    fn drift(&self, t: f64, x: f64, control: f64) -> f64;
-
-    /// Diffusion coefficient `σ(t, x)` (controls never scale the noise in
-    /// this paper's dynamics).
-    fn diffusion(&self, t: f64, x: f64) -> f64;
-
-    /// View this controlled SDE under a fixed feedback law as an
-    /// uncontrolled [`Sde`].
-    fn with_policy<F>(&self, policy: F) -> ClosedLoop<'_, Self, F>
-    where
-        F: Fn(f64, f64) -> f64,
-        Self: Sized,
-    {
-        ClosedLoop { sde: self, policy }
-    }
-}
-
-/// A controlled SDE closed under a feedback policy `u = π(t, x)`.
-#[derive(Debug, Clone, Copy)]
-pub struct ClosedLoop<'a, S, F> {
-    sde: &'a S,
-    policy: F,
-}
-
-impl<S, F> Sde for ClosedLoop<'_, S, F>
-where
-    S: ControlledSde,
-    F: Fn(f64, f64) -> f64,
-{
-    fn drift(&self, t: f64, x: f64) -> f64 {
-        self.sde.drift(t, x, (self.policy)(t, x))
-    }
-
-    fn diffusion(&self, t: f64, x: f64) -> f64 {
-        self.sde.diffusion(t, x)
-    }
-}
-
-/// An [`Sde`] defined by a pair of closures; convenient in tests and examples.
-#[derive(Debug, Clone, Copy)]
-pub struct DriftDiffusion<B, S> {
-    drift: B,
-    diffusion: S,
-}
-
-impl<B, S> DriftDiffusion<B, S>
-where
-    B: Fn(f64, f64) -> f64,
-    S: Fn(f64, f64) -> f64,
-{
-    /// Build an SDE from drift and diffusion closures.
-    pub fn new(drift: B, diffusion: S) -> Self {
-        Self { drift, diffusion }
-    }
-}
-
-impl<B, S> Sde for DriftDiffusion<B, S>
-where
-    B: Fn(f64, f64) -> f64,
-    S: Fn(f64, f64) -> f64,
-{
-    fn drift(&self, t: f64, x: f64) -> f64 {
-        (self.drift)(t, x)
-    }
-
-    fn diffusion(&self, t: f64, x: f64) -> f64 {
-        (self.diffusion)(t, x)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    struct CachingDynamics {
-        qk: f64,
-        w1: f64,
-        sigma: f64,
-    }
-
-    impl ControlledSde for CachingDynamics {
-        fn drift(&self, _t: f64, _q: f64, x: f64) -> f64 {
-            -self.qk * self.w1 * x
-        }
-
-        fn diffusion(&self, _t: f64, _q: f64) -> f64 {
-            self.sigma
-        }
-    }
-
-    #[test]
-    fn closed_loop_substitutes_the_policy() {
-        let dyn_ = CachingDynamics {
-            qk: 100.0,
-            w1: 1.0,
-            sigma: 0.1,
-        };
-        let closed = dyn_.with_policy(|_t, q| if q > 50.0 { 1.0 } else { 0.0 });
-        assert_eq!(closed.drift(0.0, 80.0), -100.0);
-        assert_eq!(closed.drift(0.0, 20.0), 0.0);
-        assert_eq!(closed.diffusion(0.0, 20.0), 0.1);
-    }
-
-    #[test]
-    fn drift_diffusion_wraps_closures() {
-        let sde = DriftDiffusion::new(|t, x| t + x, |_t, _x| 2.0);
-        assert_eq!(sde.drift(1.0, 2.0), 3.0);
-        assert_eq!(sde.diffusion(0.0, 0.0), 2.0);
-    }
 }

@@ -115,16 +115,3 @@ fn framework_epoch_over_multiple_contents() {
     // Popular contents earn more at equilibrium.
     assert!(utils[0] > utils[3], "utilities {utils:?}");
 }
-
-#[test]
-fn reduced_and_full_solvers_agree_on_aggregates() {
-    let p = params();
-    let full = MfgSolver::new(p.clone()).unwrap().solve().unwrap();
-    let reduced = ReducedMfgSolver::new(p.clone()).unwrap().solve();
-    assert!(reduced.report.converged);
-    let a = full.mean_remaining_space();
-    let b = reduced.mean_remaining_space();
-    for (n, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert!((x - y).abs() < 0.08, "step {n}: full {x} vs reduced {y}");
-    }
-}
