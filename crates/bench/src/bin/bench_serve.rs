@@ -45,6 +45,10 @@
 //! telemetry frame through `mfgcp-ctl`, reported as `stream_frames_qps`
 //! (gated) plus the broadcast drop accounting (informational).
 //!
+//! A control-request leg times 2000 `Ping` round trips over one
+//! `mfgcp-ctl` connection (`mode="ctl_ping"`, p50/p99 microseconds,
+//! informational like every `_us` column).
+//!
 //! Flags:
 //!
 //! * `--quick` — reduced sweep (fewer connections, fewer requests) for CI;
@@ -60,7 +64,7 @@ use std::time::{Duration, Instant};
 use mfgcp_core::{
     ContentContext, ConvergenceReport, Equilibrium, MeanFieldSnapshot, MfgSolver, Params,
 };
-use mfgcp_ctl::{CtlClient, CtlRequest, CtlServer};
+use mfgcp_ctl::{CtlClient, CtlReply, CtlRequest, CtlServer};
 use mfgcp_obs::json::Json;
 use mfgcp_obs::{BroadcastSink, JsonlSink, RecorderHandle};
 use mfgcp_pde::Field2d;
@@ -464,6 +468,46 @@ fn measure_stream(quick: bool) -> StreamSample {
     }
 }
 
+/// Control-plane round trips timed in the `ctl_ping` leg.
+const CTL_PINGS: usize = 2_000;
+
+/// The control-request leg: `Ping` round-trip latency over one
+/// connection.
+struct CtlSample {
+    requests: usize,
+    p50_us: f64,
+    p99_us: f64,
+}
+
+/// Time `CTL_PINGS` `Ping` round trips through `CtlClient` against an
+/// in-process `CtlServer` with no simulation attached.
+fn measure_ctl_ping() -> CtlSample {
+    let params = SimConfig::small().params;
+    let server = CtlServer::spawn("127.0.0.1:0", params, Arc::new(BroadcastSink::new()), false)
+        .expect("bind ping-leg control server");
+    let mut client =
+        CtlClient::connect(&server.local_addr().to_string()).expect("connect ping client");
+    let timeout = Duration::from_secs(10);
+    let mut lat = Vec::with_capacity(CTL_PINGS);
+    for _ in 0..CTL_PINGS {
+        let begin = Instant::now();
+        let reply = client.request(&CtlRequest::Ping, timeout).expect("ping");
+        lat.push(begin.elapsed().as_secs_f64() * 1e6);
+        assert!(
+            matches!(reply, CtlReply::Pong),
+            "unexpected reply {reply:?}"
+        );
+    }
+    drop(client);
+    server.shutdown();
+    lat.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    CtlSample {
+        requests: lat.len(),
+        p50_us: percentile(&lat, 0.50),
+        p99_us: percentile(&lat, 0.99),
+    }
+}
+
 /// Solve a small equilibrium and serve it in-process, sized so every
 /// sweep point gets a dedicated worker per connection.
 fn start_local_server(max_connections: usize) -> ServerHandle {
@@ -635,6 +679,20 @@ fn main() {
         ],
     );
 
+    // Control-request leg: always in-process (it owns its server).
+    eprintln!("bench_serve: control-plane ping leg, {CTL_PINGS} round trips");
+    let ctl = measure_ctl_ping();
+    recorder.event(
+        "bench.sample",
+        &[
+            ("mode", "ctl_ping".into()),
+            ("connections", 1usize.into()),
+            ("requests", ctl.requests.into()),
+            ("p50_us", ctl.p50_us.into()),
+            ("p99_us", ctl.p99_us.into()),
+        ],
+    );
+
     // Same single JSON-emitting path as every other BENCH_* report.
     let report = Json::Obj(vec![
         ("bench".into(), Json::Str("serve".into())),
@@ -713,6 +771,13 @@ fn main() {
                         ("frames_enqueued".into(), Json::Num(stream.enqueued as f64)),
                         ("frames_dropped".into(), Json::Num(stream.dropped as f64)),
                     ])))
+                    .chain(std::iter::once(Json::Obj(vec![
+                        ("mode".into(), Json::Str("ctl_ping".into())),
+                        ("connections".into(), Json::Num(1.0)),
+                        ("requests".into(), Json::Num(ctl.requests as f64)),
+                        ("p50_us".into(), Json::Num(ctl.p50_us)),
+                        ("p99_us".into(), Json::Num(ctl.p99_us)),
+                    ])))
                     .collect(),
             ),
         ),
@@ -757,6 +822,10 @@ fn main() {
     println!(
         "stream: {} frames over {} slots, {:.0} frames/s, {} enqueued / {} dropped at the sink",
         stream.frames, stream.slots, stream.stream_frames_qps, stream.enqueued, stream.dropped
+    );
+    println!(
+        "ctl_ping: {} round trips, p50 {:.1} us, p99 {:.1} us",
+        ctl.requests, ctl.p50_us, ctl.p99_us
     );
     recorder.flush();
     eprintln!("wrote BENCH_serve.json");

@@ -152,3 +152,11 @@ impl CtlClient {
         self.buffered.is_empty()
     }
 }
+
+impl Drop for CtlClient {
+    /// Closes the socket, which also ends the reader thread (its clone
+    /// would otherwise hold the connection and a server worker open).
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+    }
+}

@@ -290,7 +290,10 @@ impl ControlPlane {
 
     /// Block until every fork thread has finished (shutdown path).
     pub fn join_forks(&self) {
-        join_all(&self.forks.threads);
+        let running: Vec<_> = self.forks.threads.lock().unwrap().drain(..).collect();
+        for thread in running {
+            let _ = thread.join();
+        }
     }
 
     /// Render the gate/stream status as the JSON document of the `0x29`
@@ -383,22 +386,6 @@ fn run_fork(params: &Params, snap: &SimSnapshot) -> ForkOutcome {
         iterations: eq.report.iterations,
         price0: eq.price_at(0.0),
         mass_drift,
-    }
-}
-
-/// Keep `handle`, first dropping the handles of threads that have
-/// already finished, so a long-lived server retains only live threads.
-pub(crate) fn retain_live(handles: &Mutex<Vec<JoinHandle<()>>>, handle: JoinHandle<()>) {
-    let mut handles = handles.lock().unwrap();
-    handles.retain(|h| !h.is_finished());
-    handles.push(handle);
-}
-
-/// Join every retained thread (shutdown path).
-pub(crate) fn join_all(handles: &Mutex<Vec<JoinHandle<()>>>) {
-    let drained: Vec<JoinHandle<()>> = handles.lock().unwrap().drain(..).collect();
-    for h in drained {
-        let _ = h.join();
     }
 }
 
@@ -536,7 +523,7 @@ pub fn fork_json(id: u32, outcome: Option<&ForkOutcome>) -> Json {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mfgcp_core::ContentContext;
     use mfgcp_sim::CachingPolicy;
@@ -550,7 +537,7 @@ mod tests {
         ))
     }
 
-    fn snapshot(occupancy: Vec<f64>) -> SimSnapshot {
+    pub(crate) fn snapshot(occupancy: Vec<f64>) -> SimSnapshot {
         SimSnapshot {
             scheme: "MFG-CP".into(),
             epoch: 0,

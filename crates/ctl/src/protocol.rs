@@ -13,7 +13,7 @@
 //! |--------|------|---------|
 //! | `0x21` | capacity u32, count u16, count × str | subscribe to streamed events |
 //! | `0x22` | — | slot-boundary snapshot (JSON) |
-//! | `0x23` | offset u32, len u32 | per-EDP occupancy slice (binary f64) |
+//! | `0x23` | offset u32, len u32 | per-EDP occupancy slice (binary f64, clamped to [`MAX_OCCUPANCY`]) |
 //! | `0x24` | — | pause at the next slot boundary |
 //! | `0x25` | n u32 | step `n` slots, then stay paused |
 //! | `0x26` | — | resume free running |
@@ -43,8 +43,10 @@
 //! keep their recorder-level `seq`, so a bounded subscriber that drops
 //! frames still sees a strictly increasing (gapped) sequence.
 
-use mfgcp_serve::wire::{empty_body, push_f64, push_str, Cursor};
-use mfgcp_serve::{ErrorCode, WireError};
+use mfgcp_serve::wire::{
+    decode_error, empty_body, encode_error, push_f64s, push_str, Cursor, OP_ERROR,
+};
+use mfgcp_serve::{ErrorCode, WireError, MAX_FRAME_LEN};
 
 /// A decoded control-plane request.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,10 +142,14 @@ const OP_OK: u8 = 0xA1;
 const OP_OCCUPANCY_REPLY: u8 = 0xA3;
 const OP_PONG: u8 = 0xAA;
 const OP_EVENT: u8 = 0xC0;
-const OP_ERROR: u8 = 0xEE;
 
 /// Most subscription filters a single subscribe may carry.
 pub const MAX_FILTERS: u16 = 64;
+
+/// Most occupancy values one `0xA3` reply carries: the largest slice
+/// that fits a [`MAX_FRAME_LEN`] frame (opcode byte, three `u32`s, then
+/// 8 bytes per value). The server clamps every slice to it.
+pub const MAX_OCCUPANCY: u32 = (MAX_FRAME_LEN - 13) / 8;
 
 impl CtlRequest {
     /// Serializes the request into a frame payload (opcode + body).
@@ -265,9 +271,7 @@ impl CtlReply {
                 out.extend_from_slice(&total.to_le_bytes());
                 out.extend_from_slice(&offset.to_le_bytes());
                 out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-                for &v in values {
-                    push_f64(&mut out, v);
-                }
+                push_f64s(&mut out, values);
                 out
             }
             CtlReply::Pong => vec![OP_PONG],
@@ -277,12 +281,7 @@ impl CtlReply {
                 out.extend_from_slice(line.as_bytes());
                 out
             }
-            CtlReply::Error { code, message } => {
-                let mut out = vec![OP_ERROR];
-                out.extend_from_slice(&code.as_u16().to_le_bytes());
-                out.extend_from_slice(message.as_bytes());
-                out
-            }
+            CtlReply::Error { code, message } => encode_error(*code, message),
         }
     }
 
@@ -301,7 +300,7 @@ impl CtlReply {
                 let mut c = Cursor::new(body);
                 let total = c.u32("occupancy total")?;
                 let offset = c.u32("occupancy offset")?;
-                let count = c.u32("occupancy count")?;
+                let count = c.count("occupancy count", MAX_OCCUPANCY)?;
                 let mut values = Vec::with_capacity(count as usize);
                 for _ in 0..count {
                     values.push(c.f64("occupancy value")?);
@@ -315,13 +314,7 @@ impl CtlReply {
             }
             OP_PONG => empty_body(body, "pong").map(|()| CtlReply::Pong),
             OP_EVENT => Ok(CtlReply::Event(utf8(body, "event body")?)),
-            OP_ERROR => {
-                let mut c = Cursor::new(body);
-                let raw = c.u16("error code")?;
-                let code = ErrorCode::from_u16(raw).unwrap_or(ErrorCode::Internal);
-                let message = utf8(c.rest(), "error message")?;
-                Ok(CtlReply::Error { code, message })
-            }
+            OP_ERROR => decode_error(body).map(|(code, message)| CtlReply::Error { code, message }),
             other => Err(WireError::new(
                 ErrorCode::UnknownOpcode,
                 format!("unknown control reply opcode 0x{other:02x}"),

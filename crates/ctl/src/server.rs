@@ -1,43 +1,37 @@
-//! The control-plane TCP server.
-//!
-//! One acceptor thread plus two threads per connection: a *reader* that
-//! blocks on frames and forwards decoded requests over a channel, and a
-//! *writer* that owns the socket, interleaving request replies with
-//! streamed `0xC0` event frames drained from the connection's
-//! [`Subscription`]. The writer is the only thread that ever writes, so
-//! frames never interleave mid-frame; the reader never writes, so a
-//! client pipelining requests while streaming stays coherent.
+//! The control-plane TCP server: the control protocol as a [`Service`]
+//! on the shared [`mfgcp_serve::framed`] server core, with a fixed pool
+//! of `WORKERS` threads, one per connection for its lifetime. A
+//! connection silent for `IDLE_TIMEOUT` is reaped, unless it is
+//! subscribed: then its thread writes the queued `0xC0` event frames of
+//! its [`Subscription`] every [`TICK`](mfgcp_serve::framed::TICK) while
+//! it waits for the next request, so one thread owns the socket.
 //!
 //! Backpressure never reaches the simulation: the broadcast sink's
-//! bounded per-subscriber queues drop (and count) events the writer
-//! hasn't drained, and a writer stuck on a full socket simply stops
-//! draining its own queue. Shutdown reuses the policy server's drain
-//! discipline ([`mfgcp_serve::wire`]): writers flush their queues, then
-//! half-close and linger so no delivered frame is ever reset away.
+//! bounded queues drop (and count) undrained events, and a peer that
+//! stops reading is dropped by the core's write timeout. On shutdown a
+//! subscribed connection flushes its queue before its FIN.
 
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::io;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 use mfgcp_core::Params;
+use mfgcp_obs::json::Json;
 use mfgcp_obs::{BroadcastSink, Subscription, SubscriptionFilter};
-use mfgcp_serve::wire::{linger_close, read_frame, write_frame, ConnectionRegistry};
-use mfgcp_serve::{ErrorCode, FrameReadError, WireError, MAX_FRAME_LEN};
+use mfgcp_serve::framed::{FramedServer, Next, Service};
+use mfgcp_serve::wire::write_frame;
+use mfgcp_serve::{ErrorCode, WireError};
 
-use crate::plane::{fork_json, join_all, retain_live, snapshot_json, ControlPlane, ForkError};
-use crate::protocol::{CtlReply, CtlRequest};
+use crate::plane::{fork_json, snapshot_json, ControlPlane, ForkError, ForkOutcome};
+use crate::protocol::{CtlReply, CtlRequest, MAX_OCCUPANCY};
 
-/// How often the writer wakes to drain stream events when idle.
-const POLL: Duration = Duration::from_millis(20);
-/// Drain window for the half-close handshake on connection teardown.
-const LINGER: Duration = Duration::from_millis(500);
-/// Write timeout: a peer that stops reading for this long is dropped
-/// (its subscription closes; the simulation never notices).
-const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+/// Worker pool size. Control traffic is at most a streaming `mfgcp
+/// watch` plus a one-shot `mfgcp ctl` verb at a time; further
+/// connections queue until a worker frees up.
+const WORKERS: usize = 4;
+/// How long a connection that does not stream may sit between requests.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// Largest subscriber queue a client may request.
 const MAX_SUBSCRIBER_CAPACITY: u32 = 65_536;
 
@@ -45,12 +39,7 @@ const MAX_SUBSCRIBER_CAPACITY: u32 = 65_536;
 /// the simulation with `Simulation::set_control`, run the simulation,
 /// then call [`shutdown`](Self::shutdown).
 pub struct CtlServer {
-    plane: Arc<ControlPlane>,
-    addr: SocketAddr,
-    closing: Arc<AtomicBool>,
-    registry: Arc<ConnectionRegistry>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    server: FramedServer<CtlService>,
 }
 
 impl CtlServer {
@@ -68,219 +57,96 @@ impl CtlServer {
         sink: Arc<BroadcastSink>,
         hold: bool,
     ) -> std::io::Result<CtlServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
         let plane = Arc::new(ControlPlane::new(params, sink, hold));
-        let closing = Arc::new(AtomicBool::new(false));
-        let registry = Arc::new(ConnectionRegistry::new());
-        let workers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let acceptor = {
-            let plane = Arc::clone(&plane);
-            let closing = Arc::clone(&closing);
-            let registry = Arc::clone(&registry);
-            let workers = Arc::clone(&workers);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if closing.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let Some(token) = registry.register(&stream) else {
-                        continue;
-                    };
-                    let plane = Arc::clone(&plane);
-                    let closing = Arc::clone(&closing);
-                    let registry = Arc::clone(&registry);
-                    let addr_for_poke = addr;
-                    let worker = std::thread::spawn(move || {
-                        serve_connection(stream, token, plane, closing, registry, addr_for_poke);
-                    });
-                    retain_live(&workers, worker);
-                }
-            })
-        };
-
-        Ok(CtlServer {
-            plane,
-            addr,
-            closing,
-            registry,
-            acceptor: Some(acceptor),
-            workers,
-        })
+        let service = CtlService { plane };
+        let server = FramedServer::bind(addr, "ctl", WORKERS, IDLE_TIMEOUT, service)?;
+        Ok(CtlServer { server })
     }
 
     /// The bound address (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.endpoint().local_addr()
     }
 
     /// The shared control plane — pass `Arc::clone` of this to
     /// `Simulation::set_control`.
     pub fn plane(&self) -> &Arc<ControlPlane> {
-        &self.plane
+        &self.server.endpoint().service().plane
+    }
+
+    /// Number of connections currently being served.
+    pub fn connections(&self) -> usize {
+        self.server.endpoint().connections()
     }
 
     /// Stop accepting, flush and close every connection, join every
     /// worker and fork thread. The gate detaches first, so a paused
     /// simulation can never be stranded by an observer going away.
-    pub fn shutdown(mut self) {
-        self.plane.detach();
-        self.closing.store(true, Ordering::SeqCst);
-        // Poke the acceptor out of `incoming()`.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        // Writers notice `closing` within one poll tick, drain their
-        // queues, half-close, and exit; join them all.
-        join_all(&self.workers);
-        // Anything still registered (raced the drain) is closed hard.
-        self.registry.drain();
-        self.plane.sink().close_all();
-        self.plane.join_forks();
-    }
-}
-
-/// What the per-connection writer should do after a handled request.
-enum Next {
-    /// Keep serving this connection.
-    Continue,
-    /// Close this connection (detach).
-    CloseConnection,
-    /// Shut the whole server down.
-    CloseServer,
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    token: u64,
-    plane: Arc<ControlPlane>,
-    closing: Arc<AtomicBool>,
-    registry: Arc<ConnectionRegistry>,
-    poke_addr: SocketAddr,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let (tx, rx) = mpsc::channel::<Result<CtlRequest, WireError>>();
-    let reader = {
-        let Ok(mut rstream) = stream.try_clone() else {
-            registry.deregister(token);
-            return;
-        };
-        std::thread::spawn(move || loop {
-            let decoded = match read_frame(&mut rstream, MAX_FRAME_LEN) {
-                Ok(Some(payload)) => CtlRequest::decode(&payload),
-                // The unread payload would desynchronize the stream: the
-                // writer replies with the typed error, then closes.
-                Err(FrameReadError::TooLong { declared, max }) => Err(WireError::new(
-                    ErrorCode::FrameTooLong,
-                    format!("frame length {declared} exceeds maximum {max}"),
-                )),
-                // Clean EOF or another framing-level failure: the
-                // connection is done reading either way.
-                _ => break,
-            };
-            let too_long = matches!(&decoded, Err(e) if e.code == ErrorCode::FrameTooLong);
-            if tx.send(decoded).is_err() || too_long {
-                break;
-            }
-        })
-    };
-
-    let mut stream = stream;
-    let mut sub: Option<Subscription> = None;
-    let mut server_shutdown = false;
-    loop {
-        if closing.load(Ordering::SeqCst) {
-            break;
-        }
-        if !drain_events(&mut stream, &sub) {
-            break;
-        }
-        match rx.recv_timeout(POLL) {
-            Ok(decoded) => {
-                let (reply, next) = match decoded {
-                    Ok(req) => handle_request(req, &plane, &mut sub),
-                    Err(e) => (
-                        CtlReply::Error {
-                            code: e.code,
-                            message: e.message,
-                        },
-                        if e.code == ErrorCode::FrameTooLong {
-                            Next::CloseConnection
-                        } else {
-                            Next::Continue
-                        },
-                    ),
-                };
-                if write_frame(&mut stream, &reply.encode()).is_err() {
-                    break;
-                }
-                match next {
-                    Next::Continue => {}
-                    Next::CloseConnection => break,
-                    Next::CloseServer => {
-                        server_shutdown = true;
-                        break;
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    // Flush whatever the subscription still holds, then half-close so
-    // every delivered frame survives the teardown.
-    let _ = drain_events(&mut stream, &sub);
-    let _ = stream.flush();
-    linger_close(&stream, LINGER);
-    // Unblock the reader thread if the peer is holding the (already
-    // FIN'd and drained) connection open.
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    registry.deregister(token);
-    drop(sub);
-    let _ = reader.join();
-    if server_shutdown {
+    pub fn shutdown(self) {
+        let plane = Arc::clone(self.plane());
         plane.detach();
-        closing.store(true, Ordering::SeqCst);
-        // Poke the acceptor so it observes `closing`.
-        let _ = TcpStream::connect(poke_addr);
+        self.server.endpoint().shutdown();
+        self.server.join();
+        plane.sink().close_all();
+        plane.join_forks();
     }
 }
 
-/// Write every queued stream event as an `0xC0` frame. Returns `false`
-/// on a write failure (connection considered dead).
-fn drain_events(stream: &mut TcpStream, sub: &Option<Subscription>) -> bool {
-    let Some(sub) = sub else { return true };
-    while let Some(event) = sub.try_recv() {
-        let frame = CtlReply::Event(event.to_json_line()).encode();
-        if write_frame(stream, &frame).is_err() {
-            return false;
-        }
+/// The control protocol; a connection's session is its subscription.
+struct CtlService {
+    plane: Arc<ControlPlane>,
+}
+
+impl Service for CtlService {
+    type Session = Option<Subscription>;
+
+    fn open(&self) -> Option<Subscription> {
+        None
     }
-    true
+
+    fn respond(&self, sub: &mut Option<Subscription>, payload: &[u8]) -> (Vec<u8>, Next) {
+        let request = CtlRequest::decode(payload);
+        let next = match request {
+            Ok(CtlRequest::Shutdown) => Next::Shutdown,
+            Ok(CtlRequest::Detach) => Next::Close,
+            _ => Next::Continue,
+        };
+        let reply = request.and_then(|req| handle_request(req, &self.plane, sub));
+        let reply = reply.unwrap_or_else(|e| CtlReply::Error {
+            code: e.code,
+            message: e.message,
+        });
+        (reply.encode(), next)
+    }
+
+    fn streams(&self, sub: &Option<Subscription>) -> bool {
+        sub.is_some()
+    }
+
+    fn flush_stream(&self, sub: &mut Option<Subscription>, out: &mut TcpStream) -> io::Result<()> {
+        if let Some(sub) = sub {
+            while let Some(event) = sub.try_recv() {
+                write_frame(out, &CtlReply::Event(event.to_json_line()).encode())?;
+            }
+        }
+        Ok(())
+    }
 }
 
 fn handle_request(
     req: CtlRequest,
     plane: &Arc<ControlPlane>,
     sub: &mut Option<Subscription>,
-) -> (CtlReply, Next) {
-    let ok = |json: mfgcp_obs::json::Json| CtlReply::Ok(json.to_json_string());
+) -> Result<CtlReply, WireError> {
+    let ok = |json: Json| Ok(CtlReply::Ok(json.to_json_string()));
+    let flag = |name: &str| ok(Json::Obj(vec![(name.to_string(), Json::Bool(true))]));
     match req {
         CtlRequest::Subscribe { capacity, filters } => {
             if capacity > MAX_SUBSCRIBER_CAPACITY {
-                return (
-                    CtlReply::Error {
-                        code: ErrorCode::Malformed,
-                        message: format!(
-                            "capacity {capacity} exceeds max {MAX_SUBSCRIBER_CAPACITY}"
-                        ),
-                    },
-                    Next::Continue,
-                );
+                return Err(WireError::new(
+                    ErrorCode::Malformed,
+                    format!("capacity {capacity} exceeds max {MAX_SUBSCRIBER_CAPACITY}"),
+                ));
             }
             // Re-subscribing replaces (and closes) the previous stream.
             if let Some(old) = sub.take() {
@@ -292,117 +158,78 @@ fn handle_request(
                 SubscriptionFilter::new(filters.clone())
             };
             *sub = Some(plane.sink().subscribe(capacity as usize, filter));
-            (
-                ok(mfgcp_obs::json::Json::Obj(vec![
-                    ("subscribed".to_string(), mfgcp_obs::json::Json::Bool(true)),
-                    (
-                        "capacity".to_string(),
-                        mfgcp_obs::json::Json::Num(capacity as f64),
-                    ),
-                    (
-                        "filters".to_string(),
-                        mfgcp_obs::json::Json::Arr(
-                            filters
-                                .iter()
-                                .map(|f| mfgcp_obs::json::Json::Str(f.clone()))
-                                .collect(),
-                        ),
-                    ),
-                ])),
-                Next::Continue,
-            )
+            ok(Json::Obj(vec![
+                ("subscribed".to_string(), Json::Bool(true)),
+                ("capacity".to_string(), Json::Num(capacity as f64)),
+                (
+                    "filters".to_string(),
+                    Json::Arr(filters.into_iter().map(Json::Str).collect()),
+                ),
+            ]))
         }
-        CtlRequest::Snapshot => match plane.latest() {
-            Some(snap) => (ok(snapshot_json(&snap)), Next::Continue),
-            None => (ok(mfgcp_obs::json::Json::Null), Next::Continue),
-        },
+        CtlRequest::Snapshot => ok(plane
+            .latest()
+            .map_or(Json::Null, |snap| snapshot_json(&snap))),
         CtlRequest::Occupancy { offset, len } => {
-            let (total, offset, values) = match plane.latest() {
-                Some(snap) => {
-                    let total = snap.occupancy.len() as u32;
-                    let start = offset.min(total);
-                    let end = start.saturating_add(len).min(total);
-                    (
-                        total,
-                        start,
-                        snap.occupancy[start as usize..end as usize].to_vec(),
-                    )
-                }
-                None => (0, 0, Vec::new()),
-            };
-            (
-                CtlReply::Occupancy {
-                    total,
-                    offset,
-                    values,
-                },
-                Next::Continue,
-            )
+            let snap = plane.latest();
+            let occupancy = snap.as_ref().map_or(&[][..], |snap| &snap.occupancy);
+            let total = occupancy.len() as u32;
+            let start = offset.min(total);
+            let end = start.saturating_add(len.min(MAX_OCCUPANCY)).min(total);
+            Ok(CtlReply::Occupancy {
+                total,
+                offset: start,
+                values: occupancy[start as usize..end as usize].to_vec(),
+            })
         }
         CtlRequest::Pause => {
             plane.pause();
-            (ok(plane.status_json()), Next::Continue)
+            ok(plane.status_json())
         }
         CtlRequest::Step { n } => {
             plane.step(n as u64);
-            (ok(plane.status_json()), Next::Continue)
+            ok(plane.status_json())
         }
         CtlRequest::Resume => {
             plane.resume();
-            (ok(plane.status_json()), Next::Continue)
+            ok(plane.status_json())
         }
         CtlRequest::Fork => match plane.fork() {
-            Ok(id) => (
-                ok(fork_json(id, Some(&crate::plane::ForkOutcome::Running))),
-                Next::Continue,
-            ),
-            Err(e) => (
-                CtlReply::Error {
-                    code: match e {
-                        ForkError::NoSnapshot => ErrorCode::Internal,
-                        ForkError::Busy => ErrorCode::Busy,
-                    },
-                    message: e.to_string(),
-                },
-                Next::Continue,
-            ),
+            Ok(id) => ok(fork_json(id, Some(&ForkOutcome::Running))),
+            Err(e) => {
+                let code = match e {
+                    ForkError::NoSnapshot => ErrorCode::Internal,
+                    ForkError::Busy => ErrorCode::Busy,
+                };
+                Err(WireError::new(code, e.to_string()))
+            }
         },
-        CtlRequest::ForkStatus { id } => (
-            ok(fork_json(id, plane.fork_outcome(id).as_ref())),
-            Next::Continue,
-        ),
-        CtlRequest::Status => (ok(plane.status_json()), Next::Continue),
-        CtlRequest::Ping => (CtlReply::Pong, Next::Continue),
+        CtlRequest::ForkStatus { id } => ok(fork_json(id, plane.fork_outcome(id).as_ref())),
+        CtlRequest::Status => ok(plane.status_json()),
+        CtlRequest::Ping => Ok(CtlReply::Pong),
         CtlRequest::Reprice => match plane.reprice() {
-            Ok(json) => (ok(json), Next::Continue),
-            Err(e) => (
-                CtlReply::Error {
-                    code: ErrorCode::Internal,
-                    message: format!("cannot reprice: {e}"),
-                },
-                Next::Continue,
-            ),
+            Ok(json) => ok(json),
+            Err(e) => Err(WireError::new(
+                ErrorCode::Internal,
+                format!("cannot reprice: {e}"),
+            )),
         },
-        CtlRequest::Shutdown => (
-            ok(mfgcp_obs::json::Json::Obj(vec![(
-                "shutdown".to_string(),
-                mfgcp_obs::json::Json::Bool(true),
-            )])),
-            Next::CloseServer,
-        ),
-        CtlRequest::Detach => (
-            ok(mfgcp_obs::json::Json::Obj(vec![(
-                "detached".to_string(),
-                mfgcp_obs::json::Json::Bool(true),
-            )])),
-            Next::CloseConnection,
-        ),
+        CtlRequest::Shutdown => {
+            // Release a paused run before anything else goes away.
+            plane.detach();
+            flag("shutdown")
+        }
+        CtlRequest::Detach => flag("detached"),
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::io::Write;
     use std::time::Instant;
+
+    use mfgcp_serve::wire::read_frame;
+    use mfgcp_serve::MAX_FRAME_LEN;
 
     use super::*;
 
@@ -419,28 +246,26 @@ mod tests {
         CtlReply::decode(&payload).expect("decodable reply")
     }
 
-    fn all_finished(handles: &Mutex<Vec<JoinHandle<()>>>) -> bool {
-        handles.lock().unwrap().iter().all(JoinHandle::is_finished)
-    }
-
     #[test]
-    fn detached_observers_leave_at_most_one_worker_handle() {
+    fn detached_observers_leave_the_registry_empty() {
         let server = spawn_server();
-        for cycle in 0..20 {
+        for _ in 0..20 {
             let mut peer = TcpStream::connect(server.local_addr()).unwrap();
             write_frame(&mut peer, &CtlRequest::Detach.encode()).unwrap();
             assert!(matches!(reply_then_eof(&mut peer), CtlReply::Ok(_)));
-            drop(peer);
-            // The peer has closed; wait for its worker to exit, so the
-            // next accept finds only finished handles to reap.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while !server.registry.is_empty() || !all_finished(&server.workers) {
-                assert!(Instant::now() < deadline, "cycle {cycle}: worker hangs");
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            let retained = server.workers.lock().unwrap().len();
-            assert!(retained <= 1, "cycle {cycle}: {retained} handles retained");
         }
+        // Every detached connection leaves the registry once its worker
+        // has closed it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.connections() > 0 {
+            assert!(Instant::now() < deadline, "a detached connection lingers");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let mut fresh = TcpStream::connect(server.local_addr()).unwrap();
+        write_frame(&mut fresh, &CtlRequest::Ping.encode()).unwrap();
+        let pong = read_frame(&mut fresh, MAX_FRAME_LEN).unwrap().unwrap();
+        assert!(matches!(CtlReply::decode(&pong), Ok(CtlReply::Pong)));
+        drop(fresh);
         server.shutdown();
     }
 
@@ -462,6 +287,48 @@ mod tests {
         let pong = read_frame(&mut fresh, MAX_FRAME_LEN).unwrap().unwrap();
         assert!(matches!(CtlReply::decode(&pong), Ok(CtlReply::Pong)));
         drop(fresh);
+        server.shutdown();
+    }
+
+    /// A client dropped without a goodbye frees its worker at once:
+    /// with a fixed pool, a leaked connection would otherwise hold a
+    /// worker until the idle bound.
+    #[test]
+    fn dropped_clients_free_their_workers() {
+        let server = spawn_server();
+        let addr = server.local_addr().to_string();
+        let timeout = Duration::from_secs(2);
+        for _ in 0..WORKERS + 1 {
+            let mut client = crate::CtlClient::connect(&addr).unwrap();
+            let pong = client.request(&CtlRequest::Ping, timeout);
+            assert!(matches!(pong, Ok(CtlReply::Pong)), "{pong:?}");
+        }
+        server.shutdown();
+    }
+
+    /// An occupancy slice never outgrows one frame, however many EDPs
+    /// the run has.
+    #[test]
+    fn an_occupancy_slice_is_clamped_to_one_frame() {
+        use mfgcp_sim::EngineControl;
+
+        let server = spawn_server();
+        let edps = MAX_OCCUPANCY as usize + 10;
+        let snapshot = crate::plane::tests::snapshot(vec![0.5; edps]);
+        server.plane().at_slot_boundary(snapshot);
+        let mut client = crate::CtlClient::connect(&server.local_addr().to_string()).unwrap();
+        let request = CtlRequest::Occupancy {
+            offset: 0,
+            len: u32::MAX,
+        };
+        match client.request(&request, Duration::from_secs(10)) {
+            Ok(CtlReply::Occupancy { total, values, .. }) => {
+                assert_eq!(total as usize, edps);
+                assert_eq!(values.len(), MAX_OCCUPANCY as usize);
+            }
+            other => panic!("expected a clamped occupancy slice, got {other:?}"),
+        }
+        drop(client);
         server.shutdown();
     }
 }

@@ -199,7 +199,6 @@ fn run_serve(
     let config = ServeConfig {
         threads,
         read_timeout: Duration::from_secs(read_timeout_secs.max(1)),
-        ..ServeConfig::default()
     };
     let handle = match PolicyServer::start_store(addr, store, config, recorder) {
         Ok(h) => h,

@@ -32,17 +32,17 @@
 //!   TCP: single and batched `(t, h, q)` queries answered with
 //!   `(x*(t,h,q), p*(t), q̄₋(t))`, plus ping / info / graceful-shutdown
 //!   control frames, with bounded frame lengths and typed error replies;
-//! * [`server`] — a multi-threaded TCP policy server over a loaded
-//!   equilibrium: worker thread pool, per-connection read timeouts,
-//!   strict malformed-frame rejection, graceful shutdown, and `mfgcp-obs`
-//!   instrumentation (`serve.request` counters, latency gauges, batch
-//!   sizes) under the telemetry-never-perturbs rules;
+//! * [`framed`] — the one framed TCP server core, shared with the
+//!   `mfgcp-ctl` control plane: an acceptor feeding a fixed worker pool,
+//!   one frame loop with read deadlines and a write timeout, and a
+//!   drain-aware graceful shutdown;
+//! * [`server`] — the policy protocol as a service on that core, with
+//!   `mfgcp-obs` instrumentation under the telemetry-never-perturbs rules;
 //! * [`client`] — a small blocking client used by `mfgcp query`, the
 //!   `bench_serve` load generator and the end-to-end tests;
 //! * [`wire`] — the protocol-agnostic frame plumbing (length-prefixed
-//!   read/write, the bounds-checked body cursor, the drain-aware
-//!   connection registry) shared with the `mfgcp-ctl` live control
-//!   plane.
+//!   read/write, the typed `0xEE` error reply, the bounds-checked body
+//!   cursor), shared with `mfgcp-ctl`.
 //!
 //! Queries are answered by time-step selection plus bilinear interpolation
 //! on the *rehydrated* equilibrium — the same
@@ -63,6 +63,7 @@ pub mod artifact;
 pub mod client;
 pub mod crc32;
 pub mod error;
+pub mod framed;
 pub mod mmap;
 pub mod protocol;
 pub mod server;

@@ -48,13 +48,13 @@
 //! over-long batch) decode to a typed [`WireError`] that the server maps
 //! straight into an `0xEE` reply.
 //!
-//! The protocol-agnostic plumbing — frame reading/writing, the
-//! bounds-checked body [`Cursor`], the connection registry — lives in
+//! The protocol-agnostic plumbing — frame reading/writing, the typed
+//! error reply, the bounds-checked body [`Cursor`] — lives in
 //! [`crate::wire`] and is shared with the `mfgcp-ctl` control plane; this
 //! module defines only the policy-server opcode table.
 
 use crate::error::WireError;
-use crate::wire::{empty_body, push_f64, Cursor};
+use crate::wire::{decode_error, empty_body, encode_error, push_f64, push_f64s, Cursor, OP_ERROR};
 pub use crate::wire::{read_frame, write_frame, MAX_FRAME_LEN};
 
 /// Largest batch size whose reply still fits in a [`MAX_FRAME_LEN`]
@@ -236,31 +236,39 @@ const OP_SWAP_ACK: u8 = 0x85;
 const OP_SLOT_BATCH: u8 = 0x86;
 const OP_POLICY_BATCH_MIXED: u8 = 0x87;
 const OP_SHUTDOWN_ACK: u8 = 0x8F;
-const OP_ERROR: u8 = 0xEE;
+
+/// An opcode followed by raw `f64`s.
+fn f64s(op: u8, values: &[f64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1 + values.len() * 8);
+    out.push(op);
+    push_f64s(&mut out, values);
+    out
+}
+
+/// An opcode, a `u32` count, then `count` × 3 raw `f64`s.
+fn triples(op: u8, points: &[[f64; 3]]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(5 + points.len() * 24);
+    out.push(op);
+    out.extend_from_slice(&(points.len() as u32).to_le_bytes());
+    points.iter().for_each(|p| push_f64s(&mut out, p));
+    out
+}
+
+/// Reads `count` × 3 raw `f64`s, naming each field in its error.
+fn read_triples(c: &mut Cursor, count: u32, names: [&str; 3]) -> Result<Vec<[f64; 3]>, WireError> {
+    let mut points = Vec::with_capacity(count as usize);
+    for _ in 0..count {
+        points.push([c.f64(names[0])?, c.f64(names[1])?, c.f64(names[2])?]);
+    }
+    Ok(points)
+}
 
 impl Request {
     /// Serializes the request into a frame payload (opcode + body).
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            Request::Query { t, h, q } => {
-                let mut out = Vec::with_capacity(25);
-                out.push(OP_QUERY);
-                push_f64(&mut out, *t);
-                push_f64(&mut out, *h);
-                push_f64(&mut out, *q);
-                out
-            }
-            Request::QueryBatch(points) => {
-                let mut out = Vec::with_capacity(5 + points.len() * 24);
-                out.push(OP_QUERY_BATCH);
-                out.extend_from_slice(&(points.len() as u32).to_le_bytes());
-                for p in points {
-                    push_f64(&mut out, p[0]);
-                    push_f64(&mut out, p[1]);
-                    push_f64(&mut out, p[2]);
-                }
-                out
-            }
+            Request::Query { t, h, q } => f64s(OP_QUERY, &[*t, *h, *q]),
+            Request::QueryBatch(points) => triples(OP_QUERY_BATCH, points),
             Request::Ping => vec![OP_PING],
             Request::Info => vec![OP_INFO],
             Request::SwapArtifact(path) => {
@@ -274,10 +282,7 @@ impl Request {
                 out.push(OP_EVAL_SLOT_BATCH);
                 push_f64(&mut out, *t);
                 out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-                for p in pairs {
-                    push_f64(&mut out, p[0]);
-                    push_f64(&mut out, p[1]);
-                }
+                pairs.iter().for_each(|p| push_f64s(&mut out, p));
                 out
             }
             Request::Shutdown => vec![OP_SHUTDOWN],
@@ -307,10 +312,7 @@ impl Request {
                         format!("batch of {count} points exceeds maximum {MAX_BATCH}"),
                     ));
                 }
-                let mut points = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    points.push([c.f64("batch.t")?, c.f64("batch.h")?, c.f64("batch.q")?]);
-                }
+                let points = read_triples(&mut c, count, ["batch.t", "batch.h", "batch.q"])?;
                 c.finish("batch")?;
                 Ok(Request::QueryBatch(points))
             }
@@ -355,25 +357,8 @@ impl Reply {
     /// Serializes the reply into a frame payload (opcode + body).
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            Reply::Policy { x, price, q_bar } => {
-                let mut out = Vec::with_capacity(25);
-                out.push(OP_POLICY);
-                push_f64(&mut out, *x);
-                push_f64(&mut out, *price);
-                push_f64(&mut out, *q_bar);
-                out
-            }
-            Reply::PolicyBatch(points) => {
-                let mut out = Vec::with_capacity(5 + points.len() * 24);
-                out.push(OP_POLICY_BATCH);
-                out.extend_from_slice(&(points.len() as u32).to_le_bytes());
-                for p in points {
-                    push_f64(&mut out, p[0]);
-                    push_f64(&mut out, p[1]);
-                    push_f64(&mut out, p[2]);
-                }
-                out
-            }
+            Reply::Policy { x, price, q_bar } => f64s(OP_POLICY, &[*x, *price, *q_bar]),
+            Reply::PolicyBatch(points) => triples(OP_POLICY_BATCH, points),
             Reply::PolicyBatchMixed(points) => {
                 let mut out = Vec::with_capacity(5 + points.len() * 25);
                 out.push(OP_POLICY_BATCH_MIXED);
@@ -382,9 +367,7 @@ impl Reply {
                     match p {
                         Ok(triple) => {
                             out.push(1);
-                            push_f64(&mut out, triple[0]);
-                            push_f64(&mut out, triple[1]);
-                            push_f64(&mut out, triple[2]);
+                            push_f64s(&mut out, triple);
                         }
                         Err(code) => {
                             out.push(0);
@@ -397,12 +380,9 @@ impl Reply {
             Reply::SlotBatch { price, q_bar, xs } => {
                 let mut out = Vec::with_capacity(21 + xs.len() * 8);
                 out.push(OP_SLOT_BATCH);
-                push_f64(&mut out, *price);
-                push_f64(&mut out, *q_bar);
+                push_f64s(&mut out, &[*price, *q_bar]);
                 out.extend_from_slice(&(xs.len() as u32).to_le_bytes());
-                for &x in xs {
-                    push_f64(&mut out, x);
-                }
+                push_f64s(&mut out, xs);
                 out
             }
             Reply::Pong => vec![OP_PONG],
@@ -435,13 +415,7 @@ impl Reply {
                 out
             }
             Reply::ShutdownAck => vec![OP_SHUTDOWN_ACK],
-            Reply::Error { code, message } => {
-                let mut out = Vec::with_capacity(3 + message.len());
-                out.push(OP_ERROR);
-                out.extend_from_slice(&code.as_u16().to_le_bytes());
-                out.extend_from_slice(message.as_bytes());
-                out
-            }
+            Reply::Error { code, message } => encode_error(*code, message),
         }
     }
 
@@ -461,33 +435,15 @@ impl Reply {
             }
             OP_POLICY_BATCH => {
                 let mut c = Cursor::new(body);
-                let count = c.u32("batch.count")?;
-                if count > MAX_BATCH {
-                    return Err(WireError::new(
-                        ErrorCode::BatchTooLarge,
-                        format!("batch reply of {count} points exceeds maximum {MAX_BATCH}"),
-                    ));
-                }
-                let mut points = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    points.push([
-                        c.f64("batch.x")?,
-                        c.f64("batch.price")?,
-                        c.f64("batch.q_bar")?,
-                    ]);
-                }
+                let count = c.count("batch.count", MAX_BATCH)?;
+                let points =
+                    read_triples(&mut c, count, ["batch.x", "batch.price", "batch.q_bar"])?;
                 c.finish("batch")?;
                 Ok(Reply::PolicyBatch(points))
             }
             OP_POLICY_BATCH_MIXED => {
                 let mut c = Cursor::new(body);
-                let count = c.u32("mixed.count")?;
-                if count > MAX_BATCH {
-                    return Err(WireError::new(
-                        ErrorCode::BatchTooLarge,
-                        format!("mixed batch reply of {count} points exceeds maximum {MAX_BATCH}"),
-                    ));
-                }
+                let count = c.count("mixed.count", MAX_BATCH)?;
                 let mut points = Vec::with_capacity(count as usize);
                 for _ in 0..count {
                     match c.u8("mixed.tag")? {
@@ -496,16 +452,7 @@ impl Reply {
                             c.f64("mixed.price")?,
                             c.f64("mixed.q_bar")?,
                         ])),
-                        0 => {
-                            let raw = c.u16("mixed.code")?;
-                            let code = ErrorCode::from_u16(raw).ok_or_else(|| {
-                                WireError::new(
-                                    ErrorCode::Malformed,
-                                    format!("unknown per-point error code {raw}"),
-                                )
-                            })?;
-                            points.push(Err(code));
-                        }
+                        0 => points.push(Err(c.code("mixed.code")?)),
                         other => {
                             return Err(WireError::new(
                                 ErrorCode::Malformed,
@@ -521,15 +468,7 @@ impl Reply {
                 let mut c = Cursor::new(body);
                 let price = c.f64("slot_batch.price")?;
                 let q_bar = c.f64("slot_batch.q_bar")?;
-                let count = c.u32("slot_batch.count")?;
-                if count > MAX_SLOT_BATCH {
-                    return Err(WireError::new(
-                        ErrorCode::BatchTooLarge,
-                        format!(
-                            "slot batch reply of {count} points exceeds maximum {MAX_SLOT_BATCH}"
-                        ),
-                    ));
-                }
+                let count = c.count("slot_batch.count", MAX_SLOT_BATCH)?;
                 let mut xs = Vec::with_capacity(count as usize);
                 for _ in 0..count {
                     xs.push(c.f64("slot_batch.x")?);
@@ -568,15 +507,7 @@ impl Reply {
                 })
             }
             OP_SHUTDOWN_ACK => empty_body(body, "shutdown-ack").map(|()| Reply::ShutdownAck),
-            OP_ERROR => {
-                let mut c = Cursor::new(body);
-                let raw = c.u16("error.code")?;
-                let code = ErrorCode::from_u16(raw).ok_or_else(|| {
-                    WireError::new(ErrorCode::Malformed, format!("unknown error code {raw}"))
-                })?;
-                let message = String::from_utf8_lossy(c.rest()).into_owned();
-                Ok(Reply::Error { code, message })
-            }
+            OP_ERROR => decode_error(body).map(|(code, message)| Reply::Error { code, message }),
             other => Err(WireError::new(
                 ErrorCode::UnknownOpcode,
                 format!("unknown reply opcode {other:#04X}"),

@@ -24,33 +24,12 @@
 //!
 //! # Architecture
 //!
-//! One acceptor thread hands accepted connections to a fixed pool of
-//! worker threads over an mpsc channel; each worker owns a connection for
-//! its whole lifetime (connections are cheap, queries are cheaper).
-//! Every connection gets a per-*frame* deadline (see
-//! [`read_frame_timed`]) so an idle or
-//! wedged client cannot pin a worker forever while a slow-but-steady
-//! frame body is still allowed to finish, and every frame is bounded by
-//! [`ServeConfig::max_frame_len`] *before* its payload is read.
-//!
-//! Malformed traffic never kills the server: an oversized length prefix
-//! earns a typed `Error` reply and a close (the stream is
-//! desynchronized), a bad payload earns a typed `Error` reply on a
-//! still-open connection, and a truncated frame or socket error closes
-//! just that connection.
-//!
-//! # Shutdown
-//!
-//! Shutdown is cooperative: a `Shutdown` frame (or
-//! [`ServerHandle::shutdown`]) flips the running flag and pokes the
-//! listener with a loopback connection so the blocking `accept` wakes and
-//! exits; the channel closes, workers drain and finish, and
-//! [`ServerHandle::join`] reaps every thread. Connections parked in a
-//! read are closed immediately, but a connection mid-reply is left alone
-//! until its frame is flushed (see
-//! [`ConnectionRegistry`]): a client
-//! that raced shutdown sees complete frames followed by a clean EOF,
-//! never a truncated payload.
+//! The policy protocol is a [`Service`] on the shared
+//! [`framed`](crate::framed) core, which owns the acceptor, the fixed
+//! pool of [`ServeConfig::threads`] workers (one connection each, for
+//! its lifetime), the per-frame read deadlines, the write timeout, the
+//! typed oversize reply and the drain on shutdown. A bad payload earns
+//! a typed `Error` reply on a still-open connection.
 //!
 //! # Telemetry
 //!
@@ -58,27 +37,26 @@
 //! exactly one `serve.server` span for its whole lifetime (opened at
 //! bind, closed at join with request totals); workers emit per-request
 //! `serve.request` counters (fields: `op`, `batch`, `ok`), a
-//! `serve.request_nanos` latency gauge, and `serve.frame_error` counters
-//! — kinds that carry no span linkage, so strict span nesting holds for
-//! any thread interleaving.
+//! `serve.request_nanos` latency gauge (answer plus write), and
+//! `serve.frame_error` counters — kinds that carry no span linkage, so
+//! strict span nesting holds for any thread interleaving.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread;
+use std::time::Duration;
 
 use mfgcp_core::Equilibrium;
 use mfgcp_obs::{RecorderHandle, Span, Value};
 
 use crate::artifact::{self, ArtifactStore};
-use crate::error::{ArtifactError, FrameReadError};
-use crate::protocol::{write_frame, ErrorCode, Reply, Request, MAX_FRAME_LEN};
+use crate::error::{ArtifactError, WireError};
+use crate::framed::{Endpoint, FramedServer, Next, Service};
+use crate::protocol::{ErrorCode, Reply, Request};
 use crate::store::ArtifactSlot;
-use crate::wire::{linger_close, read_frame_timed, ConnectionRegistry};
 
 /// Tuning knobs for [`PolicyServer::start`].
 #[derive(Debug, Clone)]
@@ -91,8 +69,6 @@ pub struct ServeConfig {
     /// Per-connection read timeout; an idle client is disconnected after
     /// this long without a complete frame.
     pub read_timeout: Duration,
-    /// Upper bound on accepted frame payload lengths.
-    pub max_frame_len: u32,
 }
 
 impl Default for ServeConfig {
@@ -100,17 +76,14 @@ impl Default for ServeConfig {
         ServeConfig {
             threads: 0,
             read_timeout: Duration::from_secs(30),
-            max_frame_len: MAX_FRAME_LEN,
         }
     }
 }
 
 impl ServeConfig {
     /// Workers own a connection for its lifetime and block on reads, so
-    /// the pool must oversubscribe the cores: an idle connection costs a
-    /// parked thread, not a core. The default gives 2× parallelism with
-    /// a floor of 4 (so even a 1-core box serves several concurrent
-    /// clients) and a cap of 32.
+    /// the default oversubscribes the cores: 2× parallelism, at least 4
+    /// and at most 32.
     fn resolved_threads(&self) -> usize {
         if self.threads > 0 {
             return self.threads;
@@ -156,57 +129,29 @@ impl PolicyServer {
         config: ServeConfig,
         recorder: RecorderHandle,
     ) -> io::Result<ServerHandle> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
         let threads = config.resolved_threads();
-        let build_info = crate::build_info();
-        let span = recorder.span_with(
+        let header = store.header();
+        let (fingerprint, time_steps) = (header.fingerprint, header.time_steps);
+        let service = PolicyService {
+            artifact: ArtifactSlot::new(store),
+            recorder,
+            requests: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+            build_info: crate::build_info(),
+        };
+        let server = FramedServer::bind(addr, "serve", threads, config.read_timeout, service)?;
+        let service = server.endpoint().service();
+        let span = service.recorder.span_with(
             "serve.server",
             &[
                 ("threads", Value::from(threads)),
-                ("fingerprint", Value::from(store.header().fingerprint)),
-                ("time_steps", Value::from(store.header().time_steps)),
-                ("build_info", Value::from(build_info.clone())),
+                ("fingerprint", Value::from(fingerprint)),
+                ("time_steps", Value::from(time_steps)),
+                ("build_info", Value::from(service.build_info.clone())),
             ],
         );
-
-        let shared = Arc::new(Shared {
-            artifact: ArtifactSlot::new(store),
-            recorder,
-            running: AtomicBool::new(true),
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            local_addr,
-            read_timeout: config.read_timeout,
-            max_frame_len: config.max_frame_len,
-            build_info,
-            connections: ConnectionRegistry::new(),
-        });
-
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut workers = Vec::with_capacity(threads);
-        for i in 0..threads {
-            let shared = Arc::clone(&shared);
-            let rx = Arc::clone(&rx);
-            workers.push(
-                thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &rx))?,
-            );
-        }
-
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("serve-accept".to_string())
-                .spawn(move || accept_loop(&shared, &listener, &tx))?
-        };
-
         Ok(ServerHandle {
-            shared,
-            acceptor: Some(acceptor),
-            workers,
+            server,
             span: Some(span),
         })
     }
@@ -214,59 +159,62 @@ impl PolicyServer {
 
 /// Handle to a running server: address, shutdown trigger, thread reaper.
 pub struct ServerHandle {
-    shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    server: FramedServer<PolicyService>,
     span: Option<Span>,
 }
 
 impl ServerHandle {
     /// The address the listener actually bound.
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.server.endpoint().local_addr()
     }
 
     /// Whether the server is still accepting connections.
     pub fn is_running(&self) -> bool {
-        self.shared.running.load(Ordering::SeqCst)
+        self.server.endpoint().is_running()
+    }
+
+    /// Number of connections currently being served.
+    pub fn connections(&self) -> usize {
+        self.server.endpoint().connections()
     }
 
     /// Initiates a graceful shutdown without blocking: stop accepting,
     /// let workers drain. Idempotent; also triggered by a `Shutdown`
     /// frame from any client.
     pub fn shutdown(&self) {
-        initiate_shutdown(&self.shared);
+        self.server.endpoint().shutdown();
     }
 
     /// A detachable handle for swapping the served artifact from another
     /// thread (the `--watch-artifact` poller, tests).
     pub fn swap_handle(&self) -> SwapHandle {
         SwapHandle {
-            shared: Arc::clone(&self.shared),
+            endpoint: Arc::clone(self.server.endpoint()),
         }
     }
 
-    /// Blocks until the server has fully stopped (all connections closed
-    /// and threads exited), then closes the telemetry span with request
-    /// totals. Call [`ServerHandle::shutdown`] first — or let a client's
-    /// `Shutdown` frame trigger the stop — otherwise this waits
-    /// indefinitely, which is exactly what `mfgcp serve` wants.
-    pub fn join(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        let requests = self.shared.requests.load(Ordering::SeqCst);
-        let errors = self.shared.errors.load(Ordering::SeqCst);
-        if let Some(span) = self.span.take() {
+    /// Blocks until the server has stopped, then closes the telemetry
+    /// span with request totals. Without [`ServerHandle::shutdown`] or a
+    /// client's `Shutdown` frame this waits forever, as `mfgcp serve`
+    /// wants.
+    pub fn join(self) {
+        let endpoint = Arc::clone(self.server.endpoint());
+        self.server.join();
+        let service = endpoint.service();
+        if let Some(span) = self.span {
             span.close(&[
-                ("requests_total", Value::from(requests)),
-                ("errors_total", Value::from(errors)),
+                (
+                    "requests_total",
+                    Value::from(service.requests.load(Ordering::SeqCst)),
+                ),
+                (
+                    "errors_total",
+                    Value::from(service.errors.load(Ordering::SeqCst)),
+                ),
             ]);
         }
-        self.shared.recorder.flush();
+        service.recorder.flush();
     }
 }
 
@@ -275,7 +223,7 @@ impl ServerHandle {
 /// --watch-artifact`.
 #[derive(Debug)]
 pub struct SwapHandle {
-    shared: Arc<Shared>,
+    endpoint: Arc<Endpoint<PolicyService>>,
 }
 
 impl SwapHandle {
@@ -283,323 +231,187 @@ impl SwapHandle {
     /// returns the new serving generation. On error the slot is left
     /// unchanged.
     pub fn swap_from_path(&self, path: &Path) -> Result<u64, ArtifactError> {
-        swap_from_path_inner(&self.shared, path).map(|(generation, _)| generation)
+        let swapped = self.endpoint.service().swap_from_path(path);
+        swapped.map(|(generation, _)| generation)
     }
 
     /// The current serving generation.
     pub fn generation(&self) -> u64 {
-        self.shared.artifact.generation()
+        self.endpoint.service().artifact.generation()
     }
 
     /// Whether the server is still accepting connections.
     pub fn is_running(&self) -> bool {
-        self.shared.running.load(Ordering::SeqCst)
+        self.endpoint.is_running()
     }
 }
 
+/// The policy protocol: answers each frame from the served artifact and
+/// records per-request telemetry.
 #[derive(Debug)]
-struct Shared {
+struct PolicyService {
     artifact: ArtifactSlot,
     recorder: RecorderHandle,
-    running: AtomicBool,
     requests: AtomicU64,
     errors: AtomicU64,
-    local_addr: SocketAddr,
-    read_timeout: Duration,
-    max_frame_len: u32,
     build_info: String,
-    /// Live connections, so shutdown can interrupt workers blocked in a
-    /// read instead of waiting out their timeouts — while draining, not
-    /// cutting, any reply still being written.
-    connections: ConnectionRegistry,
 }
 
-fn initiate_shutdown(shared: &Shared) {
-    if shared.running.swap(false, Ordering::SeqCst) {
-        // Poke the blocking accept() so the acceptor notices the flag.
-        let _ = TcpStream::connect_timeout(&shared.local_addr, Duration::from_secs(1));
-        // Unblock workers parked in a read on an idle connection; a
-        // worker mid-reply finishes flushing its frame first and closes
-        // itself, so clients never see a truncated payload.
-        shared.connections.drain();
+impl Service for PolicyService {
+    /// The telemetry of the connection's latest frame: `op`, batch size
+    /// and success.
+    type Session = (&'static str, usize, bool);
+
+    fn open(&self) -> Self::Session {
+        ("", 0, false)
     }
-}
 
-fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &mpsc::Sender<TcpStream>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if !shared.running.load(Ordering::SeqCst) {
-                    break;
-                }
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            Err(_) => {
-                if !shared.running.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-        }
-    }
-    // Dropping `tx` (by returning) closes the channel; workers drain the
-    // backlog and exit.
-}
-
-fn worker_loop(shared: &Shared, rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>) {
-    loop {
-        let stream = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => break, // a worker panicked while holding the lock
+    fn respond(&self, last: &mut Self::Session, payload: &[u8]) -> (Vec<u8>, Next) {
+        let (reply, op, batch) = self.answer(payload);
+        *last = (op, batch, !matches!(reply, Reply::Error { .. }));
+        let next = if matches!(reply, Reply::ShutdownAck) {
+            Next::Shutdown
+        } else {
+            Next::Continue
         };
-        match stream {
-            Ok(stream) => handle_connection(shared, stream),
-            Err(_) => break, // channel closed: server is shutting down
+        (reply.encode(), next)
+    }
+
+    fn replied(&self, &mut (op, batch, ok): &mut Self::Session, took: Duration) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        if !ok {
+            self.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        if !self.recorder.enabled() {
+            return;
+        }
+        let op = Value::from(op);
+        let fields = [
+            ("op", op.clone()),
+            ("batch", Value::from(batch)),
+            ("ok", Value::from(ok)),
+        ];
+        self.recorder.counter("serve.request", 1, &fields);
+        self.recorder
+            .gauge("serve.request_nanos", took.as_nanos() as f64, &[("op", op)]);
+    }
+
+    fn frame_error(&self, kind: &'static str) {
+        self.errors.fetch_add(1, Ordering::Relaxed);
+        if self.recorder.enabled() {
+            self.recorder
+                .counter("serve.frame_error", 1, &[("kind", Value::from(kind))]);
         }
     }
 }
 
-fn handle_connection(shared: &Shared, mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    // No blanket read timeout here: `read_frame_timed` arms a fresh
-    // deadline per frame (idle bound on the prefix, idle + transfer
-    // grace on the body), so slow-but-steady bodies survive while idle
-    // sockets are still reaped.
-    let token = shared.connections.register(&stream);
-    serve_frames(shared, &mut stream, token);
-    if let Some(token) = token {
-        shared.connections.deregister(token);
-    }
-}
-
-/// How long a draining connection keeps discarding unread pipelined
-/// requests before giving up on the peer's FIN (see [`linger_close`]).
-const LINGER: Duration = Duration::from_secs(1);
-
-fn serve_frames(shared: &Shared, mut stream: &mut TcpStream, token: Option<u64>) {
-    loop {
-        match read_frame_timed(stream, shared.max_frame_len, shared.read_timeout) {
-            Ok(None) => break, // clean disconnect
-            Ok(Some(payload)) => {
-                if let Some(token) = token {
-                    shared.connections.begin_reply(token);
-                }
-                let started = Instant::now();
-                let (reply, op, batch) = respond(shared, &payload);
-                let is_error = matches!(reply, Reply::Error { .. });
-                let is_shutdown = matches!(reply, Reply::ShutdownAck);
-                let sent = write_frame(&mut stream, &reply.encode()).is_ok();
-                let draining = token.is_some_and(|token| shared.connections.end_reply(token));
-                record_request(shared, op, batch, !is_error, started.elapsed());
-                if is_shutdown {
-                    initiate_shutdown(shared);
-                    linger_close(stream, LINGER);
-                    break;
-                }
-                if !sent {
-                    break;
-                }
-                if draining {
-                    // Shutdown raced this reply: it is flushed, so close
-                    // gracefully (FIN after the reply, discard unread
-                    // pipelined requests) instead of cutting the socket.
-                    linger_close(stream, LINGER);
-                    break;
-                }
-                // A malformed *payload* keeps the connection open: frame
-                // boundaries are still intact, so the client may recover.
-            }
-            Err(FrameReadError::TooLong { declared, max }) => {
-                // The unread payload would desynchronize the stream, so
-                // reply with the typed error and close.
-                let reply = Reply::Error {
-                    code: ErrorCode::FrameTooLong,
-                    message: format!("frame length {declared} exceeds maximum {max}"),
+impl PolicyService {
+    /// Computes the reply for one frame payload; returns the reply plus the
+    /// telemetry label and batch size.
+    ///
+    /// The served artifact is snapshotted **once** here, so every answer in
+    /// the frame — including each point of a batch — comes from a single
+    /// generation even if a swap lands mid-frame.
+    fn answer(&self, payload: &[u8]) -> (Reply, &'static str, usize) {
+        let served = self.artifact.current();
+        let store = &served.store;
+        match Request::decode(payload) {
+            Err(WireError { code, message }) => (Reply::Error { code, message }, "malformed", 0),
+            Ok(Request::Query { t, h, q }) => (
+                Reply::Policy {
+                    x: store.policy_at(t, h, q),
+                    price: store.price_at(t),
+                    q_bar: store.q_bar_at(t),
+                },
+                "query",
+                1,
+            ),
+            Ok(Request::QueryBatch(points)) => {
+                let answer = |&[t, h, q]: &[f64; 3]| {
+                    [
+                        store.policy_at(t, h, q),
+                        store.price_at(t),
+                        store.q_bar_at(t),
+                    ]
                 };
-                let _ = write_frame(&mut stream, &reply.encode());
-                record_frame_error(shared, "too_long");
-                break;
+                let evaluable = |p: &[f64; 3]| p.iter().all(|v| v.is_finite());
+                let reply = if points.iter().all(evaluable) {
+                    Reply::PolicyBatch(points.iter().map(answer).collect())
+                } else {
+                    // Mixed result: the good points are still answered, each
+                    // bad one carries its own typed code instead of failing
+                    // the whole batch.
+                    Reply::PolicyBatchMixed(
+                        points
+                            .iter()
+                            .map(|p| {
+                                evaluable(p)
+                                    .then(|| answer(p))
+                                    .ok_or(ErrorCode::PointOutOfDomain)
+                            })
+                            .collect(),
+                    )
+                };
+                (reply, "batch", points.len())
             }
-            Err(FrameReadError::Truncated { .. }) => {
-                record_frame_error(shared, "truncated");
-                break;
+            Ok(Request::EvalSlotBatch { t, pairs }) => {
+                let slot = store.prepare_slot(t);
+                let xs = pairs.iter().map(|&[h, q]| slot.policy.interpolate(h, q));
+                let (price, q_bar, xs) = (slot.price, slot.q_bar, xs.collect());
+                (
+                    Reply::SlotBatch { price, q_bar, xs },
+                    "slot_batch",
+                    pairs.len(),
+                )
             }
-            Err(FrameReadError::Io(_)) => {
-                // Read timeout or connection reset; drop the connection.
-                record_frame_error(shared, "io");
-                break;
+            Ok(Request::SwapArtifact(path)) => {
+                let reply = match self.swap_from_path(Path::new(&path)) {
+                    Ok((generation, fingerprint)) => Reply::SwapAck {
+                        generation,
+                        fingerprint,
+                    },
+                    Err(e) => Reply::Error {
+                        code: ErrorCode::Internal,
+                        message: format!("artifact swap failed: {e}"),
+                    },
+                };
+                (reply, "swap", 0)
             }
-        }
-    }
-}
-
-/// Computes the reply for one frame payload; returns the reply plus the
-/// telemetry label and batch size.
-///
-/// The served artifact is snapshotted **once** here, so every answer in
-/// the frame — including each point of a batch — comes from a single
-/// generation even if a swap lands mid-frame.
-fn respond(shared: &Shared, payload: &[u8]) -> (Reply, &'static str, usize) {
-    let served = shared.artifact.current();
-    let store = &served.store;
-    match Request::decode(payload) {
-        Err(wire) => (
-            Reply::Error {
-                code: wire.code,
-                message: wire.message,
-            },
-            "malformed",
-            0,
-        ),
-        Ok(Request::Query { t, h, q }) => (
-            Reply::Policy {
-                x: store.policy_at(t, h, q),
-                price: store.price_at(t),
-                q_bar: store.q_bar_at(t),
-            },
-            "query",
-            1,
-        ),
-        Ok(Request::QueryBatch(points)) => {
-            let batch = points.len();
-            let evaluable = |p: &[f64; 3]| p.iter().all(|v| v.is_finite());
-            if points.iter().all(evaluable) {
-                let answers = points
-                    .iter()
-                    .map(|&[t, h, q]| {
-                        [
-                            store.policy_at(t, h, q),
-                            store.price_at(t),
-                            store.q_bar_at(t),
-                        ]
-                    })
-                    .collect();
-                (Reply::PolicyBatch(answers), "batch", batch)
-            } else {
-                // Mixed result: the good points are still answered, each
-                // bad one carries its own typed code instead of failing
-                // the whole batch.
-                let answers = points
-                    .iter()
-                    .map(|p| {
-                        if evaluable(p) {
-                            let [t, h, q] = *p;
-                            Ok([
-                                store.policy_at(t, h, q),
-                                store.price_at(t),
-                                store.q_bar_at(t),
-                            ])
-                        } else {
-                            Err(ErrorCode::PointOutOfDomain)
-                        }
-                    })
-                    .collect();
-                (Reply::PolicyBatchMixed(answers), "batch", batch)
-            }
-        }
-        Ok(Request::EvalSlotBatch { t, pairs }) => {
-            let batch = pairs.len();
-            let slot = store.prepare_slot(t);
-            let xs = pairs
-                .iter()
-                .map(|&[h, q]| slot.policy.interpolate(h, q))
-                .collect();
-            (
-                Reply::SlotBatch {
-                    price: slot.price,
-                    q_bar: slot.q_bar,
-                    xs,
-                },
-                "slot_batch",
-                batch,
-            )
-        }
-        Ok(Request::SwapArtifact(path)) => {
-            let reply = match swap_from_path_inner(shared, Path::new(&path)) {
-                Ok((generation, fingerprint)) => Reply::SwapAck {
-                    generation,
-                    fingerprint,
-                },
-                Err(e) => Reply::Error {
-                    code: ErrorCode::Internal,
-                    message: format!("artifact swap failed: {e}"),
-                },
-            };
-            (reply, "swap", 0)
-        }
-        Ok(Request::Ping) => (Reply::Pong, "ping", 0),
-        Ok(Request::Info) => {
-            let header = store.header();
-            (
-                Reply::Info {
+            Ok(Request::Ping) => (Reply::Pong, "ping", 0),
+            Ok(Request::Info) => {
+                let header = store.header();
+                let info = Reply::Info {
                     fingerprint: header.fingerprint,
                     time_steps: header.time_steps as u64,
                     grid_h: header.grid_h as u64,
                     grid_q: header.grid_q as u64,
                     generation: served.generation,
-                    build_info: shared.build_info.clone(),
-                },
-                "info",
-                0,
-            )
+                    build_info: self.build_info.clone(),
+                };
+                (info, "info", 0)
+            }
+            Ok(Request::Shutdown) => (Reply::ShutdownAck, "shutdown", 0),
         }
-        Ok(Request::Shutdown) => (Reply::ShutdownAck, "shutdown", 0),
     }
-}
 
-/// Opens, fully verifies and installs the artifact at `path`; the slot
-/// is untouched on any error.
-fn swap_from_path_inner(shared: &Shared, path: &Path) -> Result<(u64, u64), ArtifactError> {
-    let store = ArtifactStore::open(path)?;
-    store.verify_payload()?;
-    let fingerprint = store.header().fingerprint;
-    let generation = shared.artifact.swap(store);
-    record_swap(shared, generation, fingerprint);
-    Ok((generation, fingerprint))
-}
-
-/// Emits the `serve.swap` counter (generation + fingerprint fields, no
-/// span linkage) for a completed hot swap.
-fn record_swap(shared: &Shared, generation: u64, fingerprint: u64) {
-    if shared.recorder.enabled() {
-        shared.recorder.counter(
-            "serve.swap",
-            1,
-            &[
-                ("generation", Value::from(generation)),
-                ("fingerprint", Value::from(fingerprint)),
-            ],
-        );
-    }
-}
-
-fn record_request(shared: &Shared, op: &'static str, batch: usize, ok: bool, took: Duration) {
-    shared.requests.fetch_add(1, Ordering::Relaxed);
-    if !ok {
-        shared.errors.fetch_add(1, Ordering::Relaxed);
-    }
-    if !shared.recorder.enabled() {
-        return;
-    }
-    let fields = [
-        ("op", Value::from(op)),
-        ("batch", Value::from(batch)),
-        ("ok", Value::from(ok)),
-    ];
-    shared.recorder.counter("serve.request", 1, &fields);
-    shared.recorder.gauge(
-        "serve.request_nanos",
-        took.as_nanos() as f64,
-        &[("op", Value::from(op))],
-    );
-}
-
-fn record_frame_error(shared: &Shared, kind: &'static str) {
-    shared.errors.fetch_add(1, Ordering::Relaxed);
-    if shared.recorder.enabled() {
-        shared
-            .recorder
-            .counter("serve.frame_error", 1, &[("kind", Value::from(kind))]);
+    /// Opens, fully verifies and installs the artifact at `path`, then
+    /// emits the `serve.swap` counter (generation + fingerprint fields, no
+    /// span linkage); the slot is untouched on any error.
+    fn swap_from_path(&self, path: &Path) -> Result<(u64, u64), ArtifactError> {
+        let store = ArtifactStore::open(path)?;
+        store.verify_payload()?;
+        let fingerprint = store.header().fingerprint;
+        let generation = self.artifact.swap(store);
+        if self.recorder.enabled() {
+            self.recorder.counter(
+                "serve.swap",
+                1,
+                &[
+                    ("generation", Value::from(generation)),
+                    ("fingerprint", Value::from(fingerprint)),
+                ],
+            );
+        }
+        Ok((generation, fingerprint))
     }
 }

@@ -4,10 +4,11 @@
 //! (`mfgcp-ctl`) speak the same frame discipline: a little-endian `u32`
 //! payload length followed by that many payload bytes, the first of which
 //! is an opcode. This module owns the pieces that are protocol-agnostic —
-//! frame reading/writing with typed truncation errors, the bounds-checked
-//! [`Cursor`] body reader, the little-endian encode helpers, and the
-//! drain-aware [`ConnectionRegistry`] — so each endpoint only defines its
-//! opcode table.
+//! frame reading/writing with typed truncation errors, the typed `0xEE`
+//! error reply, the bounds-checked [`Cursor`] body reader, the
+//! little-endian encode helpers, and the drain-aware connection registry
+//! the [`framed`](crate::framed) server core uses — so each endpoint
+//! only defines its opcode table.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -18,8 +19,11 @@ use std::time::{Duration, Instant};
 use crate::error::{FrameReadError, WireError};
 use crate::protocol::ErrorCode;
 
-/// Default (and maximum accepted) frame payload length: 1 MiB.
+/// Maximum accepted frame payload length: 1 MiB.
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
+
+/// Opcode of the typed error reply, shared by every endpoint.
+pub const OP_ERROR: u8 = 0xEE;
 
 /// Minimum body throughput a peer must sustain once a frame's length
 /// prefix has arrived: the body deadline is the idle timeout plus
@@ -42,73 +46,42 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Returns `Ok(None)` on clean end-of-stream (EOF before any prefix
 /// byte); EOF mid-prefix or mid-payload is [`FrameReadError::Truncated`].
 pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Option<Vec<u8>>, FrameReadError> {
-    let mut prefix = [0u8; 4];
-    match read_counted(r, &mut prefix) {
-        Ok(()) => {}
-        Err(ReadCounted::CleanEof) => return Ok(None),
-        Err(ReadCounted::Truncated { got }) => {
-            return Err(FrameReadError::Truncated { got, want: 4 })
-        }
-        Err(ReadCounted::Io(e)) => return Err(FrameReadError::Io(e)),
-    }
-    let len = u32::from_le_bytes(prefix);
-    if len > max_len {
-        return Err(FrameReadError::TooLong {
-            declared: len,
-            max: max_len,
-        });
-    }
-    let mut payload = vec![0u8; len as usize];
-    match read_counted(r, &mut payload) {
-        Ok(()) => Ok(Some(payload)),
-        Err(ReadCounted::CleanEof) => Err(FrameReadError::Truncated {
-            got: 0,
-            want: len as usize,
-        }),
-        Err(ReadCounted::Truncated { got }) => Err(FrameReadError::Truncated {
-            got,
-            want: len as usize,
-        }),
-        Err(ReadCounted::Io(e)) => Err(FrameReadError::Io(e)),
-    }
+    read_frame_with(r, max_len, |_, _| {})
 }
 
-/// Reads one frame from a TCP stream under a per-*frame* deadline
-/// discipline instead of a per-*read* socket timeout.
-///
-/// A bare `set_read_timeout` treats a slow multi-chunk frame body the
-/// same as an idle socket: any single inter-chunk gap longer than the
-/// timeout kills the connection even though the peer is making steady
-/// progress. This reader instead arms two explicit deadlines per frame:
-///
-/// * **prefix**: a connection with no frame in flight is *idle*, so the
-///   4-byte length prefix must arrive within `idle_timeout` of the
-///   previous frame completing — idle-connection reaping is unchanged;
-/// * **body**: once the prefix declares `len` bytes, the whole body must
-///   land within `idle_timeout` **plus** `len /`
-///   [`MIN_BODY_BYTES_PER_SEC`] of transfer grace. Slow writers that
-///   keep above the floor rate finish; stalled ones still get reaped.
-///
-/// The deadline resets on every completed frame, never mid-frame per
-/// read. Deadline expiry surfaces as [`FrameReadError::Io`] with
-/// [`io::ErrorKind::TimedOut`]. The stream's kernel read timeout is
-/// re-armed with the remaining budget before each `read`, so the caller
-/// must not rely on a previously configured `set_read_timeout` value
-/// afterwards.
+/// Reads one frame from a TCP stream under per-*frame* deadlines, not a
+/// per-*read* timeout that would take a slow body for an idle socket: the
+/// prefix must arrive within `idle_timeout`, the declared `len` body
+/// bytes within `idle_timeout` plus `len /` [`MIN_BODY_BYTES_PER_SEC`].
+/// Expiry is [`FrameReadError::Io`] with [`io::ErrorKind::TimedOut`];
+/// the socket read timeout is re-armed before each `read`.
 pub fn read_frame_timed(
     stream: &TcpStream,
     max_len: u32,
     idle_timeout: Duration,
 ) -> Result<Option<Vec<u8>>, FrameReadError> {
+    let mut r = Deadline {
+        stream,
+        at: Instant::now() + idle_timeout,
+    };
+    read_frame_with(&mut r, max_len, |r, len| {
+        let grace = Duration::from_secs_f64(len as f64 / MIN_BODY_BYTES_PER_SEC as f64);
+        r.at = Instant::now() + idle_timeout + grace;
+    })
+}
+
+/// The one prefix → bound → body routine behind both frame readers;
+/// `on_body` sees the declared length before the body is read.
+fn read_frame_with<R: Read>(
+    r: &mut R,
+    max_len: u32,
+    on_body: impl FnOnce(&mut R, u32),
+) -> Result<Option<Vec<u8>>, FrameReadError> {
     let mut prefix = [0u8; 4];
-    let prefix_deadline = Instant::now() + idle_timeout;
-    match read_counted_deadline(stream, &mut prefix, prefix_deadline) {
-        Ok(()) => {}
-        Err(ReadCounted::CleanEof) => return Ok(None),
-        Err(ReadCounted::Truncated { got }) => {
-            return Err(FrameReadError::Truncated { got, want: 4 })
-        }
-        Err(ReadCounted::Io(e)) => return Err(FrameReadError::Io(e)),
+    match read_counted(r, &mut prefix)? {
+        0 => return Ok(None),
+        4 => {}
+        got => return Err(FrameReadError::Truncated { got, want: 4 }),
     }
     let len = u32::from_le_bytes(prefix);
     if len > max_len {
@@ -117,90 +90,91 @@ pub fn read_frame_timed(
             max: max_len,
         });
     }
-    let grace = Duration::from_secs_f64(len as f64 / MIN_BODY_BYTES_PER_SEC as f64);
-    let body_deadline = Instant::now() + idle_timeout + grace;
+    on_body(r, len);
     let mut payload = vec![0u8; len as usize];
-    match read_counted_deadline(stream, &mut payload, body_deadline) {
-        Ok(()) => Ok(Some(payload)),
-        Err(ReadCounted::CleanEof) => Err(FrameReadError::Truncated {
-            got: 0,
-            want: len as usize,
-        }),
-        Err(ReadCounted::Truncated { got }) => Err(FrameReadError::Truncated {
+    let got = read_counted(r, &mut payload)?;
+    if got < payload.len() {
+        return Err(FrameReadError::Truncated {
             got,
-            want: len as usize,
-        }),
-        Err(ReadCounted::Io(e)) => Err(FrameReadError::Io(e)),
+            want: payload.len(),
+        });
     }
+    Ok(Some(payload))
 }
 
-/// [`read_counted`] against a wall-clock deadline: the socket read
-/// timeout is re-armed with the remaining budget before every `read`,
-/// and `WouldBlock`/`TimedOut` loop back until the deadline expires.
-fn read_counted_deadline(
-    stream: &TcpStream,
-    buf: &mut [u8],
-    deadline: Instant,
-) -> Result<(), ReadCounted> {
-    let mut got = 0;
-    let mut r = stream;
-    while got < buf.len() {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(ReadCounted::Io(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "frame deadline expired",
-            )));
-        }
-        // `set_read_timeout` rejects a zero Duration; `remaining` was
-        // just checked non-zero above.
-        if let Err(e) = stream.set_read_timeout(Some(remaining)) {
-            return Err(ReadCounted::Io(e));
-        }
-        match Read::read(&mut r, &mut buf[got..]) {
-            Ok(0) if got == 0 => return Err(ReadCounted::CleanEof),
-            Ok(0) => return Err(ReadCounted::Truncated { got }),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(e) => return Err(ReadCounted::Io(e)),
-        }
-    }
-    Ok(())
-}
-
-enum ReadCounted {
-    /// EOF before the first byte of the buffer.
-    CleanEof,
-    /// EOF after `got` bytes (0 < got < buf.len()).
-    Truncated {
-        got: usize,
-    },
-    Io(io::Error),
-}
-
-/// `read_exact` that distinguishes clean EOF, partial EOF and io errors.
-fn read_counted(r: &mut impl Read, buf: &mut [u8]) -> Result<(), ReadCounted> {
+/// `read_exact` that reports how far it got: the byte count is short of
+/// `buf.len()` only when the stream hit EOF.
+fn read_counted(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
     let mut got = 0;
     while got < buf.len() {
         match r.read(&mut buf[got..]) {
-            Ok(0) if got == 0 => return Err(ReadCounted::CleanEof),
-            Ok(0) => return Err(ReadCounted::Truncated { got }),
+            Ok(0) => break,
             Ok(n) => got += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(ReadCounted::Io(e)),
+            Err(e) => return Err(e),
         }
     }
-    Ok(())
+    Ok(got)
+}
+
+/// A TCP stream read against a wall-clock deadline: each `read` re-arms
+/// the socket timeout with the remaining budget and retries until then.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    at: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            let remaining = self.at.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "frame deadline expired",
+                ));
+            }
+            // `set_read_timeout` rejects a zero Duration; `remaining` was
+            // just checked non-zero above.
+            self.stream.set_read_timeout(Some(remaining))?;
+            match Read::read(&mut { self.stream }, buf) {
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut => {}
+                other => return other,
+            }
+        }
+    }
+}
+
+/// Encodes the typed `0xEE` error reply every endpoint shares: opcode,
+/// code `u16`, then the UTF-8 message as the rest of the frame.
+pub fn encode_error(code: ErrorCode, message: &str) -> Vec<u8> {
+    let mut out = Vec::with_capacity(3 + message.len());
+    out.push(OP_ERROR);
+    out.extend_from_slice(&code.as_u16().to_le_bytes());
+    out.extend_from_slice(message.as_bytes());
+    out
+}
+
+/// Decodes the body (after the opcode) of an `0xEE` error reply; an
+/// unknown code or a non-UTF-8 message is itself a `Malformed` error.
+pub fn decode_error(body: &[u8]) -> Result<(ErrorCode, String), WireError> {
+    let mut c = Cursor::new(body);
+    let code = c.code("error.code")?;
+    let message = String::from_utf8(c.rest().to_vec())
+        .map_err(|_| WireError::new(ErrorCode::Malformed, "error.message is not utf-8"))?;
+    Ok((code, message))
 }
 
 /// Appends an `f64` to a frame body as raw little-endian IEEE-754 bits.
 pub fn push_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
+}
+
+/// Appends `f64`s to a frame body as raw little-endian IEEE-754 bits.
+pub fn push_f64s(out: &mut Vec<u8>, values: &[f64]) {
+    values.iter().for_each(|&v| push_f64(out, v));
 }
 
 /// Appends a length-prefixed (`u16`) UTF-8 string to a frame body.
@@ -270,9 +244,29 @@ impl<'a> Cursor<'a> {
         self.take::<4>(what).map(u32::from_le_bytes)
     }
 
+    /// Reads a `u32` element count, rejecting one above `max` with
+    /// `BatchTooLarge` before anything is allocated for it.
+    pub fn count(&mut self, what: &str, max: u32) -> Result<u32, WireError> {
+        let count = self.u32(what)?;
+        if count > max {
+            return Err(WireError::new(
+                ErrorCode::BatchTooLarge,
+                format!("{what} {count} exceeds maximum {max}"),
+            ));
+        }
+        Ok(count)
+    }
+
     /// Reads one little-endian `u16`.
     pub fn u16(&mut self, what: &str) -> Result<u16, WireError> {
         self.take::<2>(what).map(u16::from_le_bytes)
+    }
+
+    /// Reads a `u16` [`ErrorCode`]; an unknown value is `Malformed`.
+    pub fn code(&mut self, what: &str) -> Result<ErrorCode, WireError> {
+        let raw = self.u16(what)?;
+        ErrorCode::from_u16(raw)
+            .ok_or_else(|| WireError::new(ErrorCode::Malformed, format!("unknown {what} {raw}")))
     }
 
     /// Reads one byte.
@@ -333,7 +327,7 @@ impl<'a> Cursor<'a> {
 /// unread data still queued would make the kernel send an RST, which
 /// discards replies the peer has received but not yet read; the drain
 /// loop is what keeps the close FIN-clean.
-pub fn linger_close(stream: &TcpStream, timeout: std::time::Duration) {
+pub fn linger_close(stream: &TcpStream, timeout: Duration) {
     let _ = stream.shutdown(Shutdown::Write);
     let _ = stream.set_read_timeout(Some(timeout));
     let mut sink = [0u8; 4096];
@@ -351,17 +345,15 @@ pub fn linger_close(stream: &TcpStream, timeout: std::time::Duration) {
 /// Drain-aware registry of live TCP connections.
 ///
 /// Each serving thread registers its connection (a [`TcpStream`] clone
-/// sharing the underlying socket) and brackets every reply it writes with
-/// [`begin_reply`](ConnectionRegistry::begin_reply) /
-/// [`end_reply`](ConnectionRegistry::end_reply). Shutdown calls
-/// [`drain`](ConnectionRegistry::drain), which closes *idle* connections
-/// immediately (unblocking threads parked in a read) but leaves busy ones
-/// untouched: a connection mid-reply finishes flushing its frame, then
-/// closes itself when `end_reply` reports the drain. A client therefore
-/// sees only complete frames followed by a clean EOF — never a frame cut
-/// off mid-payload.
+/// sharing the socket) and marks it busy with
+/// [`begin_reply`](ConnectionRegistry::begin_reply) while it writes.
+/// [`drain`](ConnectionRegistry::drain) shuts *idle* connections down at
+/// once (unblocking threads parked in a read) but leaves busy ones to
+/// finish their frame and close themselves when
+/// [`end_reply`](ConnectionRegistry::end_reply) reports the drain, so a
+/// client sees complete frames followed by a clean EOF.
 #[derive(Debug, Default)]
-pub struct ConnectionRegistry {
+pub(crate) struct ConnectionRegistry {
     inner: Mutex<RegistryInner>,
 }
 
@@ -384,10 +376,9 @@ impl ConnectionRegistry {
         Self::default()
     }
 
-    /// Registers a connection and returns its token. Returns `None` when
-    /// the stream cannot be cloned (the connection is served untracked)
-    /// or when a drain has already started — in that case the socket is
-    /// shut down on the spot so the caller exits on its next read.
+    /// Registers a connection and returns its token; `None` when the
+    /// stream cannot be cloned or a drain has already started (the
+    /// socket is then shut down on the spot).
     pub fn register(&self, stream: &TcpStream) -> Option<u64> {
         let clone = stream.try_clone().ok()?;
         let mut inner = self.inner.lock().ok()?;
@@ -427,11 +418,9 @@ impl ConnectionRegistry {
         }
     }
 
-    /// Marks the reply flushed. Returns `true` when a drain started in
-    /// the meantime: the caller should stop serving this connection and
-    /// close it gracefully (see [`linger_close`]) — *not* with a hard
-    /// socket shutdown, which would RST away replies the peer has not
-    /// read yet.
+    /// Marks the reply flushed. Returns `true` when a drain started: the
+    /// caller then closes gracefully ([`linger_close`]), never with a
+    /// hard shutdown that would RST away replies the peer has not read.
     pub fn end_reply(&self, token: u64) -> bool {
         if let Ok(mut inner) = self.inner.lock() {
             let draining = inner.draining;
@@ -468,6 +457,7 @@ impl ConnectionRegistry {
     }
 
     /// Whether no connections are registered.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

@@ -658,3 +658,48 @@ fn hot_swap_under_load_never_mixes_generations() {
 
     std::fs::remove_file(&path).expect("cleanup");
 }
+
+/// Regression: a client that pipelines large requests and never reads
+/// its replies used to block `join()` forever — the worker sat in a
+/// write the drain would not cut. The per-connection write timeout now
+/// drops such a peer, so `join()` returns within that timeout plus the
+/// linger window.
+#[test]
+fn a_client_that_never_reads_cannot_block_join() {
+    use mfgcp_serve::framed::{LINGER, WRITE_TIMEOUT};
+    use mfgcp_serve::Request;
+
+    let eq = Arc::new(common::synthetic_equilibrium(tiny_params(), &[0.5, 1.5]));
+    let handle = start_server(Arc::clone(&eq), ServeConfig::default());
+
+    // 60 k pairs: ~960 kB per request, ~480 kB per reply; 15 of them
+    // fill both directions' socket buffers.
+    let pairs: Vec<[f64; 2]> = (0..60_000).map(|i| [1.0, i as f64 * 1e-5]).collect();
+    let payload = Request::EvalSlotBatch { t: 0.5, pairs }.encode();
+    let stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    let writer = std::thread::spawn(move || {
+        let mut stream = stream;
+        for _ in 0..15 {
+            if mfgcp_serve::protocol::write_frame(&mut stream, &payload).is_err() {
+                break;
+            }
+        }
+        stream // keep the socket open, unread, until the test ends
+    });
+    std::thread::sleep(Duration::from_millis(500));
+
+    let started = std::time::Instant::now();
+    handle.shutdown();
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join();
+        let _ = done.send(());
+    });
+    let bound = WRITE_TIMEOUT + LINGER + Duration::from_secs(3);
+    assert!(
+        joined.recv_timeout(bound).is_ok(),
+        "join still blocked {:?} after shutdown",
+        started.elapsed()
+    );
+    drop(writer.join().expect("writer thread"));
+}
