@@ -9,15 +9,20 @@
 //! in M. Each sample also carries `slot_micros`, the whole slot (run wall
 //! over slots: requests, decisions, integration and the market), so a
 //! regression anywhere in the slot loop is gated, not only in clearing.
-//! A sample repeats the measured epoch until it spans [`MIN_EDP_SLOTS`]
-//! EDP-slots (`repetitions` in the report), so at small M it times more
-//! than the ≈ 1 ms one epoch of clearing takes.
+//! Besides the static sweep (`"scenario": "static"`), one `"mobility"`
+//! sample runs M = 1000 with J = 3000 random-waypoint walkers over two
+//! epochs, so the per-slot mobility path and one handover are gated too.
+//! A sample repeats the measured run until the repetitions span
+//! [`MIN_SAMPLE_SECS`] (at least [`MIN_REPETITIONS`] of them,
+//! `repetitions` in the report) and reports the median repetition, so a
+//! short run at small M is not one noisy reading.
 //! Run: `cargo run --release -p mfgcp-bench --bin bench_market`
 //!
 //! Flags:
 //!
 //! * `--sizes M1,M2,...` — override the default `100,1000,10000,100000`
-//!   sweep (CI's bench-smoke job runs `--sizes 100,1000`);
+//!   static sweep (CI's bench-smoke job runs `--sizes 100,1000`); the
+//!   mobility sample runs with every sweep;
 //! * `--telemetry FILE.jsonl` — stream per-slot `market.slot` events and
 //!   one `bench.sample` summary per population through the shared
 //!   `mfgcp-obs` recorder.
@@ -26,17 +31,38 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use mfgcp_core::Params;
+use mfgcp_net::RandomWaypoint;
 use mfgcp_obs::json::Json;
 use mfgcp_obs::{JsonlSink, RecorderHandle};
 use mfgcp_sim::baselines::MostPopularCaching;
 use mfgcp_sim::{SimConfig, Simulation};
 
-/// EDP-slots one sample spans at least: the measured epoch is repeated
-/// `⌈MIN_EDP_SLOTS / (M·slots)⌉` times (25 at M = 100, once from
-/// M = 2500 up).
-const MIN_EDP_SLOTS: usize = 50_000;
+/// Wall time the repetitions of one sample span at least.
+const MIN_SAMPLE_SECS: f64 = 0.3;
+
+/// Fewest repetitions a sample takes, however long one runs.
+const MIN_REPETITIONS: usize = 3;
+
+/// EDP count of the mobility sample.
+const MOBILITY_M: usize = 1000;
+
+#[derive(Clone, Copy)]
+enum Scenario {
+    Static,
+    Mobility,
+}
+
+impl Scenario {
+    fn name(self) -> &'static str {
+        match self {
+            Scenario::Static => "static",
+            Scenario::Mobility => "mobility",
+        }
+    }
+}
 
 struct Sample {
+    scenario: Scenario,
     m: usize,
     slots: usize,
     repetitions: usize,
@@ -46,8 +72,8 @@ struct Sample {
     market_per_slot_per_edp_nanos: f64,
 }
 
-fn config(m: usize) -> SimConfig {
-    SimConfig {
+fn config(scenario: Scenario, m: usize) -> SimConfig {
+    let cfg = SimConfig {
         num_edps: m,
         // Keep the requester side fixed and moderate so the sweep isolates
         // the M-dependence of the market phase (the channel state is
@@ -65,18 +91,40 @@ fn config(m: usize) -> SimConfig {
         },
         seed: 77,
         ..Default::default()
+    };
+    match scenario {
+        Scenario::Static => cfg,
+        // Three walkers per EDP, as in the metro workloads, over two
+        // epochs so one epoch-boundary re-association runs.
+        Scenario::Mobility => SimConfig {
+            num_requesters: 3 * m,
+            epochs: 2,
+            mobility: Some(RandomWaypoint::default()),
+            ..cfg
+        },
     }
 }
 
-fn measure(m: usize, recorder: &RecorderHandle) -> Sample {
-    // Warm-up epoch to page in the allocator and caches, then take the
-    // best of three samples of `repetitions` identical measured epochs
-    // each (minimum filters scheduler noise).
+/// Median of `values` (mean of the middle two for an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let n = values.len();
+    if n % 2 == 1 {
+        values[n / 2]
+    } else {
+        0.5 * (values[n / 2 - 1] + values[n / 2])
+    }
+}
+
+fn measure(scenario: Scenario, m: usize, recorder: &RecorderHandle) -> Sample {
+    // Warm-up run to page in the allocator and caches, then repeat the
+    // measured run until the repetitions span `MIN_SAMPLE_SECS` and take
+    // the median repetition, which a few descheduled runs do not move.
     // The warm-up doubles as a conservation check: the auditor runs on
-    // this untimed epoch only, so the measured epochs stay unperturbed.
+    // this untimed run only, so the measured runs stay unperturbed.
     let warmup = SimConfig {
         audit: true,
-        ..config(m)
+        ..config(scenario, m)
     };
     let report = Simulation::new(warmup, Box::new(MostPopularCaching::default()))
         .expect("valid config")
@@ -88,55 +136,54 @@ fn measure(m: usize, recorder: &RecorderHandle) -> Sample {
         audit.violations
     );
     let slots = {
-        let cfg = config(m);
+        let cfg = config(scenario, m);
         cfg.epochs * cfg.slots_per_epoch
     };
-    let repetitions = MIN_EDP_SLOTS.div_ceil(m * slots);
-    let mut best: Option<Sample> = None;
-    for _ in 0..3 {
-        let (mut wall_secs, mut market_nanos) = (0.0, 0.0);
-        for _ in 0..repetitions {
-            let mut sim = Simulation::new(config(m), Box::new(MostPopularCaching::default()))
-                .expect("valid config");
-            sim.set_recorder(recorder.clone());
-            let start = Instant::now();
-            let _ = sim.run();
-            wall_secs += start.elapsed().as_secs_f64();
-            market_nanos += sim.market_clearing_nanos() as f64;
-        }
-        let measured_slots = (slots * repetitions) as f64;
-        let sample = Sample {
-            m,
-            slots,
-            repetitions,
-            wall_millis: wall_secs * 1e3 / repetitions as f64,
-            slot_micros: wall_secs * 1e6 / measured_slots,
-            market_per_slot_micros: market_nanos / measured_slots / 1e3,
-            market_per_slot_per_edp_nanos: market_nanos / measured_slots / m as f64,
-        };
-        if best.as_ref().map_or(true, |b| {
-            sample.market_per_slot_micros < b.market_per_slot_micros
-        }) {
-            best = Some(sample);
-        }
+    let (mut walls, mut markets) = (Vec::new(), Vec::new());
+    let mut total_secs = 0.0;
+    while walls.len() < MIN_REPETITIONS || total_secs < MIN_SAMPLE_SECS {
+        let mut sim = Simulation::new(config(scenario, m), Box::new(MostPopularCaching::default()))
+            .expect("valid config");
+        sim.set_recorder(recorder.clone());
+        let start = Instant::now();
+        let _ = sim.run();
+        let secs = start.elapsed().as_secs_f64();
+        total_secs += secs;
+        walls.push(secs);
+        markets.push(sim.market_clearing_nanos() as f64);
     }
-    let best = best.expect("three samples taken");
+    let repetitions = walls.len();
+    let (wall_secs, market_nanos) = (median(walls), median(markets));
+    let sample = Sample {
+        scenario,
+        m,
+        slots,
+        repetitions,
+        wall_millis: wall_secs * 1e3,
+        slot_micros: wall_secs * 1e6 / slots as f64,
+        market_per_slot_micros: market_nanos / slots as f64 / 1e3,
+        market_per_slot_per_edp_nanos: market_nanos / slots as f64 / m as f64,
+    };
     recorder.event(
         "bench.sample",
         &[
-            ("m", best.m.into()),
-            ("slots", best.slots.into()),
-            ("repetitions", best.repetitions.into()),
-            ("wall_millis", best.wall_millis.into()),
-            ("slot_micros", best.slot_micros.into()),
-            ("market_per_slot_micros", best.market_per_slot_micros.into()),
+            ("scenario", sample.scenario.name().into()),
+            ("m", sample.m.into()),
+            ("slots", sample.slots.into()),
+            ("repetitions", sample.repetitions.into()),
+            ("wall_millis", sample.wall_millis.into()),
+            ("slot_micros", sample.slot_micros.into()),
+            (
+                "market_per_slot_micros",
+                sample.market_per_slot_micros.into(),
+            ),
             (
                 "market_per_slot_per_edp_nanos",
-                best.market_per_slot_per_edp_nanos.into(),
+                sample.market_per_slot_per_edp_nanos.into(),
             ),
         ],
     );
-    best
+    sample
 }
 
 /// Hand-rolled flag parsing: `--sizes M1,M2,...` and `--telemetry FILE`.
@@ -173,7 +220,11 @@ fn parse_args() -> (Vec<usize>, RecorderHandle) {
 
 fn main() {
     let (sizes, recorder) = parse_args();
-    let samples: Vec<Sample> = sizes.iter().map(|&m| measure(m, &recorder)).collect();
+    let runs = sizes
+        .iter()
+        .map(|&m| (Scenario::Static, m))
+        .chain([(Scenario::Mobility, MOBILITY_M)]);
+    let samples: Vec<Sample> = runs.map(|(sc, m)| measure(sc, m, &recorder)).collect();
 
     // One escaping/formatting path for every JSON document the workspace
     // writes: build the report as a `Json` tree and serialize it.
@@ -190,10 +241,11 @@ fn main() {
                     .iter()
                     .map(|s| {
                         Json::Obj(vec![
+                            ("scenario".into(), Json::Str(s.scenario.name().into())),
                             ("m".into(), Json::Num(s.m as f64)),
                             ("slots".into(), Json::Num(s.slots as f64)),
                             ("repetitions".into(), Json::Num(s.repetitions as f64)),
-                            ("epoch_wall_millis".into(), Json::Num(s.wall_millis)),
+                            ("run_wall_millis".into(), Json::Num(s.wall_millis)),
                             ("slot_micros".into(), Json::Num(s.slot_micros)),
                             (
                                 "market_per_slot_micros".into(),
@@ -217,11 +269,15 @@ fn main() {
         .expect("write BENCH_market.json");
 
     println!("{json}");
-    println!("m, slot_micros, market_per_slot_micros, market_per_slot_per_edp_nanos");
+    println!("scenario, m, slot_micros, market_per_slot_micros, market_per_slot_per_edp_nanos");
     for s in &samples {
         println!(
-            "{}, {:.3}, {:.3}, {:.3}",
-            s.m, s.slot_micros, s.market_per_slot_micros, s.market_per_slot_per_edp_nanos
+            "{}, {}, {:.3}, {:.3}, {:.3}",
+            s.scenario.name(),
+            s.m,
+            s.slot_micros,
+            s.market_per_slot_micros,
+            s.market_per_slot_per_edp_nanos
         );
     }
     recorder.flush();

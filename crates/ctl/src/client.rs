@@ -63,14 +63,16 @@ impl CtlClient {
     ///
     /// # Errors
     ///
-    /// Returns I/O, decode, or timeout errors; a server `0xEE` reply
-    /// surfaces as [`ClientError::Server`].
+    /// Returns encode (a string too long for the wire; nothing is sent),
+    /// I/O, decode, or timeout errors; a server `0xEE` reply surfaces as
+    /// [`ClientError::Server`].
     pub fn request(
         &mut self,
         req: &CtlRequest,
         timeout: Duration,
     ) -> Result<CtlReply, ClientError> {
-        write_frame(&mut self.stream, &req.encode()).map_err(ClientError::Io)?;
+        let frame = req.encode().map_err(ClientError::Encode)?;
+        write_frame(&mut self.stream, &frame).map_err(ClientError::Io)?;
         let deadline = std::time::Instant::now() + timeout;
         loop {
             let left = deadline.saturating_duration_since(std::time::Instant::now());
@@ -158,5 +160,32 @@ impl Drop for CtlClient {
     /// would otherwise hold the connection and a server worker open).
     fn drop(&mut self) {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read as _;
+    use std::net::TcpListener;
+
+    #[test]
+    fn an_over_long_filter_fails_at_the_client_and_sends_nothing() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let mut client = CtlClient::connect(&addr).expect("connect");
+        let (mut server_side, _) = listener.accept().expect("accept");
+        let subscribe = CtlRequest::Subscribe {
+            capacity: 16,
+            filters: vec!["m".repeat(70_000)],
+        };
+        match client.request(&subscribe, Duration::from_secs(1)) {
+            Err(ClientError::Encode(e)) => assert_eq!(e.code, ErrorCode::Malformed),
+            other => panic!("expected an encode error, got {other:?}"),
+        }
+        drop(client);
+        let mut received = Vec::new();
+        server_side.read_to_end(&mut received).expect("read");
+        assert!(received.is_empty(), "{} bytes were sent", received.len());
     }
 }

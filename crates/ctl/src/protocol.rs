@@ -153,14 +153,26 @@ pub const MAX_OCCUPANCY: u32 = (MAX_FRAME_LEN - 13) / 8;
 
 impl CtlRequest {
     /// Serializes the request into a frame payload (opcode + body).
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
+    ///
+    /// # Errors
+    ///
+    /// A [`CtlRequest::Subscribe`] whose filter count or any filter's
+    /// byte length exceeds `u16::MAX` is refused with a `Malformed`
+    /// [`WireError`]; nothing is truncated.
+    pub fn encode(&self) -> Result<Vec<u8>, WireError> {
+        Ok(match self {
             CtlRequest::Subscribe { capacity, filters } => {
+                let count = u16::try_from(filters.len()).map_err(|_| {
+                    WireError::new(
+                        ErrorCode::Malformed,
+                        format!("subscribe carries {} filters", filters.len()),
+                    )
+                })?;
                 let mut out = vec![OP_SUBSCRIBE];
                 out.extend_from_slice(&capacity.to_le_bytes());
-                out.extend_from_slice(&(filters.len() as u16).to_le_bytes());
+                out.extend_from_slice(&count.to_le_bytes());
                 for f in filters {
-                    push_str(&mut out, f);
+                    push_str(&mut out, f, "subscribe filter")?;
                 }
                 out
             }
@@ -189,7 +201,7 @@ impl CtlRequest {
             CtlRequest::Reprice => vec![OP_REPRICE],
             CtlRequest::Shutdown => vec![OP_SHUTDOWN],
             CtlRequest::Detach => vec![OP_DETACH],
-        }
+        })
     }
 
     /// Parses a frame payload into a request, with typed rejection.
@@ -348,7 +360,7 @@ mod tests {
             CtlRequest::Detach,
         ];
         for r in reqs {
-            assert_eq!(CtlRequest::decode(&r.encode()).unwrap(), r);
+            assert_eq!(CtlRequest::decode(&r.encode().unwrap()).unwrap(), r);
         }
     }
 
@@ -373,6 +385,31 @@ mod tests {
             // NaN-safe comparison: compare through the encoded bytes.
             assert_eq!(back.encode(), r.encode());
         }
+    }
+
+    #[test]
+    fn over_long_subscriptions_are_refused_not_truncated() {
+        let subscribe = |filters: Vec<String>| CtlRequest::Subscribe {
+            capacity: 16,
+            filters,
+        };
+        let err = subscribe(vec!["market.".into(), "m".repeat(70_000)])
+            .encode()
+            .unwrap_err();
+        assert_eq!(err.code, ErrorCode::Malformed);
+        assert!(
+            err.message.contains("subscribe filter is 70000 bytes"),
+            "{err}"
+        );
+        // A cut at 65,535 bytes would split the trailing `é`.
+        let split = format!("{}é", "m".repeat(65_534));
+        assert!(subscribe(vec![split]).encode().is_err());
+        // More filters than the u16 count can carry.
+        assert!(subscribe(vec![String::new(); 65_536]).encode().is_err());
+        // The longest filter the prefix can carry still round-trips.
+        let longest = subscribe(vec![format!("{}é", "m".repeat(65_533))]);
+        let bytes = longest.encode().unwrap();
+        assert_eq!(CtlRequest::decode(&bytes).unwrap(), longest);
     }
 
     #[test]

@@ -251,7 +251,7 @@ mod tests {
         let server = spawn_server();
         for _ in 0..20 {
             let mut peer = TcpStream::connect(server.local_addr()).unwrap();
-            write_frame(&mut peer, &CtlRequest::Detach.encode()).unwrap();
+            write_frame(&mut peer, &CtlRequest::Detach.encode().unwrap()).unwrap();
             assert!(matches!(reply_then_eof(&mut peer), CtlReply::Ok(_)));
         }
         // Every detached connection leaves the registry once its worker
@@ -262,7 +262,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         let mut fresh = TcpStream::connect(server.local_addr()).unwrap();
-        write_frame(&mut fresh, &CtlRequest::Ping.encode()).unwrap();
+        write_frame(&mut fresh, &CtlRequest::Ping.encode().unwrap()).unwrap();
         let pong = read_frame(&mut fresh, MAX_FRAME_LEN).unwrap().unwrap();
         assert!(matches!(CtlReply::decode(&pong), Ok(CtlReply::Pong)));
         drop(fresh);
@@ -283,7 +283,7 @@ mod tests {
         }
         // The server stays up for well-formed peers.
         let mut fresh = TcpStream::connect(server.local_addr()).unwrap();
-        write_frame(&mut fresh, &CtlRequest::Ping.encode()).unwrap();
+        write_frame(&mut fresh, &CtlRequest::Ping.encode().unwrap()).unwrap();
         let pong = read_frame(&mut fresh, MAX_FRAME_LEN).unwrap().unwrap();
         assert!(matches!(CtlReply::decode(&pong), Ok(CtlReply::Pong)));
         drop(fresh);

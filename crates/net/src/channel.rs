@@ -38,6 +38,13 @@ use crate::{channel_gain, shannon_rate};
 pub(crate) const MIN_ADAPTIVE_K_INT: usize = 4;
 
 /// Dynamic channel state for the tracked (EDP, requester) links.
+///
+/// Link distances hold as of the last association
+/// ([`ChannelState::init`] or [`ChannelState::refresh_distances`]);
+/// [`ChannelState::advance`] moves fading only. Fading reads never touch
+/// a distance, so only a caller that reads gains, interference or rates
+/// mid-epoch while requesters move needs
+/// [`ChannelState::refresh_distances_from_positions`].
 #[derive(Debug, Clone)]
 pub struct ChannelState {
     links: ShardedLinks,
@@ -246,9 +253,15 @@ impl ChannelState {
     }
 
     /// Recompute the tracked link distances from explicit requester
-    /// positions, without touching the nearest-EDP association — the
-    /// per-slot case where walkers move continuously but association
-    /// only changes at epoch boundaries. O(tracked links), allocation-free.
+    /// positions, without touching the nearest-EDP association.
+    /// O(tracked links), allocation-free.
+    ///
+    /// Only gain reads ([`ChannelState::gain`],
+    /// [`ChannelState::interference`], [`ChannelState::rate`]) see a link
+    /// distance, and the next [`ChannelState::refresh_distances`] rewrites
+    /// every one, so a caller that reads only fading between
+    /// re-associations (the simulation engine) never needs this. It is
+    /// for callers that read gains mid-epoch while walkers move.
     ///
     /// # Panics
     ///
@@ -525,6 +538,75 @@ mod tests {
             for j in 0..2 {
                 assert_eq!(via_positions.gain(i, j), via_rebuild.gain(i, j));
             }
+        }
+    }
+
+    /// Bit patterns of every link record field: serving and interferer
+    /// EDP, stamp, fading and distance, then the frozen tail gain.
+    fn record_bits(ch: &ChannelState) -> Vec<Vec<u64>> {
+        ch.links
+            .records
+            .iter()
+            .map(|r| {
+                let links = std::iter::once(&r.serving).chain(&r.interferers);
+                links
+                    .flat_map(|l| {
+                        let (edp, stamp) = (u64::from(l.edp), u64::from(l.stamp));
+                        [edp, stamp, l.fading.to_bits(), l.distance.to_bits()]
+                    })
+                    .chain([r.tail_gain.to_bits()])
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Between re-associations only fading moves what the engine reads, so
+    /// distances refreshed from the walkers every slot must leave no trace
+    /// once the epoch-boundary re-association rewrites every link.
+    #[test]
+    fn per_slot_distance_refresh_leaves_no_trace_after_reassociation() {
+        use crate::mobility::{MobileRequesters, RandomWaypoint};
+        for adaptive in [false, true] {
+            let cfg = NetworkConfig {
+                k_int: if adaptive { 2 } else { 8 },
+                adaptive_k_int: adaptive,
+                ..NetworkConfig::default()
+            };
+            let mut rng = seeded_rng(21);
+            let mut topo = Topology::random(80, 400, &cfg, &mut rng);
+            let start = (0..400).map(|j| topo.requester(j)).collect();
+            let model = RandomWaypoint::default();
+            let mut walkers = MobileRequesters::new(start, cfg.area_radius, model, &mut rng);
+            let mut refreshed = ChannelState::init_with_seed(&topo, &cfg, 5);
+            let mut unrefreshed = refreshed.clone();
+            let mut budgets = vec![cfg.k_int];
+            for epoch in 0..3 {
+                for _ in 0..12 {
+                    walkers.step(0.05, &mut rng);
+                    refreshed.advance(0.05);
+                    unrefreshed.advance(0.05);
+                    refreshed.refresh_distances_from_positions(&topo, walkers.positions());
+                }
+                assert_ne!(
+                    record_bits(&refreshed),
+                    record_bits(&unrefreshed),
+                    "epoch {epoch}: the walkers never moved a link"
+                );
+                topo.update_requesters(walkers.positions());
+                refreshed.refresh_distances(&topo);
+                unrefreshed.refresh_distances(&topo);
+                assert!(
+                    record_bits(&refreshed) == record_bits(&unrefreshed),
+                    "adaptive {adaptive}, epoch {epoch}: link records differ"
+                );
+                assert_eq!(refreshed.links.k_int, unrefreshed.links.k_int);
+                budgets.push(refreshed.links.k_int);
+            }
+            assert_eq!(
+                adaptive,
+                budgets.iter().any(|&k| k != cfg.k_int),
+                "the controller moves the budget exactly when it is on: {budgets:?}"
+            );
         }
     }
 

@@ -118,7 +118,9 @@ impl Client {
 
     /// Asks the server to hot-swap its served artifact from `path`
     /// (resolved on the server host); returns the new generation and
-    /// the swapped-in artifact's fingerprint.
+    /// the swapped-in artifact's fingerprint. A path longer than
+    /// `u16::MAX` bytes fails with [`ClientError::Encode`] before
+    /// anything is sent.
     pub fn swap_artifact(&mut self, path: &str) -> Result<(u64, u64), ClientError> {
         match self.roundtrip(&Request::SwapArtifact(path.to_string()))? {
             Reply::SwapAck {
@@ -180,7 +182,8 @@ impl Client {
     }
 
     fn roundtrip(&mut self, request: &Request) -> Result<Reply, ClientError> {
-        write_frame(&mut self.stream, &request.encode())?;
+        let frame = request.encode().map_err(ClientError::Encode)?;
+        write_frame(&mut self.stream, &frame)?;
         let payload =
             read_frame(&mut self.stream, MAX_FRAME_LEN)?.ok_or(ClientError::Unexpected {
                 got: "connection closed before reply",
@@ -208,5 +211,29 @@ fn unexpected(reply: Reply) -> ClientError {
             Reply::ShutdownAck => "shutdown ack",
             Reply::Error { .. } => "error reply",
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read as _;
+    use std::net::TcpListener;
+
+    #[test]
+    fn an_over_long_swap_path_fails_at_the_client_and_sends_nothing() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = Client::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (mut server_side, _) = listener.accept().expect("accept");
+        // A cut at 65,535 bytes would fall inside the trailing `é`.
+        let path = format!("{}é", "a".repeat(65_534));
+        match client.swap_artifact(&path) {
+            Err(ClientError::Encode(e)) => assert_eq!(e.code, ErrorCode::Malformed),
+            other => panic!("expected an encode error, got {other:?}"),
+        }
+        drop(client);
+        let mut received = Vec::new();
+        server_side.read_to_end(&mut received).expect("read");
+        assert!(received.is_empty(), "{} bytes were sent", received.len());
     }
 }

@@ -223,6 +223,9 @@ impl std::error::Error for WireError {}
 pub enum ClientError {
     /// Socket-level failure.
     Io(io::Error),
+    /// The request could not be encoded (a string too long for its
+    /// length prefix); nothing was sent.
+    Encode(WireError),
     /// The reply frame could not be read.
     Frame(FrameReadError),
     /// The reply payload could not be decoded.
@@ -240,6 +243,7 @@ impl fmt::Display for ClientError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClientError::Io(e) => write!(f, "client io error: {e}"),
+            ClientError::Encode(e) => write!(f, "client encode error: {e}"),
             ClientError::Frame(e) => write!(f, "client frame error: {e}"),
             ClientError::Wire(e) => write!(f, "client decode error: {e}"),
             ClientError::Server(e) => write!(f, "server rejected request: {e}"),
@@ -253,7 +257,7 @@ impl std::error::Error for ClientError {
         match self {
             ClientError::Io(e) => Some(e),
             ClientError::Frame(e) => Some(e),
-            ClientError::Wire(e) | ClientError::Server(e) => Some(e),
+            ClientError::Encode(e) | ClientError::Wire(e) | ClientError::Server(e) => Some(e),
             ClientError::Unexpected { .. } => None,
         }
     }

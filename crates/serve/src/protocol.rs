@@ -265,8 +265,13 @@ fn read_triples(c: &mut Cursor, count: u32, names: [&str; 3]) -> Result<Vec<[f64
 
 impl Request {
     /// Serializes the request into a frame payload (opcode + body).
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
+    ///
+    /// # Errors
+    ///
+    /// A [`Request::SwapArtifact`] path longer than `u16::MAX` bytes is
+    /// refused (see [`crate::wire::push_str`]); nothing is truncated.
+    pub fn encode(&self) -> Result<Vec<u8>, WireError> {
+        Ok(match self {
             Request::Query { t, h, q } => f64s(OP_QUERY, &[*t, *h, *q]),
             Request::QueryBatch(points) => triples(OP_QUERY_BATCH, points),
             Request::Ping => vec![OP_PING],
@@ -274,7 +279,7 @@ impl Request {
             Request::SwapArtifact(path) => {
                 let mut out = Vec::with_capacity(3 + path.len());
                 out.push(OP_SWAP_ARTIFACT);
-                crate::wire::push_str(&mut out, path);
+                crate::wire::push_str(&mut out, path, "swap.path")?;
                 out
             }
             Request::EvalSlotBatch { t, pairs } => {
@@ -286,7 +291,7 @@ impl Request {
                 out
             }
             Request::Shutdown => vec![OP_SHUTDOWN],
-        }
+        })
     }
 
     /// Parses a frame payload into a request, with typed rejection.
@@ -521,7 +526,7 @@ mod tests {
     use super::*;
 
     fn roundtrip_request(req: Request) {
-        let decoded = Request::decode(&req.encode()).expect("decode");
+        let decoded = Request::decode(&req.encode().unwrap()).expect("decode");
         assert_eq!(decoded, req);
     }
 
@@ -592,13 +597,26 @@ mod tests {
     }
 
     #[test]
+    fn an_over_long_swap_path_is_refused_not_truncated() {
+        // 65,534 ASCII bytes and a two-byte `é`: a cut at 65,535 bytes
+        // would split the `é`, and the peer would reject the path.
+        let path = format!("{}é", "a".repeat(65_534));
+        assert_eq!(path.len(), 65_536);
+        let err = Request::SwapArtifact(path).encode().unwrap_err();
+        assert_eq!(err.code, ErrorCode::Malformed);
+        assert!(err.message.contains("65536 bytes"), "{err}");
+        // The longest path the prefix can carry still round-trips.
+        roundtrip_request(Request::SwapArtifact(format!("{}é", "a".repeat(65_533))));
+    }
+
+    #[test]
     fn non_finite_floats_roundtrip_bit_exactly() {
         let req = Request::Query {
             t: f64::NAN,
             h: f64::INFINITY,
             q: f64::NEG_INFINITY,
         };
-        match Request::decode(&req.encode()).expect("decode") {
+        match Request::decode(&req.encode().unwrap()).expect("decode") {
             Request::Query { t, h, q } => {
                 assert_eq!(t.to_bits(), f64::NAN.to_bits());
                 assert_eq!(h.to_bits(), f64::INFINITY.to_bits());
@@ -643,13 +661,15 @@ mod tests {
             h: 0.0,
             q: 0.0,
         }
-        .encode();
+        .encode()
+        .unwrap();
         payload.push(0xAA);
         let err = Request::decode(&payload).unwrap_err();
         assert_eq!(err.code, ErrorCode::Malformed);
 
         // Swap with an empty path.
-        let err = Request::decode(&Request::SwapArtifact(String::new()).encode()).unwrap_err();
+        let err =
+            Request::decode(&Request::SwapArtifact(String::new()).encode().unwrap()).unwrap_err();
         assert_eq!(err.code, ErrorCode::Malformed);
 
         // Slot batch whose declared count exceeds the bound.
@@ -689,7 +709,7 @@ mod tests {
             t: f64::NAN,
             pairs: vec![[f64::INFINITY, f64::NEG_INFINITY], [f64::NAN, -0.0]],
         };
-        match Request::decode(&req.encode()).expect("decode") {
+        match Request::decode(&req.encode().unwrap()).expect("decode") {
             Request::EvalSlotBatch { t, pairs } => {
                 assert_eq!(t.to_bits(), f64::NAN.to_bits());
                 assert_eq!(pairs[0][0].to_bits(), f64::INFINITY.to_bits());

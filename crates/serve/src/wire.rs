@@ -178,10 +178,27 @@ pub fn push_f64s(out: &mut Vec<u8>, values: &[f64]) {
 }
 
 /// Appends a length-prefixed (`u16`) UTF-8 string to a frame body.
-pub fn push_str(out: &mut Vec<u8>, s: &str) {
-    let len = s.len().min(u16::MAX as usize) as u16;
+///
+/// # Errors
+///
+/// A string longer than `u16::MAX` bytes is refused with a `Malformed`
+/// [`WireError`] naming `what`, and nothing is appended: the prefix cannot
+/// carry its length, and cutting it would change the string (or split a
+/// UTF-8 character, which the peer then rejects).
+pub fn push_str(out: &mut Vec<u8>, s: &str, what: &str) -> Result<(), WireError> {
+    let len = u16::try_from(s.len()).map_err(|_| {
+        WireError::new(
+            ErrorCode::Malformed,
+            format!(
+                "{what} is {} bytes; a wire string holds at most {}",
+                s.len(),
+                u16::MAX
+            ),
+        )
+    })?;
     out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&s.as_bytes()[..len as usize]);
+    out.extend_from_slice(s.as_bytes());
+    Ok(())
 }
 
 /// Rejects a non-empty body for an opcode that carries none.
@@ -524,12 +541,20 @@ mod tests {
     #[test]
     fn strings_roundtrip_and_reject_truncation() {
         let mut body = Vec::new();
-        push_str(&mut body, "market.slot");
+        push_str(&mut body, "market.slot", "name").unwrap();
         push_f64(&mut body, 1.5);
         let mut c = Cursor::new(&body);
         assert_eq!(c.str("name").unwrap(), "market.slot");
         assert_eq!(c.f64("x").unwrap(), 1.5);
         c.finish("body").unwrap();
+
+        // A string the u16 prefix cannot carry is refused whole.
+        let mut body = vec![7];
+        let err = push_str(&mut body, &"x".repeat(70_000), "name").unwrap_err();
+        assert_eq!(err.code, ErrorCode::Malformed);
+        assert_eq!(body, [7], "nothing was appended");
+        push_str(&mut body, &"x".repeat(65_535), "name").unwrap();
+        assert_eq!(Cursor::new(&body[1..]).str("name").unwrap().len(), 65_535);
 
         // Declared string length runs past the body.
         let mut short = Vec::new();

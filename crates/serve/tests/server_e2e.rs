@@ -281,7 +281,7 @@ fn shutdown_drains_in_flight_replies_instead_of_truncating() {
             [s, 1.0 + s, 0.5 * s]
         })
         .collect();
-    let payload = Request::QueryBatch(batch).encode();
+    let payload = Request::QueryBatch(batch).encode().unwrap();
 
     let stream = TcpStream::connect(addr).expect("connect");
     let mut reader = stream.try_clone().expect("clone for reading");
@@ -513,7 +513,7 @@ fn a_slow_batch_writer_is_not_mistaken_for_an_idle_socket() {
             [s * 0.2, 1.0 + s, 0.5 * s]
         })
         .collect();
-    let payload = Request::QueryBatch(batch).encode();
+    let payload = Request::QueryBatch(batch).encode().unwrap();
 
     let mut framed = Vec::with_capacity(4 + payload.len());
     framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -675,7 +675,7 @@ fn a_client_that_never_reads_cannot_block_join() {
     // 60 k pairs: ~960 kB per request, ~480 kB per reply; 15 of them
     // fill both directions' socket buffers.
     let pairs: Vec<[f64; 2]> = (0..60_000).map(|i| [1.0, i as f64 * 1e-5]).collect();
-    let payload = Request::EvalSlotBatch { t: 0.5, pairs }.encode();
+    let payload = Request::EvalSlotBatch { t: 0.5, pairs }.encode().unwrap();
     let stream = TcpStream::connect(handle.local_addr()).expect("connect");
     let writer = std::thread::spawn(move || {
         let mut stream = stream;

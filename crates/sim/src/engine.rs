@@ -5,19 +5,24 @@
 //! prepare (MFG-CP solves its equilibria here), then march
 //! `slots_per_epoch` trading slots. Each slot:
 //!
-//! 1. advance every channel link (exact OU transitions);
+//! 1. advance every serving channel link (exact OU transitions) and move
+//!    the walkers; link distances stay as of the last association, since
+//!    nothing reads them before the next epoch-boundary re-association;
 //! 2. every EDP tallies its requesters' demands in place — per content,
 //!    the count `|I_{i,k}(t)|` and the sum of the Def. 2 urgencies, drawn
 //!    from per-requester streams into flat buffers reused across slots —
 //!    and folds the urgency sums into its running `L_k`; the Eq. (4)
 //!    factor `ξ^{L_k}` is recomputed only for the contents requested this
 //!    slot — parallel;
-//! 3. every EDP picks its caching rates via the [`CachingPolicy`] and
-//!    integrates its caching state (Eq. (4), Euler–Maruyama) — parallel
-//!    and allocation-free;
+//! 3. every EDP averages the fading towards its served requesters, picks
+//!    its caching rates via the [`CachingPolicy`] and integrates its
+//!    caching state (Eq. (4), Euler–Maruyama) — parallel and
+//!    allocation-free;
 //! 4. the market clears sequentially: per content, Eq. (5) prices from the
 //!    realized strategy profile, center-assigned peer matching, trade
-//!    resolution and metric accounting (Alg. 1 lines 11–14).
+//!    resolution and metric accounting (Alg. 1 lines 11–14). Its
+//!    population pass also counts each content's qualified sharers, which
+//!    the next slot publishes as the UDCS overlap input.
 //!
 //! Parallel sections split the EDP vector into disjoint chunks with
 //! `std::thread::scope`; every random draw comes from the owning EDP's
@@ -157,8 +162,17 @@ struct MarketScratch {
     /// for when the best is the buyer) — the `mfgcp-check` tracker whose
     /// equivalence to a full `min_by` scan is property-tested there.
     sharers: Vec<TwoSmallest>,
-    /// Contiguous k = 0 strategy column for the mean-price statistic.
+    /// Contiguous k = 0 strategy column for the mean-price statistic and
+    /// the slot series.
     x0: Vec<f64>,
+    /// Contiguous k = 0 caching-state column for the slot series.
+    q0: Vec<f64>,
+    /// EDPs that can share each content (`q_k ≤ α·Q_k`), counted by the
+    /// last fused pass. `q` does not move between a market pass and the
+    /// next slot's decisions, so these are the next slot's published
+    /// counts. Empty until the first pass of a run; any write to `q`
+    /// outside the EDP phase must clear it so the next slot re-scans.
+    sharer_counts: Vec<u32>,
     /// Sharing thresholds `α·Q_k`, hoisted out of the population loop.
     alpha_qks: Vec<f64>,
     /// Per-content `(edp, requests)` lists, `i` ascending.
@@ -173,7 +187,8 @@ struct MarketScratch {
 }
 
 /// Reusable buffers of the slot loop outside the market: each EDP's
-/// demand, the per-slot decision inputs and the parallel phase's costs.
+/// slot and epoch demand, the per-slot decision inputs and the parallel
+/// phase's costs.
 /// Built once per epoch after the epoch's equilibria are solved (so it is
 /// not resident during the epoch solves) and reused by every slot, so a
 /// slot allocates nothing.
@@ -184,10 +199,14 @@ struct SlotScratch {
     /// `urgency_sums[i·K + k]` = the clamped urgencies of those requests,
     /// summed in request order (the Def. 2 batch total).
     urgency_sums: Vec<f64>,
+    /// `epoch_counts[i·K + k]` = the epoch's requests so far, for the
+    /// Eq. (3) popularity update at the epoch's end.
+    epoch_counts: Vec<usize>,
     /// Center-published fraction of EDPs that can share each content
     /// (the UDCS overlap input).
     cached_fraction: Vec<f64>,
-    /// Mean fading from each EDP towards its served requesters.
+    /// Mean fading from each EDP towards its served requesters, written
+    /// by the EDP phase and read by the market.
     mean_fadings: Vec<f64>,
     /// Rate-type costs each EDP accrued in the parallel phase.
     costs: Vec<PhaseCost>,
@@ -198,6 +217,7 @@ impl SlotScratch {
         Self {
             counts: vec![0; edps * contents],
             urgency_sums: vec![0.0; edps * contents],
+            epoch_counts: vec![0; edps * contents],
             cached_fraction: vec![0.0; contents],
             mean_fadings: vec![0.0; edps],
             costs: vec![PhaseCost::default(); edps],
@@ -366,28 +386,23 @@ impl Simulation {
             .collect()
     }
 
-    /// Refresh the slot's decision inputs in place: the center-published
-    /// occupancy per content (for UDCS overlap) and each EDP's mean fading
-    /// towards its served requesters (the long-term mean when it serves
-    /// nobody).
-    fn refresh_slot_inputs(&self, s: &mut SlotScratch) {
-        let cfg = &self.cfg;
-        for (k, frac) in s.cached_fraction.iter_mut().enumerate() {
-            let thr = cfg.params.alpha * self.q_sizes[k];
-            *frac = self.edps.iter().filter(|e| e.can_share(k, thr)).count() as f64
-                / cfg.num_edps as f64;
+    /// Publish the fraction of EDPs that can share each content (the UDCS
+    /// overlap input) from the sharer counts the last market pass left.
+    /// Only a run's first slot, before any market pass, scans the
+    /// population.
+    fn publish_cached_fraction(&mut self, fraction: &mut [f64]) {
+        let counts = &mut self.market_scratch.sharer_counts;
+        if counts.is_empty() {
+            let (edps, alpha) = (&self.edps, self.cfg.params.alpha);
+            counts.extend(
+                self.q_sizes.iter().enumerate().map(|(k, &q)| {
+                    edps.iter().filter(|e| e.can_share(k, alpha * q)).count() as u32
+                }),
+            );
         }
-        for (i, h) in s.mean_fadings.iter_mut().enumerate() {
-            let served = self.topology.served_by(i);
-            *h = if served.is_empty() {
-                cfg.params.upsilon_h
-            } else {
-                served
-                    .iter()
-                    .map(|&j| self.channels.fading(i, j))
-                    .sum::<f64>()
-                    / served.len() as f64
-            };
+        let m = self.cfg.num_edps as f64;
+        for (frac, &n) in fraction.iter_mut().zip(counts.iter()) {
+            *frac = f64::from(n) / m;
         }
     }
 
@@ -507,9 +522,6 @@ impl Simulation {
 
         let dt = self.cfg.slot_dt();
         let k_contents = self.cfg.num_contents;
-        // Per-epoch request tallies for the Eq. (3) popularity update,
-        // `epoch_counts[i·K + k]`.
-        let mut epoch_counts = vec![0usize; self.edps.len() * k_contents];
         let mut scratch = SlotScratch::new(self.edps.len(), k_contents);
 
         for slot in 0..self.cfg.slots_per_epoch {
@@ -542,16 +554,14 @@ impl Simulation {
             let t_global = (epoch * self.cfg.slots_per_epoch + slot) as f64 * dt;
             self.channels.advance(dt);
             if let Some(mob) = &mut self.mobility {
+                // Walkers move every slot, but the link distances are not
+                // refreshed here: between epoch-boundary re-associations
+                // the engine reads serving-link fading only, and the next
+                // re-association writes a fresh distance into every link.
                 mob.step(dt, &mut self.master_rng);
-                // Distances track the walkers continuously; association
-                // only changes at epoch boundaries, so refresh straight
-                // from the walker positions instead of cloning and
-                // re-associating the whole topology every slot.
-                self.channels
-                    .refresh_distances_from_positions(&self.topology, mob.positions());
             }
 
-            self.refresh_slot_inputs(&mut scratch);
+            self.publish_cached_fraction(&mut scratch.cached_fraction);
 
             // ---- Parallel phase: requests, decisions, state integration.
             let global_slot = (epoch * self.cfg.slots_per_epoch + slot) as u64;
@@ -590,15 +600,14 @@ impl Simulation {
                 });
             }
 
-            for (total, &c) in epoch_counts.iter_mut().zip(&scratch.counts) {
-                *total += c as usize;
-            }
-
+            // The market pass left the k = 0 columns of the state this
+            // slot ended in; summed in `i` order, as over the EDPs.
             let m = self.cfg.num_edps as f64;
+            let (q0, x0) = (&self.market_scratch.q0, &self.market_scratch.x0);
             series.push(SlotMetrics {
                 t: t_global,
-                mean_remaining_space: self.edps.iter().map(|e| e.q[0]).sum::<f64>() / m,
-                mean_caching_rate: self.edps.iter().map(|e| e.x[0]).sum::<f64>() / m,
+                mean_remaining_space: q0.iter().sum::<f64>() / m,
+                mean_caching_rate: x0.iter().sum::<f64>() / m,
                 mean_price: slot_stats.mean_price,
                 slot_utility: slot_stats.utility / m,
                 slot_trading_income: slot_stats.income / m,
@@ -610,16 +619,19 @@ impl Simulation {
         }
 
         // Eq. (3): popularity refresh from the epoch's realized requests.
-        for (e, counts) in self.edps.iter_mut().zip(epoch_counts.chunks(k_contents)) {
+        let epoch_counts = scratch.epoch_counts.chunks(k_contents);
+        for (e, counts) in self.edps.iter_mut().zip(epoch_counts) {
             e.popularity.update(counts);
         }
     }
 
     /// Requests + decisions + Eq. (4) integration, parallel over disjoint
-    /// EDP chunks. Leaves each EDP's demand tally and the rate-type costs
-    /// it accrued this slot in `s` (one row per EDP, written
-    /// only by the thread owning that EDP's chunk, so downstream
-    /// sequential sums are thread-count-independent).
+    /// EDP chunks. Leaves each EDP's demand tally (also added to its epoch
+    /// tally), its mean fading towards its served requesters (the
+    /// long-term mean when it serves nobody) and the rate-type costs it
+    /// accrued this slot in `s` (one row per EDP, written only by the
+    /// thread owning that EDP's chunk, so downstream sequential sums are
+    /// thread-count-independent).
     fn parallel_edp_phase(
         &mut self,
         s: &mut SlotScratch,
@@ -641,31 +653,50 @@ impl Simulation {
         // the per-decision expression evaluated, so the bits are kept.
         let noise_scale = cfg.params.varrho_q * dt.sqrt();
         let policy = &*self.policy;
-        let topology = &self.topology;
+        let (topology, channels) = (&self.topology, &self.channels);
         let q_sizes = &self.q_sizes;
         let ranks = &self.ranks;
         let n_threads = thread_count(cfg.worker_threads);
         let chunk_size = self.edps.len().div_ceil(n_threads).max(1);
-        let (cached_fraction, mean_fadings) = (&s.cached_fraction, &s.mean_fadings);
+        let cached_fraction = &s.cached_fraction;
         let demand = s
             .counts
             .chunks_mut(chunk_size * kk)
-            .zip(s.urgency_sums.chunks_mut(chunk_size * kk));
-        let chunks = self
-            .edps
+            .zip(s.urgency_sums.chunks_mut(chunk_size * kk))
+            .zip(s.epoch_counts.chunks_mut(chunk_size * kk));
+        let per_edp = s
+            .mean_fadings
             .chunks_mut(chunk_size)
-            .zip(demand)
             .zip(s.costs.chunks_mut(chunk_size));
+        let chunks = self.edps.chunks_mut(chunk_size).zip(demand).zip(per_edp);
 
         std::thread::scope(|scope| {
-            for ((edp_chunk, (count_chunk, sum_chunk)), cost_chunk) in chunks {
+            for ((edp_chunk, demand_chunk), (fading_chunk, cost_chunk)) in chunks {
+                let ((count_chunk, sum_chunk), total_chunk) = demand_chunk;
                 scope.spawn(move || {
-                    let rows = count_chunk.chunks_mut(kk).zip(sum_chunk.chunks_mut(kk));
-                    for ((e, (counts, sums)), cost) in
-                        edp_chunk.iter_mut().zip(rows).zip(cost_chunk.iter_mut())
+                    let rows = count_chunk
+                        .chunks_mut(kk)
+                        .zip(sum_chunk.chunks_mut(kk))
+                        .zip(total_chunk.chunks_mut(kk));
+                    let outs = fading_chunk.iter_mut().zip(cost_chunk.iter_mut());
+                    for ((e, ((counts, sums), totals)), (mean_fading, cost)) in
+                        edp_chunk.iter_mut().zip(rows).zip(outs)
                     {
                         let served = topology.served_by(e.id);
+                        let h = if served.is_empty() {
+                            cfg.params.upsilon_h
+                        } else {
+                            served
+                                .iter()
+                                .map(|&j| channels.fading(e.id, j))
+                                .sum::<f64>()
+                                / served.len() as f64
+                        };
+                        *mean_fading = h;
                         process.tally_batched(served, request_seed, global_slot, counts, sums);
+                        for (total, &n) in totals.iter_mut().zip(counts.iter()) {
+                            *total += n as usize;
+                        }
                         // Timeliness observations (Def. 2); only a
                         // requested content's `L_k`, and so its `ξ^{L_k}`,
                         // moves.
@@ -683,7 +714,7 @@ impl Simulation {
                                 t_in_epoch,
                                 q: e.q[k],
                                 q_size,
-                                h: mean_fadings[e.id],
+                                h,
                                 popularity: e.popularity.get(k),
                                 urgency_factor: e.timeliness.factor(k),
                                 rank: ranks.get(base + k).map_or(0, |&r| r as usize),
@@ -741,9 +772,10 @@ impl Simulation {
 
         // One fused pass over the population gathers everything the
         // per-content phases need: the Eq. (5) supply sums, the two
-        // best-stocked qualified sharers per content, the k = 0 strategy
-        // column (for the mean-price statistic) and each content's
-        // requester list. Interleaving per-content scans the other way
+        // best-stocked qualified sharers per content and their count (the
+        // next slot's published sharer counts), the k = 0 strategy and
+        // state columns (for the mean-price statistic and the slot series)
+        // and each content's requester list. Interleaving per-content scans the other way
         // (content-outer, population-inner) re-reads every EDP's heap state
         // `K` times per slot, which dominates the market wall time once
         // `M` outgrows the cache. All per-content accumulation orders stay
@@ -755,6 +787,10 @@ impl Simulation {
         s.sharers.resize(kk, TwoSmallest::new());
         s.x0.clear();
         s.x0.resize(m, 0.0);
+        s.q0.clear();
+        s.q0.resize(m, 0.0);
+        s.sharer_counts.clear();
+        s.sharer_counts.resize(kk, 0);
         s.alpha_qks.clear();
         s.alpha_qks
             .extend(self.q_sizes.iter().map(|&q| cfg.params.alpha * q));
@@ -764,6 +800,7 @@ impl Simulation {
         }
         for (i, e) in self.edps.iter().enumerate() {
             s.x0[i] = e.x[0];
+            s.q0[i] = e.q[0];
             for k in 0..kk {
                 s.sum_x[k] += e.x[k];
                 // Center's peer assignment: the best-stocked qualified
@@ -774,6 +811,7 @@ impl Simulation {
                 // query in O(1).
                 if e.can_share(k, s.alpha_qks[k]) {
                     s.sharers[k].offer(e.id, e.q[k]);
+                    s.sharer_counts[k] += 1;
                 }
                 let requests = u64::from(counts[i * kk + k]);
                 if requests > 0 {
@@ -1553,6 +1591,93 @@ mod tests {
         sim.set_control(ctl);
         let _ = sim.run();
         assert_eq!(sim.reprice_generation(), 0);
+    }
+
+    /// The sharer counts a market pass leaves are what the next slot
+    /// publishes, so the UDCS overlap input must equal a fresh
+    /// `can_share` scan of the state every slot decides on — across
+    /// handovers, the epoch-end popularity update, a scenario reprice and
+    /// a control-plane swap.
+    #[test]
+    fn carried_cached_fraction_matches_a_fresh_scan_every_slot() {
+        use crate::baselines::Udcs;
+        use crate::snapshot::PreparedEquilibrium;
+        use std::sync::Mutex;
+
+        /// `(q, Q_k, published fraction)` per decision, in decision order.
+        type Seen = Arc<Mutex<Vec<(f64, f64, f64)>>>;
+        struct Probe(Udcs, Seen);
+        impl CachingPolicy for Probe {
+            fn name(&self) -> &'static str {
+                "UDCS-PROBE"
+            }
+            fn allows_sharing(&self) -> bool {
+                self.0.allows_sharing()
+            }
+            fn decide(&self, ctx: &DecisionContext, rng: &mut SimRng) -> f64 {
+                let seen = (ctx.q, ctx.q_size, ctx.neighbor_cached_fraction);
+                self.1.lock().unwrap().push(seen);
+                self.0.decide(ctx, rng)
+            }
+        }
+        struct OneShot(Mutex<Option<PreparedEquilibrium>>);
+        impl EngineControl for OneShot {
+            fn at_slot_boundary(&self, _snapshot: SimSnapshot) {}
+            fn take_prepared_equilibrium(&self) -> Option<PreparedEquilibrium> {
+                self.0.lock().unwrap().take()
+            }
+        }
+
+        let mut cfg = SimConfig::small();
+        cfg.epochs = 2;
+        // One worker: decisions arrive in (EDP, content) order.
+        cfg.worker_threads = 1;
+        cfg.mobility = Some(mfgcp_net::RandomWaypoint::default());
+        cfg.reprice_slot = Some(cfg.slots_per_epoch + 3);
+        let equilibrium = mfgcp_core::MfgSolver::new(cfg.params.clone())
+            .unwrap()
+            .solve()
+            .unwrap();
+        let swap = OneShot(Mutex::new(Some(PreparedEquilibrium {
+            content: 0,
+            equilibrium,
+        })));
+        let seen = Seen::default();
+        let probe = Probe(Udcs::default(), Arc::clone(&seen));
+        let mut sim = Simulation::new(cfg.clone(), Box::new(probe)).unwrap();
+        sim.set_control(Arc::new(swap));
+        let probed = sim.run();
+        let plain = Simulation::new(cfg.clone(), Box::new(Udcs::default()))
+            .unwrap()
+            .run();
+        assert_eq!(probed.per_edp, plain.per_edp, "the probe is UDCS");
+
+        let (m, kk) = (cfg.num_edps, cfg.num_contents);
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), cfg.epochs * cfg.slots_per_epoch * m * kk);
+        let mut scan = Edp::new(0, kk, 0.0, cfg.zipf_iota, cfg.timeliness, cfg.seed).unwrap();
+        let mut fractions = std::collections::BTreeSet::new();
+        for (slot, decisions) in seen.chunks(m * kk).enumerate() {
+            for k in 0..kk {
+                let column = || decisions.iter().skip(k).step_by(kk);
+                let sharers = column()
+                    .filter(|&&(q, q_size, _)| {
+                        scan.q[k] = q;
+                        scan.can_share(k, cfg.params.alpha * q_size)
+                    })
+                    .count();
+                let fresh = sharers as f64 / m as f64;
+                for &(_, _, published) in column() {
+                    assert_eq!(
+                        published.to_bits(),
+                        fresh.to_bits(),
+                        "slot {slot}, content {k}: published {published}, scan {fresh}"
+                    );
+                }
+                fractions.insert(fresh.to_bits());
+            }
+        }
+        assert!(fractions.len() > 2, "the fraction never moved");
     }
 
     #[test]
