@@ -40,6 +40,16 @@
 //! O(payload) mmap open still collapses the ratio and trips the gate.
 //! The absolute numbers stay in the report for eyeballs.
 //!
+//! An artifact-write leg times the hot-swap path over the solved
+//! `Params::default()` equilibrium: `artifact::to_bytes` (encode),
+//! `artifact::save` (encode, write, `sync_all`, rename) and
+//! `ArtifactStore::open` + `verify_payload` (reported as `verify`),
+//! against a plain `memcpy` of the same file image, as one
+//! `mode="artifact"` row. Its `_us` columns are informational; its gated
+//! `verify_speedup` is the memcpy time over the verify time, the payload
+//! CRC's share of memory speed — a byte-at-a-time CRC collapses it about
+//! fivefold.
+//!
 //! A final streaming leg measures the live observer plane end to end: an
 //! observed in-process simulation with a wire subscriber drinking every
 //! telemetry frame through `mfgcp-ctl`, reported as `stream_frames_qps`
@@ -376,6 +386,77 @@ fn measure_load(load: &Load) -> Vec<LoadSample> {
     vec![mapped, owned]
 }
 
+/// The artifact-write leg's row: the hot-swap path's costs over one
+/// artifact, each the median of `load.load_reps` runs.
+struct ArtifactSample {
+    nx: usize,
+    ny: usize,
+    file_bytes: usize,
+    encode_p50_us: f64,
+    save_p50_us: f64,
+    verify_p50_us: f64,
+    memcpy_p50_us: f64,
+    /// Memcpy p50 over verify p50: how close the payload check runs to
+    /// memory speed. Gated, since a ratio of two same-run medians
+    /// travels between machines where the absolute times do not.
+    verify_speedup: f64,
+}
+
+/// Median of `reps` timed runs of `f`, in microseconds.
+fn p50_us(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut lat: Vec<f64> = (0..reps)
+        .map(|_| {
+            let begin = Instant::now();
+            f();
+            begin.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    lat.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    percentile(&lat, 0.50)
+}
+
+/// Times the write and verify halves of a hot swap over the solved
+/// `Params::default()` equilibrium, the artifact a served reprice writes.
+fn measure_artifact(load: &Load) -> ArtifactSample {
+    let eq = MfgSolver::new(Params::default())
+        .expect("valid params")
+        .solve()
+        .expect("default params converge");
+    let path = std::env::temp_dir().join(format!("bench_serve_artifact_{}.eq", std::process::id()));
+    let image = mfgcp_serve::artifact::to_bytes(&eq, &mfgcp_serve::build_info());
+    let mut copy = vec![0u8; image.len()];
+    let reps = load.load_reps;
+
+    let encode_p50_us = p50_us(reps, || {
+        let bytes = mfgcp_serve::artifact::to_bytes(&eq, "bench");
+        std::hint::black_box(bytes);
+    });
+    let save_p50_us = p50_us(reps, || {
+        mfgcp_serve::save(&eq, &path).expect("save artifact-leg artifact");
+    });
+    let verify_p50_us = p50_us(reps, || {
+        let store = ArtifactStore::open(&path).expect("open artifact-leg artifact");
+        store
+            .verify_payload()
+            .expect("artifact-leg payload verifies");
+    });
+    let memcpy_p50_us = p50_us(reps, || {
+        copy.copy_from_slice(std::hint::black_box(&image));
+        std::hint::black_box(&copy);
+    });
+    let _ = std::fs::remove_file(&path);
+    ArtifactSample {
+        nx: eq.params.grid_h,
+        ny: eq.params.grid_q,
+        file_bytes: image.len(),
+        encode_p50_us,
+        save_p50_us,
+        verify_p50_us,
+        memcpy_p50_us,
+        verify_speedup: memcpy_p50_us / verify_p50_us,
+    }
+}
+
 /// The streaming leg's measurements: an observed simulation with one
 /// wire subscriber pulling every telemetry frame.
 struct StreamSample {
@@ -664,6 +745,27 @@ fn main() {
         recorder.event("bench.sample", &fields);
     }
 
+    // Artifact-write leg: always in-process (it owns its artifact file).
+    eprintln!(
+        "bench_serve: artifact-write leg, {} reps per step",
+        load.load_reps
+    );
+    let art = measure_artifact(&load);
+    recorder.event(
+        "bench.sample",
+        &[
+            ("mode", "artifact".into()),
+            ("nx", art.nx.into()),
+            ("ny", art.ny.into()),
+            ("file_bytes", art.file_bytes.into()),
+            ("encode_p50_us", art.encode_p50_us.into()),
+            ("save_p50_us", art.save_p50_us.into()),
+            ("verify_p50_us", art.verify_p50_us.into()),
+            ("memcpy_p50_us", art.memcpy_p50_us.into()),
+            ("verify_speedup", art.verify_speedup.into()),
+        ],
+    );
+
     // Streaming leg: always in-process (it owns its simulation).
     eprintln!("bench_serve: streaming leg (observed simulation, one wire subscriber)");
     let stream = measure_stream(quick);
@@ -703,7 +805,8 @@ fn main() {
                  only; batch16 amortizes framing over 16-point frames; slot_batch \
                  rows share one prepared time slot per frame and their speedup \
                  column is points/s over batch16_points_per_sec; load rows time ArtifactStore \
-                 opens"
+                 opens; the artifact row times the hot-swap write and verify and its \
+                 verify_speedup is memcpy time over verify time"
                     .into(),
             ),
         ),
@@ -760,6 +863,17 @@ fn main() {
                         }
                         Json::Obj(row)
                     }))
+                    .chain(std::iter::once(Json::Obj(vec![
+                        ("mode".into(), Json::Str("artifact".into())),
+                        ("nx".into(), Json::Num(art.nx as f64)),
+                        ("ny".into(), Json::Num(art.ny as f64)),
+                        ("file_bytes".into(), Json::Num(art.file_bytes as f64)),
+                        ("encode_p50_us".into(), Json::Num(art.encode_p50_us)),
+                        ("save_p50_us".into(), Json::Num(art.save_p50_us)),
+                        ("verify_p50_us".into(), Json::Num(art.verify_p50_us)),
+                        ("memcpy_p50_us".into(), Json::Num(art.memcpy_p50_us)),
+                        ("verify_speedup".into(), Json::Num(art.verify_speedup)),
+                    ])))
                     .chain(std::iter::once(Json::Obj(vec![
                         ("mode".into(), Json::Str("stream".into())),
                         ("slots".into(), Json::Num(stream.slots as f64)),
@@ -819,6 +933,18 @@ fn main() {
             s.map, s.open_p50_us, s.open_p99_us, s.file_bytes
         );
     }
+    println!(
+        "artifact[{}x{}, {} B]: encode {:.0} us, save {:.0} us, open+verify {:.0} us, \
+         memcpy {:.0} us ({:.3}x of memcpy speed)",
+        art.nx,
+        art.ny,
+        art.file_bytes,
+        art.encode_p50_us,
+        art.save_p50_us,
+        art.verify_p50_us,
+        art.memcpy_p50_us,
+        art.verify_speedup
+    );
     println!(
         "stream: {} frames over {} slots, {:.0} frames/s, {} enqueued / {} dropped at the sink",
         stream.frames, stream.slots, stream.stream_frames_qps, stream.enqueued, stream.dropped

@@ -75,6 +75,7 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mfgcp_core::{
@@ -563,21 +564,29 @@ impl ArtifactStore {
     /// cross-checking both against the header. O(payload); [`open`]
     /// deliberately skips this so opening stays O(header).
     ///
+    /// One pass per plane: each plane's bytes go through the streaming
+    /// CRC and its values through the non-finite recount back to back,
+    /// while the plane is still in cache. A checksum mismatch is reported
+    /// before a count mismatch, since a corrupt payload miscounts too.
+    ///
     /// [`open`]: ArtifactStore::open
     pub fn verify_payload(&self) -> Result<(), ArtifactError> {
         let payload = &self.bytes.as_slice()[self.payload_off..self.payload_off + self.payload_len];
-        let computed = crc32::crc32(payload);
+        let elems = self.grid.len();
+        let mut crc = crc32::Hasher::new();
+        let mut plane_non_finite = 0u64;
+        let planes = payload.chunks_exact(elems * 8);
+        for (bytes, values) in planes.zip(self.payload_f64s().chunks_exact(elems)) {
+            crc.update(bytes);
+            plane_non_finite += count_non_finite(values);
+        }
+        let computed = crc.finalize();
         if computed != self.payload_crc {
             return Err(ArtifactError::CrcMismatch {
                 stored: self.payload_crc,
                 computed,
             });
         }
-        let plane_non_finite = self
-            .payload_f64s()
-            .iter()
-            .filter(|v| !v.is_finite())
-            .count() as u64;
         let total = self.header_f64_non_finite + plane_non_finite;
         if total != self.header.non_finite_count {
             return Err(ArtifactError::NonFiniteCountMismatch {
@@ -777,6 +786,10 @@ pub fn to_bytes(eq: &Equilibrium, build_info: &str) -> Vec<u8> {
     let plane_len = grid.len() * 8;
     let dir_bytes = 4 + plane_count * DIR_ENTRY_LEN;
     let header_len = (w.out.len() + dir_bytes).div_ceil(8) * 8;
+    let file_len = header_len + plane_count * plane_len;
+    // The whole file's size is known from here: size the buffer once so
+    // the planes never reallocate it.
+    w.out.reserve_exact(file_len - w.out.len());
     w.u32(plane_count as u32);
     for i in 0..plane_count {
         let (kind, index) = canonical_plane(i, n);
@@ -790,14 +803,18 @@ pub fn to_bytes(eq: &Equilibrium, build_info: &str) -> Vec<u8> {
     }
     debug_assert_eq!(w.out.len(), header_len);
 
+    // One walk over the payload: each plane is copied and counted in one
+    // loop, then checksummed while its bytes are still in cache.
+    let mut payload_crc = crc32::Hasher::new();
     for field in eq.policy.iter().chain(&eq.density).chain(&eq.values) {
-        for &v in field.values() {
-            w.f64_payload(v);
-        }
+        let start = w.out.len();
+        w.f64_plane(field.values());
+        payload_crc.update(&w.out[start..]);
     }
+    debug_assert_eq!(w.out.len(), file_len);
 
-    let payload_len = (w.out.len() - header_len) as u64;
-    let payload_crc = crc32::crc32(&w.out[header_len..]);
+    let payload_len = (file_len - header_len) as u64;
+    let payload_crc = payload_crc.finalize();
     let non_finite = w.non_finite;
     w.out[count_at..count_at + 8].copy_from_slice(&non_finite.to_le_bytes());
     w.out[12..16].copy_from_slice(&(header_len as u32).to_le_bytes());
@@ -828,11 +845,17 @@ pub fn save(eq: &Equilibrium, path: &Path) -> Result<(), ArtifactError> {
     save_with_build_info(eq, path, &crate::build_info())
 }
 
+/// Process-wide sequence number of [`save_with_build_info`] calls, which
+/// makes each call's temporary file name unique.
+static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// Saves `eq` to `path` atomically with an explicit build info string.
 ///
-/// The bytes are written to a temporary sibling (`<name>.<pid>.tmp`),
-/// flushed with `sync_all`, and renamed over `path`; a crash mid-write
-/// never leaves a torn file under the destination name.
+/// The bytes are written to a temporary sibling
+/// (`<name>.<pid>.<seq>.tmp`, unique per call, so concurrent saves to one
+/// path from one process never share a temporary inode), flushed with
+/// `sync_all`, and renamed over `path`; a crash mid-write never leaves a
+/// torn file under the destination name.
 pub fn save_with_build_info(
     eq: &Equilibrium,
     path: &Path,
@@ -845,7 +868,8 @@ pub fn save_with_build_info(
             message: format!("artifact path {} has no file name", path.display()),
         })?;
     let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(format!(".{}.tmp", std::process::id()));
+    let seq = SAVE_SEQ.fetch_add(1, Ordering::Relaxed);
+    tmp_name.push(format!(".{}.{seq}.tmp", std::process::id()));
     let tmp = path.with_file_name(tmp_name);
 
     let result = (|| {
@@ -876,6 +900,11 @@ pub fn load(path: &Path) -> Result<LoadedArtifact, ArtifactError> {
         header: store.header.clone(),
         equilibrium,
     })
+}
+
+/// How many of `values` are NaN or ±∞.
+fn count_non_finite(values: &[f64]) -> u64 {
+    values.iter().map(|v| u64::from(!v.is_finite())).sum()
 }
 
 /// Byte-layout writer tracking the non-finite payload count.
@@ -923,6 +952,20 @@ impl Writer {
             self.non_finite += 1;
         }
         self.f64_raw(v);
+    }
+
+    /// A payload plane: one bulk little-endian copy into the (already
+    /// reserved) tail of the buffer, counting non-finite values in the
+    /// same loop.
+    fn f64_plane(&mut self, values: &[f64]) {
+        let start = self.out.len();
+        self.out.resize(start + values.len() * 8, 0);
+        let mut non_finite = 0;
+        for (dst, &v) in self.out[start..].chunks_exact_mut(8).zip(values) {
+            dst.copy_from_slice(&v.to_bits().to_le_bytes());
+            non_finite += u64::from(!v.is_finite());
+        }
+        self.non_finite += non_finite;
     }
 
     fn bytes_with_len(&mut self, bytes: &[u8]) {

@@ -74,6 +74,14 @@ pub enum ArtifactError {
     },
     /// The decoded parts were rejected by `mfgcp-core` validation.
     Core(CoreError),
+    /// The artifact is intact, but its convergence report says the solve
+    /// stopped without converging: a live server refuses to install it.
+    NotConverged {
+        /// Iterations the solve ran before it stopped.
+        iterations: usize,
+        /// The last recorded residual, if the report carries any.
+        residual: Option<f64>,
+    },
 }
 
 impl fmt::Display for ArtifactError {
@@ -114,6 +122,19 @@ impl fmt::Display for ArtifactError {
                 write!(f, "inconsistent artifact: {message}")
             }
             ArtifactError::Core(e) => write!(f, "artifact rejected by core validation: {e}"),
+            ArtifactError::NotConverged {
+                iterations,
+                residual,
+            } => {
+                write!(
+                    f,
+                    "artifact refused: its solve stopped unconverged after {iterations} iteration(s)"
+                )?;
+                match residual {
+                    Some(r) => write!(f, ", last residual {r:.3e}"),
+                    None => Ok(()),
+                }
+            }
         }
     }
 }
@@ -297,6 +318,11 @@ mod tests {
             section: "policy",
         };
         assert!(e.to_string().contains("policy"));
+        let e = ArtifactError::NotConverged {
+            iterations: 40,
+            residual: Some(0.25),
+        };
+        assert!(e.to_string().contains("unconverged after 40"));
         let e = FrameReadError::TooLong {
             declared: 99,
             max: 10,

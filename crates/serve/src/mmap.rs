@@ -97,9 +97,10 @@ pub fn read_file(path: &Path, mode: MapMode) -> io::Result<ArtifactBytes> {
             return Ok(ArtifactBytes::Mapped(mapped));
         }
     }
-    let mut bytes = Vec::with_capacity(len);
-    io::Read::read_to_end(&mut { &file }, &mut bytes)?;
-    Ok(ArtifactBytes::Owned(AlignedBytes::from_vec(bytes)))
+    // Straight into aligned storage: one allocation, no staging copy.
+    let mut owned = AlignedBytes::zeroed(len);
+    io::Read::read_exact(&mut { &file }, owned.as_mut_slice())?;
+    Ok(ArtifactBytes::Owned(owned))
 }
 
 /// Owned bytes stored in `u64` words so the base address is 8-byte
@@ -113,14 +114,25 @@ pub struct AlignedBytes {
 impl AlignedBytes {
     /// Copies `bytes` into 8-byte-aligned storage.
     pub fn from_vec(bytes: Vec<u8>) -> Self {
-        let len = bytes.len();
-        let mut words = vec![0u64; len.div_ceil(8)].into_boxed_slice();
-        // SAFETY: the destination is a fresh `u64` allocation of at least
-        // `len` bytes; `u8` writes into it are always valid.
-        unsafe {
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), words.as_mut_ptr().cast::<u8>(), len);
+        let mut owned = AlignedBytes::zeroed(bytes.len());
+        owned.as_mut_slice().copy_from_slice(&bytes);
+        owned
+    }
+
+    /// `len` zero bytes in 8-byte-aligned storage.
+    fn zeroed(len: usize) -> Self {
+        AlignedBytes {
+            words: vec![0u64; len.div_ceil(8)].into_boxed_slice(),
+            len,
         }
-        AlignedBytes { words, len }
+    }
+
+    /// The stored bytes, writable.
+    fn as_mut_slice(&mut self) -> &mut [u8] {
+        // SAFETY: `words` holds at least `len` initialized bytes and is
+        // exclusively borrowed for the returned lifetime; any byte
+        // pattern written through it is a valid `u64`.
+        unsafe { slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<u8>(), self.len) }
     }
 
     /// The stored bytes.

@@ -21,6 +21,9 @@
 //! finish on the generation they started with and no reply ever mixes
 //! two generations. `Info` replies and the `serve.swap` telemetry
 //! counter expose the generation so clients can observe the cutover.
+//! A swap fails closed: a corrupt artifact, or one whose solve stopped
+//! unconverged ([`ArtifactError::NotConverged`]), is refused and the
+//! current generation keeps serving.
 //!
 //! # Architecture
 //!
@@ -228,8 +231,9 @@ pub struct SwapHandle {
 
 impl SwapHandle {
     /// Opens, fully verifies and installs the artifact at `path`;
-    /// returns the new serving generation. On error the slot is left
-    /// unchanged.
+    /// returns the new serving generation. An artifact whose solve did
+    /// not converge is refused with [`ArtifactError::NotConverged`]. On
+    /// error the slot is left unchanged.
     pub fn swap_from_path(&self, path: &Path) -> Result<u64, ArtifactError> {
         let swapped = self.endpoint.service().swap_from_path(path);
         swapped.map(|(generation, _)| generation)
@@ -397,8 +401,20 @@ impl PolicyService {
     /// Opens, fully verifies and installs the artifact at `path`, then
     /// emits the `serve.swap` counter (generation + fingerprint fields, no
     /// span linkage); the slot is untouched on any error.
+    ///
+    /// Fails closed: an artifact whose convergence report says
+    /// `converged == false` is refused before its payload is read (the
+    /// header CRC already vouched for the report), so a reprice that hit
+    /// its iteration cap never replaces a served equilibrium.
     fn swap_from_path(&self, path: &Path) -> Result<(u64, u64), ArtifactError> {
         let store = ArtifactStore::open(path)?;
+        let report = store.report();
+        if !report.converged {
+            return Err(ArtifactError::NotConverged {
+                iterations: report.iterations,
+                residual: report.residuals.last().copied(),
+            });
+        }
         store.verify_payload()?;
         let fingerprint = store.header().fingerprint;
         let generation = self.artifact.swap(store);

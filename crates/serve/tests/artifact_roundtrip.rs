@@ -1,6 +1,7 @@
-//! Artifact store integrity tests for the version-2 zero-copy layout:
+//! Artifact store integrity tests for the version-3 zero-copy layout:
 //! bit-exact round-trips (including non-finite payloads,
-//! property-tested), crash-safe file writes, mmap-vs-owned differential
+//! property-tested), pinned CRC words, crash-safe file writes (also
+//! under concurrent saves to one path), mmap-vs-owned differential
 //! equality, and typed rejection of every corruption class — truncation
 //! at *every* byte, single-bit flips over the whole file, bumped format
 //! versions, tampered params, forged plane directories and smuggled
@@ -192,6 +193,89 @@ fn save_writes_atomically_and_load_verifies() {
     assert_bit_identical(&eq, &loaded.equilibrium);
     assert_eq!(loaded.header.build_info, "file test");
     std::fs::remove_file(&path).expect("cleanup");
+}
+
+/// Two threads of one process saving to one path: each save writes its
+/// own temporary file, so every save returns `Ok` and the file left under
+/// the name is one writer's complete image, never an interleaving.
+#[test]
+fn concurrent_saves_to_one_path_never_tear() {
+    const SAVES: usize = 40;
+    let params = mfgcp_core::Params {
+        time_steps: 8,
+        grid_h: 16,
+        grid_q: 32,
+        ..mfgcp_core::Params::default()
+    };
+    let a = synthetic_equilibrium(params.clone(), &[0.25, -1.0, 3.5]);
+    let b = synthetic_equilibrium(params, &[7.0, f64::NAN, -0.5]);
+    let dir = std::env::temp_dir();
+    let prefix = format!("mfgcp-concurrent-save-{}", std::process::id());
+    let path = dir.join(format!("{prefix}.eq"));
+    // Both writers start together, so their saves overlap from the first.
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for (eq, info) in [(&a, "writer a"), (&b, "writer b")] {
+            let (path, start) = (&path, &start);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..SAVES {
+                    save_with_build_info(eq, path, info)
+                        .unwrap_or_else(|e| panic!("{info}, save {i}: {e}"));
+                }
+            });
+        }
+    });
+
+    let on_disk = std::fs::read(&path).expect("read final file");
+    assert!(
+        on_disk == to_bytes(&a, "writer a") || on_disk == to_bytes(&b, "writer b"),
+        "the final file is neither writer's image"
+    );
+    load(&path).expect("the final file verifies");
+    let tmp_leftovers = std::fs::read_dir(&dir)
+        .expect("read temp dir")
+        .filter_map(|e| e.ok())
+        .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
+        .count();
+    assert_eq!(tmp_leftovers, 1, "only the artifact itself remains");
+    std::fs::remove_file(&path).expect("cleanup");
+}
+
+/// The v3 bytes are pinned: the header's CRC words (and length) of two
+/// synthetic artifacts — a tiny one with NaN, ±∞ and −0 payloads and a
+/// `Params::default()`-sized one — as the byte-at-a-time CRC and the
+/// per-`f64` writer produced them. A faster encoder may not move a byte.
+#[test]
+fn payload_and_header_crc_words_are_pinned() {
+    let cases = [
+        (
+            synthetic_equilibrium(
+                tiny_params(),
+                &[0.25, -1.5, f64::NAN, 3.0e-7, f64::INFINITY, 0.0, -0.0],
+            ),
+            2_664,
+            0x2678_418D_u32,
+            0xFF7F_2CBE_u32,
+        ),
+        (
+            synthetic_equilibrium(
+                mfgcp_core::Params::default(),
+                &[0.125, 1.75, -2.5, 6.0e3, 1.0e-9, 0.5, 0.3],
+            ),
+            1_130_256,
+            0x8E5D_D19B,
+            0x8206_F0C3,
+        ),
+    ];
+    for (eq, len, payload_crc, header_crc) in cases {
+        let bytes = to_bytes(&eq, "pin");
+        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+        assert_eq!(bytes.len(), len);
+        assert_eq!(word(24), payload_crc, "payload_crc of the {len}-byte image");
+        assert_eq!(word(28), header_crc, "header_crc of the {len}-byte image");
+        from_bytes(&bytes).expect("the pinned image verifies");
+    }
 }
 
 /// The mmap fast path and the owned fallback must be observationally

@@ -659,6 +659,72 @@ fn hot_swap_under_load_never_mixes_generations() {
     std::fs::remove_file(&path).expect("cleanup");
 }
 
+/// Swaps fail closed: an intact artifact whose solve stopped unconverged
+/// is refused on both swap paths (the wire `SwapArtifact` request behind
+/// `mfgcp ctl --swap-artifact`, and the `SwapHandle` behind `mfgcp serve
+/// --watch-artifact`) with a typed error, and the current generation
+/// keeps serving. The same payload with a converged report swaps in.
+#[test]
+fn an_unconverged_artifact_is_refused_and_the_generation_kept() {
+    use mfgcp_serve::artifact::save_with_build_info;
+    use mfgcp_serve::{ArtifactError, ClientError};
+
+    let eq_v1 = Arc::new(common::synthetic_equilibrium(tiny_params(), &[1.0]));
+    let mut stalled = common::synthetic_equilibrium(tiny_params(), &[2.0]);
+    stalled.report.converged = false;
+    stalled.report.iterations = 40;
+    let path = std::env::temp_dir().join(format!(
+        "mfgcp-unconverged-swap-test-{}.eq",
+        std::process::id()
+    ));
+    save_with_build_info(&stalled, &path, "stalled").expect("save unconverged");
+
+    let sink = Arc::new(MemorySink::new());
+    let recorder = RecorderHandle::new(Arc::clone(&sink));
+    let handle =
+        PolicyServer::start("127.0.0.1:0", eq_v1, ServeConfig::default(), recorder).expect("bind");
+    let mut ctl = Client::connect(handle.local_addr()).expect("connect ctl");
+    let path_str = path.to_str().expect("utf-8 path");
+
+    match ctl.swap_artifact(path_str) {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, ErrorCode::Internal);
+            assert!(
+                e.message.contains("unconverged after 40"),
+                "refusal names its cause: {}",
+                e.message
+            );
+        }
+        other => panic!("unconverged artifact must be refused, got {other:?}"),
+    }
+    let swap = handle.swap_handle();
+    match swap.swap_from_path(&path) {
+        Err(ArtifactError::NotConverged { iterations, .. }) => assert_eq!(iterations, 40),
+        other => panic!("expected NotConverged, got {other:?}"),
+    }
+    assert_eq!(swap.generation(), 1, "a refused swap keeps the generation");
+    assert_eq!(ctl.info().expect("info").generation, 1);
+    let still = ctl.query(0.1, 1.0, 0.5).expect("query after refusal");
+    assert_eq!(still.price, 1.0, "generation 1 keeps serving");
+
+    // The same payload with a converged report is installed.
+    stalled.report.converged = true;
+    save_with_build_info(&stalled, &path, "converged").expect("save converged");
+    let (generation, _) = ctl.swap_artifact(path_str).expect("converged swap");
+    assert_eq!(generation, 2);
+    assert_eq!(ctl.query(0.1, 1.0, 0.5).expect("query").price, 2.0);
+
+    ctl.shutdown_server().expect("shutdown");
+    handle.join();
+    let swaps = sink
+        .events()
+        .iter()
+        .filter(|e| e.kind == Kind::Counter && e.name == "serve.swap")
+        .count();
+    assert_eq!(swaps, 1, "only the installed swap is counted");
+    std::fs::remove_file(&path).expect("cleanup");
+}
+
 /// Regression: a client that pipelines large requests and never reads
 /// its replies used to block `join()` forever — the worker sat in a
 /// write the drain would not cut. The per-connection write timeout now

@@ -165,7 +165,10 @@ struct MarketScratch {
     /// Contiguous k = 0 strategy column for the mean-price statistic and
     /// the slot series.
     x0: Vec<f64>,
-    /// Contiguous k = 0 caching-state column for the slot series.
+    /// Contiguous k = 0 caching-state column for the slot series and the
+    /// next slot boundary's occupancy (see `Simulation::occupancy0`); like
+    /// `sharer_counts`, any write to `q` outside the EDP phase must clear
+    /// it.
     q0: Vec<f64>,
     /// EDPs that can share each content (`q_k ≤ α·Q_k`), counted by the
     /// last fused pass. `q` does not move between a market pass and the
@@ -545,7 +548,7 @@ impl Simulation {
             // Scenario hook: reprice content 0 at the configured global
             // slot boundary, warm-started from the live occupancy.
             if self.cfg.reprice_slot == Some(epoch * self.cfg.slots_per_epoch + slot) {
-                let occupancy: Vec<f64> = self.edps.iter().map(|e| e.q[0]).collect();
+                let occupancy = self.occupancy0();
                 if let Some(eq) = self.policy.reprice(0, &self.contexts[0], &occupancy) {
                     self.install_prepared(epoch, slot, 0, eq, auditor);
                 }
@@ -995,6 +998,20 @@ impl Simulation {
         }
     }
 
+    /// Every EDP's content-0 caching state `q_{i,0}`, `i` ascending, as it
+    /// stands at a slot boundary. The last market pass copied exactly
+    /// this column into the scratch, and only the EDP phase writes `q`,
+    /// so the copy is current at every boundary after the first slot;
+    /// before it the scratch is empty and the population is walked.
+    fn occupancy0(&self) -> Vec<f64> {
+        let q0 = &self.market_scratch.q0;
+        if q0.is_empty() {
+            self.edps.iter().map(|e| e.q[0]).collect()
+        } else {
+            q0.clone()
+        }
+    }
+
     /// Build the slot-boundary snapshot handed to the attached
     /// [`EngineControl`]. `epoch`/`slot` index the *next* slot to run
     /// (`epoch == cfg.epochs` with `finished` for the final publication);
@@ -1009,7 +1026,7 @@ impl Simulation {
     ) -> SimSnapshot {
         let global_slot = (epoch * self.cfg.slots_per_epoch + slot) as u64;
         let total_slots = (self.cfg.epochs * self.cfg.slots_per_epoch) as u64;
-        let occupancy: Vec<f64> = self.edps.iter().map(|e| e.q[0]).collect();
+        let occupancy = self.occupancy0();
         let occupancy_hist = Histogram::from_values(&occupancy);
         // The previous slot's cleared market leaves its Eq. (5) pricers
         // and k = 0 strategy column in the scratch; before the first slot
@@ -1678,6 +1695,92 @@ mod tests {
             }
         }
         assert!(fractions.len() > 2, "the fraction never moved");
+    }
+
+    /// The slot-boundary occupancy (snapshot and `reprice_slot` hook) is
+    /// the market pass's `q0` copy, not a walk over the EDPs: it must
+    /// equal, bit for bit, the `q_{i,0}` every EDP decides on in the slot
+    /// that follows — at the first boundary (empty scratch, walked),
+    /// across the epoch boundary with its re-association and popularity
+    /// update, at the scenario reprice — and the final state after the
+    /// run.
+    #[test]
+    fn boundary_occupancy_equals_the_population_state_at_every_boundary() {
+        use crate::baselines::Udcs;
+        use std::sync::Mutex;
+
+        /// Content-0 `q` per decision, in (slot, EDP) order, plus the
+        /// occupancy each `reprice` call received.
+        #[derive(Default)]
+        struct Seen {
+            q0: Vec<f64>,
+            repriced: Vec<Vec<f64>>,
+        }
+        struct Probe(Udcs, Arc<Mutex<Seen>>);
+        impl CachingPolicy for Probe {
+            fn name(&self) -> &'static str {
+                "UDCS-PROBE"
+            }
+            fn allows_sharing(&self) -> bool {
+                self.0.allows_sharing()
+            }
+            fn decide(&self, ctx: &DecisionContext, rng: &mut SimRng) -> f64 {
+                if ctx.content == 0 {
+                    self.1.lock().unwrap().q0.push(ctx.q);
+                }
+                self.0.decide(ctx, rng)
+            }
+            fn reprice(
+                &self,
+                _content: usize,
+                _ctx: &ContentContext,
+                occupancy: &[f64],
+            ) -> Option<Equilibrium> {
+                self.1.lock().unwrap().repriced.push(occupancy.to_vec());
+                None
+            }
+        }
+        /// Holds the run at every boundary just long enough to record it.
+        struct Paused(Mutex<Vec<SimSnapshot>>);
+        impl EngineControl for Paused {
+            fn at_slot_boundary(&self, snapshot: SimSnapshot) {
+                self.0.lock().unwrap().push(snapshot);
+            }
+        }
+
+        let mut cfg = SimConfig::small();
+        cfg.epochs = 2;
+        // One worker: decisions arrive in EDP order.
+        cfg.worker_threads = 1;
+        cfg.mobility = Some(mfgcp_net::RandomWaypoint::default());
+        let reprice_at = cfg.slots_per_epoch;
+        cfg.reprice_slot = Some(reprice_at);
+        let seen = Arc::new(Mutex::new(Seen::default()));
+        let paused = Arc::new(Paused(Mutex::new(Vec::new())));
+        let probe = Probe(Udcs::default(), Arc::clone(&seen));
+        let mut sim = Simulation::new(cfg.clone(), Box::new(probe)).unwrap();
+        sim.set_control(Arc::clone(&paused) as Arc<dyn EngineControl>);
+        sim.run();
+
+        let m = cfg.num_edps;
+        let slots = cfg.epochs * cfg.slots_per_epoch;
+        let seen = seen.lock().unwrap();
+        let snaps = paused.0.lock().unwrap();
+        assert_eq!(seen.q0.len(), slots * m);
+        assert_eq!(snaps.len(), slots + 1);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (slot, decided) in seen.q0.chunks(m).enumerate() {
+            assert_eq!(
+                bits(&snaps[slot].occupancy),
+                bits(decided),
+                "boundary before slot {slot}"
+            );
+        }
+        let final_q0: Vec<f64> = sim.edps.iter().map(|e| e.q[0]).collect();
+        assert_eq!(bits(&snaps[slots].occupancy), bits(&final_q0), "final");
+        assert_eq!(seen.repriced.len(), 1);
+        let decided = &seen.q0[reprice_at * m..(reprice_at + 1) * m];
+        assert_eq!(bits(&seen.repriced[0]), bits(decided), "reprice hook");
     }
 
     #[test]
