@@ -172,12 +172,10 @@ fn run_serve(
     watch_artifact: bool,
 ) {
     let path = std::path::Path::new(artifact);
-    // Memory-map and serve in place: opening costs O(header), the one
-    // O(payload) pass up front is the integrity check.
-    let store = match mfgcp::serve::ArtifactStore::open(path).and_then(|s| {
-        s.verify_payload()?;
-        Ok(s)
-    }) {
+    // Memory-map and serve in place, through the gate every hot swap
+    // passes: an unconverged solve is refused, and the one O(payload)
+    // pass up front is the integrity check.
+    let store = match mfgcp::serve::ArtifactStore::open_for_serving(path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: cannot load artifact `{artifact}`: {e}");

@@ -16,7 +16,7 @@
 //! grid (near untracked EDPs link by link, far ones from their cell
 //! moments). The tail aggregates many weak links whose fading
 //! fluctuations average out, so the relative interference error stays
-//! within [`NetworkConfig::truncation_tol`] (measured by the
+//! within [`TRUNCATION_TOL`](crate::TRUNCATION_TOL) (measured by the
 //! `net.shard.truncated_power` gauge, bounded by the differential tests
 //! against a dense reference that exists only in test code).
 //!
@@ -32,10 +32,6 @@ use crate::config::NetworkConfig;
 use crate::shard::{Link, ShardedLinks};
 use crate::topology::Topology;
 use crate::{channel_gain, shannon_rate};
-
-/// Floor of the adaptive tracked-interferer budget: below this the
-/// per-record bookkeeping is noise and further shrinking saves nothing.
-pub(crate) const MIN_ADAPTIVE_K_INT: usize = 4;
 
 /// Dynamic channel state for the tracked (EDP, requester) links.
 ///
@@ -85,7 +81,7 @@ impl ChannelState {
         assert!(cfg.k_int > 0, "k_int must be at least 1");
         let process = cfg.fading_process();
         Self {
-            links: ShardedLinks::build(topo, cfg, &process, seed, step, cfg.k_int),
+            links: ShardedLinks::build(topo, cfg, &process, seed, step),
             num_edps: topo.num_edps(),
             num_requesters: topo.num_requesters(),
             process,
@@ -194,62 +190,7 @@ impl ChannelState {
         );
         self.links
             .reassociate(topo, &self.cfg, &self.process, self.seed);
-        if self.cfg.adaptive_k_int {
-            self.adapt_k_int(topo);
-        }
         self.emit_shard_gauges();
-    }
-
-    /// The adaptive-k controller: after a re-association, resize the
-    /// tracked-interferer budget from the measured truncated-power share
-    /// (the same quantity the `net.shard.truncated_power` gauge reports).
-    /// Doubles `k_int` while the tail carries more than
-    /// `truncation_tol / 2` of the stationary-mean interference power
-    /// (capped at `M − 1`, where the tail is empty); halves it once per
-    /// boundary when the tail share drops below `truncation_tol / 8`
-    /// (floored at [`MIN_ADAPTIVE_K_INT`]). The 4× gap between the two
-    /// thresholds is the hysteresis that keeps the controller from
-    /// oscillating between boundaries. Deterministic: the decision is a
-    /// pure function of tracked distances, so runs stay bit-reproducible
-    /// for any thread count.
-    fn adapt_k_int(&mut self, topo: &Topology) {
-        let max_k = self.num_edps.saturating_sub(1).max(1);
-        let (cfg, process, seed) = (&self.cfg, &self.process, self.seed);
-        let links = &mut self.links;
-        let mut grown = false;
-        loop {
-            let Some((fraction, _)) = links.tail_fraction(process, cfg) else {
-                return;
-            };
-            let k = links.k_int;
-            if fraction > 0.5 * cfg.truncation_tol && k < max_k {
-                links.retrack(topo, cfg, process, seed, (k * 2).min(max_k));
-                grown = true;
-                continue;
-            }
-            // Never shrink in a pass that grew: a budget at the cap has a
-            // tail share of exactly 0 (everything is tracked), which says
-            // the tolerance *demanded* the cap, not that the budget is
-            // slack — backing off would re-violate it next boundary.
-            if grown {
-                return;
-            }
-            if fraction < 0.125 * cfg.truncation_tol && k > MIN_ADAPTIVE_K_INT {
-                // Shrink as a measured probe, at most one halving per
-                // boundary: keep it only if the halved budget still meets
-                // the grow threshold, otherwise revert. (A zero tail
-                // carries no information about what halving would leave,
-                // so the probe must re-measure rather than assume.)
-                let target = (k / 2).max(MIN_ADAPTIVE_K_INT);
-                links.retrack(topo, cfg, process, seed, target);
-                if let Some((shrunk, _)) = links.tail_fraction(process, cfg) {
-                    if shrunk > 0.5 * cfg.truncation_tol {
-                        links.retrack(topo, cfg, process, seed, k);
-                    }
-                }
-            }
-            return;
-        }
     }
 
     /// Recompute the tracked link distances from explicit requester
@@ -311,7 +252,7 @@ impl ChannelState {
     /// Interference power at requester `j` from all EDPs except `i`
     /// (`Σ_{i'≠i} |g_{i',j}|² G`, Eq. (2) denominator): the tracked
     /// neighborhood with live fading plus the frozen far-field tail at
-    /// the stationary-mean fading (see [`NetworkConfig::truncation_tol`]).
+    /// the stationary-mean fading (see [`TRUNCATION_TOL`](crate::TRUNCATION_TOL)).
     pub fn interference(&self, i: usize, j: usize) -> f64 {
         let record = &self.links.records[j];
         let mut acc = 0.0;
@@ -374,7 +315,7 @@ impl ChannelState {
             edps: self.num_edps as u64,
             requesters: self.num_requesters as u64,
             mean_interferers: mean_int,
-            k_int: links.k_int as u64,
+            k_int: self.cfg.k_int as u64,
             truncated_power: links.tail_fraction(&self.process, &self.cfg),
         }
     }
@@ -406,8 +347,7 @@ impl ChannelState {
         );
         // Share of the interference power (at the stationary-mean fading)
         // carried by the frozen mean-field tail rather than by live
-        // tracked links — the part of Eq. (2) the sharding approximates,
-        // and the signal the adaptive-k controller steers on.
+        // tracked links — the part of Eq. (2) the sharding approximates.
         if let Some((fraction, sampled)) = stats.truncated_power {
             self.recorder.gauge(
                 "net.shard.truncated_power",
@@ -566,46 +506,35 @@ mod tests {
     #[test]
     fn per_slot_distance_refresh_leaves_no_trace_after_reassociation() {
         use crate::mobility::{MobileRequesters, RandomWaypoint};
-        for adaptive in [false, true] {
-            let cfg = NetworkConfig {
-                k_int: if adaptive { 2 } else { 8 },
-                adaptive_k_int: adaptive,
-                ..NetworkConfig::default()
-            };
-            let mut rng = seeded_rng(21);
-            let mut topo = Topology::random(80, 400, &cfg, &mut rng);
-            let start = (0..400).map(|j| topo.requester(j)).collect();
-            let model = RandomWaypoint::default();
-            let mut walkers = MobileRequesters::new(start, cfg.area_radius, model, &mut rng);
-            let mut refreshed = ChannelState::init_with_seed(&topo, &cfg, 5);
-            let mut unrefreshed = refreshed.clone();
-            let mut budgets = vec![cfg.k_int];
-            for epoch in 0..3 {
-                for _ in 0..12 {
-                    walkers.step(0.05, &mut rng);
-                    refreshed.advance(0.05);
-                    unrefreshed.advance(0.05);
-                    refreshed.refresh_distances_from_positions(&topo, walkers.positions());
-                }
-                assert_ne!(
-                    record_bits(&refreshed),
-                    record_bits(&unrefreshed),
-                    "epoch {epoch}: the walkers never moved a link"
-                );
-                topo.update_requesters(walkers.positions());
-                refreshed.refresh_distances(&topo);
-                unrefreshed.refresh_distances(&topo);
-                assert!(
-                    record_bits(&refreshed) == record_bits(&unrefreshed),
-                    "adaptive {adaptive}, epoch {epoch}: link records differ"
-                );
-                assert_eq!(refreshed.links.k_int, unrefreshed.links.k_int);
-                budgets.push(refreshed.links.k_int);
+        let cfg = NetworkConfig {
+            k_int: 8,
+            ..NetworkConfig::default()
+        };
+        let mut rng = seeded_rng(21);
+        let mut topo = Topology::random(80, 400, &cfg, &mut rng);
+        let start = (0..400).map(|j| topo.requester(j)).collect();
+        let model = RandomWaypoint::default();
+        let mut walkers = MobileRequesters::new(start, cfg.area_radius, model, &mut rng);
+        let mut refreshed = ChannelState::init_with_seed(&topo, &cfg, 5);
+        let mut unrefreshed = refreshed.clone();
+        for epoch in 0..3 {
+            for _ in 0..12 {
+                walkers.step(0.05, &mut rng);
+                refreshed.advance(0.05);
+                unrefreshed.advance(0.05);
+                refreshed.refresh_distances_from_positions(&topo, walkers.positions());
             }
-            assert_eq!(
-                adaptive,
-                budgets.iter().any(|&k| k != cfg.k_int),
-                "the controller moves the budget exactly when it is on: {budgets:?}"
+            assert_ne!(
+                record_bits(&refreshed),
+                record_bits(&unrefreshed),
+                "epoch {epoch}: the walkers never moved a link"
+            );
+            topo.update_requesters(walkers.positions());
+            refreshed.refresh_distances(&topo);
+            unrefreshed.refresh_distances(&topo);
+            assert!(
+                record_bits(&refreshed) == record_bits(&unrefreshed),
+                "epoch {epoch}: link records differ"
             );
         }
     }
@@ -701,76 +630,6 @@ mod tests {
             topo.update_requesters(&moved);
             ch.refresh_distances(&topo);
         }
-    }
-
-    #[test]
-    fn adaptive_k_int_grows_until_the_tail_meets_the_tolerance() {
-        let mut rng = seeded_rng(19);
-        let cfg = NetworkConfig {
-            k_int: 1,
-            adaptive_k_int: true,
-            ..NetworkConfig::default()
-        };
-        let mut topo = Topology::random(60, 30, &cfg, &mut rng);
-        let mut ch = ChannelState::init(&topo, &cfg, &mut rng);
-        let moved: Vec<Point> = (0..30)
-            .map(|_| crate::uniform_in_disc(500.0, &mut rng))
-            .collect();
-        topo.update_requesters(&moved);
-        ch.refresh_distances(&topo);
-        let links = &ch.links;
-        assert!(links.k_int > 1, "one tracked interferer leaves a fat tail");
-        let (fraction, _) = links.tail_fraction(&ch.process, &ch.cfg).unwrap();
-        assert!(
-            fraction <= 0.5 * ch.cfg.truncation_tol || links.k_int == 59,
-            "controller must stop inside tolerance (or at M − 1): \
-             fraction {fraction}, k {}",
-            links.k_int
-        );
-    }
-
-    #[test]
-    fn adaptive_k_int_shrinks_a_slack_budget_one_probe_at_a_time() {
-        // EDPs on a geometrically-spaced line: with τ = 3 the far field
-        // is negligible, so a budget of 6 interferers is pure slack and
-        // the halved budget of 4 still sits far inside the tolerance.
-        let edps: Vec<Point> = std::iter::once(Point::new(0.0, 0.0))
-            .chain((0..7).map(|i| Point::new(100.0 * (1 << i) as f64, 0.0)))
-            .collect();
-        let requesters = vec![Point::new(1.0, 0.0), Point::new(2.0, 0.0)];
-        let mut topo = Topology::with_positions(edps, requesters);
-        let cfg = NetworkConfig {
-            k_int: 6,
-            adaptive_k_int: true,
-            ..NetworkConfig::default()
-        };
-        let mut ch = ChannelState::init_with_seed(&topo, &cfg, 20);
-        topo.update_requesters(&[Point::new(1.5, 0.0), Point::new(2.5, 0.0)]);
-        ch.refresh_distances(&topo);
-        let links = &ch.links;
-        assert_eq!(links.k_int, 4, "one probe halving, floored at 4");
-    }
-
-    #[test]
-    fn adaptive_k_int_reverts_a_shrink_probe_that_breaks_the_tolerance() {
-        // At the cap (k = M − 1) the tail share is exactly 0 — below the
-        // shrink threshold — but this dense uniform geometry needs the
-        // whole budget, so the probe must measure, fail, and revert.
-        let mut rng = seeded_rng(20);
-        let cfg = NetworkConfig {
-            k_int: 59,
-            adaptive_k_int: true,
-            ..NetworkConfig::default()
-        };
-        let mut topo = Topology::random(60, 30, &cfg, &mut rng);
-        let mut ch = ChannelState::init(&topo, &cfg, &mut rng);
-        let moved: Vec<Point> = (0..30)
-            .map(|_| crate::uniform_in_disc(500.0, &mut rng))
-            .collect();
-        topo.update_requesters(&moved);
-        ch.refresh_distances(&topo);
-        let links = &ch.links;
-        assert_eq!(links.k_int, 59, "the failed probe must be reverted");
     }
 
     #[test]

@@ -2,6 +2,18 @@
 
 use mfgcp_sde::OrnsteinUhlenbeck;
 
+/// Documented bound on the relative Eq. (2) interference error of the
+/// channel state at the default geometry and `k_int`. The tracked
+/// neighborhood plus the frozen mean-field tail cover the full
+/// interference power in expectation; what remains is the zero-mean
+/// fading fluctuation of the far field. The differential tests against
+/// a dense reference assert that the measured error stays below this
+/// bound, up to `M = 6000` EDPs in the 500 m disc and across a handover.
+/// The fluctuation has no hard ceiling, so this bounds its far tail
+/// rather than every sample: at `M = 6000`, one of 30,000 measured
+/// (requester, slot) samples read 2.02e-2 (DESIGN.md §2f).
+pub const TRUNCATION_TOL: f64 = 2e-2;
+
 /// Parameters of the network model (§II-A), defaulting to the simulation
 /// settings of §V-A: `B = 10 MHz`, `τ = 3`, `G = 1 W`, channel fading
 /// coefficient in `[1, 10]·10⁻⁵`.
@@ -37,27 +49,10 @@ pub struct NetworkConfig {
     /// the untracked far field is covered by a frozen mean-field tail at
     /// the stationary-mean fading, so the full Eq. (2) interference
     /// power is represented in expectation and only far-field fading
-    /// fluctuation remains (bounded by
-    /// [`NetworkConfig::truncation_tol`]; the share carried by the tail
-    /// is reported by the `net.shard.truncated_power` gauge).
+    /// fluctuation remains (bounded by [`TRUNCATION_TOL`]; the share of
+    /// power carried by the tail is reported by the
+    /// `net.shard.truncated_power` gauge).
     pub k_int: usize,
-    /// Let the channel state resize `k_int` itself at every
-    /// re-association, steering on the measured truncated-power share:
-    /// doubled while the frozen tail carries more than
-    /// `truncation_tol / 2` of the stationary-mean interference power,
-    /// halved (with 4× hysteresis, floored at 4) when it carries less
-    /// than `truncation_tol / 8`. [`NetworkConfig::k_int`] then only
-    /// seeds the initial budget. The decision is a pure function of the
-    /// tracked geometry, so adaptive runs stay bit-reproducible.
-    pub adaptive_k_int: bool,
-    /// Documented worst-case bound on the relative Eq. (2) interference
-    /// error of the channel state at the default geometry. The tracked
-    /// neighborhood plus the frozen mean-field tail cover the full
-    /// interference power in expectation; what remains is the zero-mean
-    /// fading fluctuation of the far field, which this bounds. The
-    /// differential tests against a dense reference assert the measured
-    /// error stays below it.
-    pub truncation_tol: f64,
 }
 
 impl Default for NetworkConfig {
@@ -89,8 +84,6 @@ impl Default for NetworkConfig {
             // DESIGN.md §2f) — which is why the frozen tail is kept rather
             // than dropped.
             k_int: 32,
-            adaptive_k_int: false,
-            truncation_tol: 2e-2,
         }
     }
 }

@@ -47,7 +47,7 @@ mod sharded_vs_dense;
 mod topology;
 
 pub use channel::{ChannelState, ShardStats};
-pub use config::NetworkConfig;
+pub use config::{NetworkConfig, TRUNCATION_TOL};
 pub use geometry::{uniform_in_disc, Point};
 pub use mobility::{MobileRequesters, RandomWaypoint};
 pub use topology::Topology;

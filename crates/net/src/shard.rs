@@ -305,23 +305,20 @@ pub(crate) struct ShardedLinks {
     /// `Topology::served_by(i).len()`). Only the occupancy statistics
     /// read it, so the shards' member lists are not kept.
     pub shard_sizes: Vec<u32>,
-    /// Interferers tracked per requester.
-    pub k_int: usize,
     /// Step counter and `dt` history behind the link stamps.
     clock: Clock,
 }
 
 impl ShardedLinks {
-    /// Track the serving link and `k_int` nearest interferers for every
-    /// requester, drawing initial fading from the per-link stationary
-    /// streams at step `step`, where the clock starts.
+    /// Track the serving link and the `cfg.k_int` nearest interferers
+    /// for every requester, drawing initial fading from the per-link
+    /// stationary streams at step `step`, where the clock starts.
     pub fn build(
         topo: &Topology,
         cfg: &NetworkConfig,
         process: &OrnsteinUhlenbeck,
         seed: u64,
         step: u64,
-        k_int: usize,
     ) -> Self {
         let m = topo.num_edps();
         let j = topo.num_requesters();
@@ -339,7 +336,6 @@ impl ShardedLinks {
                     process,
                     seed,
                     &clock,
-                    k_int,
                     base + off,
                     None,
                 ));
@@ -349,7 +345,6 @@ impl ShardedLinks {
         let mut links = Self {
             records,
             shard_sizes: vec![0; m],
-            k_int,
             clock,
         };
         links.count_shards();
@@ -382,40 +377,24 @@ impl ShardedLinks {
         // and per-link streams, so the re-tracking runs on record chunks
         // across threads; only the shard occupancy count stays
         // sequential.
-        let (k_int, clock) = (self.k_int, &self.clock);
+        let clock = &self.clock;
         par_chunks(&mut self.records, |base, chunk| {
             for (off, rec) in chunk.iter_mut().enumerate() {
                 let jj = base + off;
-                *rec = Self::track(topo, cfg, process, seed, clock, k_int, jj, Some(&*rec));
+                *rec = Self::track(topo, cfg, process, seed, clock, jj, Some(&*rec));
             }
         });
         self.count_shards();
-    }
-
-    /// Resize the tracked-interferer budget to `k_int` and re-track every
-    /// record under the new budget (the adaptive-k controller's lever).
-    /// Links tracked under both budgets keep their fading and stamp;
-    /// newly tracked links draw fresh stationary state, exactly as in
-    /// [`ShardedLinks::reassociate`].
-    pub fn retrack(
-        &mut self,
-        topo: &Topology,
-        cfg: &NetworkConfig,
-        process: &OrnsteinUhlenbeck,
-        seed: u64,
-        k_int: usize,
-    ) {
-        self.k_int = k_int.max(1);
-        self.reassociate(topo, cfg, process, seed);
     }
 
     /// Mean share of the interference power (every fading evaluated at
     /// the OU stationary mean, where the geometric split makes fading
     /// cancel in expectation) carried by the frozen tail rather than by
     /// live tracked links, plus how many requesters had any interference
-    /// power at all. `None` when nobody did. Pure reads — the
-    /// `net.shard.truncated_power` gauge and the adaptive-k controller
-    /// both measure through here, so they can never disagree.
+    /// power at all. `None` when nobody did. Pure reads, behind the
+    /// `net.shard.truncated_power` gauge. The share is not the
+    /// interference error: the tail is summed, not dropped, so only its
+    /// frozen fading differs from the exact Eq. (2) sum.
     pub fn tail_fraction(
         &self,
         process: &OrnsteinUhlenbeck,
@@ -440,8 +419,8 @@ impl ShardedLinks {
     }
 
     /// Build the link record for requester `jj`: serving EDP (= nearest,
-    /// by the association invariant) plus the next `k_int` nearest EDPs
-    /// as interferers. `carry` supplies fading and stamps for links
+    /// by the association invariant) plus the next `cfg.k_int` nearest
+    /// EDPs as interferers. `carry` supplies fading and stamps for links
     /// already tracked; the serving link leaves current at the clock's
     /// step. The argument list mirrors `advance_fading`'s stream-key
     /// components plus the tracking inputs; see the lint waiver there.
@@ -452,10 +431,10 @@ impl ShardedLinks {
         process: &OrnsteinUhlenbeck,
         seed: u64,
         clock: &Clock,
-        k_int: usize,
         jj: usize,
         carry: Option<&RequesterLinks>,
     ) -> RequesterLinks {
+        let k_int = cfg.k_int;
         let p = topo.requester(jj);
         let serving_edp = topo.serving(jj);
         let link_to = |edp: u32, distance: f64| -> Link {
@@ -659,7 +638,7 @@ mod tests {
         let process = cfg.fading_process();
         let h = process.stationary_mean();
         let gain = |d: f64| crate::channel_gain(h, d, cfg.path_loss_exp, cfg.min_distance);
-        let links = ShardedLinks::build(topo, cfg, &process, 3, 0, cfg.k_int);
+        let links = ShardedLinks::build(topo, cfg, &process, 3, 0);
         let (mut worst_tail, mut worst_interference) = (0.0_f64, 0.0_f64);
         for (jj, rec) in links.records.iter().enumerate() {
             let exact: f64 = (0..topo.num_edps())
@@ -682,7 +661,7 @@ mod tests {
         let (tail, interference) = worst_tail_errors(topo, cfg);
         assert!(tail <= 5e-3, "{case}: worst relative tail error {tail:.3e}");
         assert!(
-            interference <= cfg.truncation_tol / 20.0,
+            interference <= crate::TRUNCATION_TOL / 20.0,
             "{case}: worst relative interference error {interference:.3e}"
         );
     }
@@ -778,7 +757,7 @@ mod tests {
                 ..NetworkConfig::default()
             };
             let topo = Topology::random(m, 50, &cfg, &mut rng);
-            let links = ShardedLinks::build(&topo, &cfg, &cfg.fading_process(), 9, 0, k_int);
+            let links = ShardedLinks::build(&topo, &cfg, &cfg.fading_process(), 9, 0);
             assert!(links.records.iter().all(|r| r.tail_gain == 0.0));
         }
     }
@@ -789,8 +768,8 @@ mod tests {
         let mut rng = seeded_rng(9);
         let topo = Topology::random(2000, 3000, &cfg, &mut rng);
         let process = cfg.fading_process();
-        let a = ShardedLinks::build(&topo, &cfg, &process, 1, 0, cfg.k_int);
-        let b = ShardedLinks::build(&topo.clone(), &cfg, &process, 2, 0, cfg.k_int);
+        let a = ShardedLinks::build(&topo, &cfg, &process, 1, 0);
+        let b = ShardedLinks::build(&topo.clone(), &cfg, &process, 2, 0);
         for (ra, rb) in a.records.iter().zip(&b.records) {
             assert_eq!(ra.tail_gain.to_bits(), rb.tail_gain.to_bits());
         }
@@ -798,11 +777,14 @@ mod tests {
 
     #[test]
     fn dt_history_stays_bounded() {
-        let cfg = NetworkConfig::default();
+        let cfg = NetworkConfig {
+            k_int: 8,
+            ..NetworkConfig::default()
+        };
         let process = cfg.fading_process();
         let mut rng = seeded_rng(10);
         let topo = Topology::random(30, 20, &cfg, &mut rng);
-        let mut links = ShardedLinks::build(&topo, &cfg, &process, 1, 0, 8);
+        let mut links = ShardedLinks::build(&topo, &cfg, &process, 1, 0);
         for _ in 0..500 {
             links.advance(&cfg, &process, 1, 0.05);
         }
@@ -816,12 +798,15 @@ mod tests {
 
     #[test]
     fn stamps_restart_when_the_step_passes_the_u32_limit() {
-        let cfg = NetworkConfig::default();
+        let cfg = NetworkConfig {
+            k_int: 8,
+            ..NetworkConfig::default()
+        };
         let process = cfg.fading_process();
         let mut rng = seeded_rng(11);
         let topo = Topology::random(30, 20, &cfg, &mut rng);
         let start = u64::from(u32::MAX) - 2;
-        let mut links = ShardedLinks::build(&topo, &cfg, &process, 1, start, 8);
+        let mut links = ShardedLinks::build(&topo, &cfg, &process, 1, start);
         assert_eq!(links.clock.base, 0);
         for _ in 0..5 {
             links.advance(&cfg, &process, 1, 0.05);

@@ -10,13 +10,14 @@
 //! state's interferers, which are stepped only when read. The only divergence the
 //! channel state is allowed is the *truncation* of the Eq. (2)
 //! interference sum to the `k_int` tracked interferers plus the frozen
-//! far-field tail, which these tests bound by the configured
-//! [`NetworkConfig::truncation_tol`].
+//! far-field tail, which these tests bound by [`TRUNCATION_TOL`].
 
 use proptest::prelude::*;
 
 use crate::shard::{advance_fading, init_fading};
-use crate::{channel_gain, shannon_rate, ChannelState, NetworkConfig, Point, Topology};
+use crate::{
+    channel_gain, shannon_rate, ChannelState, NetworkConfig, Point, Topology, TRUNCATION_TOL,
+};
 use mfgcp_sde::{seeded_rng, OrnsteinUhlenbeck};
 use rand::RngExt as _;
 
@@ -212,42 +213,73 @@ fn every_tracked_link_matches_the_dense_oracle() {
     }
 }
 
-#[test]
-fn interference_and_rate_stay_within_the_truncation_bound() {
-    let (topo, cfg) = instance(303, 400, 100);
-    let mut sharded = ChannelState::init_with_seed(&topo, &cfg, 12);
-    let mut dense = Dense::init(&topo, &cfg, 12);
-    let mut worst_interference = 0.0_f64;
-    let mut worst_rate = 0.0_f64;
-    for _ in 0..5 {
+/// Worst relative error of the serving link's interference and rate
+/// against the dense oracle after each of `slots` steps.
+fn worst_serving_errors(
+    sharded: &mut ChannelState,
+    dense: &mut Dense,
+    topo: &Topology,
+    slots: usize,
+) -> (f64, f64) {
+    let (mut worst_interference, mut worst_rate) = (0.0_f64, 0.0_f64);
+    for _ in 0..slots {
         sharded.advance(0.05);
         dense.advance(0.05);
         for j in 0..topo.num_requesters() {
             let i = topo.serving(j);
             let exact = dense.interference(i, j);
-            let truncated = sharded.interference(i, j);
             if exact > 0.0 {
-                worst_interference = worst_interference.max((exact - truncated).abs() / exact);
+                let error = (exact - sharded.interference(i, j)).abs() / exact;
+                worst_interference = worst_interference.max(error);
             }
             let r_exact = dense.rate(i, j);
-            let r_sharded = sharded.rate(i, j);
             if r_exact > 0.0 {
-                worst_rate = worst_rate.max((r_sharded - r_exact).abs() / r_exact);
+                let error = (sharded.rate(i, j) - r_exact).abs() / r_exact;
+                worst_rate = worst_rate.max(error);
             }
         }
     }
-    assert!(
-        worst_interference <= cfg.truncation_tol,
-        "interference truncation error {worst_interference:.3e} above \
-         configured bound {:.1e}",
-        cfg.truncation_tol
-    );
-    // Truncating interference can only increase SINR, and the rate is a
-    // log of it, so the rate error is no worse than the interference one.
-    assert!(
-        worst_rate <= cfg.truncation_tol,
-        "rate truncation error {worst_rate:.3e} above configured bound"
-    );
+    (worst_interference, worst_rate)
+}
+
+#[test]
+fn interference_and_rate_stay_within_the_truncation_bound() {
+    // A mid-sized disc and the `metro_mobility` density (M = 6000), each
+    // measured in place and then after every requester is scattered
+    // afresh. At the handover the oracle redraws exactly the links the
+    // channel state starts tracking, so what is left is the truncation.
+    for (seed, m, j) in [(303, 400, 100), (310, 6000, 100)] {
+        let (mut topo, cfg) = instance(seed, m, j);
+        let mut sharded = ChannelState::init_with_seed(&topo, &cfg, 12);
+        let mut dense = Dense::init(&topo, &cfg, 12);
+        let still = worst_serving_errors(&mut sharded, &mut dense, &topo, 5);
+        let before: Vec<Vec<usize>> = (0..j)
+            .map(|jj| tracked_links(&sharded, &topo, jj))
+            .collect();
+        let mut rng = seeded_rng(seed + 1);
+        let positions: Vec<Point> = (0..j)
+            .map(|_| crate::uniform_in_disc(cfg.area_radius, &mut rng))
+            .collect();
+        topo.update_requesters(&positions);
+        sharded.refresh_distances(&topo);
+        dense.refresh_distances(&topo);
+        redraw_newly_tracked(&mut dense, &sharded, &topo, &before);
+        let moved = worst_serving_errors(&mut sharded, &mut dense, &topo, 5);
+        for (phase, (interference, rate)) in [("static", still), ("after the handover", moved)] {
+            assert!(
+                interference <= TRUNCATION_TOL,
+                "M = {m}, {phase}: interference truncation error {interference:.3e} above \
+                 the documented bound {TRUNCATION_TOL:.1e}"
+            );
+            // Truncating interference can only increase SINR, and the
+            // rate is a log of it, so the rate error is no worse than the
+            // interference one.
+            assert!(
+                rate <= TRUNCATION_TOL,
+                "M = {m}, {phase}: rate truncation error {rate:.3e} above the documented bound"
+            );
+        }
+    }
 }
 
 #[test]
@@ -342,6 +374,24 @@ fn tracked_links(ch: &ChannelState, topo: &Topology, j: usize) -> Vec<usize> {
     edps
 }
 
+/// Redraw in `dense` every link `ch` tracks now but did not track
+/// `before` a handover, as the channel state drew it: from its
+/// stationary stream at the boundary step.
+fn redraw_newly_tracked(
+    dense: &mut Dense,
+    ch: &ChannelState,
+    topo: &Topology,
+    before: &[Vec<usize>],
+) {
+    for (j, before) in before.iter().enumerate() {
+        for i in tracked_links(ch, topo, j) {
+            if !before.contains(&i) {
+                dense.retrack(i, j);
+            }
+        }
+    }
+}
+
 /// Assert that every link `ch` tracks reads bit for bit what the eager
 /// `dense` oracle holds: fading, gain, and the truncated interference
 /// sum at that link. Returns the number of links checked.
@@ -384,20 +434,18 @@ fn varying_dt(step: usize) -> f64 {
 }
 
 #[test]
-fn lazy_interferers_match_eager_stepping_through_handovers_and_a_retrack() {
+fn lazy_interferers_match_eager_stepping_through_handovers() {
     // Interferers are stepped only when read. Drive the channel state and
     // the eager oracle through a `dt` that changes every step (past the
-    // cap on the `dt` history, which forces one full catch-up), an
-    // adaptive-k re-track, then three handovers that send requesters
-    // away from their home EDP and back, and check that every tracked
-    // link reads exactly what eager stepping holds. Links the channel
-    // state starts tracking draw fresh stationary state at the boundary
-    // step; the oracle redraws the same links. Nobody moves at the first
-    // boundary, so its re-track is the adaptive-k controller's alone.
+    // cap on the `dt` history, which forces one full catch-up), then
+    // handovers that send requesters away from their home EDP and back,
+    // and check that every tracked link reads exactly what eager stepping
+    // holds. Links tracked before and after a handover carry their state;
+    // links the channel state starts tracking draw fresh stationary state
+    // at the boundary step, and the oracle redraws the same links.
     let m = 40;
     let cfg = NetworkConfig {
-        k_int: 4,
-        adaptive_k_int: true,
+        k_int: 16,
         ..NetworkConfig::default()
     };
     let mut rng = seeded_rng(307);
@@ -422,7 +470,7 @@ fn lazy_interferers_match_eager_stepping_through_handovers_and_a_retrack() {
     // into an interferer that kept its state.
     let mut demoted: Vec<Option<usize>> = vec![None; topo.num_requesters()];
     let (mut round_trips, mut promotions) = (0usize, 0usize);
-    for (boundary, positions) in [&home, &away, &home, &away].into_iter().enumerate() {
+    for (boundary, positions) in [&away, &home, &away, &home].into_iter().enumerate() {
         for _ in 0..25 {
             sharded.advance(varying_dt(step));
             dense.advance(varying_dt(step));
@@ -435,60 +483,21 @@ fn lazy_interferers_match_eager_stepping_through_handovers_and_a_retrack() {
         let before: Vec<Vec<usize>> = (0..topo.num_requesters())
             .map(|j| tracked_links(&sharded, &topo, j))
             .collect();
-        let k_before = sharded.shard_stats().k_int as usize;
         topo.update_requesters(positions);
         sharded.refresh_distances(&topo);
         dense.refresh_distances(&topo);
-        // The adaptive-k controller re-tracks after the handover, so the
-        // interferer list it leaves is ordered by distance at the new
-        // positions and only a prefix of it carried its state over:
-        // - a grown budget carries the links within the old budget; the
-        //   rest are re-tracked fresh, even links the requester tracked
-        //   before the handover;
-        // - a budget kept with a tail share below an eighth of the
-        //   tolerance was probed at half size and reverted, which
-        //   re-tracks the links past the probe's budget fresh;
-        // - a kept budget otherwise, or a halved one, carries every link
-        //   the requester tracked before.
-        let stats = sharded.shard_stats();
-        let k = stats.k_int as usize;
-        let (share, _) = stats.truncated_power.expect("interference power");
-        let min_k = crate::channel::MIN_ADAPTIVE_K_INT;
-        let fresh_from = if k > k_before {
-            k_before
-        } else if k == k_before && k > min_k && share < 0.125 * cfg.truncation_tol {
-            (k / 2).max(min_k)
-        } else {
-            usize::MAX
-        };
-        if boundary == 0 {
-            assert!(
-                k > k_before,
-                "four interferers leave a tail far above the tolerance"
-            );
-        }
+        redraw_newly_tracked(&mut dense, &sharded, &topo, &before);
         for (j, before) in before.iter().enumerate() {
-            let interferers = sharded.tracked_interferers(j);
-            let carried = |i: usize| {
-                before.contains(&i) && interferers.iter().position(|&e| e == i) < Some(fresh_from)
-            };
-            let serving = topo.serving(j);
-            if !before.contains(&serving) {
-                dense.retrack(serving, j);
-            }
-            for &i in &interferers {
-                if !carried(i) {
-                    dense.retrack(i, j);
-                }
-            }
+            let now = tracked_links(&sharded, &topo, j);
+            let serving = now[0];
             if serving != serving_before[j] && before[1..].contains(&serving) {
                 promotions += 1;
             }
             if demoted[j] == Some(serving) {
                 round_trips += 1;
             }
-            demoted[j] = (serving != serving_before[j] && carried(serving_before[j]))
-                .then_some(serving_before[j]);
+            let old = serving_before[j];
+            demoted[j] = (serving != old && now.contains(&old)).then_some(old);
             serving_before[j] = serving;
         }
         checked +=
@@ -538,13 +547,7 @@ fn stamps_restart_across_the_u32_limit_without_changing_a_value() {
             topo.update_requesters(&moved);
             sharded.refresh_distances(&topo);
             dense.refresh_distances(&topo);
-            for (j, before) in before.iter().enumerate() {
-                for i in tracked_links(&sharded, &topo, j) {
-                    if !before.contains(&i) {
-                        dense.retrack(i, j);
-                    }
-                }
-            }
+            redraw_newly_tracked(&mut dense, &sharded, &topo, &before);
         }
     }
 }

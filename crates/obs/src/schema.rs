@@ -20,12 +20,13 @@
 //! are allowed. `fields` values must be numbers, strings or booleans —
 //! never nested objects, arrays or null.
 //!
-//! Two series carry fields the validator checks by name:
+//! Three series carry fields the validator checks by name:
 //!
 //! | series | kind | fields |
 //! |--------|------|--------|
 //! | `solver.solve` | `span_open` | `seed`: `"cold"` or `"warm"` (required) |
 //! | `sim.prepare_epoch` | `span_close` | `warm`, `cold`, `fallback`: u64 counts — all three or none |
+//! | `serve.swap_reject` | `counter` | `reason`: `"io"`, `"corrupt"` or `"not_converged"` (required) |
 //!
 //! The [`Validator`] checks a stream line-by-line; the
 //! `validate_telemetry` binary applies it to files (CI runs it over
@@ -286,6 +287,13 @@ fn check_named_fields(kind: Kind, name: &str, fields: Option<&Json>) -> Result<(
                 )
             }
         }
+        (Kind::Counter, "serve.swap_reject") => match field("reason").and_then(Json::as_str) {
+            Some("io" | "corrupt" | "not_converged") => Ok(()),
+            other => Err(format!(
+                "serve.swap_reject needs a \"reason\" field of \"io\", \"corrupt\" or \
+                 \"not_converged\", got {other:?}"
+            )),
+        },
         _ => Ok(()),
     }
 }
@@ -355,6 +363,12 @@ mod tests {
                 ("converged", true.into()),
                 ("iterations", 2u64.into()),
             ],
+        );
+        // A refused hot swap, typed by its reason.
+        rec.counter(
+            "serve.swap_reject",
+            1,
+            &[("reason", "not_converged".into())],
         );
         sink.events()
             .iter()
@@ -428,6 +442,17 @@ mod tests {
         let err = validate_str(&format!("{open}\n{close}")).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("all of"), "{err}");
+    }
+
+    #[test]
+    fn rejects_an_untyped_swap_reject() {
+        for fields in [r#""#, r#","fields":{"reason":"disk"}"#] {
+            let line = format!(
+                r#"{{"seq":0,"t_nanos":1,"kind":"counter","name":"serve.swap_reject","value":1{fields}}}"#
+            );
+            let err = validate_str(&line).unwrap_err();
+            assert!(err.message.contains("reason"), "{err}");
+        }
     }
 
     #[test]

@@ -224,6 +224,25 @@ impl ArtifactStore {
         Self::open_with_mode(path, MapMode::Auto)
     }
 
+    /// Opens `path` for serving, failing closed: the header checks of
+    /// [`ArtifactStore::open`], then a refusal of an unconverged solve
+    /// ([`ArtifactError::NotConverged`], before the payload is read — the
+    /// header CRC already vouched for the report), then
+    /// [`ArtifactStore::verify_payload`]. `mfgcp serve` start-up and
+    /// every hot swap open through here.
+    pub fn open_for_serving(path: &Path) -> Result<ArtifactStore, ArtifactError> {
+        let store = Self::open(path)?;
+        let report = store.report();
+        if !report.converged {
+            return Err(ArtifactError::NotConverged {
+                iterations: report.iterations,
+                residual: report.residuals.last().copied(),
+            });
+        }
+        store.verify_payload()?;
+        Ok(store)
+    }
+
     /// Opens `path` forcing the owned read path (no mapping) — the
     /// differential-testing and benchmarking knob.
     pub fn open_owned(path: &Path) -> Result<ArtifactStore, ArtifactError> {
@@ -855,7 +874,9 @@ static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
 /// (`<name>.<pid>.<seq>.tmp`, unique per call, so concurrent saves to one
 /// path from one process never share a temporary inode), flushed with
 /// `sync_all`, and renamed over `path`; a crash mid-write never leaves a
-/// torn file under the destination name.
+/// torn file under the destination name. On unix the parent directory is
+/// synced after the rename too, so the rename itself survives a crash
+/// once this returns.
 pub fn save_with_build_info(
     eq: &Equilibrium,
     path: &Path,
@@ -878,6 +899,14 @@ pub fn save_with_build_info(
         file.sync_all()?;
         drop(file);
         fs::rename(&tmp, path)?;
+        #[cfg(unix)]
+        {
+            let dir = match path.parent() {
+                Some(p) if !p.as_os_str().is_empty() => p,
+                _ => Path::new("."),
+            };
+            fs::File::open(dir)?.sync_all()?;
+        }
         Ok(())
     })();
     if result.is_err() {

@@ -87,6 +87,10 @@ pub enum ErrorCode {
     /// The server is already running its fixed maximum of the requested
     /// background work (control-plane fork solves); retry later.
     Busy = 7,
+    /// A hot swap was refused: the artifact could not be read, failed an
+    /// integrity check, or holds an unconverged solve. The served
+    /// generation is unchanged.
+    Refused = 8,
 }
 
 impl ErrorCode {
@@ -105,6 +109,7 @@ impl ErrorCode {
             5 => Some(ErrorCode::Internal),
             6 => Some(ErrorCode::PointOutOfDomain),
             7 => Some(ErrorCode::Busy),
+            8 => Some(ErrorCode::Refused),
             _ => None,
         }
     }
@@ -593,6 +598,10 @@ mod tests {
         roundtrip_reply(Reply::Error {
             code: ErrorCode::UnknownOpcode,
             message: "unknown request opcode 0x55".to_string(),
+        });
+        roundtrip_reply(Reply::Error {
+            code: ErrorCode::Refused,
+            message: "artifact swap refused: unconverged".to_string(),
         });
     }
 

@@ -21,9 +21,13 @@
 //! finish on the generation they started with and no reply ever mixes
 //! two generations. `Info` replies and the `serve.swap` telemetry
 //! counter expose the generation so clients can observe the cutover.
-//! A swap fails closed: a corrupt artifact, or one whose solve stopped
-//! unconverged ([`ArtifactError::NotConverged`]), is refused and the
-//! current generation keeps serving.
+//! A swap fails closed, through the same gate `mfgcp serve` start-up
+//! uses ([`ArtifactStore::open_for_serving`]): an unreadable or corrupt
+//! artifact, or one whose solve stopped unconverged
+//! ([`ArtifactError::NotConverged`]), is refused with
+//! [`ErrorCode::Refused`] and a `serve.swap_reject` counter (field
+//! `reason`: `io`, `corrupt` or `not_converged`), and the current
+//! generation keeps serving.
 //!
 //! # Architecture
 //!
@@ -375,8 +379,8 @@ impl PolicyService {
                         fingerprint,
                     },
                     Err(e) => Reply::Error {
-                        code: ErrorCode::Internal,
-                        message: format!("artifact swap failed: {e}"),
+                        code: ErrorCode::Refused,
+                        message: format!("artifact swap refused: {e}"),
                     },
                 };
                 (reply, "swap", 0)
@@ -398,24 +402,31 @@ impl PolicyService {
         }
     }
 
-    /// Opens, fully verifies and installs the artifact at `path`, then
-    /// emits the `serve.swap` counter (generation + fingerprint fields, no
-    /// span linkage); the slot is untouched on any error.
-    ///
-    /// Fails closed: an artifact whose convergence report says
-    /// `converged == false` is refused before its payload is read (the
-    /// header CRC already vouched for the report), so a reprice that hit
-    /// its iteration cap never replaces a served equilibrium.
+    /// Opens the artifact at `path` through the fail-closed serving gate
+    /// ([`ArtifactStore::open_for_serving`]) and installs it, then emits
+    /// the `serve.swap` counter (generation + fingerprint fields, no span
+    /// linkage). A refusal leaves the slot untouched and emits a
+    /// `serve.swap_reject` counter naming the reason, so a reprice that
+    /// hit its iteration cap never replaces a served equilibrium.
     fn swap_from_path(&self, path: &Path) -> Result<(u64, u64), ArtifactError> {
-        let store = ArtifactStore::open(path)?;
-        let report = store.report();
-        if !report.converged {
-            return Err(ArtifactError::NotConverged {
-                iterations: report.iterations,
-                residual: report.residuals.last().copied(),
-            });
-        }
-        store.verify_payload()?;
+        let store = match ArtifactStore::open_for_serving(path) {
+            Ok(store) => store,
+            Err(e) => {
+                if self.recorder.enabled() {
+                    let reason = match e {
+                        ArtifactError::Io(_) => "io",
+                        ArtifactError::NotConverged { .. } => "not_converged",
+                        _ => "corrupt",
+                    };
+                    self.recorder.counter(
+                        "serve.swap_reject",
+                        1,
+                        &[("reason", Value::from(reason))],
+                    );
+                }
+                return Err(e);
+            }
+        };
         let fingerprint = store.header().fingerprint;
         let generation = self.artifact.swap(store);
         if self.recorder.enabled() {

@@ -660,14 +660,16 @@ fn hot_swap_under_load_never_mixes_generations() {
 }
 
 /// Swaps fail closed: an intact artifact whose solve stopped unconverged
-/// is refused on both swap paths (the wire `SwapArtifact` request behind
-/// `mfgcp ctl --swap-artifact`, and the `SwapHandle` behind `mfgcp serve
-/// --watch-artifact`) with a typed error, and the current generation
-/// keeps serving. The same payload with a converged report swaps in.
+/// is refused by the serving gate `mfgcp serve` starts through and on
+/// both swap paths (the wire `SwapArtifact` request behind `mfgcp ctl
+/// --swap-artifact`, and the `SwapHandle` behind `mfgcp serve
+/// --watch-artifact`) with a typed error and a schema-valid
+/// `serve.swap_reject` counter, and the current generation keeps
+/// serving. The same payload with a converged report swaps in.
 #[test]
 fn an_unconverged_artifact_is_refused_and_the_generation_kept() {
     use mfgcp_serve::artifact::save_with_build_info;
-    use mfgcp_serve::{ArtifactError, ClientError};
+    use mfgcp_serve::{ArtifactError, ArtifactStore, ClientError};
 
     let eq_v1 = Arc::new(common::synthetic_equilibrium(tiny_params(), &[1.0]));
     let mut stalled = common::synthetic_equilibrium(tiny_params(), &[2.0]);
@@ -678,6 +680,10 @@ fn an_unconverged_artifact_is_refused_and_the_generation_kept() {
         std::process::id()
     ));
     save_with_build_info(&stalled, &path, "stalled").expect("save unconverged");
+    match ArtifactStore::open_for_serving(&path) {
+        Err(ArtifactError::NotConverged { iterations, .. }) => assert_eq!(iterations, 40),
+        other => panic!("the serving gate must refuse it, got {other:?}"),
+    }
 
     let sink = Arc::new(MemorySink::new());
     let recorder = RecorderHandle::new(Arc::clone(&sink));
@@ -688,7 +694,7 @@ fn an_unconverged_artifact_is_refused_and_the_generation_kept() {
 
     match ctl.swap_artifact(path_str) {
         Err(ClientError::Server(e)) => {
-            assert_eq!(e.code, ErrorCode::Internal);
+            assert_eq!(e.code, ErrorCode::Refused);
             assert!(
                 e.message.contains("unconverged after 40"),
                 "refusal names its cause: {}",
@@ -714,14 +720,45 @@ fn an_unconverged_artifact_is_refused_and_the_generation_kept() {
     assert_eq!(generation, 2);
     assert_eq!(ctl.query(0.1, 1.0, 0.5).expect("query").price, 2.0);
 
+    // A missing file is refused with the same code, as an `io` reject.
+    match ctl.swap_artifact("/nonexistent/definitely-missing.eq") {
+        Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Refused),
+        other => panic!("missing artifact must be refused, got {other:?}"),
+    }
+
     ctl.shutdown_server().expect("shutdown");
     handle.join();
-    let swaps = sink
-        .events()
+    let events = sink.events();
+    let counted = |name: &str| {
+        events
+            .iter()
+            .filter(|e| e.kind == Kind::Counter && e.name == name)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        counted("serve.swap").len(),
+        1,
+        "only the installed swap is counted"
+    );
+    let reasons: Vec<String> = counted("serve.swap_reject")
         .iter()
-        .filter(|e| e.kind == Kind::Counter && e.name == "serve.swap")
-        .count();
-    assert_eq!(swaps, 1, "only the installed swap is counted");
+        .map(|e| {
+            let (_, reason) = e
+                .fields
+                .iter()
+                .find(|(k, _)| *k == "reason")
+                .expect("reason");
+            format!("{reason:?}")
+        })
+        .collect();
+    assert_eq!(reasons.len(), 3, "every refusal is counted: {reasons:?}");
+    assert!(
+        reasons[..2].iter().all(|r| r.contains("not_converged")),
+        "{reasons:?}"
+    );
+    assert!(reasons[2].contains("io"), "{reasons:?}");
+    let lines: Vec<String> = events.iter().map(|e| e.to_json_line()).collect();
+    mfgcp_obs::schema::validate_str(&lines.join("\n")).expect("schema-valid telemetry");
     std::fs::remove_file(&path).expect("cleanup");
 }
 

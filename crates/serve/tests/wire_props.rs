@@ -33,7 +33,7 @@ fn text() -> impl Strategy<Value = String> {
 }
 
 fn code() -> impl Strategy<Value = ErrorCode> {
-    (1u16..=7).prop_map(|v| ErrorCode::from_u16(v).expect("known code"))
+    (1u16..=8).prop_map(|v| ErrorCode::from_u16(v).expect("known code"))
 }
 
 fn triples() -> impl Strategy<Value = Vec<[f64; 3]>> {

@@ -1,7 +1,7 @@
 //! Integration tests for the extensions beyond the paper's evaluation
 //! (DESIGN.md §5b): heterogeneous catalogs under MFG-CP, mobility, the
-//! salvage terminal condition, the implicit-stepper switch, and the
-//! capacity-constrained framework.
+//! salvage terminal condition, the implicit-stepper switch, the
+//! capacity-constrained framework, and the `serve` start-up gate.
 
 use mfgcp::net::RandomWaypoint;
 use mfgcp::prelude::*;
@@ -158,6 +158,56 @@ fn cli_surface_is_reachable_from_the_facade() {
         }
         other => panic!("unexpected {other:?}"),
     }
+}
+
+#[test]
+fn serve_refuses_an_unconverged_artifact_at_start_up() {
+    // `mfgcp serve` opens its artifact through the same fail-closed gate
+    // as a hot swap: an intact artifact whose solve stopped unconverged
+    // must stop the process with its cause, never start serving.
+    use std::process::Command;
+    use std::time::{Duration, Instant};
+
+    let mut eq = MfgSolver::new(Params {
+        time_steps: 8,
+        grid_h: 8,
+        grid_q: 16,
+        ..Params::default()
+    })
+    .unwrap()
+    .solve()
+    .unwrap();
+    eq.report.converged = false;
+    eq.report.iterations = 40;
+    let path = std::env::temp_dir().join(format!("mfgcp-unconverged-{}.eq", std::process::id()));
+    mfgcp::serve::save(&eq, &path).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mfgcp"))
+        .args(["serve", "--artifact", path.to_str().unwrap()])
+        .args(["--addr", "127.0.0.1:0"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("mfgcp binary runs");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("`mfgcp serve` started on an unconverged artifact");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(!status.success(), "serve must exit non-zero");
+    assert!(
+        stderr.contains("unconverged after 40"),
+        "the refusal names its cause: {stderr}"
+    );
 }
 
 #[test]
