@@ -6,9 +6,14 @@
 //! (one supply-sum pass plus O(1) prices and a two-smallest qualified-sharer
 //! scan per content), so `per_slot_micros / M` should stay roughly constant
 //! across the sweep — the old per-EDP competitor sums made it grow linearly
-//! in M. Each sample also carries `slot_micros`, the whole slot (run wall
-//! over slots: requests, decisions, integration and the market), so a
-//! regression anywhere in the slot loop is gated, not only in clearing.
+//! in M. The market's population pass (qualified sharers, requester
+//! lists, the k = 0 columns) runs per EDP chunk inside the EDP phase, so
+//! `market_per_slot_micros` covers only what follows it: the serial
+//! supply sums, the chunk merge, the pricers, the trade precompute and
+//! the fold. `slot_micros` is the end-to-end column — the whole slot (run
+//! wall over slots: requests, decisions, integration, the population
+//! pass and the market) — so a regression anywhere in the slot loop is
+//! gated, not only in clearing.
 //! Besides the static sweep (`"scenario": "static"`), one `"mobility"`
 //! sample runs M = 1000 with J = 3000 random-waypoint walkers over two
 //! epochs, so the per-slot mobility path and one handover are gated too.
@@ -232,7 +237,11 @@ fn main() {
         ("bench".into(), Json::Str("market_clearing".into())),
         (
             "unit_note".into(),
-            Json::Str("per-slot market time; per-EDP column flat <=> O(M) scaling".into()),
+            Json::Str(
+                "per-slot market time after the EDP phase's population pass; \
+                 per-EDP column flat <=> O(M) scaling; slot_micros is end to end"
+                    .into(),
+            ),
         ),
         (
             "samples".into(),

@@ -137,6 +137,19 @@ impl TwoSmallest {
         }
     }
 
+    /// Fold in a tracker that was fed offers which all came *after* this
+    /// one's. Afterwards `self` holds exactly what one tracker fed both
+    /// offer sequences in order would hold: the two smallest of the union
+    /// are among the two trackers' four entries, and offering `later`'s
+    /// best before its runner-up keeps the earliest-on-ties rule. A
+    /// population pass split into contiguous chunks merges its per-chunk
+    /// trackers this way, in chunk order.
+    pub fn merge(&mut self, later: &TwoSmallest) {
+        for (id, key) in [later.best, later.second].into_iter().flatten() {
+            self.offer(id, key);
+        }
+    }
+
     /// The smallest offer so far (earliest on ties).
     pub fn best(&self) -> Option<(usize, f64)> {
         self.best

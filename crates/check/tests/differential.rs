@@ -6,6 +6,7 @@
 use mfgcp_check::oracle::{
     check_pricer, check_two_smallest, check_workspace_reuse, pricer_max_ulps,
 };
+use mfgcp_check::TwoSmallest;
 use mfgcp_core::{
     finite_population_price, ContentContext, MfgSolver, Params, SharedSupplyPricer, SolveMethod,
 };
@@ -175,5 +176,44 @@ proptest! {
             })
             .collect();
         check_two_smallest(&offers).unwrap();
+    }
+
+    #[test]
+    fn chunk_merged_tracker_matches_one_sequential_tracker_to_0_ulp(
+        keys in collection::vec(0.0f64..=1.0, 0..=24),
+        dup_every in 1usize..=4,
+        cuts in collection::vec(0usize..=24, 0..=6),
+    ) {
+        // The same collided keys as above, split at random cut points
+        // (repeated cuts and cuts at either end make empty chunks), one
+        // tracker per chunk, merged in chunk order.
+        let offers: Vec<(usize, f64)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| {
+                let key = if i % dup_every == 0 { (k * 4.0).floor() / 4.0 } else { k };
+                (i, key)
+            })
+            .collect();
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(offers.len())).collect();
+        cuts.sort_unstable();
+        let mut sequential = TwoSmallest::new();
+        for &(id, key) in &offers {
+            sequential.offer(id, key);
+        }
+        let mut merged = TwoSmallest::new();
+        let bounds = std::iter::once(0).chain(cuts).chain(std::iter::once(offers.len()));
+        let bounds: Vec<usize> = bounds.collect();
+        for w in bounds.windows(2) {
+            let mut chunk = TwoSmallest::new();
+            for &(id, key) in &offers[w[0]..w[1]] {
+                chunk.offer(id, key);
+            }
+            merged.merge(&chunk);
+        }
+        let bits = |t: &TwoSmallest| {
+            [t.best(), t.second()].map(|e| e.map(|(id, key)| (id, key.to_bits())))
+        };
+        prop_assert!(bits(&merged) == bits(&sequential), "{merged:?} vs {sequential:?}");
     }
 }

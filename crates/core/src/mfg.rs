@@ -28,13 +28,13 @@ use std::mem;
 use std::sync::OnceLock;
 
 use mfgcp_obs::RecorderHandle;
-use mfgcp_pde::{prolong, restrict_density, Field2d, Field2dView};
+use mfgcp_pde::{prolong, restrict_density, Field2d, Field2dView, Grid2d};
 
 use crate::diag::ConvergenceReport;
 use crate::estimator::{MeanFieldEstimator, MeanFieldSnapshot};
 use crate::fpk::{FpkScratch, FpkSolver};
 use crate::hjb::{HjbScratch, HjbSolver};
-use crate::params::{CoreError, Params};
+use crate::params::{step_index, CoreError, Params};
 use crate::utility::{ContentContext, Utility, UtilityBreakdown};
 
 /// A mean-field equilibrium: the fixed point `(V*, λ*)` of the coupled
@@ -158,6 +158,16 @@ impl Equilibrium {
     /// Equilibrium caching rate at `(t, h, q)` via bilinear interpolation.
     pub fn policy_at(&self, t: f64, h: f64, q: f64) -> f64 {
         self.policy[self.step_of(t)].interpolate(h, q)
+    }
+
+    /// The hoisted form of [`Equilibrium::policy_at`] for repeated
+    /// decisions against this equilibrium (see [`PolicyLookup`]).
+    pub fn policy_lookup(&self) -> PolicyLookup {
+        PolicyLookup {
+            dt: self.dt(),
+            last_step: self.params.time_steps - 1,
+            grid: self.policy[0].grid().clone(),
+        }
     }
 
     /// Mean-field density at `(t, h, q)`.
@@ -385,6 +395,41 @@ impl PreparedSlot<'_> {
     #[inline]
     pub fn eval(&self, h: f64, q: f64) -> [f64; 3] {
         [self.policy.interpolate(h, q), self.price, self.q_bar]
+    }
+}
+
+/// The per-equilibrium constants of [`Equilibrium::policy_at`] as plain
+/// data: the macro step `Δt` (the `t_horizon / time_steps` value
+/// [`Params::step_of`] divides by), the last step index and a copy of
+/// the `(h, q)` axes. A lookup through it costs one division for the
+/// step plus the bilinear kernel; it answers through the same step rule
+/// and the same [`Field2dView::interpolate`] kernel as
+/// [`Equilibrium::policy_at`], so the two agree to 0 ULP.
+///
+/// Built once per installed equilibrium ([`Equilibrium::policy_lookup`])
+/// and valid only for that equilibrium: rebuild it whenever the
+/// equilibrium is replaced.
+#[derive(Debug, Clone)]
+pub struct PolicyLookup {
+    dt: f64,
+    last_step: usize,
+    grid: Grid2d,
+}
+
+impl PolicyLookup {
+    /// Equilibrium caching rate at `(t, h, q)`, bit-identical to
+    /// `eq.policy_at(t, h, q)` for the `eq` this lookup was built from.
+    #[inline]
+    pub fn policy_at(&self, eq: &Equilibrium, t: f64, h: f64, q: f64) -> f64 {
+        debug_assert_eq!(
+            eq.policy.len(),
+            self.last_step + 1,
+            "lookup of another equilibrium"
+        );
+        let plane = eq.policy[step_index(t, self.dt, self.last_step)].values();
+        Field2dView::new(&self.grid, plane)
+            .expect("every policy plane lies on the equilibrium's grid")
+            .interpolate(h, q)
     }
 }
 

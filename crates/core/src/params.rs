@@ -341,12 +341,12 @@ impl Params {
     /// Index of the macro step containing time `t`, clamped to the
     /// horizon (non-finite `t` clamps too: NaN casts to step 0).
     ///
-    /// This is the single slot-selection rule: `Equilibrium::step_of`
-    /// and the serve-side artifact store both call it, so a served
-    /// lookup lands on the same plane as an in-process one.
+    /// This is the single slot-selection rule: `Equilibrium::step_of`,
+    /// the serve-side artifact store and MFG-CP's hoisted
+    /// [`PolicyLookup`](crate::PolicyLookup) all reach `step_index`, so
+    /// a served lookup lands on the same plane as an in-process one.
     pub fn step_of(&self, t: f64) -> usize {
-        let n = (t / self.dt()).floor() as isize;
-        n.clamp(0, self.time_steps as isize - 1) as usize
+        step_index(t, self.dt(), self.time_steps - 1)
     }
 
     /// "Cached enough" threshold `α·Q_k` in storage units.
@@ -361,6 +361,7 @@ impl Params {
 
     /// Normalized caching drift (Eq. (4) divided by `Q_k`):
     /// `−w₁x − w₂Π + w₃ξ^L` in storage units per epoch.
+    #[inline]
     pub fn drift_q(&self, x: f64, popularity: f64, urgency_factor: f64) -> f64 {
         -self.w1 * x - self.w2 * popularity + self.w3 * urgency_factor
     }
@@ -523,6 +524,18 @@ impl CanonicalVisit for CanonicalDecoder<'_> {
     }
 }
 
+/// The macro step containing time `t` for a step of `dt`, clamped to
+/// `0..=last_step` (non-finite `t` clamps too: NaN casts to step 0) —
+/// the rule behind [`Params::step_of`], taking `dt` precomputed.
+#[inline]
+pub(crate) fn step_index(t: f64, dt: f64, last_step: usize) -> usize {
+    // The truncating cast rounds toward zero where `floor` rounds down;
+    // they differ only on negative quotients, which both clamp to 0, and
+    // the cast skips the libm `floor` call of the baseline x86-64 target.
+    let n = (t / dt) as isize;
+    n.clamp(0, last_step as isize) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,6 +543,37 @@ mod tests {
     #[test]
     fn defaults_validate() {
         Params::default().validate().unwrap();
+    }
+
+    /// The step rule's truncating cast picks the plane a `floor` would,
+    /// at every step edge and its neighbors, before and past the horizon
+    /// and at non-finite times.
+    #[test]
+    fn step_of_matches_the_floor_reference_to_0_ulp() {
+        for p in [
+            Params::default(),
+            Params {
+                time_steps: 7,
+                t_horizon: 0.3,
+                ..Params::default()
+            },
+        ] {
+            let reference = |t: f64| {
+                let n = (t / p.dt()).floor() as isize;
+                n.clamp(0, p.time_steps as isize - 1) as usize
+            };
+            let mut ts = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e300, 1e300];
+            for n in 0..=p.time_steps + 1 {
+                let edge = n as f64 * p.dt();
+                ts.extend([edge, -edge, f64::from_bits(edge.to_bits() + 1)]);
+                if edge > 0.0 {
+                    ts.push(f64::from_bits(edge.to_bits() - 1));
+                }
+            }
+            for t in ts {
+                assert_eq!(p.step_of(t), reference(t), "t = {t}");
+            }
+        }
     }
 
     #[test]

@@ -389,21 +389,36 @@ fn parse_u64(flag: &str, value: &str) -> Result<u64, CliError> {
     })
 }
 
-/// Apply a game-parameter flag; returns `false` if the flag is not a
-/// parameter flag (so the caller can try its own flags).
-fn apply_param_flag(params: &mut Params, flag: &str, value: &str) -> Result<bool, CliError> {
+/// The argument after `flag`. Parsers call it only once they know
+/// `flag` takes a value, so a trailing unknown flag is reported as
+/// unknown, not as missing its value.
+fn value_of<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, CliError> {
+    it.next()
+        .map(String::as_str)
+        .ok_or_else(|| CliError::MissingValue(flag.to_string()))
+}
+
+/// Apply a game-parameter flag, reading its value from `it`; returns
+/// `false`, reading nothing, if the flag is not a parameter flag (so the
+/// caller can report it).
+fn apply_param_flag(
+    params: &mut Params,
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+) -> Result<bool, CliError> {
+    let mut value = || value_of(it, flag);
     match flag {
-        "--eta1" => params.eta1 = parse_f64(flag, value)?,
-        "--w5" => params.w5 = parse_f64(flag, value)?,
-        "--q-size" => params.q_size = parse_f64(flag, value)?,
-        "--requests" => params.requests = parse_f64(flag, value)?,
-        "--time-steps" => params.time_steps = parse_usize(flag, value)?,
-        "--grid-h" => params.grid_h = parse_usize(flag, value)?,
-        "--grid-q" => params.grid_q = parse_usize(flag, value)?,
-        "--salvage" => params.terminal_value_weight = parse_f64(flag, value)?,
-        "--damping" => params.damping = parse_f64(flag, value)?,
-        "--lambda0-mean" => params.lambda0_mean = parse_f64(flag, value)?,
-        "--threads" => params.worker_threads = parse_usize(flag, value)?,
+        "--eta1" => params.eta1 = parse_f64(flag, value()?)?,
+        "--w5" => params.w5 = parse_f64(flag, value()?)?,
+        "--q-size" => params.q_size = parse_f64(flag, value()?)?,
+        "--requests" => params.requests = parse_f64(flag, value()?)?,
+        "--time-steps" => params.time_steps = parse_usize(flag, value()?)?,
+        "--grid-h" => params.grid_h = parse_usize(flag, value()?)?,
+        "--grid-q" => params.grid_q = parse_usize(flag, value()?)?,
+        "--salvage" => params.terminal_value_weight = parse_f64(flag, value()?)?,
+        "--damping" => params.damping = parse_f64(flag, value()?)?,
+        "--lambda0-mean" => params.lambda0_mean = parse_f64(flag, value()?)?,
+        "--threads" => params.worker_threads = parse_usize(flag, value()?)?,
         _ => return Ok(false),
     }
     Ok(true)
@@ -423,15 +438,16 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut save_equilibrium = None;
             let mut it = args[1..].iter();
             while let Some(flag) = it.next() {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::MissingValue(flag.clone()))?;
-                if flag == "--telemetry" {
-                    telemetry = Some(value.clone());
-                } else if flag == "--save-equilibrium" {
-                    save_equilibrium = Some(value.clone());
-                } else if !apply_param_flag(&mut params, flag, value)? {
-                    return Err(CliError::UnknownFlag(flag.clone()));
+                match flag.as_str() {
+                    "--telemetry" => telemetry = Some(value_of(&mut it, flag)?.to_string()),
+                    "--save-equilibrium" => {
+                        save_equilibrium = Some(value_of(&mut it, flag)?.to_string());
+                    }
+                    _ => {
+                        if !apply_param_flag(&mut params, flag, &mut it)? {
+                            return Err(CliError::UnknownFlag(flag.clone()));
+                        }
+                    }
                 }
             }
             Ok(Command::Solve {
@@ -475,31 +491,30 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     config.audit = true;
                     continue;
                 }
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::MissingValue(flag.clone()))?;
+                let mut value = || value_of(&mut it, flag);
                 match flag.as_str() {
-                    "--scheme" => scheme = Scheme::parse(value)?,
-                    "--telemetry" => telemetry = Some(value.clone()),
-                    "--observe" => observe = Some(value.clone()),
+                    "--scheme" => scheme = Scheme::parse(value()?)?,
+                    "--telemetry" => telemetry = Some(value()?.to_string()),
+                    "--observe" => observe = Some(value()?.to_string()),
                     "--edps" => {
-                        config.num_edps = parse_usize(flag, value)?;
+                        config.num_edps = parse_usize(flag, value()?)?;
                         config.params.num_edps = config.num_edps;
                     }
-                    "--requesters" => config.num_requesters = parse_usize(flag, value)?,
-                    "--contents" => config.num_contents = parse_usize(flag, value)?,
-                    "--epochs" => config.epochs = parse_usize(flag, value)?,
-                    "--slots" => config.slots_per_epoch = parse_usize(flag, value)?,
-                    "--seed" => config.seed = parse_u64(flag, value)?,
+                    "--requesters" => config.num_requesters = parse_usize(flag, value()?)?,
+                    "--contents" => config.num_contents = parse_usize(flag, value()?)?,
+                    "--epochs" => config.epochs = parse_usize(flag, value()?)?,
+                    "--slots" => config.slots_per_epoch = parse_usize(flag, value()?)?,
+                    "--seed" => config.seed = parse_u64(flag, value()?)?,
                     "--reprice-slot" => {
-                        config.reprice_slot = Some(parse_usize(flag, value)?);
+                        config.reprice_slot = Some(parse_usize(flag, value()?)?);
                     }
                     "--audit-sample" => {
+                        let value = value()?;
                         let n = parse_usize(flag, value)?;
                         if n == 0 {
                             return Err(CliError::BadValue {
                                 flag: flag.clone(),
-                                value: value.clone(),
+                                value: value.to_string(),
                                 expected: "a stride of at least 1 (1 = audit every slot)",
                             });
                         }
@@ -507,22 +522,23 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         config.audit_sample = n;
                     }
                     "--k-int" => {
+                        let value = value()?;
                         let k = parse_usize(flag, value)?;
                         if k == 0 {
                             return Err(CliError::BadValue {
                                 flag: flag.clone(),
-                                value: value.clone(),
+                                value: value.to_string(),
                                 expected: "at least 1 tracked interferer",
                             });
                         }
                         config.network.k_int = k;
                     }
                     "--threads" => {
-                        config.worker_threads = parse_usize(flag, value)?;
+                        config.worker_threads = parse_usize(flag, value()?)?;
                         config.params.worker_threads = config.worker_threads;
                     }
                     other => {
-                        if !apply_param_flag(&mut config.params, other, value)? {
+                        if !apply_param_flag(&mut config.params, other, &mut it)? {
                             return Err(CliError::UnknownFlag(flag.clone()));
                         }
                     }
@@ -555,15 +571,13 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     watch_artifact = true;
                     continue;
                 }
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::MissingValue(flag.clone()))?;
+                let mut value = || value_of(&mut it, flag);
                 match flag.as_str() {
-                    "--artifact" => artifact = Some(value.clone()),
-                    "--addr" => addr = value.clone(),
-                    "--threads" => threads = parse_usize(flag, value)?,
-                    "--read-timeout" => read_timeout_secs = parse_u64(flag, value)?,
-                    "--telemetry" => telemetry = Some(value.clone()),
+                    "--artifact" => artifact = Some(value()?.to_string()),
+                    "--addr" => addr = value()?.to_string(),
+                    "--threads" => threads = parse_usize(flag, value()?)?,
+                    "--read-timeout" => read_timeout_secs = parse_u64(flag, value()?)?,
+                    "--telemetry" => telemetry = Some(value()?.to_string()),
                     _ => return Err(CliError::UnknownFlag(flag.clone())),
                 }
             }
@@ -598,14 +612,12 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     }
                     _ => {}
                 }
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::MissingValue(flag.clone()))?;
+                let mut value = || value_of(&mut it, flag);
                 match flag.as_str() {
-                    "--addr" => addr = value.clone(),
-                    "--t" => t = Some(parse_f64(flag, value)?),
-                    "--h" => h = Some(parse_f64(flag, value)?),
-                    "--q" => q = Some(parse_f64(flag, value)?),
+                    "--addr" => addr = value()?.to_string(),
+                    "--t" => t = Some(parse_f64(flag, value()?)?),
+                    "--h" => h = Some(parse_f64(flag, value()?)?),
+                    "--q" => q = Some(parse_f64(flag, value()?)?),
                     _ => return Err(CliError::UnknownFlag(flag.clone())),
                 }
             }
@@ -630,13 +642,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     raw = true;
                     continue;
                 }
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::MissingValue(flag.clone()))?;
+                let mut value = || value_of(&mut it, flag);
                 match flag.as_str() {
-                    "--addr" => addr = value.clone(),
-                    "--filter" => filters.push(value.clone()),
-                    "--max-events" => max_events = Some(parse_u64(flag, value)?),
+                    "--addr" => addr = value()?.to_string(),
+                    "--filter" => filters.push(value()?.to_string()),
+                    "--max-events" => max_events = Some(parse_u64(flag, value()?)?),
                     _ => return Err(CliError::UnknownFlag(flag.clone())),
                 }
             }
@@ -687,27 +697,26 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     }
                     _ => {}
                 }
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::MissingValue(flag.clone()))?;
+                let mut value = || value_of(&mut it, flag);
                 match flag.as_str() {
-                    "--addr" => addr = Some(value.clone()),
+                    "--addr" => addr = Some(value()?.to_string()),
                     "--swap-artifact" => {
-                        action = Some(CtlAction::SwapArtifact(value.clone()));
+                        action = Some(CtlAction::SwapArtifact(value()?.to_string()));
                     }
                     "--step" => {
+                        let value = value()?;
                         let n = parse_u64(flag, value)?;
                         if n == 0 || n > u64::from(u32::MAX) {
                             return Err(CliError::BadValue {
                                 flag: flag.clone(),
-                                value: value.clone(),
+                                value: value.to_string(),
                                 expected: "a slot count between 1 and 2^32-1",
                             });
                         }
                         action = Some(CtlAction::Step(n as u32));
                     }
                     "--fork-status" => {
-                        action = Some(CtlAction::ForkStatus(parse_u64(flag, value)? as u32));
+                        action = Some(CtlAction::ForkStatus(parse_u64(flag, value()?)? as u32));
                     }
                     _ => return Err(CliError::UnknownFlag(flag.clone())),
                 }
@@ -872,6 +881,30 @@ mod tests {
         ));
     }
 
+    /// Every sub-command checks that a flag is known before it reads the
+    /// flag's value, so a trailing unknown flag is named as unknown.
+    #[test]
+    fn trailing_unknown_flags_are_unknown_not_missing_a_value() {
+        for line in [
+            "solve --bogus",
+            "solve --eta1 2 --bogus",
+            "simulate --bogus",
+            "serve --artifact a.eq --bogus",
+            "query --bogus",
+            "watch --bogus",
+            "ctl --pause --bogus",
+        ] {
+            assert!(
+                matches!(parse(&argv(line)), Err(CliError::UnknownFlag(flag)) if flag == "--bogus"),
+                "{line}"
+            );
+        }
+        assert!(matches!(
+            parse(&argv("solve --eta1")),
+            Err(CliError::MissingValue(flag)) if flag == "--eta1"
+        ));
+    }
+
     #[test]
     fn adaptive_k_int_flag_parses() {
         // The adaptive interferer budget is retired: its flag is refused,
@@ -879,8 +912,7 @@ mod tests {
         // silently running a different channel model.
         assert!(matches!(
             parse(&argv("simulate --adaptive-k-int")),
-            Err(CliError::UnknownFlag(flag) | CliError::MissingValue(flag))
-                if flag == "--adaptive-k-int"
+            Err(CliError::UnknownFlag(flag)) if flag == "--adaptive-k-int"
         ));
         assert!(matches!(
             parse(&argv("simulate --adaptive-k-int 1")),

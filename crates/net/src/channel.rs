@@ -140,6 +140,21 @@ impl ChannelState {
         self.link_fading(i, j).unwrap_or(0.0)
     }
 
+    /// Every requester's serving-link fading at the current slot:
+    /// `out[j] = fading(serving EDP of j, j)`, gathered in one pass for
+    /// callers that read the serving link of many requesters per slot.
+    /// Serving links are current at every step (each
+    /// [`ChannelState::advance`] steps them), so the gather replays no
+    /// draw and allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not one entry per requester.
+    pub fn serving_fading_into(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.num_requesters, "one entry per requester");
+        self.links.serving_fading_into(out);
+    }
+
     /// Fading of link `(i, j)` if it is tracked, `None` otherwise.
     pub fn link_fading(&self, i: usize, j: usize) -> Option<f64> {
         self.links.records[j]
@@ -536,6 +551,59 @@ mod tests {
                 record_bits(&refreshed) == record_bits(&unrefreshed),
                 "epoch {epoch}: link records differ"
             );
+        }
+    }
+
+    /// `out[j]` of the serving-fading gather against a per-link read of
+    /// `(serving EDP, j)`, bit for bit.
+    fn assert_serving_column(ch: &ChannelState, topo: &Topology, tag: &str) {
+        let mut column = vec![f64::NAN; ch.num_requesters()];
+        ch.serving_fading_into(&mut column);
+        for (j, h) in column.iter().enumerate() {
+            let want = ch.fading(topo.serving(j), j);
+            assert_eq!(h.to_bits(), want.to_bits(), "{tag}: requester {j}");
+        }
+    }
+
+    /// The serving-fading column equals the per-link read after init,
+    /// after every advance, after each re-association, and after both
+    /// paths that bring every link up to date and restart the stamps: the
+    /// `dt`-run cap and the `u32` stamp limit.
+    #[test]
+    fn serving_fading_column_matches_per_link_reads_to_0_ulp() {
+        use crate::mobility::{MobileRequesters, RandomWaypoint};
+        let cfg = NetworkConfig {
+            k_int: 4,
+            ..NetworkConfig::default()
+        };
+        let mut rng = seeded_rng(31);
+        let mut topo = Topology::random(40, 300, &cfg, &mut rng);
+        let start = (0..300).map(|j| topo.requester(j)).collect();
+        let mut walkers =
+            MobileRequesters::new(start, cfg.area_radius, RandomWaypoint::default(), &mut rng);
+        let mut ch = ChannelState::init_with_seed(&topo, &cfg, 8);
+        assert_serving_column(&ch, &topo, "init");
+        for epoch in 0..3 {
+            for slot in 0..6 {
+                walkers.step(0.05, &mut rng);
+                ch.advance(0.05);
+                assert_serving_column(&ch, &topo, &format!("epoch {epoch}, slot {slot}"));
+            }
+            topo.update_requesters(walkers.positions());
+            ch.refresh_distances(&topo);
+            assert_serving_column(&ch, &topo, &format!("re-association {epoch}"));
+        }
+        // Every advance with a new `dt` opens a run; past the cap the
+        // store catches every link up and drops the history.
+        for n in 0..(crate::shard::MAX_DT_RUNS + 3) {
+            ch.advance(0.01 + n as f64 * 1e-4);
+            assert_serving_column(&ch, &topo, &format!("dt run {n}"));
+        }
+        let mut ch = ChannelState::init_at_step(&topo, &cfg, 8, u64::from(u32::MAX) - 2);
+        assert_serving_column(&ch, &topo, "init near the stamp limit");
+        for n in 0..5 {
+            ch.advance(0.05);
+            assert_serving_column(&ch, &topo, &format!("step {n} across the stamp limit"));
         }
     }
 

@@ -158,7 +158,7 @@ fn quadrupole_gain(h: f64, tau: f64, m: &Moments, p: &Point) -> f64 {
 /// Most `dt` runs the clock keeps before [`ShardedLinks::advance`]
 /// brings every link up to date and drops the history; only a caller
 /// that keeps changing `dt` ever reaches it.
-const MAX_DT_RUNS: usize = 64;
+pub(crate) const MAX_DT_RUNS: usize = 64;
 
 /// One tracked (EDP, requester) link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -580,6 +580,16 @@ impl ShardedLinks {
         cfg: &NetworkConfig,
     ) -> f64 {
         self.clock.fading(seed, jj, link, process, cfg)
+    }
+
+    /// `out[j]` = requester `j`'s serving-link fading. Serving links stay
+    /// current at the clock's step, so this reads the stored value.
+    pub fn serving_fading_into(&self, out: &mut [f64]) {
+        let stamp = self.clock.stamp();
+        for (h, record) in out.iter_mut().zip(&self.records) {
+            debug_assert_eq!(record.serving.stamp, stamp, "serving links stay current");
+            *h = record.serving.fading;
+        }
     }
 
     /// Refresh tracked link distances from moved requester positions

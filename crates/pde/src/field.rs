@@ -108,6 +108,7 @@ impl<'a> Field2dView<'a> {
     /// # Errors
     ///
     /// Returns [`PdeError::ShapeMismatch`] on a length mismatch.
+    #[inline]
     pub fn new(grid: &'a Grid2d, values: &'a [f64]) -> Result<Self, PdeError> {
         if values.len() != grid.len() {
             return Err(PdeError::ShapeMismatch {
@@ -225,6 +226,7 @@ impl Field2d {
     }
 
     /// Raw row-major values.
+    #[inline]
     pub fn values(&self) -> &[f64] {
         &self.values
     }

@@ -13,7 +13,7 @@ use std::mem;
 
 use rand::RngExt as _;
 
-use mfgcp_core::{ContentContext, EpochSeeds, Equilibrium, Framework, Params};
+use mfgcp_core::{ContentContext, EpochSeeds, Equilibrium, Framework, Params, PolicyLookup};
 use mfgcp_obs::RecorderHandle;
 use mfgcp_sde::SimRng;
 
@@ -28,6 +28,9 @@ use crate::SimError;
 pub struct MfgCpPolicy {
     framework: Framework,
     equilibria: Vec<Option<Equilibrium>>,
+    /// `lookups[k]` = the hoisted [`Equilibrium::policy_at`] constants of
+    /// `equilibria[k]`, rebuilt with every epoch and every install.
+    lookups: Vec<Option<PolicyLookup>>,
     /// How the last `prepare_epoch` seeded its solves.
     seeds: Option<EpochSeeds>,
     sharing: bool,
@@ -44,6 +47,7 @@ impl MfgCpPolicy {
         Ok(Self {
             framework: Framework::new(params)?,
             equilibria: Vec::new(),
+            lookups: Vec::new(),
             seeds: None,
             sharing: true,
             name: "MFG-CP",
@@ -110,6 +114,10 @@ impl CachingPolicy for MfgCpPolicy {
         // buffers: one epoch's set stays resident, not two.
         let previous = mem::take(&mut self.equilibria);
         let (equilibria, seeds) = self.framework.run_epoch(contexts, previous);
+        self.lookups = equilibria
+            .iter()
+            .map(|eq| eq.as_ref().map(Equilibrium::policy_lookup))
+            .collect();
         self.equilibria = equilibria;
         self.seeds = Some(seeds);
     }
@@ -143,15 +151,20 @@ impl CachingPolicy for MfgCpPolicy {
     fn install_equilibrium(&mut self, content: usize, equilibrium: Equilibrium) -> bool {
         if self.equilibria.len() <= content {
             self.equilibria.resize_with(content + 1, || None);
+            self.lookups.resize_with(content + 1, || None);
         }
+        self.lookups[content] = Some(equilibrium.policy_lookup());
         self.equilibria[content] = Some(equilibrium);
         true
     }
 
     fn decide(&self, ctx: &DecisionContext, _rng: &mut SimRng) -> f64 {
-        match self.equilibrium(ctx.content) {
-            Some(eq) => eq.policy_at(ctx.t_in_epoch, ctx.h, ctx.q),
-            None => 0.0,
+        let k = ctx.content;
+        match (self.lookups.get(k), self.equilibria.get(k)) {
+            (Some(Some(lookup)), Some(Some(eq))) => {
+                lookup.policy_at(eq, ctx.t_in_epoch, ctx.h, ctx.q)
+            }
+            _ => 0.0,
         }
     }
 }
@@ -369,6 +382,95 @@ mod tests {
             &mut rng,
         );
         assert_eq!(x1, 0.0);
+    }
+
+    /// `decide`'s hoisted lookup answers exactly what
+    /// `Equilibrium::policy_at` answers, bit for bit, at every slot time
+    /// of a run, at exact step boundaries and their neighbors, before,
+    /// after and at NaN times, and at `(h, q)` on, between and outside the
+    /// grid nodes — over a heterogeneous catalog, and again after an
+    /// install of an equilibrium solved under another step count and grid
+    /// (which must rebuild the lookup).
+    #[test]
+    fn hoisted_lookup_matches_policy_at_to_0_ulp() {
+        fn times(eq: &Equilibrium) -> Vec<f64> {
+            let (horizon, steps) = (eq.params.t_horizon, eq.params.time_steps);
+            let mut t: Vec<f64> = (0..40).map(|slot| slot as f64 * (horizon / 40.0)).collect();
+            for n in 0..=steps + 1 {
+                let edge = n as f64 * eq.dt();
+                t.extend([edge, f64::from_bits(edge.to_bits() + 1)]);
+                if edge > 0.0 {
+                    t.push(f64::from_bits(edge.to_bits() - 1));
+                }
+            }
+            t.extend([-1e-300, -0.5, f64::NEG_INFINITY, horizon, horizon * 3.0]);
+            t.extend([f64::INFINITY, f64::NAN]);
+            t
+        }
+        fn points(eq: &Equilibrium) -> Vec<(f64, f64)> {
+            let grid = eq.policy[0].grid();
+            let around = |coords: Vec<f64>| {
+                let (lo, hi) = (coords[0], coords[coords.len() - 1]);
+                let mut out = coords.clone();
+                out.extend(coords.windows(2).map(|w| 0.5 * (w[0] + w[1])));
+                out.extend([lo - (hi - lo), hi + (hi - lo), f64::NAN]);
+                out
+            };
+            let (hs, qs) = (around(grid.x().coords()), around(grid.y().coords()));
+            hs.iter()
+                .flat_map(|&h| qs.iter().map(move |&q| (h, q)))
+                .collect()
+        }
+        fn assert_matches(p: &MfgCpPolicy, k: usize, eq: &Equilibrium, tag: &str) {
+            let mut rng = seeded_rng(0);
+            for t in times(eq) {
+                for (h, q) in points(eq) {
+                    let ctx = DecisionContext {
+                        content: k,
+                        t_in_epoch: t,
+                        h,
+                        q,
+                        ..ctx(0, q)
+                    };
+                    let (got, want) = (p.decide(&ctx, &mut rng), eq.policy_at(t, h, q));
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{tag}: content {k}, t {t}, h {h}, q {q}"
+                    );
+                }
+            }
+        }
+
+        let params = small_params();
+        let (contexts, sizes) = catalog();
+        let mut p = policy_with_threads(&params, 1, &sizes);
+        p.prepare_epoch(&contexts);
+        for k in 0..contexts.len() {
+            match p.equilibrium(k) {
+                Some(eq) => assert_matches(&p, k, &eq.clone(), "prepared"),
+                None => {
+                    let undemanded = DecisionContext {
+                        content: k,
+                        ..ctx(0, 0.5)
+                    };
+                    assert_eq!(p.decide(&undemanded, &mut seeded_rng(0)), 0.0);
+                }
+            }
+        }
+        let other = MfgSolver::new(Params {
+            time_steps: 7,
+            grid_h: 6,
+            grid_q: 17,
+            q_size: sizes[1],
+            ..params.clone()
+        })
+        .unwrap()
+        .solve_with(&[contexts[1]; 7], None);
+        for k in [1, 2, contexts.len() + 2] {
+            assert!(p.install_equilibrium(k, other.clone()));
+            assert_matches(&p, k, &other, "installed");
+        }
     }
 
     /// Five contents of a heterogeneous catalog: two on the shared solver

@@ -5,9 +5,10 @@
 //! prepare (MFG-CP solves its equilibria here), then march
 //! `slots_per_epoch` trading slots. Each slot:
 //!
-//! 1. advance every serving channel link (exact OU transitions) and move
-//!    the walkers; link distances stay as of the last association, since
-//!    nothing reads them before the next epoch-boundary re-association;
+//! 1. advance every serving channel link (exact OU transitions), gather
+//!    the serving-link fading into one dense column and move the walkers;
+//!    link distances stay as of the last association, since nothing reads
+//!    them before the next epoch-boundary re-association;
 //! 2. every EDP tallies its requesters' demands in place — per content,
 //!    the count `|I_{i,k}(t)|` and the sum of the Def. 2 urgencies, drawn
 //!    from per-requester streams into flat buffers reused across slots —
@@ -16,13 +17,16 @@
 //!    slot — parallel;
 //! 3. every EDP averages the fading towards its served requesters, picks
 //!    its caching rates via the [`CachingPolicy`] and integrates its
-//!    caching state (Eq. (4), Euler–Maruyama) — parallel and
-//!    allocation-free;
-//! 4. the market clears sequentially: per content, Eq. (5) prices from the
-//!    realized strategy profile, center-assigned peer matching, trade
-//!    resolution and metric accounting (Alg. 1 lines 11–14). Its
-//!    population pass also counts each content's qualified sharers, which
-//!    the next slot publishes as the UDCS overlap input.
+//!    caching state (Eq. (4), Euler–Maruyama), then feeds the market's
+//!    population pass for its chunk: the best-stocked qualified sharers
+//!    and their count, the requester lists and the k = 0 columns —
+//!    parallel and allocation-free;
+//! 4. the market clears sequentially: the `Σ_i x_{i,k}` supply sums in
+//!    `i` order, the chunk passes merged in chunk order, then per content
+//!    Eq. (5) prices from the realized strategy profile, center-assigned
+//!    peer matching, trade resolution and metric accounting (Alg. 1 lines
+//!    11–14). The merged sharer counts are what the next slot publishes
+//!    as the UDCS overlap input.
 //!
 //! Parallel sections split the EDP vector into disjoint chunks with
 //! `std::thread::scope`; every random draw comes from the owning EDP's
@@ -152,34 +156,37 @@ pub struct Simulation {
     ranks: Vec<u32>,
 }
 
-/// Reusable per-slot buffers of [`Simulation::clear_market`]'s fused
-/// population pass; allocation-free after the first slot.
+/// Reusable per-slot buffers of the market's population pass (run per
+/// EDP chunk inside the EDP phase) and of [`Simulation::clear_market`];
+/// allocation-free after the first slot.
 #[derive(Debug, Default)]
 struct MarketScratch {
     /// `Σ_i x_{i,k}` per content (Eq. (5) shared supply).
     sum_x: Vec<f64>,
     /// Two best-stocked qualified sharers per content (best + runner-up,
     /// for when the best is the buyer) — the `mfgcp-check` tracker whose
-    /// equivalence to a full `min_by` scan is property-tested there.
+    /// equivalence to a full `min_by` scan is property-tested there —
+    /// merged from the chunk passes in chunk order.
     sharers: Vec<TwoSmallest>,
     /// Contiguous k = 0 strategy column for the mean-price statistic and
-    /// the slot series.
+    /// the slot series, written by the EDP phase's chunk owners.
     x0: Vec<f64>,
     /// Contiguous k = 0 caching-state column for the slot series and the
-    /// next slot boundary's occupancy (see `Simulation::occupancy0`); like
-    /// `sharer_counts`, any write to `q` outside the EDP phase must clear
-    /// it.
+    /// next slot boundary's occupancy (see `Simulation::occupancy0`),
+    /// written by the EDP phase's chunk owners; like `sharer_counts`, any
+    /// write to `q` outside the EDP phase must clear it.
     q0: Vec<f64>,
-    /// EDPs that can share each content (`q_k ≤ α·Q_k`), counted by the
-    /// last fused pass. `q` does not move between a market pass and the
-    /// next slot's decisions, so these are the next slot's published
-    /// counts. Empty until the first pass of a run; any write to `q`
-    /// outside the EDP phase must clear it so the next slot re-scans.
+    /// EDPs that can share each content (`q_k ≤ α·Q_k`), summed from the
+    /// last slot's chunk passes. `q` does not move between a market pass
+    /// and the next slot's decisions, so these are the next slot's
+    /// published counts. Empty until the first pass of a run; any write
+    /// to `q` outside the EDP phase must clear it so the next slot
+    /// re-scans.
     sharer_counts: Vec<u32>,
-    /// Sharing thresholds `α·Q_k`, hoisted out of the population loop.
+    /// Sharing thresholds `α·Q_k`, fixed for the run.
     alpha_qks: Vec<f64>,
-    /// Per-content `(edp, requests)` lists, `i` ascending.
-    requesters: Vec<Vec<(usize, u64)>>,
+    /// One population pass per EDP chunk of the EDP phase, in chunk order.
+    chunks: Vec<ChunkPass>,
     /// Per-content Eq. (5) pricers built once per slot from `sum_x`.
     pricers: Vec<SharedSupplyPricer>,
     /// Flattened `(content, edp, requests)` trade entries in fold order
@@ -187,6 +194,37 @@ struct MarketScratch {
     entries: Vec<(u32, u32, u64)>,
     /// Sharded precompute results, `(outcome, unit price)` per entry.
     outcomes: Vec<(MarketOutcome, f64)>,
+}
+
+/// One EDP chunk's share of the market's population pass, filled by the
+/// thread that owns the chunk in the EDP phase, right after each EDP's
+/// decisions leave its `x` and `q` final for the slot. Chunks are
+/// contiguous and `i` ascending, so merging them in chunk order gives
+/// exactly what one `i`-order pass over the population gives: the
+/// trackers by [`TwoSmallest::merge`], the requester lists by
+/// concatenation and the counts by integer sums.
+#[derive(Debug, Default)]
+struct ChunkPass {
+    /// The chunk's two best-stocked qualified sharers per content.
+    sharers: Vec<TwoSmallest>,
+    /// The chunk's qualified sharers per content.
+    sharer_counts: Vec<u32>,
+    /// The chunk's per-content `(edp, requests)` lists, `i` ascending.
+    requesters: Vec<Vec<(usize, u64)>>,
+}
+
+impl ChunkPass {
+    /// Empty the pass for a slot over `kk` contents, keeping capacity.
+    fn reset(&mut self, kk: usize) {
+        self.sharers.clear();
+        self.sharers.resize(kk, TwoSmallest::new());
+        self.sharer_counts.clear();
+        self.sharer_counts.resize(kk, 0);
+        self.requesters.resize_with(kk, Vec::new);
+        for r in &mut self.requesters {
+            r.clear();
+        }
+    }
 }
 
 /// Reusable buffers of the slot loop outside the market: each EDP's
@@ -208,6 +246,9 @@ struct SlotScratch {
     /// Center-published fraction of EDPs that can share each content
     /// (the UDCS overlap input).
     cached_fraction: Vec<f64>,
+    /// Every requester's serving-link fading, gathered once per slot
+    /// after the channel advance; the EDP phase averages it per EDP.
+    serving_fading: Vec<f64>,
     /// Mean fading from each EDP towards its served requesters, written
     /// by the EDP phase and read by the market.
     mean_fadings: Vec<f64>,
@@ -216,12 +257,13 @@ struct SlotScratch {
 }
 
 impl SlotScratch {
-    fn new(edps: usize, contents: usize) -> Self {
+    fn new(edps: usize, requesters: usize, contents: usize) -> Self {
         Self {
             counts: vec![0; edps * contents],
             urgency_sums: vec![0.0; edps * contents],
             epoch_counts: vec![0; edps * contents],
             cached_fraction: vec![0.0; contents],
+            serving_fading: vec![0.0; requesters],
             mean_fadings: vec![0.0; edps],
             costs: vec![PhaseCost::default(); edps],
         }
@@ -296,6 +338,7 @@ impl Simulation {
             edps.push(e);
         }
         let rate_model = RateModel::from_params(&cfg.params);
+        let alpha_qks = q_sizes.iter().map(|&q| cfg.params.alpha * q).collect();
         let mobility = cfg.mobility.map(|model| {
             let positions = (0..topology.num_requesters())
                 .map(|j| topology.requester(j))
@@ -314,7 +357,10 @@ impl Simulation {
             mobility,
             master_rng,
             market_nanos: 0,
-            market_scratch: MarketScratch::default(),
+            market_scratch: MarketScratch {
+                alpha_qks,
+                ..MarketScratch::default()
+            },
             recorder: RecorderHandle::noop(),
             control: None,
             reprice_generation: 0,
@@ -525,7 +571,7 @@ impl Simulation {
 
         let dt = self.cfg.slot_dt();
         let k_contents = self.cfg.num_contents;
-        let mut scratch = SlotScratch::new(self.edps.len(), k_contents);
+        let mut scratch = SlotScratch::new(self.edps.len(), self.cfg.num_requesters, k_contents);
 
         for slot in 0..self.cfg.slots_per_epoch {
             // Slot boundary: publish the end-of-previous-slot state and
@@ -556,6 +602,8 @@ impl Simulation {
             let t_in_epoch = slot as f64 * dt;
             let t_global = (epoch * self.cfg.slots_per_epoch + slot) as f64 * dt;
             self.channels.advance(dt);
+            self.channels
+                .serving_fading_into(&mut scratch.serving_fading);
             if let Some(mob) = &mut self.mobility {
                 // Walkers move every slot, but the link distances are not
                 // refreshed here: between epoch-boundary re-associations
@@ -571,7 +619,7 @@ impl Simulation {
             self.parallel_edp_phase(&mut scratch, &process, t_in_epoch, global_slot, dt);
 
             // ---- Sequential phase: market clearing per content.
-            let mut slot_stats = self.clear_market(&scratch.counts, &scratch.mean_fadings);
+            let mut slot_stats = self.clear_market(&scratch.mean_fadings);
             // Fold the parallel phase's rate-type costs (Eq. (8) placement,
             // Eq. (9) center-download term) into the slot aggregates so the
             // series carries every Eq. (10) term the per-EDP accumulators
@@ -634,7 +682,10 @@ impl Simulation {
     /// long-term mean when it serves nobody) and the rate-type costs it
     /// accrued this slot in `s` (one row per EDP, written only by the
     /// thread owning that EDP's chunk, so downstream sequential sums are
-    /// thread-count-independent).
+    /// thread-count-independent). Each chunk's owner also runs the
+    /// market's population pass over its EDPs as their decisions land:
+    /// the `x0`/`q0` columns and one [`ChunkPass`] per chunk, which
+    /// [`Simulation::clear_market`] merges in chunk order.
     fn parallel_edp_phase(
         &mut self,
         s: &mut SlotScratch,
@@ -656,12 +707,25 @@ impl Simulation {
         // the per-decision expression evaluated, so the bits are kept.
         let noise_scale = cfg.params.varrho_q * dt.sqrt();
         let policy = &*self.policy;
-        let (topology, channels) = (&self.topology, &self.channels);
+        let topology = &self.topology;
         let q_sizes = &self.q_sizes;
         let ranks = &self.ranks;
         let n_threads = thread_count(cfg.worker_threads);
-        let chunk_size = self.edps.len().div_ceil(n_threads).max(1);
+        let m = self.edps.len();
+        let chunk_size = m.div_ceil(n_threads).max(1);
         let cached_fraction = &s.cached_fraction;
+        let serving_fading = &s.serving_fading;
+        let ms = &mut self.market_scratch;
+        ms.x0.resize(m, 0.0);
+        ms.q0.resize(m, 0.0);
+        ms.chunks
+            .resize_with(m.div_ceil(chunk_size), ChunkPass::default);
+        let alpha_qks = &ms.alpha_qks;
+        let population = ms
+            .x0
+            .chunks_mut(chunk_size)
+            .zip(ms.q0.chunks_mut(chunk_size))
+            .zip(ms.chunks.iter_mut());
         let demand = s
             .counts
             .chunks_mut(chunk_size * kk)
@@ -671,28 +735,35 @@ impl Simulation {
             .mean_fadings
             .chunks_mut(chunk_size)
             .zip(s.costs.chunks_mut(chunk_size));
-        let chunks = self.edps.chunks_mut(chunk_size).zip(demand).zip(per_edp);
+        let chunks = self
+            .edps
+            .chunks_mut(chunk_size)
+            .zip(demand)
+            .zip(per_edp)
+            .zip(population);
 
         std::thread::scope(|scope| {
-            for ((edp_chunk, demand_chunk), (fading_chunk, cost_chunk)) in chunks {
+            for (((edp_chunk, demand_chunk), (fading_chunk, cost_chunk)), population) in chunks {
                 let ((count_chunk, sum_chunk), total_chunk) = demand_chunk;
+                let ((x0_chunk, q0_chunk), pass) = population;
                 scope.spawn(move || {
+                    pass.reset(kk);
                     let rows = count_chunk
                         .chunks_mut(kk)
                         .zip(sum_chunk.chunks_mut(kk))
                         .zip(total_chunk.chunks_mut(kk));
-                    let outs = fading_chunk.iter_mut().zip(cost_chunk.iter_mut());
-                    for ((e, ((counts, sums), totals)), (mean_fading, cost)) in
+                    let outs = fading_chunk
+                        .iter_mut()
+                        .zip(cost_chunk.iter_mut())
+                        .zip(x0_chunk.iter_mut().zip(q0_chunk.iter_mut()));
+                    for ((e, ((counts, sums), totals)), ((mean_fading, cost), (x0, q0))) in
                         edp_chunk.iter_mut().zip(rows).zip(outs)
                     {
                         let served = topology.served_by(e.id);
                         let h = if served.is_empty() {
                             cfg.params.upsilon_h
                         } else {
-                            served
-                                .iter()
-                                .map(|&j| channels.fading(e.id, j))
-                                .sum::<f64>()
+                            served.iter().map(|&j| serving_fading[j]).sum::<f64>()
                                 / served.len() as f64
                         };
                         *mean_fading = h;
@@ -748,7 +819,20 @@ impl Simulation {
                             e.metrics.staleness_cost += rate_staleness;
                             cost.placement += placement;
                             cost.rate_staleness += rate_staleness;
+                            // The market's population pass: `x` and `q`
+                            // are final for the slot. Center's peer
+                            // assignment: the best-stocked qualified
+                            // sharer has the smallest remaining space.
+                            if e.can_share(k, alpha_qks[k]) {
+                                pass.sharers[k].offer(e.id, e.q[k]);
+                                pass.sharer_counts[k] += 1;
+                            }
+                            if counts[k] > 0 {
+                                pass.requesters[k].push((e.id, u64::from(counts[k])));
+                            }
                         }
+                        *x0 = e.x[0];
+                        *q0 = e.q[0];
                     }
                 });
             }
@@ -761,11 +845,13 @@ impl Simulation {
     /// content accumulates `Σ_i x_i`, then each requesting EDP's price is
     /// the O(1) total-minus-own identity — O(M·K) per slot overall, versus
     /// the O(M²·K) of calling [`finite_population_price`] per EDP. The
-    /// center's best-stocked-peer assignment likewise precomputes the two
-    /// lowest-remaining-space qualified sharers per content once, so each
+    /// center's best-stocked-peer assignment likewise uses the two
+    /// lowest-remaining-space qualified sharers per content, so each
     /// request resolves its peer in O(1) instead of scanning all sharers.
-    /// `counts[i·K + k]` is EDP `i`'s slot demand for content `k`.
-    fn clear_market(&mut self, counts: &[u32], mean_fadings: &[f64]) -> SlotAggregates {
+    /// The EDP phase has already run the population pass per chunk (see
+    /// [`ChunkPass`]); `mean_fadings[i]` is EDP `i`'s mean fading towards
+    /// its served requesters.
+    fn clear_market(&mut self, mean_fadings: &[f64]) -> SlotAggregates {
         let start = std::time::Instant::now();
         let cfg = &self.cfg;
         let sharing_allowed = self.policy.allows_sharing();
@@ -773,53 +859,27 @@ impl Simulation {
         let kk = cfg.num_contents;
         let mut agg = SlotAggregates::default();
 
-        // One fused pass over the population gathers everything the
-        // per-content phases need: the Eq. (5) supply sums, the two
-        // best-stocked qualified sharers per content and their count (the
-        // next slot's published sharer counts), the k = 0 strategy and
-        // state columns (for the mean-price statistic and the slot series)
-        // and each content's requester list. Interleaving per-content scans the other way
-        // (content-outer, population-inner) re-reads every EDP's heap state
-        // `K` times per slot, which dominates the market wall time once
-        // `M` outgrows the cache. All per-content accumulation orders stay
-        // `i` ascending, so sums are bit-identical to the separate passes.
+        // The Eq. (5) supply sums stay one serial pass in `i` order: a
+        // per-chunk partial sum would round differently.
         let s = &mut self.market_scratch;
         s.sum_x.clear();
         s.sum_x.resize(kk, 0.0);
+        for e in &self.edps {
+            for (sum, &x) in s.sum_x.iter_mut().zip(&e.x) {
+                *sum += x;
+            }
+        }
+        // Merge the chunk passes in chunk order: the trackers answer as
+        // one first-minimal tracker fed in `i` order would (property-tested
+        // in `mfgcp-check`), the counts are integer sums.
         s.sharers.clear();
         s.sharers.resize(kk, TwoSmallest::new());
-        s.x0.clear();
-        s.x0.resize(m, 0.0);
-        s.q0.clear();
-        s.q0.resize(m, 0.0);
         s.sharer_counts.clear();
         s.sharer_counts.resize(kk, 0);
-        s.alpha_qks.clear();
-        s.alpha_qks
-            .extend(self.q_sizes.iter().map(|&q| cfg.params.alpha * q));
-        s.requesters.resize_with(kk, Vec::new);
-        for r in &mut s.requesters {
-            r.clear();
-        }
-        for (i, e) in self.edps.iter().enumerate() {
-            s.x0[i] = e.x[0];
-            s.q0[i] = e.q[0];
+        for pass in &s.chunks {
             for k in 0..kk {
-                s.sum_x[k] += e.x[k];
-                // Center's peer assignment: the best-stocked qualified
-                // sharer has the smallest remaining space. The two-smallest
-                // tracker (first-minimal on ties, matching a `min_by` scan
-                // in id order — property-tested against that scan in
-                // `mfgcp-check`) answers every "minimum excluding EDP i"
-                // query in O(1).
-                if e.can_share(k, s.alpha_qks[k]) {
-                    s.sharers[k].offer(e.id, e.q[k]);
-                    s.sharer_counts[k] += 1;
-                }
-                let requests = u64::from(counts[i * kk + k]);
-                if requests > 0 {
-                    s.requesters[k].push((i, requests));
-                }
+                s.sharers[k].merge(&pass.sharers[k]);
+                s.sharer_counts[k] += pass.sharer_counts[k];
             }
         }
 
@@ -848,8 +908,10 @@ impl Simulation {
         // with the same inputs, folded in the same order.
         s.entries.clear();
         for k in 0..kk {
-            for &(i, requests) in &s.requesters[k] {
-                s.entries.push((k as u32, i as u32, requests));
+            for pass in &s.chunks {
+                for &(i, requests) in &pass.requesters[k] {
+                    s.entries.push((k as u32, i as u32, requests));
+                }
             }
         }
         let idle = (
@@ -897,50 +959,46 @@ impl Simulation {
             });
         }
 
-        let mut outcomes = s.outcomes.iter();
-        for k in 0..kk {
-            let pricer = s.pricers[k];
-            // The k = 0 mean-price series averages over *every* EDP
-            // (idle ones included), exactly like the per-EDP pricing
-            // loop it replaces — now a dedicated O(M) pass over the
-            // contiguous strategy column.
-            if k == 0 {
-                agg.mean_price = s.x0.iter().map(|&x| pricer.price(x)).sum::<f64>() / m as f64;
+        // The k = 0 mean-price series averages over *every* EDP (idle
+        // ones included), exactly like the per-EDP pricing loop it
+        // replaces — a dedicated O(M) pass over the contiguous strategy
+        // column.
+        if let Some(pricer) = s.pricers.first() {
+            agg.mean_price = s.x0.iter().map(|&x| pricer.price(x)).sum::<f64>() / m as f64;
+        }
+        for (&(_, i, requests), &(out, price)) in s.entries.iter().zip(&s.outcomes) {
+            let i = i as usize;
+            agg.min_price = agg.min_price.min(price);
+            agg.max_price = agg.max_price.max(price);
+            let m = &mut self.edps[i].metrics;
+            m.trading_income += out.income;
+            m.staleness_cost += out.staleness_cost;
+            m.sharing_cost += out.sharing_cost;
+            m.requests_served += requests;
+            match out.case {
+                TradeCase::OwnCache => {
+                    m.case_counts.0 += 1;
+                    agg.case1 += 1;
+                }
+                TradeCase::PeerShare => {
+                    m.case_counts.1 += 1;
+                    agg.case2 += 1;
+                }
+                TradeCase::CenterDownload => {
+                    m.case_counts.2 += 1;
+                    agg.case3 += 1;
+                }
             }
-
-            for (&(i, requests), &(out, price)) in s.requesters[k].iter().zip(&mut outcomes) {
-                agg.min_price = agg.min_price.min(price);
-                agg.max_price = agg.max_price.max(price);
-                let m = &mut self.edps[i].metrics;
-                m.trading_income += out.income;
-                m.staleness_cost += out.staleness_cost;
-                m.sharing_cost += out.sharing_cost;
-                m.requests_served += requests;
-                match out.case {
-                    TradeCase::OwnCache => {
-                        m.case_counts.0 += 1;
-                        agg.case1 += 1;
-                    }
-                    TradeCase::PeerShare => {
-                        m.case_counts.1 += 1;
-                        agg.case2 += 1;
-                    }
-                    TradeCase::CenterDownload => {
-                        m.case_counts.2 += 1;
-                        agg.case3 += 1;
-                    }
-                }
-                agg.volume += requests;
-                agg.income += out.income;
-                agg.staleness += out.staleness_cost;
-                agg.sharing_cost += out.sharing_cost;
-                agg.utility += out.income - out.staleness_cost - out.sharing_cost;
-                if let Some(peer_idx) = out.peer {
-                    // Eq. (7): the fee is the peer's sharing benefit.
-                    self.edps[peer_idx].metrics.sharing_benefit += out.sharing_cost;
-                    agg.share_benefit += out.sharing_cost;
-                    agg.utility += out.sharing_cost;
-                }
+            agg.volume += requests;
+            agg.income += out.income;
+            agg.staleness += out.staleness_cost;
+            agg.sharing_cost += out.sharing_cost;
+            agg.utility += out.income - out.staleness_cost - out.sharing_cost;
+            if let Some(peer_idx) = out.peer {
+                // Eq. (7): the fee is the peer's sharing benefit.
+                self.edps[peer_idx].metrics.sharing_benefit += out.sharing_cost;
+                agg.share_benefit += out.sharing_cost;
+                agg.utility += out.sharing_cost;
             }
         }
         let elapsed = start.elapsed().as_nanos();
@@ -951,7 +1009,11 @@ impl Simulation {
 
     /// Total wall-clock time spent inside market clearing so far, in
     /// nanoseconds (instrumentation for the `BENCH_market.json` sweep; has
-    /// no effect on simulation results).
+    /// no effect on simulation results). It covers the serial `Σ_i x_{i,k}`
+    /// supply pass, the merge of the chunk passes, the pricers, the trade
+    /// precompute and the fold; the population pass itself (sharer
+    /// trackers and counts, requester lists, the k = 0 columns) runs per
+    /// EDP chunk inside the EDP phase and is not counted here.
     pub fn market_clearing_nanos(&self) -> u128 {
         self.market_nanos
     }
@@ -1953,10 +2015,11 @@ mod tests {
             e.x[0] = 0.05 + 0.9 * (i as f64) / 11.0;
         }
         let m = sim.edps.len();
-        let counts = vec![0; m * sim.cfg.num_contents];
         let mean_fadings = vec![sim.cfg.params.upsilon_h; m];
-        let agg = sim.clear_market(&counts, &mean_fadings);
         let strategies: Vec<f64> = sim.edps.iter().map(|e| e.x[0]).collect();
+        // The EDP phase leaves the k = 0 strategy column the market reads.
+        sim.market_scratch.x0 = strategies.clone();
+        let agg = sim.clear_market(&mean_fadings);
         let oracle = (0..m)
             .map(|i| {
                 finite_population_price(
@@ -2147,9 +2210,8 @@ mod tests {
         // produces the idle shape straight from the engine's aggregates.
         let mut sim = small_sim(Box::new(MostPopularCaching::default()));
         let m = sim.edps.len();
-        let counts = vec![0; m * sim.cfg.num_contents];
         let mean_fadings = vec![sim.cfg.params.upsilon_h; m];
-        let agg = sim.clear_market(&counts, &mean_fadings);
+        let agg = sim.clear_market(&mean_fadings);
         assert_eq!(agg.volume, 0);
         let fields = slot_event_fields(0, 0, &agg);
         assert!(fields

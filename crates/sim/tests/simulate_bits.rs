@@ -1,5 +1,5 @@
 //! Bit-level regression pins for `Simulation::run`: a digest of every
-//! scheme's report at two configurations and two worker-thread counts must
+//! scheme's report at three configurations and two worker-thread counts must
 //! match the constants below exactly. Performance work on the slot loop
 //! (request tallying, urgency factors, the parallel EDP phase) has to keep
 //! every output bit, and this is the test that says so.
@@ -71,6 +71,34 @@ fn mobility_audit() -> SimConfig {
         mobility: Some(RandomWaypoint::default()),
         audit: true,
         audit_sample: 1,
+        ..SimConfig::default()
+    }
+}
+
+/// Mobile requesters over a heterogeneous catalog, with enough EDPs that
+/// at three worker threads some content's best-stocked sharer sits in
+/// the second EDP chunk while the first chunk holds sharers too — the
+/// case where the market's per-chunk population passes must merge
+/// exactly as one `i`-order pass would.
+fn chunked_sharing() -> SimConfig {
+    SimConfig {
+        num_edps: 48,
+        num_requesters: 192,
+        num_contents: 5,
+        epochs: 2,
+        slots_per_epoch: 30,
+        content_sizes: vec![1.0, 0.6, 0.8, 1.0, 0.5],
+        params: Params {
+            time_steps: 12,
+            grid_h: 8,
+            grid_q: 28,
+            num_edps: 48,
+            ..Params::default()
+        },
+        mobility: Some(RandomWaypoint::default()),
+        audit: true,
+        audit_sample: 1,
+        seed: 11,
         ..SimConfig::default()
     }
 }
@@ -153,6 +181,35 @@ fn mobility_audit_reports_are_pinned() {
             (
                 "MFG-CP",
                 (4643932194943679372, (164, 564, 923), 13656926561314355601),
+            ),
+        ],
+    );
+}
+
+#[test]
+fn chunked_sharing_reports_are_pinned() {
+    assert_pinned(
+        &chunked_sharing(),
+        &[
+            (
+                "RR",
+                (4642270272316440873, (1524, 0, 1306), 11443016721229930181),
+            ),
+            (
+                "MPC",
+                (4641220240053430999, (1751, 0, 1079), 8676231099135849663),
+            ),
+            (
+                "UDCS",
+                (4642693880354103771, (623, 0, 2207), 9860385618772634991),
+            ),
+            (
+                "MFG",
+                (4642662035491861799, (422, 0, 2408), 10667627562016706300),
+            ),
+            (
+                "MFG-CP",
+                (4642941955784128643, (422, 1175, 1233), 11388085609525679881),
             ),
         ],
     );

@@ -63,6 +63,7 @@ impl Popularity {
     }
 
     /// Current popularity `Π_k(t)`.
+    #[inline]
     pub fn get(&self, k: usize) -> f64 {
         self.current[k]
     }

@@ -123,6 +123,7 @@ impl Timeliness {
     }
 
     /// The urgency factor `ξ^{L_k(t)}` for content `k`.
+    #[inline]
     pub fn factor(&self, k: usize) -> f64 {
         self.factors[k]
     }
