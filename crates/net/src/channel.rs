@@ -11,14 +11,18 @@
 //! only the serving links, and an interferer catches up on read by
 //! replaying the per-link draws it missed. The Eq. (2) interference
 //! sum is the live tracked neighborhood plus a **frozen mean-field tail**:
-//! the untracked far field at the OU stationary-mean fading, recomputed
-//! only at (re)association from the moment pyramid over the static EDP
-//! grid (near untracked EDPs link by link, far ones from their cell
-//! moments). The tail aggregates many weak links whose fading
-//! fluctuations average out, so the relative interference error stays
-//! within [`TRUNCATION_TOL`](crate::TRUNCATION_TOL) (measured by the
-//! `net.shard.truncated_power` gauge, bounded by the differential tests
-//! against a dense reference that exists only in test code).
+//! the untracked far field at the OU stationary-mean fading, frozen at the
+//! last (re)association and computed on read from that association's
+//! topology with the moment pyramid over the static EDP grid (near
+//! untracked EDPs link by link, far ones from their cell moments). Only
+//! the Eq. (2) reads ([`ChannelState::interference`],
+//! [`ChannelState::rate`]) and the `net.shard.truncated_power` gauge pay
+//! for it; construction and re-association do not. The tail aggregates
+//! many weak links whose fading fluctuations average out, so the relative
+//! interference error stays within [`TRUNCATION_TOL`](crate::TRUNCATION_TOL)
+//! (measured by the `net.shard.truncated_power` gauge, bounded by the
+//! differential tests against a dense reference that exists only in test
+//! code).
 //!
 //! Every fading draw comes from a per-link counter-based stream keyed on
 //! `(channel seed, EDP, requester, draw id)` (see [`crate::shard`]), so
@@ -120,10 +124,11 @@ impl ChannelState {
 
     /// Summed stationary-mean gain of requester `j`'s frozen far-field
     /// tail — the part of [`ChannelState::interference`] that no tracked
-    /// link carries.
-    #[cfg(test)]
-    pub(crate) fn tail_gain(&self, j: usize) -> f64 {
-        self.links.records[j].tail_gain
+    /// link carries. Computed on read (one traversal of the EDP grid's
+    /// moment pyramid) against `topo`, the topology of the last
+    /// association, so it holds the value that association froze.
+    pub fn tail_gain(&self, topo: &Topology, j: usize) -> f64 {
+        self.links.tail_gain(topo, &self.cfg, &self.process, j)
     }
 
     /// Resident bytes of the link records, the per-EDP shard occupancy
@@ -190,8 +195,8 @@ impl ChannelState {
     /// shards — links tracked on both sides of a handover keep their
     /// fading, newly tracked links draw from their per-link stationary
     /// stream at the current step, dropped links are forgotten, and the
-    /// far-field tail is recomputed. Deterministic for any thread count
-    /// by construction.
+    /// far-field tail read from then on is `topo`'s. Deterministic for
+    /// any thread count by construction.
     ///
     /// # Panics
     ///
@@ -205,7 +210,7 @@ impl ChannelState {
         );
         self.links
             .reassociate(topo, &self.cfg, &self.process, self.seed);
-        self.emit_shard_gauges();
+        self.emit_shard_gauges(topo);
     }
 
     /// Recompute the tracked link distances from explicit requester
@@ -217,7 +222,9 @@ impl ChannelState {
     /// distance, and the next [`ChannelState::refresh_distances`] rewrites
     /// every one, so a caller that reads only fading between
     /// re-associations (the simulation engine) never needs this. It is
-    /// for callers that read gains mid-epoch while walkers move.
+    /// for callers that read gains mid-epoch while walkers move. The
+    /// far-field tail stays frozen at the last association: those reads
+    /// still take that association's topology, not the moved positions.
     ///
     /// # Panics
     ///
@@ -268,7 +275,9 @@ impl ChannelState {
     /// (`Σ_{i'≠i} |g_{i',j}|² G`, Eq. (2) denominator): the tracked
     /// neighborhood with live fading plus the frozen far-field tail at
     /// the stationary-mean fading (see [`TRUNCATION_TOL`](crate::TRUNCATION_TOL)).
-    pub fn interference(&self, i: usize, j: usize) -> f64 {
+    /// `topo` is the topology of the last association, which the tail is
+    /// computed from ([`ChannelState::tail_gain`]).
+    pub fn interference(&self, topo: &Topology, i: usize, j: usize) -> f64 {
         let record = &self.links.records[j];
         let mut acc = 0.0;
         for l in std::iter::once(&record.serving).chain(&record.interferers) {
@@ -276,20 +285,19 @@ impl ChannelState {
                 acc += self.link_gain(j, l) * self.cfg.tx_power;
             }
         }
-        // The frozen mean-field tail of the untracked far field (see
-        // `RequesterLinks::tail_gain`).
-        acc + record.tail_gain * self.cfg.tx_power
+        acc + self.tail_gain(topo, j) * self.cfg.tx_power
     }
 
-    /// Achievable rate `H_{i,j}` of Eq. (2), bits/s. `0` for an untracked
-    /// link (its gain is `0`).
-    pub fn rate(&self, i: usize, j: usize) -> f64 {
+    /// Achievable rate `H_{i,j}` of Eq. (2), bits/s, against `topo`, the
+    /// topology of the last association. `0` for an untracked link (its
+    /// gain is `0`).
+    pub fn rate(&self, topo: &Topology, i: usize, j: usize) -> f64 {
         shannon_rate(
             self.cfg.bandwidth,
             self.gain(i, j),
             self.cfg.tx_power,
             self.cfg.noise_power,
-            self.interference(i, j),
+            self.interference(topo, i, j),
         )
     }
 
@@ -300,15 +308,17 @@ impl ChannelState {
         if served.is_empty() {
             return None;
         }
-        let total: f64 = served.iter().map(|&j| self.rate(i, j)).sum();
+        let total: f64 = served.iter().map(|&j| self.rate(topo, i, j)).sum();
         Some(total / served.len() as f64)
     }
 
     /// The statistics behind the `net.shard.*` gauges as plain data, for
-    /// the live snapshot/query path. Pure reads — no RNG, no mutation —
-    /// but the truncated-power estimate costs O(J·k_int), so callers
-    /// should sample it at re-association cadence, not per slot.
-    pub fn shard_stats(&self) -> ShardStats {
+    /// the live snapshot/query path, against `topo`, the topology of the
+    /// last association. Pure reads — no RNG, no mutation — but the
+    /// truncated-power estimate reads one far-field tail per sampled
+    /// requester (at most 256), so callers should sample it at
+    /// re-association cadence, not per slot.
+    pub fn shard_stats(&self, topo: &Topology) -> ShardStats {
         let links = &self.links;
         let occupied = links.shard_sizes.iter().filter(|&&n| n > 0).count();
         let max_occ = links.shard_sizes.iter().copied().max().unwrap_or(0);
@@ -331,20 +341,22 @@ impl ChannelState {
             requesters: self.num_requesters as u64,
             mean_interferers: mean_int,
             k_int: self.cfg.k_int as u64,
-            truncated_power: links.tail_fraction(&self.process, &self.cfg),
+            truncated_power: links.tail_fraction(topo, &self.process, &self.cfg),
         }
     }
 
-    /// Emit the `net.shard.*` gauges after a re-association. Pure reads —
-    /// no RNG, no mutation — so telemetry cannot perturb the run. The
-    /// truncated-power estimate evaluates every fading coefficient at
-    /// the stationary mean (the split is geometric, so fading cancels in
-    /// expectation); cost is O(J·k_int), never O(M·J).
-    fn emit_shard_gauges(&self) {
+    /// Emit the `net.shard.*` gauges after a re-association to `topo`.
+    /// Pure reads — no RNG, no mutation — so telemetry cannot perturb the
+    /// run. The truncated-power estimate evaluates every fading
+    /// coefficient at the stationary mean (the split is geometric, so
+    /// fading cancels in expectation) over a stride sample of at most
+    /// 256 requesters; cost is O(M + J) plus 256 tail reads, never
+    /// O(M·J).
+    fn emit_shard_gauges(&self, topo: &Topology) {
         if !self.recorder.enabled() {
             return;
         }
-        let stats = self.shard_stats();
+        let stats = self.shard_stats(topo);
         self.recorder.gauge(
             "net.shard.occupancy",
             stats.mean_occupancy,
@@ -394,8 +406,9 @@ pub struct ShardStats {
     /// Configured interferer budget.
     pub k_int: u64,
     /// Frozen-tail share of interference power at the stationary-mean
-    /// fading, with the number of requesters sampled for the estimate;
-    /// `None` when the estimate is unavailable.
+    /// fading, averaged over a deterministic stride sample of at most 256
+    /// requesters (all of them when `J ≤ 256`), with the number of sampled
+    /// requesters that had any interference power; `None` when none had.
     pub truncated_power: Option<(f64, u64)>,
 }
 
@@ -438,8 +451,8 @@ mod tests {
         let mut far = 0.0;
         for _ in 0..100 {
             let ch = ChannelState::init(&topo, &cfg, &mut rng);
-            near += ch.rate(0, 0); // 10 m away
-            far += ch.rate(1, 0); // 190 m away
+            near += ch.rate(&topo, 0, 0); // 10 m away
+            far += ch.rate(&topo, 1, 0); // 190 m away
         }
         assert!(near > far, "near {near} vs far {far}");
     }
@@ -449,7 +462,7 @@ mod tests {
         let (topo, cfg) = small();
         let mut rng = seeded_rng(10);
         let ch = ChannelState::init(&topo, &cfg, &mut rng);
-        let i0 = ch.interference(0, 0);
+        let i0 = ch.interference(&topo, 0, 0);
         // Only EDP 1 interferes with link (0, 0).
         assert!((i0 - ch.gain(1, 0) * cfg.tx_power).abs() < 1e-25);
     }
@@ -497,7 +510,7 @@ mod tests {
     }
 
     /// Bit patterns of every link record field: serving and interferer
-    /// EDP, stamp, fading and distance, then the frozen tail gain.
+    /// EDP, stamp, fading and distance.
     fn record_bits(ch: &ChannelState) -> Vec<Vec<u64>> {
         ch.links
             .records
@@ -509,7 +522,6 @@ mod tests {
                         let (edp, stamp) = (u64::from(l.edp), u64::from(l.stamp));
                         [edp, stamp, l.fading.to_bits(), l.distance.to_bits()]
                     })
-                    .chain([r.tail_gain.to_bits()])
                     .collect()
             })
             .collect()
@@ -607,6 +619,81 @@ mod tests {
         }
     }
 
+    /// Every requester's on-read tail against the association-time
+    /// reference recomputed from `topo`, bit for bit.
+    fn assert_tails_match(ch: &ChannelState, topo: &Topology, tag: &str) {
+        let process = ch.cfg.fading_process();
+        for j in 0..ch.num_requesters() {
+            let want = crate::shard::association_time_tail(topo, &ch.cfg, &process, j);
+            let got = ch.tail_gain(topo, j);
+            assert_eq!(got.to_bits(), want.to_bits(), "{tag}: requester {j}");
+        }
+    }
+
+    /// The tail read on demand is the tail association used to store:
+    /// after init, after advances, after per-slot distance refreshes
+    /// (which leave it frozen at the association), across re-associations
+    /// that promote interferers to serving, with every EDP tracked, and
+    /// with coincident EDPs.
+    #[test]
+    fn on_read_tail_matches_the_association_time_tail_to_0_ulp() {
+        use crate::mobility::{MobileRequesters, RandomWaypoint};
+        let cfg = NetworkConfig {
+            k_int: 6,
+            ..NetworkConfig::default()
+        };
+        let mut rng = seeded_rng(41);
+        let mut topo = Topology::random(300, 200, &cfg, &mut rng);
+        let start = (0..200).map(|j| topo.requester(j)).collect();
+        let mut walkers =
+            MobileRequesters::new(start, cfg.area_radius, RandomWaypoint::default(), &mut rng);
+        let mut ch = ChannelState::init_with_seed(&topo, &cfg, 3);
+        assert_tails_match(&ch, &topo, "init");
+        let mut promotions = 0;
+        for epoch in 0..3 {
+            for _ in 0..8 {
+                walkers.step(0.05, &mut rng);
+                ch.advance(0.05);
+            }
+            assert_tails_match(&ch, &topo, &format!("epoch {epoch}, after advances"));
+            ch.refresh_distances_from_positions(&topo, walkers.positions());
+            assert_tails_match(&ch, &topo, &format!("epoch {epoch}, distances refreshed"));
+            let before: Vec<Vec<usize>> = (0..200).map(|j| ch.tracked_interferers(j)).collect();
+            topo.update_requesters(walkers.positions());
+            ch.refresh_distances(&topo);
+            promotions += (0..200)
+                .filter(|&j| before[j].contains(&topo.serving(j)))
+                .count();
+            assert_tails_match(&ch, &topo, &format!("re-association {epoch}"));
+        }
+        assert!(promotions > 0, "no interferer was promoted to serving");
+
+        // Every EDP tracked: nothing is left for the tail.
+        for (m, k_int) in [(20_usize, 19_usize), (20, 40)] {
+            let cfg = NetworkConfig {
+                k_int,
+                ..NetworkConfig::default()
+            };
+            let topo = Topology::random(m, 50, &cfg, &mut rng);
+            let ch = ChannelState::init_with_seed(&topo, &cfg, 4);
+            assert_tails_match(&ch, &topo, &format!("M = {m}, k_int = {k_int}"));
+            assert!((0..50).all(|j| ch.tail_gain(&topo, j) == 0.0));
+        }
+
+        // Three EDPs per site: the split ties in distance with untracked
+        // EDPs and only the index order separates tracked from tail.
+        let sites: Vec<Point> = (0..100)
+            .map(|_| crate::uniform_in_disc(cfg.area_radius, &mut rng))
+            .collect();
+        let edps: Vec<Point> = sites.iter().flat_map(|&s| [s, s, s]).collect();
+        let requesters = (0..150)
+            .map(|_| crate::uniform_in_disc(cfg.area_radius, &mut rng))
+            .collect();
+        let topo = Topology::with_positions(edps, requesters);
+        let ch = ChannelState::init_with_seed(&topo, &cfg, 5);
+        assert_tails_match(&ch, &topo, "coincident EDPs");
+    }
+
     #[test]
     fn advance_changes_the_state_deterministically_per_seed() {
         let (topo, cfg) = small();
@@ -642,7 +729,7 @@ mod tests {
         assert!(ch.link_fading(1, 0).is_some(), "nearest interferer tracked");
         assert_eq!(ch.link_fading(5, 0), None, "distant link untracked");
         assert_eq!(ch.gain(5, 0), 0.0);
-        assert_eq!(ch.rate(5, 0), 0.0);
+        assert_eq!(ch.rate(&topo, 5, 0), 0.0);
     }
 
     #[test]
@@ -684,7 +771,7 @@ mod tests {
                 .map(|i| topo.served_by(i).len())
                 .collect();
             let occupied = sizes.iter().filter(|&&n| n > 0).count();
-            let stats = ch.shard_stats();
+            let stats = ch.shard_stats(&topo);
             assert_eq!(stats.occupied_shards, occupied as u64, "round {round}");
             assert_eq!(
                 stats.max_occupancy,

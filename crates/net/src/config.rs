@@ -77,12 +77,14 @@ impl Default for NetworkConfig {
             center_rate: 20e6,
             // 32 tracked interferers. With τ = 3 the untracked far field
             // still carries a sizeable share of the stationary-mean
-            // interference power at uniform placements — 0.057 at
-            // M = 100, J = 300; 0.095 at M = 300, J = 900; 0.128 at
-            // M = 1000, J = 300; 0.158 at M = 6000, J = 18000; 0.183 at
-            // M = 10⁵, J = 300 (the `net.shard.truncated_power` gauge; see
-            // DESIGN.md §2f) — which is why the frozen tail is kept rather
-            // than dropped.
+            // interference power at uniform placements — a mean over
+            // every requester of 0.054 at M = 100, J = 300; 0.094 at
+            // M = 300, J = 900; 0.127 at M = 1000, J = 300; 0.156 at
+            // M = 6000, J = 18000; 0.173 at M = 10⁵, J = 300 (seed 1; the
+            // `net.shard.truncated_power` gauge reads these within 0.006
+            // from its sample of at most 256 requesters; see DESIGN.md
+            // §2f) — which is why the frozen tail is kept rather than
+            // dropped.
             k_int: 32,
         }
     }

@@ -13,10 +13,11 @@
 //! placement answers nearest-EDP association and k-nearest-interferer
 //! queries in O(1) expected, and only each requester's serving link plus
 //! its `k_int` strongest interferers carry OU fading state. The untracked
-//! far field enters Eq. (2) as a frozen tail at the stationary-mean
-//! fading, summed from a moment pyramid over the same grid — link by link
-//! near the requester, from cell moments far away — so (re)association
-//! costs O(log M) per requester, not O(M). Each slot steps only the
+//! far field enters Eq. (2) as a tail at the stationary-mean fading,
+//! frozen at the last (re)association and summed on read from a moment
+//! pyramid over the same grid — link by link near the requester, from
+//! cell moments far away — so a tail read costs O(log M), not O(M), and
+//! (re)association pays for no tail at all. Each slot steps only the
 //! serving links; an interferer catches up on read by replaying the
 //! per-link draws it missed.
 //!
@@ -29,7 +30,7 @@
 //! let topo = Topology::random(8, 40, &cfg, &mut rng);
 //! let mut channels = ChannelState::init(&topo, &cfg, &mut rng);
 //! channels.advance(0.01);
-//! let rate = channels.rate(0, topo.served_by(0)[0]);
+//! let rate = channels.rate(&topo, 0, topo.served_by(0)[0]);
 //! assert!(rate > 0.0);
 //! ```
 

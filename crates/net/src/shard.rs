@@ -127,8 +127,8 @@ pub(crate) fn advance_fading(
 }
 
 /// `d^{−τ}`, with the paper's `τ = 3` (§V-A) computed without `powf`:
-/// the far-field tail evaluates it about a hundred times per requester
-/// at every (re)association, where `powf` would dominate the traversal.
+/// the far-field tail evaluates it about a hundred times per read, where
+/// `powf` would dominate the traversal.
 #[inline]
 fn inv_pow(d: f64, tau: f64) -> f64 {
     if tau == 3.0 {
@@ -154,6 +154,46 @@ fn quadrupole_gain(h: f64, tau: f64, m: &Moments, p: &Point) -> f64 {
     let rsr = rx * rx * sxx + 2.0 * rx * ry * sxy + ry * ry * syy;
     g * (f64::from(m.count) + 0.5 * (-tau * trace / r2 + tau * (tau + 2.0) * rsr / (r2 * r2)))
 }
+
+/// Reference for [`ShardedLinks::tail_gain`]: the tail as association
+/// computed it when it was stored per requester — the `k_int` nearest
+/// interferers re-queried from the grid and the pyramid traversal split
+/// at the last one's query distance, with the closures written out.
+#[cfg(test)]
+pub(crate) fn association_time_tail(
+    topo: &Topology,
+    cfg: &NetworkConfig,
+    process: &OrnsteinUhlenbeck,
+    jj: usize,
+) -> f64 {
+    let p = topo.requester(jj);
+    let serving_edp = topo.serving(jj);
+    let last = topo
+        .grid()
+        .k_nearest(&p, cfg.k_int + 1)
+        .into_iter()
+        .filter(|&(edp, _)| edp != serving_edp)
+        .take(cfg.k_int)
+        .last();
+    let mut tail_gain = 0.0;
+    if let Some((edp, distance)) = last {
+        let h = process.stationary_mean();
+        let (tau, d_min) = (cfg.path_loss_exp, cfg.min_distance);
+        tail_gain = topo.grid().far_field(
+            &p,
+            (distance, edp),
+            d_min,
+            |d| h * h * inv_pow(d.max(d_min), tau),
+            |m| quadrupole_gain(h, tau, m, &p),
+        );
+    }
+    tail_gain
+}
+
+/// Most requesters [`ShardedLinks::tail_fraction`] reads a tail for: a
+/// tail costs one pyramid traversal (≈ 17 µs at M = 6000), and the engine
+/// samples the gauge every epoch.
+const TAIL_SAMPLE: usize = 256;
 
 /// Most `dt` runs the clock keeps before [`ShardedLinks::advance`]
 /// brings every link up to date and drops the history; only a caller
@@ -262,8 +302,10 @@ impl Clock {
 }
 
 /// The links tracked for one requester: its serving EDP plus its
-/// `k_int` strongest (nearest) interferers, and the frozen mean-field
-/// tail of everything farther away.
+/// `k_int` strongest (nearest) interferers. The frozen mean-field tail
+/// of everything farther away is not stored: it is a pure function of
+/// the association (the topology and the last tracked interferer), so
+/// [`ShardedLinks::tail_gain`] computes it on read.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RequesterLinks {
     /// The serving-EDP link (always tracked).
@@ -271,17 +313,6 @@ pub(crate) struct RequesterLinks {
     /// Interferer links, ordered by `(distance, EDP index)` at the last
     /// (re)association.
     pub interferers: Vec<Link>,
-    /// Summed channel gain of every *untracked* non-serving EDP, taken at
-    /// the OU stationary-mean fading — the far-field interference tail.
-    /// Near untracked EDPs are summed link by link; far ones through the
-    /// quadrupole moments of the EDP grid's pyramid nodes, within a few
-    /// 10⁻³ relative error of the link-by-link sum. With `τ = 3` path
-    /// loss the tail aggregates hundreds of weak links whose fading
-    /// fluctuations average out (mean-field §III), so freezing it at the
-    /// stationary mean between re-associations keeps the Eq. (2)
-    /// denominator within the configured truncation bound at no per-slot
-    /// cost.
-    pub tail_gain: f64,
 }
 
 impl RequesterLinks {
@@ -395,27 +426,83 @@ impl ShardedLinks {
     /// `net.shard.truncated_power` gauge. The share is not the
     /// interference error: the tail is summed, not dropped, so only its
     /// frozen fading differs from the exact Eq. (2) sum.
+    ///
+    /// Each tail costs one pyramid traversal, so the mean runs over a
+    /// deterministic stride sample of at most [`TAIL_SAMPLE`] requesters
+    /// (every requester, in index order, when `J ≤ TAIL_SAMPLE`).
+    /// `topo` is the topology of the last association.
     pub fn tail_fraction(
         &self,
+        topo: &Topology,
         process: &OrnsteinUhlenbeck,
         cfg: &NetworkConfig,
     ) -> Option<(f64, u64)> {
         let h = process.stationary_mean();
         let mut total = 0.0;
         let mut sampled = 0u64;
-        for record in &self.records {
+        let stride = self.records.len().div_ceil(TAIL_SAMPLE).max(1);
+        for (jj, record) in self.records.iter().enumerate().step_by(stride) {
             let tracked: f64 = record
                 .interferers
                 .iter()
                 .map(|l| crate::channel_gain(h, l.distance, cfg.path_loss_exp, cfg.min_distance))
                 .sum();
-            let t = tracked + record.tail_gain;
+            let tail = self.tail_gain(topo, cfg, process, jj);
+            let t = tracked + tail;
             if t > 0.0 {
-                total += record.tail_gain / t;
+                total += tail / t;
                 sampled += 1;
             }
         }
         (sampled > 0).then(|| (total / sampled as f64, sampled))
+    }
+
+    /// Summed channel gain of every *untracked* non-serving EDP of
+    /// requester `jj`, taken at the OU stationary-mean fading — the
+    /// far-field interference tail, frozen at the last (re)association
+    /// and computed on read from that association's topology `topo`.
+    /// Near untracked EDPs are summed link by link; far ones through the
+    /// quadrupole moments of the EDP grid's pyramid nodes, within a few
+    /// 10⁻³ relative error of the link-by-link sum. With `τ = 3` path
+    /// loss the tail aggregates hundreds of weak links whose fading
+    /// fluctuations average out (mean-field §III), so freezing it at the
+    /// stationary mean between re-associations keeps the Eq. (2)
+    /// denominator within the configured truncation bound.
+    ///
+    /// The serving EDP is the nearest, so every EDP at or before the last
+    /// tracked interferer in `(distance, index)` order is tracked and
+    /// everything after it is the tail: one pyramid traversal, no
+    /// membership test, and exactly 0 when every EDP is tracked. The
+    /// split distance is read from `topo`, not from the link, so a
+    /// per-slot distance refresh between re-associations leaves the tail
+    /// where the association put it.
+    pub fn tail_gain(
+        &self,
+        topo: &Topology,
+        cfg: &NetworkConfig,
+        process: &OrnsteinUhlenbeck,
+        jj: usize,
+    ) -> f64 {
+        let record = &self.records[jj];
+        debug_assert_eq!(
+            topo.serving(jj),
+            record.serving.edp as usize,
+            "the tail is read against the topology of the last association"
+        );
+        let Some(last) = record.interferers.last() else {
+            return 0.0;
+        };
+        let edp = last.edp as usize;
+        let p = topo.requester(jj);
+        let h = process.stationary_mean();
+        let (tau, d_min) = (cfg.path_loss_exp, cfg.min_distance);
+        topo.grid().far_field(
+            &p,
+            (topo.distance(edp, jj), edp),
+            d_min,
+            |d| h * h * inv_pow(d.max(d_min), tau),
+            |m| quadrupole_gain(h, tau, m, &p),
+        )
     }
 
     /// Build the link record for requester `jj`: serving EDP (= nearest,
@@ -464,30 +551,12 @@ impl ShardedLinks {
             }
             interferers.push(link_to(edp as u32, distance));
         }
-        // Frozen mean-field tail: the untracked far field at the OU
-        // stationary-mean fading, paid only at (re)association time, never
-        // per slot. The serving EDP is the nearest, so every EDP at or
-        // before the last tracked interferer in `(distance, index)` order
-        // is tracked and everything after it is the tail — one pyramid
-        // traversal, no membership test, and exactly 0 when every EDP is
-        // tracked.
-        let mut tail_gain = 0.0;
-        if let Some(last) = interferers.last() {
-            debug_assert!(serving.distance <= last.distance);
-            let h = process.stationary_mean();
-            let (tau, d_min) = (cfg.path_loss_exp, cfg.min_distance);
-            tail_gain = topo.grid().far_field(
-                &p,
-                (last.distance, last.edp as usize),
-                d_min,
-                |d| h * h * inv_pow(d.max(d_min), tau),
-                |m| quadrupole_gain(h, tau, m, &p),
-            );
-        }
+        debug_assert!(interferers
+            .last()
+            .map_or(true, |last| serving.distance <= last.distance));
         RequesterLinks {
             serving,
             interferers,
-            tail_gain,
         }
     }
 
@@ -651,18 +720,18 @@ mod tests {
         let links = ShardedLinks::build(topo, cfg, &process, 3, 0);
         let (mut worst_tail, mut worst_interference) = (0.0_f64, 0.0_f64);
         for (jj, rec) in links.records.iter().enumerate() {
+            let tail = links.tail_gain(topo, cfg, &process, jj);
             let exact: f64 = (0..topo.num_edps())
                 .filter(|&i| rec.link_to(i as u32).is_none())
                 .map(|i| gain(topo.distance(i, jj)))
                 .sum();
             let tracked: f64 = rec.interferers.iter().map(|l| gain(l.distance)).sum();
             if exact == 0.0 {
-                assert_eq!(rec.tail_gain, 0.0, "requester {jj}: no untracked EDP");
+                assert_eq!(tail, 0.0, "requester {jj}: no untracked EDP");
                 continue;
             }
-            worst_tail = worst_tail.max((rec.tail_gain - exact).abs() / exact);
-            worst_interference =
-                worst_interference.max((rec.tail_gain - exact).abs() / (tracked + exact));
+            worst_tail = worst_tail.max((tail - exact).abs() / exact);
+            worst_interference = worst_interference.max((tail - exact).abs() / (tracked + exact));
         }
         (worst_tail, worst_interference)
     }
@@ -767,8 +836,9 @@ mod tests {
                 ..NetworkConfig::default()
             };
             let topo = Topology::random(m, 50, &cfg, &mut rng);
-            let links = ShardedLinks::build(&topo, &cfg, &cfg.fading_process(), 9, 0);
-            assert!(links.records.iter().all(|r| r.tail_gain == 0.0));
+            let process = cfg.fading_process();
+            let links = ShardedLinks::build(&topo, &cfg, &process, 9, 0);
+            assert!((0..50).all(|jj| links.tail_gain(&topo, &cfg, &process, jj) == 0.0));
         }
     }
 
@@ -779,10 +849,72 @@ mod tests {
         let topo = Topology::random(2000, 3000, &cfg, &mut rng);
         let process = cfg.fading_process();
         let a = ShardedLinks::build(&topo, &cfg, &process, 1, 0);
-        let b = ShardedLinks::build(&topo.clone(), &cfg, &process, 2, 0);
-        for (ra, rb) in a.records.iter().zip(&b.records) {
-            assert_eq!(ra.tail_gain.to_bits(), rb.tail_gain.to_bits());
+        let other = topo.clone();
+        let b = ShardedLinks::build(&other, &cfg, &process, 2, 0);
+        for jj in 0..topo.num_requesters() {
+            let ta = a.tail_gain(&topo, &cfg, &process, jj);
+            let tb = b.tail_gain(&other, &cfg, &process, jj);
+            assert_eq!(ta.to_bits(), tb.to_bits(), "requester {jj}");
         }
+    }
+
+    /// `tail_fraction`'s mean over every requester, summed in index
+    /// order with each tail taken from the association-time reference.
+    fn exact_tail_fraction(
+        links: &ShardedLinks,
+        topo: &Topology,
+        cfg: &NetworkConfig,
+    ) -> Option<(f64, u64)> {
+        let process = cfg.fading_process();
+        let h = process.stationary_mean();
+        let (mut total, mut sampled) = (0.0, 0u64);
+        for (jj, record) in links.records.iter().enumerate() {
+            let tracked: f64 = record
+                .interferers
+                .iter()
+                .map(|l| crate::channel_gain(h, l.distance, cfg.path_loss_exp, cfg.min_distance))
+                .sum();
+            let tail = association_time_tail(topo, cfg, &process, jj);
+            let t = tracked + tail;
+            if t > 0.0 {
+                total += tail / t;
+                sampled += 1;
+            }
+        }
+        (sampled > 0).then(|| (total / sampled as f64, sampled))
+    }
+
+    /// Up to `TAIL_SAMPLE` requesters the gauge reads every one of them,
+    /// so it is the exact mean bit for bit; past it, the stride sample
+    /// stays within a fixed distance of the exact mean.
+    #[test]
+    fn sampled_tail_fraction_tracks_the_exact_mean() {
+        let cfg = NetworkConfig::default();
+        let process = cfg.fading_process();
+        let mut rng = seeded_rng(1);
+        for (m, j) in [(300_usize, 256_usize), (1000, 100), (40, 1)] {
+            let topo = Topology::random(m, j, &cfg, &mut rng);
+            let links = ShardedLinks::build(&topo, &cfg, &process, 5, 0);
+            let (sampled, exact) = (
+                links.tail_fraction(&topo, &process, &cfg).unwrap(),
+                exact_tail_fraction(&links, &topo, &cfg).unwrap(),
+            );
+            assert_eq!(sampled.0.to_bits(), exact.0.to_bits(), "M = {m}, J = {j}");
+            assert_eq!(
+                sampled.1, j as u64,
+                "M = {m}, J = {j}: every requester sampled"
+            );
+        }
+        let mut rng = seeded_rng(1);
+        let topo = Topology::random(1000, 2000, &cfg, &mut rng);
+        let links = ShardedLinks::build(&topo, &cfg, &process, 5, 0);
+        let (fraction, sampled) = links.tail_fraction(&topo, &process, &cfg).unwrap();
+        let (exact, _) = exact_tail_fraction(&links, &topo, &cfg).unwrap();
+        assert_eq!(sampled, 250, "every 8th requester of 2000");
+        assert!(
+            (fraction - exact).abs() <= 0.015,
+            "sampled {fraction:.4} vs exact {exact:.4}"
+        );
     }
 
     #[test]

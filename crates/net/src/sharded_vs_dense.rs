@@ -229,12 +229,12 @@ fn worst_serving_errors(
             let i = topo.serving(j);
             let exact = dense.interference(i, j);
             if exact > 0.0 {
-                let error = (exact - sharded.interference(i, j)).abs() / exact;
+                let error = (exact - sharded.interference(topo, i, j)).abs() / exact;
                 worst_interference = worst_interference.max(error);
             }
             let r_exact = dense.rate(i, j);
             if r_exact > 0.0 {
-                let error = (sharded.rate(i, j) - r_exact).abs() / r_exact;
+                let error = (sharded.rate(topo, i, j) - r_exact).abs() / r_exact;
                 worst_rate = worst_rate.max(error);
             }
         }
@@ -301,7 +301,7 @@ fn full_tracking_reproduces_dense_rates_to_rounding() {
     for j in 0..topo.num_requesters() {
         for i in 0..topo.num_edps() {
             assert_eq!(sharded.link_fading(i, j), dense.link_fading(i, j));
-            let (a, b) = (sharded.rate(i, j), dense.rate(i, j));
+            let (a, b) = (sharded.rate(&topo, i, j), dense.rate(i, j));
             let tol = 1e-12 * b.abs().max(1.0);
             assert!((a - b).abs() <= tol, "rate ({i}, {j}): {a} vs {b}");
         }
@@ -415,9 +415,9 @@ fn assert_tracked_links_match(
                 dense.gain(i, j).to_bits(),
                 "{when}: gain of link ({i}, {j})"
             );
-            let oracle = dense.truncated_interference(i, j, &tracked, ch.tail_gain(j));
+            let oracle = dense.truncated_interference(i, j, &tracked, ch.tail_gain(topo, j));
             assert_eq!(
-                ch.interference(i, j).to_bits(),
+                ch.interference(topo, i, j).to_bits(),
                 oracle.to_bits(),
                 "{when}: interference at link ({i}, {j})"
             );

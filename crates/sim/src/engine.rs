@@ -508,8 +508,12 @@ impl Simulation {
         if epoch > 0 {
             if let Some(mob) = &self.mobility {
                 let before = auditor.as_ref().map(|_| self.handover_snapshot());
+                let reassociate = self
+                    .recorder
+                    .span_with("sim.reassociate", &[("epoch", epoch.into())]);
                 self.topology.update_requesters(mob.positions());
                 self.channels.refresh_distances(&self.topology);
+                reassociate.close(&[]);
                 if let (Some(aud), Some(before)) = (auditor.as_mut(), before) {
                     // I6: the migration must re-partition the population
                     // without duplicating or dropping a requester, and the
@@ -526,11 +530,12 @@ impl Simulation {
                 }
             }
         }
-        // Shard gauges cost O(J·k_int) to aggregate, so snapshots carry a
+        // Shard gauges read one far-field tail per sampled requester (at
+        // most 256, ≈ 5 ms at M = 6000), so snapshots carry a
         // once-per-epoch sample (taken right after re-association, where
         // the gauges change) instead of recomputing them every slot.
         if self.control.is_some() {
-            self.shard_sample = Some(self.channels.shard_stats());
+            self.shard_sample = Some(self.channels.shard_stats(&self.topology));
         }
         let weights = self.trace.normalized_weights(epoch);
         self.contexts = self.epoch_contexts(&weights);
@@ -1926,9 +1931,9 @@ mod tests {
 
     #[test]
     fn mobility_emits_net_events_through_the_sim_recorder() {
-        use mfgcp_obs::{schema, MemorySink, RecorderHandle};
+        use mfgcp_obs::{schema, Kind, MemorySink, RecorderHandle, Value};
         let mut cfg = SimConfig::small();
-        cfg.epochs = 2; // epoch 0 skips the no-op re-association
+        cfg.epochs = 3; // epoch 0 skips the no-op re-association
         cfg.mobility = Some(mfgcp_net::RandomWaypoint::default());
         let mut sim = Simulation::new(cfg, Box::new(RandomReplacement)).unwrap();
         let sink = std::sync::Arc::new(MemorySink::new());
@@ -1940,19 +1945,34 @@ mod tests {
         // Exactly epochs − 1 re-associations: the epoch-0 boundary starts
         // from the association the topology was just built with, so the
         // engine must not burn an update (and its shard-gauge emission) on
-        // a pass that cannot move anybody.
+        // a pass that cannot move anybody. Each one runs inside its own
+        // `sim.reassociate` span, shard gauges included.
+        let opens: Vec<usize> = (0..events.len())
+            .filter(|&n| events[n].name == "sim.reassociate" && events[n].kind == Kind::SpanOpen)
+            .collect();
+        assert_eq!(opens.len(), 2, "one re-association per later epoch");
+        for (boundary, &open) in opens.iter().enumerate() {
+            let epoch = boundary as u64 + 1;
+            assert_eq!(events[open].field("epoch"), Some(&Value::U64(epoch)));
+            let close = open
+                + events[open..]
+                    .iter()
+                    .position(|e| e.name == "sim.reassociate" && e.kind == Kind::SpanClose)
+                    .expect("the span closes");
+            let inside: Vec<&str> = events[open + 1..close].iter().map(|e| e.name).collect();
+            for name in ["net.reassociation", "net.shard.occupancy"] {
+                let count = inside.iter().filter(|&&n| n == name).count();
+                assert_eq!(count, 1, "epoch {epoch}: {name} in {inside:?}");
+            }
+        }
         let reassociations = events
             .iter()
             .filter(|e| e.name == "net.reassociation")
             .count();
-        assert_eq!(reassociations, 1, "one re-association per later epoch");
+        assert_eq!(reassociations, 2, "a re-association outside its span");
         assert!(
             events.iter().any(|e| e.name == "net.mobility.step"),
-            "no mobility arrivals in a 20-slot walk"
-        );
-        assert!(
-            events.iter().any(|e| e.name == "net.shard.occupancy"),
-            "no shard gauges from the epoch-boundary reassociation"
+            "no mobility arrivals in three 20-slot epochs"
         );
     }
 

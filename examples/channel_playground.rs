@@ -69,7 +69,7 @@ fn main() {
                 "{:>6.2} {:>12.3e} {:>14.2}",
                 step as f64 * 0.2,
                 channels.fading(0, j),
-                channels.rate(0, j) / 1e6
+                channels.rate(&topo, 0, j) / 1e6
             );
             channels.advance(0.2);
         }
