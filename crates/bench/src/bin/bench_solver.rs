@@ -10,10 +10,12 @@
 //! one (`warm_speedup`, gated higher-is-better):
 //!
 //! * `warm_reprice` — the online-repricing path: after a ×1.005
-//!   popularity nudge, a warm re-solve seeded from copies of the stale
-//!   equilibrium's policy and density. A nudge that small leaves the
-//!   stale fixed point within one iteration of the new one, so its
-//!   speedup (≈ 5.8×) overstates what warm starts buy between epochs.
+//!   popularity nudge, a cold `MfgSolver::solve_with` against a warm
+//!   `MfgSolver::solve_from` seeded from copies of the stale
+//!   equilibrium's policy and density, each timed with the allocation
+//!   of its own trajectories. A nudge that small leaves the stale fixed
+//!   point within one iteration of the new one, so its speedup (≈ 4.3×)
+//!   overstates what warm starts buy between epochs.
 //! * `warm_epoch` — the epoch-to-epoch path of `Framework::run_epoch`:
 //!   one recorded change of a content's context between two consecutive
 //!   epochs (requests −19 %, popularity +21 %, urgency +53 %), re-solved
@@ -32,7 +34,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use mfgcp_core::{ContentContext, MfgSolver, Params, SolveMethod};
+use mfgcp_core::{ContentContext, MfgSolver, Params};
 use mfgcp_obs::json::Json;
 use mfgcp_obs::{JsonlSink, RecorderHandle};
 
@@ -157,23 +159,17 @@ fn measure_warm_reprice() -> WarmSample {
     shifted.popularity = (shifted.popularity * REPRICE_POPULARITY_SHIFT).min(1.0);
     let contexts = vec![shifted; stale.params.time_steps];
 
-    let mut ws = solver.workspace();
     let mut best = None;
     for _ in 0..3 {
         let start = Instant::now();
-        let cold =
-            solver.solve_with_workspace(&contexts, None, SolveMethod::PicardRelaxation, &mut ws);
+        let cold = solver.solve_with(&contexts, None).report;
         let cold_millis = start.elapsed().as_secs_f64() * 1e3;
         assert!(cold.converged, "cold re-solve converges");
 
         let start = Instant::now();
-        let warm = solver.solve_from_with_workspace(
-            &contexts,
-            &stale.policy,
-            Some(&stale.density),
-            None,
-            &mut ws,
-        );
+        let warm = solver
+            .solve_from(&contexts, &stale.policy, Some(&stale.density), None)
+            .report;
         let warm_millis = start.elapsed().as_secs_f64() * 1e3;
         assert!(warm.converged, "warm re-solve converges");
 

@@ -107,7 +107,7 @@ pub enum AuditError {
     },
     /// I5 — a fast path diverged from its reference oracle.
     OracleDivergence {
-        /// Which oracle ("pricer", "two_smallest", "workspace", …).
+        /// Which oracle ("pricer", "two_smallest", …).
         what: &'static str,
         /// Human-readable description of the divergence.
         detail: String,

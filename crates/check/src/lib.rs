@@ -3,12 +3,11 @@
 //! The repo's performance story is a series of fast paths that replace
 //! definitional computations: the O(1) total-minus-own [`SharedSupplyPricer`]
 //! replaces the O(M) Eq. (5) sum, a two-smallest tracker replaces a full
-//! `min_by` sharer scan, scoped threads replace the sequential per-EDP
-//! loop, and reused solver workspaces replace fresh allocations. Every one
-//! of those rewrites is only trustworthy while it stays bit-compatible (or
-//! provably close) to the slow form it replaced — and the paper's ε-Nash
-//! claim additionally rests on conservation properties of the market
-//! itself. This crate enforces both continuously:
+//! `min_by` sharer scan, and scoped threads replace the sequential per-EDP
+//! loop. Every one of those rewrites is only trustworthy while it stays
+//! bit-compatible (or provably close) to the slow form it replaced — and
+//! the paper's ε-Nash claim additionally rests on conservation properties
+//! of the market itself. This crate enforces both continuously:
 //!
 //! * [`Auditor`] — a streaming conservation auditor the simulator feeds
 //!   once per slot (behind `SimConfig::audit` / `mfgcp simulate --audit`):
@@ -34,13 +33,11 @@
 //!
 //! * [`oracle`] — **I5 differential oracles** as plain library functions
 //!   (each property-tested in this crate): [`oracle::pricer_max_ulps`]
-//!   (fast pricer vs the naive Eq. (5) reference),
-//!   [`oracle::check_two_smallest`] (streaming tracker vs a full scan) and
-//!   [`oracle::check_workspace_reuse`] (reused-workspace solves vs a fresh
-//!   solve, bit-identical).
+//!   (fast pricer vs the naive Eq. (5) reference) and
+//!   [`oracle::check_two_smallest`] (streaming tracker vs a full scan).
 //!
-//! The crate is std-only and depends only on `mfgcp-core`, `mfgcp-pde`
-//! and `mfgcp-obs`, so the simulator can embed the auditor without a
+//! The crate is std-only and depends only on `mfgcp-core` and
+//! `mfgcp-obs`, so the simulator can embed the auditor without a
 //! dependency cycle; the simulator-level differential tests live in this
 //! crate's `tests/` as dev-dependencies.
 //!

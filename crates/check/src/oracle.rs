@@ -8,10 +8,7 @@
 //! crate's `tests/differential.rs` because they need `mfgcp-sim` as a
 //! dev-dependency.
 
-use mfgcp_core::{
-    finite_population_price, ContentContext, MfgSolver, SharedSupplyPricer, SolveMethod,
-};
-use mfgcp_pde::Field2d;
+use mfgcp_core::{finite_population_price, SharedSupplyPricer};
 
 use crate::error::AuditError;
 
@@ -221,84 +218,6 @@ pub fn check_two_smallest(offers: &[(usize, f64)]) -> Result<(), AuditError> {
                 ),
             });
         }
-    }
-    Ok(())
-}
-
-fn first_bit_mismatch(what: &'static str, a: &[Field2d], b: &[Field2d]) -> Option<String> {
-    if a.len() != b.len() {
-        return Some(format!("{what}: {} vs {} fields", a.len(), b.len()));
-    }
-    for (n, (fa, fb)) in a.iter().zip(b).enumerate() {
-        for (j, (va, vb)) in fa.values().iter().zip(fb.values()).enumerate() {
-            if va.to_bits() != vb.to_bits() {
-                return Some(format!(
-                    "{what}[{n}] cell {j}: {va} vs {vb} ({} ULPs)",
-                    ulps_between(*va, *vb)
-                ));
-            }
-        }
-    }
-    None
-}
-
-/// Differential oracle for workspace reuse: a fresh
-/// [`MfgSolver::solve_with_method`] must be bit-identical to the *second*
-/// solve into a reused [`mfgcp_core::SolveWorkspace`] (the first solve
-/// dirties every buffer; `solve_with_workspace` promises a cold-start
-/// reset, and this checks that promise on the policy, density and value
-/// trajectories plus the residual history).
-///
-/// # Errors
-///
-/// Returns [`AuditError::OracleDivergence`] with the first mismatching
-/// trajectory cell or residual entry.
-///
-/// # Panics
-///
-/// Panics if `contexts.len() != solver.params().time_steps` (same contract
-/// as the solver entry points).
-pub fn check_workspace_reuse(
-    solver: &MfgSolver,
-    contexts: &[ContentContext],
-    method: SolveMethod,
-) -> Result<(), AuditError> {
-    let fresh = solver.solve_with_method(contexts, None, method);
-    let mut ws = solver.workspace();
-    let _ = solver.solve_with_workspace(contexts, None, method, &mut ws);
-    let reused = solver.solve_with_workspace(contexts, None, method, &mut ws);
-
-    let diverge = |detail: String| AuditError::OracleDivergence {
-        what: "workspace",
-        detail,
-    };
-    if fresh.report.converged != reused.converged
-        || fresh.report.iterations != reused.iterations
-        || fresh.report.residuals.len() != reused.residuals.len()
-    {
-        return Err(diverge(format!(
-            "report: fresh converged={} in {} iters vs reused converged={} in {} iters",
-            fresh.report.converged, fresh.report.iterations, reused.converged, reused.iterations
-        )));
-    }
-    for (i, (a, b)) in fresh
-        .report
-        .residuals
-        .iter()
-        .zip(&reused.residuals)
-        .enumerate()
-    {
-        if a.to_bits() != b.to_bits() {
-            return Err(diverge(format!("residual[{i}]: {a} vs {b}")));
-        }
-    }
-    let pairs = [
-        first_bit_mismatch("policy", &fresh.policy, ws.policy()),
-        first_bit_mismatch("density", &fresh.density, ws.density()),
-        first_bit_mismatch("values", &fresh.values, ws.values()),
-    ];
-    if let Some(detail) = pairs.into_iter().flatten().next() {
-        return Err(diverge(detail));
     }
     Ok(())
 }

@@ -3,25 +3,11 @@
 //! library, because they need `mfgcp-sim` — a dev-only dependency cycle
 //! (the simulator itself depends on `mfgcp-check` for the auditor).
 
-use mfgcp_check::oracle::{
-    check_pricer, check_two_smallest, check_workspace_reuse, pricer_max_ulps,
-};
+use mfgcp_check::oracle::{check_pricer, check_two_smallest, pricer_max_ulps};
 use mfgcp_check::TwoSmallest;
-use mfgcp_core::{
-    finite_population_price, ContentContext, MfgSolver, Params, SharedSupplyPricer, SolveMethod,
-};
+use mfgcp_core::{finite_population_price, Params, SharedSupplyPricer};
 use mfgcp_sim::{baselines, CachingPolicy, SimConfig, Simulation};
 use proptest::{collection, prop_assert, proptest};
-
-fn small_params() -> Params {
-    Params {
-        time_steps: 16,
-        grid_h: 8,
-        grid_q: 32,
-        num_edps: 12,
-        ..Params::default()
-    }
-}
 
 fn schemes(params: &Params) -> Vec<Box<dyn CachingPolicy>> {
     vec![
@@ -95,30 +81,6 @@ fn threaded_and_single_threaded_runs_are_bit_identical() {
         assert_eq!(single.series, multi.series, "{threads} threads");
         assert!(multi.audit.expect("audited").is_clean());
     }
-}
-
-#[test]
-fn workspace_reuse_is_bit_identical_to_fresh_solves() {
-    let params = small_params();
-    let solver = MfgSolver::new(params.clone()).unwrap();
-    let ctx = ContentContext::from_params(&params);
-    let contexts = vec![ctx; params.time_steps];
-    for method in [SolveMethod::PicardRelaxation, SolveMethod::FictitiousPlay] {
-        check_workspace_reuse(&solver, &contexts, method).unwrap();
-    }
-}
-
-#[test]
-fn workspace_reuse_survives_changing_contexts() {
-    // A workspace dirtied by one workload must reset cleanly for another.
-    let params = small_params();
-    let solver = MfgSolver::new(params.clone()).unwrap();
-    let busy = ContentContext {
-        requests: 8.0,
-        ..ContentContext::from_params(&params)
-    };
-    let contexts = vec![busy; params.time_steps];
-    check_workspace_reuse(&solver, &contexts, SolveMethod::PicardRelaxation).unwrap();
 }
 
 proptest! {

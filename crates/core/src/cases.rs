@@ -40,25 +40,6 @@ impl CaseProbabilities {
         }
     }
 
-    /// Partial derivatives `(∂P¹/∂q, ∂P²/∂q, ∂P³/∂q)` — the expressions
-    /// below Eq. (24) used in the Lipschitz argument of Lemma 1.
-    pub fn derivatives_wrt_q(
-        sigmoid: Sigmoid,
-        q: f64,
-        q_peer: f64,
-        alpha_qk: f64,
-    ) -> (f64, f64, f64) {
-        let d_own_full = -sigmoid.derivative(alpha_qk - q);
-        let d_own_short = sigmoid.derivative(q - alpha_qk);
-        let peer_full = sigmoid.eval(alpha_qk - q_peer);
-        let peer_short = sigmoid.eval(q_peer - alpha_qk);
-        (
-            d_own_full,
-            d_own_short * peer_full,
-            d_own_short * peer_short,
-        )
-    }
-
     /// Sum of the three probabilities (≈ 1 away from the threshold; the
     /// sigmoid smoothing makes it only approximately a partition).
     pub fn total(&self) -> f64 {
@@ -116,18 +97,5 @@ mod tests {
         assert!(
             (c_full_peer.p2 + c_full_peer.p3 - (c_short_peer.p2 + c_short_peer.p3)).abs() < 1e-9
         );
-    }
-
-    #[test]
-    fn derivatives_match_finite_differences() {
-        let s = sig();
-        let (q, qp, a) = (0.25, 0.6, 0.2);
-        let h = 1e-6;
-        let up = CaseProbabilities::compute(s, q + h, qp, a);
-        let dn = CaseProbabilities::compute(s, q - h, qp, a);
-        let (d1, d2, d3) = CaseProbabilities::derivatives_wrt_q(s, q, qp, a);
-        assert!((d1 - (up.p1 - dn.p1) / (2.0 * h)).abs() < 1e-4);
-        assert!((d2 - (up.p2 - dn.p2) / (2.0 * h)).abs() < 1e-4);
-        assert!((d3 - (up.p3 - dn.p3) / (2.0 * h)).abs() < 1e-4);
     }
 }

@@ -127,11 +127,6 @@ impl MeanFieldEstimator {
         }
     }
 
-    /// The parameters in use.
-    pub fn params(&self) -> &Params {
-        &self.params
-    }
-
     /// Average remaining space `q̄₋ = ∬ q·λ dh dq` (Eq. (18)).
     ///
     /// The density is renormalized inside the integral so small
@@ -380,7 +375,7 @@ mod tests {
         lam: &Field2d,
         policy: &Field2d,
     ) {
-        let p = est.params();
+        let p = &est.params;
         let snap = est.snapshot(lam, policy);
         let price = mean_field_price(p.p_hat, p.eta1, p.q_size, lam, policy);
         let fields = [

@@ -90,8 +90,12 @@ impl FpkSolver {
         lam
     }
 
-    /// Evolve `initial` forward under the policy surface, producing the
-    /// density trajectory `λ(t_n, ·)` for `n = 0..=N`.
+    /// Evolve `initial` forward under the policy surface, writing the
+    /// density trajectory `λ(t_n, ·)` for `n = 0..=N` into a caller-owned
+    /// vector (resized and fully overwritten) with a reusable workspace —
+    /// the allocation-free path the Picard loop of Alg. 2 runs on. The
+    /// sweep runs on the calling thread; parallelism lives one level up,
+    /// across an epoch's independent per-content solves.
     ///
     /// Tiny negative undershoots from the upwind scheme are clipped and the
     /// mass renormalized after every macro step, keeping `λ` a valid
@@ -99,28 +103,9 @@ impl FpkSolver {
     ///
     /// # Panics
     ///
-    /// Panics if `policy.len() != params.time_steps` or grids mismatch.
-    pub fn solve(
-        &self,
-        initial: Field2d,
-        contexts: &[ContentContext],
-        policy: &[Field2d],
-    ) -> Vec<Field2d> {
-        let mut out = Vec::new();
-        self.solve_into(&initial, contexts, policy, &mut out, &mut self.scratch());
-        out
-    }
-
-    /// [`FpkSolver::solve`] writing the trajectory into a caller-owned
-    /// vector (resized and fully overwritten) with a reusable workspace —
-    /// the allocation-free path the Picard loop of Alg. 2 runs on. The
-    /// sweep runs on the calling thread; parallelism lives one level up,
-    /// across an epoch's independent per-content solves.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`FpkSolver::solve`], or if
-    /// reused buffers live on a different grid.
+    /// Panics if `policy.len() != params.time_steps`, or if the initial
+    /// density, a policy field or a reused buffer lives on a different
+    /// grid.
     pub fn solve_into(
         &self,
         initial: &Field2d,
@@ -194,6 +179,19 @@ impl FpkSolver {
 mod tests {
     use super::*;
 
+    /// One forward sweep from the §V-A initial density into a fresh
+    /// trajectory.
+    fn trajectory(
+        solver: &FpkSolver,
+        contexts: &[ContentContext],
+        policy: &[Field2d],
+    ) -> Vec<Field2d> {
+        let mut out = Vec::new();
+        let initial = solver.initial_density();
+        solver.solve_into(&initial, contexts, policy, &mut out, &mut solver.scratch());
+        out
+    }
+
     fn params() -> Params {
         Params {
             time_steps: 20,
@@ -223,7 +221,7 @@ mod tests {
         let contexts = vec![ctx; p.time_steps];
         // Aggressive caching everywhere: drift pushes mass towards q = 0.
         let policy = vec![Field2d::from_fn(solver.grid().clone(), |_h, _q| 1.0); p.time_steps];
-        let traj = solver.solve(solver.initial_density(), &contexts, &policy);
+        let traj = trajectory(&solver, &contexts, &policy);
         assert_eq!(traj.len(), p.time_steps + 1);
         for (n, lam) in traj.iter().enumerate() {
             assert!((lam.integral() - 1.0).abs() < 1e-9, "mass at step {n}");
@@ -243,7 +241,7 @@ mod tests {
         };
         let contexts = vec![ctx; p.time_steps];
         let policy = vec![Field2d::from_fn(solver.grid().clone(), |_h, _q| 1.0); p.time_steps];
-        let traj = solver.solve(solver.initial_density(), &contexts, &policy);
+        let traj = trajectory(&solver, &contexts, &policy);
         let mean0 = traj[0].weighted_integral(|_h, q| q);
         let mean_t = traj[p.time_steps].weighted_integral(|_h, q| q);
         assert!(
@@ -264,7 +262,7 @@ mod tests {
         };
         let contexts = vec![ctx; p.time_steps];
         let policy = vec![Field2d::zeros(solver.grid().clone()); p.time_steps];
-        let traj = solver.solve(solver.initial_density(), &contexts, &policy);
+        let traj = trajectory(&solver, &contexts, &policy);
         let mean0 = traj[0].weighted_integral(|_h, q| q);
         let mean_t = traj[p.time_steps].weighted_integral(|_h, q| q);
         assert!(mean_t > mean0, "discard drift should grow remaining space");
@@ -276,6 +274,6 @@ mod tests {
         let p = params();
         let solver = FpkSolver::new(p.clone()).unwrap();
         let ctx = ContentContext::from_params(&p);
-        solver.solve(solver.initial_density(), &vec![ctx; p.time_steps], &[]);
+        trajectory(&solver, &vec![ctx; p.time_steps], &[]);
     }
 }

@@ -15,23 +15,6 @@ use crate::estimator::MeanFieldSnapshot;
 use crate::params::{CoreError, Params};
 use crate::utility::{ContentContext, Utility};
 
-/// The result of one backward sweep: value and policy surfaces.
-#[derive(Debug, Clone)]
-pub struct HjbSolution {
-    /// `values[n]` = `V(t_n, ·)` for `n = 0..=N` (so `values[N]` is the
-    /// terminal condition).
-    pub values: Vec<Field2d>,
-    /// `policy[n]` = `x*(t_n, ·)` for `n = 0..N`.
-    pub policy: Vec<Field2d>,
-}
-
-impl HjbSolution {
-    /// `∂_q V(0, ·)` — useful for inspecting the marginal value of storage.
-    pub fn initial_value(&self) -> &Field2d {
-        &self.values[0]
-    }
-}
-
 /// Reusable cross-iteration workspace for [`HjbSolver::solve_into`]: the
 /// closed-loop drift and running-reward fields, the step's case-probability
 /// row and the stepper scratch, allocated once (via
@@ -112,46 +95,15 @@ impl HjbSolver {
         }
     }
 
-    /// The utility evaluator (shared with callers that need breakdowns).
-    pub fn utility(&self) -> &Utility {
-        &self.utility
-    }
-
-    /// The state grid.
-    pub fn grid(&self) -> &Grid2d {
-        &self.grid
-    }
-
-    /// Solve backwards over the whole horizon.
-    ///
-    /// `contexts` and `snapshots` must each have `params.time_steps`
-    /// entries (one per macro step `t_n`, `n = 0..N`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatches.
-    pub fn solve(
-        &self,
-        contexts: &[ContentContext],
-        snapshots: &[MeanFieldSnapshot],
-    ) -> HjbSolution {
-        let mut values = Vec::new();
-        let mut policy = Vec::new();
-        self.solve_into(
-            contexts,
-            snapshots,
-            &mut values,
-            &mut policy,
-            &mut self.scratch(),
-        );
-        HjbSolution { values, policy }
-    }
-
-    /// [`HjbSolver::solve`] writing into caller-owned `values`/`policy`
-    /// vectors (resized and fully overwritten) with a reusable workspace —
-    /// the allocation-free path the Picard loop of Alg. 2 runs on. The
-    /// sweep runs on the calling thread; parallelism lives one level up,
-    /// across an epoch's independent per-content solves.
+    /// Solve backwards over the whole horizon, writing `values[n]` =
+    /// `V(t_n, ·)` for `n = 0..=N` (so `values[N]` is the terminal
+    /// condition) and `policy[n]` = `x*(t_n, ·)` for `n = 0..N` into
+    /// caller-owned vectors (resized and fully overwritten), with a
+    /// reusable workspace — the allocation-free path the Picard loop of
+    /// Alg. 2 runs on. `contexts` and `snapshots` must each have
+    /// `params.time_steps` entries (one per macro step `t_n`). The sweep
+    /// runs on the calling thread; parallelism lives one level up, across
+    /// an epoch's independent per-content solves.
     ///
     /// # Panics
     ///
@@ -259,7 +211,19 @@ mod tests {
         }
     }
 
-    fn solve_default() -> (HjbSolver, HjbSolution) {
+    /// One backward sweep into fresh buffers: `(values, policy)`.
+    fn sweep(
+        solver: &HjbSolver,
+        contexts: &[ContentContext],
+        snapshots: &[MeanFieldSnapshot],
+    ) -> (Vec<Field2d>, Vec<Field2d>) {
+        let (mut values, mut policy) = (Vec::new(), Vec::new());
+        let mut scratch = solver.scratch();
+        solver.solve_into(contexts, snapshots, &mut values, &mut policy, &mut scratch);
+        (values, policy)
+    }
+
+    fn solve_default() -> (HjbSolver, Vec<Field2d>, Vec<Field2d>) {
         let params = Params {
             time_steps: 20,
             grid_h: 12,
@@ -270,20 +234,14 @@ mod tests {
         let solver = HjbSolver::new(params.clone()).unwrap();
         let contexts = vec![ctx; params.time_steps];
         let snaps = vec![snapshot(); params.time_steps];
-        let sol = solver.solve(&contexts, &snaps);
-        (solver, sol)
+        let (values, policy) = sweep(&solver, &contexts, &snaps);
+        (solver, values, policy)
     }
 
     #[test]
     fn terminal_condition_is_zero() {
-        let (_, sol) = solve_default();
-        assert!(sol
-            .values
-            .last()
-            .unwrap()
-            .values()
-            .iter()
-            .all(|&v| v == 0.0));
+        let (_, values, _) = solve_default();
+        assert!(values.last().unwrap().values().iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -297,21 +255,21 @@ mod tests {
         };
         let ctx = ContentContext::from_params(&params);
         let solver = HjbSolver::new(params.clone()).unwrap();
-        let sol = solver.solve(&vec![ctx; 10], &vec![snapshot(); 10]);
-        let v_t = sol.values.last().unwrap();
+        let (values, policy) = sweep(&solver, &vec![ctx; 10], &vec![snapshot(); 10]);
+        let v_t = values.last().unwrap();
         // V(T, q = 0) = 2·Q_k, V(T, q = Q_k) = 0.
         assert!((v_t.interpolate(5.0e-5, 0.0) - 2.0).abs() < 1e-9);
         assert!(v_t.interpolate(5.0e-5, 1.0).abs() < 1e-9);
         // Salvage value keeps the policy caching near the horizon where
         // the γ = 0 solve has already shut down.
-        let salvage_late = sol.policy[9].interpolate(5.0e-5, 0.6);
+        let salvage_late = policy[9].interpolate(5.0e-5, 0.6);
         let plain = HjbSolver::new(Params {
             terminal_value_weight: 0.0,
             ..params
         })
-        .unwrap()
-        .solve(&vec![ctx; 10], &vec![snapshot(); 10]);
-        let plain_late = plain.policy[9].interpolate(5.0e-5, 0.6);
+        .unwrap();
+        let (_, plain_policy) = sweep(&plain, &vec![ctx; 10], &vec![snapshot(); 10]);
+        let plain_late = plain_policy[9].interpolate(5.0e-5, 0.6);
         assert!(
             salvage_late > plain_late,
             "salvage {salvage_late} <= plain {plain_late}"
@@ -320,11 +278,11 @@ mod tests {
 
     #[test]
     fn value_accumulates_positive_utility_backwards() {
-        let (_, sol) = solve_default();
+        let (_, values, _) = solve_default();
         // With income-dominated utility, V(0) should be strictly positive
         // and exceed V at later times (more horizon left to earn).
-        let v0_mid = sol.values[0].interpolate(5.0e-5, 0.5);
-        let v_mid_mid = sol.values[10].interpolate(5.0e-5, 0.5);
+        let v0_mid = values[0].interpolate(5.0e-5, 0.5);
+        let v_mid_mid = values[10].interpolate(5.0e-5, 0.5);
         assert!(v0_mid > 0.0, "V(0) = {v0_mid}");
         assert!(v0_mid > v_mid_mid, "V decreases towards the horizon");
     }
@@ -333,8 +291,8 @@ mod tests {
     fn value_decreases_in_remaining_space() {
         // More remaining space = less content cached = less to sell:
         // V should decrease with q through most of the domain.
-        let (_, sol) = solve_default();
-        let v = &sol.values[0];
+        let (_, values, _) = solve_default();
+        let v = &values[0];
         let low_q = v.interpolate(5.0e-5, 0.1);
         let high_q = v.interpolate(5.0e-5, 0.9);
         assert!(low_q > high_q, "V(q=0.1) = {low_q} vs V(q=0.9) = {high_q}");
@@ -342,8 +300,8 @@ mod tests {
 
     #[test]
     fn policy_is_a_valid_caching_rate_everywhere() {
-        let (_, sol) = solve_default();
-        for p in &sol.policy {
+        let (_, _, policy) = solve_default();
+        for p in &policy {
             assert!(p.values().iter().all(|&x| (0.0..=1.0).contains(&x)));
         }
     }
@@ -352,9 +310,8 @@ mod tests {
     fn policy_is_interior_somewhere() {
         // A degenerate all-0 or all-1 policy would mean the calibration
         // broke the Thm. 1 trade-off.
-        let (_, sol) = solve_default();
-        let interior: usize = sol
-            .policy
+        let (_, _, policy) = solve_default();
+        let interior: usize = policy
             .iter()
             .map(|p| p.values().iter().filter(|&&x| x > 0.01 && x < 0.99).count())
             .sum();
@@ -363,17 +320,17 @@ mod tests {
 
     #[test]
     fn policy_consistent_with_value_gradient() {
-        let (solver, sol) = solve_default();
+        let (solver, values, policy) = solve_default();
         // Recompute x* from the stored value surface at one step and
         // compare with the stored policy.
         let n = 5;
-        let v = &sol.values[n + 1];
-        let grid = solver.grid();
+        let v = &values[n + 1];
+        let grid = &solver.grid;
         let dqs = grid.y().dx();
         let (i, j) = (6, 16);
         let dv = (v.at(i, j + 1) - v.at(i, j - 1)) / (2.0 * dqs);
-        let expected = solver.utility().optimal_control(dv);
-        assert!((sol.policy[n].at(i, j) - expected).abs() < 1e-12);
+        let expected = solver.utility.optimal_control(dv);
+        assert!((policy[n].at(i, j) - expected).abs() < 1e-12);
     }
 
     #[test]
@@ -400,14 +357,14 @@ mod tests {
         };
         let snaps = vec![snapshot(); 20];
 
-        let flat = solver.solve(&vec![quiet; 20], &snaps);
+        let (_, flat) = sweep(&solver, &vec![quiet; 20], &snaps);
         let mut ramped_ctx = vec![quiet; 10];
         ramped_ctx.extend(vec![burst; 10]);
-        let ramped = solver.solve(&ramped_ctx, &snaps);
+        let (_, ramped) = sweep(&solver, &ramped_ctx, &snaps);
 
         // Compare the early-horizon policy mass.
-        let early_mass = |sol: &HjbSolution| -> f64 {
-            sol.policy[..5]
+        let early_mass = |policy: &[Field2d]| -> f64 {
+            policy[..5]
                 .iter()
                 .map(|p| p.values().iter().sum::<f64>())
                 .sum()
@@ -428,7 +385,7 @@ mod tests {
         snapshots: &[MeanFieldSnapshot],
     ) -> (Vec<Field2d>, Vec<Field2d>) {
         let p = &solver.params;
-        let grid = solver.grid();
+        let grid = &solver.grid;
         let (nx, ny) = (grid.x().len(), grid.y().len());
         let dq = grid.y().dx();
         let mut values = vec![Field2d::zeros(grid.clone()); p.time_steps + 1];
@@ -494,10 +451,10 @@ mod tests {
                     ..ContentContext::from_params(&params)
                 })
                 .collect();
-            let tabled = solver.solve(&contexts, &snaps);
+            let (tabled_values, tabled_policy) = sweep(&solver, &contexts, &snaps);
             let (values, policy) = reference_sweep(&solver, &contexts, &snaps);
-            let planes = tabled.values.iter().zip(&values);
-            let planes = planes.chain(tabled.policy.iter().zip(&policy));
+            let planes = tabled_values.iter().zip(&values);
+            let planes = planes.chain(tabled_policy.iter().zip(&policy));
             for (k, (a, b)) in planes.enumerate() {
                 let bits = |f: &Field2d| f.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(a), bits(b), "{grid_h}x{grid_q}, plane {k}");
@@ -520,7 +477,7 @@ mod tests {
                 ..Params::default()
             };
             let solver = HjbSolver::new(params.clone()).unwrap();
-            let grid = solver.grid().clone();
+            let grid = solver.grid.clone();
             let ctx = ContentContext {
                 requests: 13.0,
                 popularity: 0.4,
@@ -543,7 +500,7 @@ mod tests {
                     for j in 0..grid.y().len() {
                         let q = grid.y().at(j);
                         let x = policy[0].at(i, j);
-                        let reference = solver.utility().breakdown(&ctx, &snaps[0], x, h, q);
+                        let reference = solver.utility.breakdown(&ctx, &snaps[0], x, h, q);
                         assert_eq!(
                             scratch.source.at(i, j).to_bits(),
                             reference.total().to_bits(),
@@ -566,6 +523,6 @@ mod tests {
         };
         let solver = HjbSolver::new(params.clone()).unwrap();
         let snaps = vec![snapshot(); 10];
-        solver.solve(&[], &snaps);
+        sweep(&solver, &[], &snaps);
     }
 }

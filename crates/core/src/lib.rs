@@ -75,11 +75,9 @@ mod utility;
 pub use cases::CaseProbabilities;
 pub use diag::ConvergenceReport;
 pub use estimator::{MeanFieldEstimator, MeanFieldSnapshot};
-pub use fpk::{FpkScratch, FpkSolver};
 pub use framework::{seed_density_from_occupancy, EpochSeeds, Framework};
-pub use hjb::{HjbScratch, HjbSolution, HjbSolver};
 pub use knapsack::{solve_01, solve_fractional, CachePlan, KnapsackItem};
-pub use mfg::{Equilibrium, MfgSolver, PolicyLookup, PreparedSlot, SolveMethod, SolveWorkspace};
+pub use mfg::{Equilibrium, MfgSolver, PolicyLookup, PreparedSlot, SolveMethod};
 pub use params::{CoreError, Params};
 pub use pricing::{finite_population_price, mean_field_price, SharedSupplyPricer};
 pub use rate::RateModel;

@@ -16,7 +16,6 @@ pub struct RateModel {
     scale: f64,
     snr_coeff: f64,
     norm: f64,
-    h_max: f64,
 }
 
 impl RateModel {
@@ -42,7 +41,6 @@ impl RateModel {
             scale,
             snr_coeff,
             norm,
-            h_max,
         }
     }
 
@@ -63,11 +61,6 @@ impl RateModel {
     /// The rate at the top of the band (= `scale`).
     pub fn max_rate(&self) -> f64 {
         self.scale
-    }
-
-    /// Top of the calibrated band.
-    pub fn h_max(&self) -> f64 {
-        self.h_max
     }
 }
 

@@ -23,11 +23,6 @@ impl Sigmoid {
         Self { l }
     }
 
-    /// The sharpness parameter `l`.
-    pub fn l(&self) -> f64 {
-        self.l
-    }
-
     /// `f(x) = 1 / (1 + e^{−2lx})`.
     pub fn eval(&self, x: f64) -> f64 {
         1.0 / (1.0 + (-2.0 * self.l * x).exp())

@@ -88,16 +88,6 @@ impl Utility {
         }
     }
 
-    /// The parameters in use.
-    pub fn params(&self) -> &Params {
-        &self.params
-    }
-
-    /// The fading-to-rate model in use.
-    pub fn rate_model(&self) -> &RateModel {
-        &self.rate
-    }
-
     /// Case probabilities at own state `q` and peer state `q_peer`.
     pub fn cases(&self, q: f64, q_peer: f64) -> CaseProbabilities {
         CaseProbabilities::compute(self.sigmoid, q, q_peer, self.params.alpha_qk())
@@ -349,7 +339,7 @@ mod tests {
         let dv = -2.0;
         let x_star = u.optimal_control(dv);
         assert!(x_star > 0.0 && x_star < 1.0, "interior: {x_star}");
-        let p = u.params();
+        let p = &u.params;
         let foc = -p.w1 * dv - p.w4 - 2.0 * p.w5 * x_star - p.eta2 * p.q_size / p.center_rate;
         assert!(foc.abs() < 1e-9, "FOC residual {foc}");
     }
@@ -365,7 +355,7 @@ mod tests {
     fn hamiltonian_is_maximized_at_x_star() {
         // Verify Thm. 1 numerically: scan x and check the closed form wins.
         let (u, ctx) = setup();
-        let p = u.params().clone();
+        let p = u.params.clone();
         let dv = -1.5;
         let x_star = u.optimal_control(dv);
         let ham = |x: f64| {

@@ -103,16 +103,6 @@ impl ChannelState {
         self.recorder = recorder;
     }
 
-    /// Number of EDPs.
-    pub fn num_edps(&self) -> usize {
-        self.num_edps
-    }
-
-    /// Number of requesters.
-    pub fn num_requesters(&self) -> usize {
-        self.num_requesters
-    }
-
     /// Number of links currently holding fading state.
     pub fn tracked_links(&self) -> usize {
         self.links
@@ -173,11 +163,6 @@ impl ChannelState {
     fn current_fading(&self, j: usize, l: &Link) -> f64 {
         self.links
             .current_fading(self.seed, j, l, &self.process, &self.cfg)
-    }
-
-    /// Tracked interferer links of requester `j`.
-    pub fn interferer_count(&self, j: usize) -> usize {
-        self.links.records[j].interferers.len()
     }
 
     /// EDP indices of the tracked interferers of requester `j`, in the
@@ -569,7 +554,7 @@ mod tests {
     /// `out[j]` of the serving-fading gather against a per-link read of
     /// `(serving EDP, j)`, bit for bit.
     fn assert_serving_column(ch: &ChannelState, topo: &Topology, tag: &str) {
-        let mut column = vec![f64::NAN; ch.num_requesters()];
+        let mut column = vec![f64::NAN; ch.num_requesters];
         ch.serving_fading_into(&mut column);
         for (j, h) in column.iter().enumerate() {
             let want = ch.fading(topo.serving(j), j);
@@ -623,7 +608,7 @@ mod tests {
     /// reference recomputed from `topo`, bit for bit.
     fn assert_tails_match(ch: &ChannelState, topo: &Topology, tag: &str) {
         let process = ch.cfg.fading_process();
-        for j in 0..ch.num_requesters() {
+        for j in 0..ch.num_requesters {
             let want = crate::shard::association_time_tail(topo, &ch.cfg, &process, j);
             let got = ch.tail_gain(topo, j);
             assert_eq!(got.to_bits(), want.to_bits(), "{tag}: requester {j}");
@@ -724,7 +709,7 @@ mod tests {
         };
         let ch = ChannelState::init_with_seed(&topo, &cfg, 77);
         assert_eq!(ch.tracked_links(), 2);
-        assert_eq!(ch.interferer_count(0), 1);
+        assert_eq!(ch.tracked_interferers(0), vec![1]);
         assert!(ch.link_fading(0, 0).is_some(), "serving link tracked");
         assert!(ch.link_fading(1, 0).is_some(), "nearest interferer tracked");
         assert_eq!(ch.link_fading(5, 0), None, "distant link untracked");

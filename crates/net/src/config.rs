@@ -41,8 +41,6 @@ pub struct NetworkConfig {
     pub fading_min: f64,
     /// Upper clamp of the fading coefficient (paper: `10·10⁻⁵`).
     pub fading_max: f64,
-    /// Transmission rate `H_c` between the cloud center and any EDP, bits/s.
-    pub center_rate: f64,
     /// Interferers tracked per requester by the channel state (the
     /// `k_int` nearest non-serving EDPs). Must be at least 1. The
     /// tracked links carry the dominant interferers with live fading;
@@ -72,9 +70,6 @@ impl Default for NetworkConfig {
             fading_noise: 1.0e-5,
             fading_min: 1.0e-5,
             fading_max: 10.0e-5,
-            // Backhaul to the cloud center is slower than a good edge link;
-            // 20 Mbit/s keeps the staleness-cost trade-off of Eq. (9) alive.
-            center_rate: 20e6,
             // 32 tracked interferers. With τ = 3 the untracked far field
             // still carries a sizeable share of the stationary-mean
             // interference power at uniform placements — a mean over

@@ -254,12 +254,6 @@ impl Span {
         self.finish(fields);
     }
 
-    /// The span id carried by the matching `span_open`/`span_close`
-    /// records (0 for spans from a disabled handle).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     fn finish(&mut self, fields: &[(&'static str, Value)]) {
         if self.closed {
             return;

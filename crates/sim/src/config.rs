@@ -2,7 +2,6 @@
 
 use mfgcp_core::Params;
 use mfgcp_net::{NetworkConfig, RandomWaypoint};
-use mfgcp_workload::Catalog;
 use mfgcp_workload::TimelinessConfig;
 
 use crate::SimError;
@@ -178,6 +177,39 @@ impl SimConfig {
                 "must equal the simulator population (keeps Eq. (5) and the estimator consistent)",
             ));
         }
+        // The channel runs `network`'s Eq. (1) while the equilibrium is
+        // solved on the `params` law and `h` axis: two different laws would
+        // price links on a fading process they never see.
+        let (net, p) = (&self.network, &self.params);
+        for (name, value, solver_name, solver_value) in [
+            (
+                "network.fading_rate",
+                net.fading_rate,
+                "varsigma_h",
+                p.varsigma_h,
+            ),
+            (
+                "network.fading_mean",
+                net.fading_mean,
+                "upsilon_h",
+                p.upsilon_h,
+            ),
+            (
+                "network.fading_noise",
+                net.fading_noise,
+                "varrho_h",
+                p.varrho_h,
+            ),
+            ("network.fading_min", net.fading_min, "h_min", p.h_min),
+            ("network.fading_max", net.fading_max, "h_max", p.h_max),
+        ] {
+            if value != solver_value {
+                return Err(bad(
+                    name,
+                    &format!("must equal params.{solver_name} (one Eq. (1) fading law)"),
+                ));
+            }
+        }
         self.params.validate()?;
         Ok(())
     }
@@ -185,21 +217,6 @@ impl SimConfig {
     /// Slot duration in epoch time units.
     pub fn slot_dt(&self) -> f64 {
         self.params.t_horizon / self.slots_per_epoch as f64
-    }
-
-    /// Derive `num_contents` and `content_sizes` from a workload
-    /// [`Catalog`]: each content's size in bytes is normalized by
-    /// `reference_bytes` (the storage unit — the paper's 100 MB) and
-    /// clamped into `(0, 1]`.
-    #[must_use]
-    pub fn with_catalog(mut self, catalog: &Catalog, reference_bytes: f64) -> Self {
-        assert!(reference_bytes > 0.0, "reference size must be > 0");
-        self.num_contents = catalog.len();
-        self.content_sizes = catalog
-            .iter()
-            .map(|(_, c)| (c.size / reference_bytes).clamp(1e-6, 1.0))
-            .collect();
-        self
     }
 
     /// The resolved per-content sizes (uniform `params.q_size` fallback).
@@ -254,9 +271,23 @@ mod tests {
         let mut c = base.clone();
         c.request_prob = 0.0;
         assert!(c.validate().is_err());
-        let mut c = base;
+        let mut c = base.clone();
         c.slots_per_epoch = 0;
         assert!(c.validate().is_err());
+        // A channel fading law that differs from the solver's.
+        let mismatch = |field: &str, perturb: fn(&mut SimConfig)| {
+            let mut c = base.clone();
+            perturb(&mut c);
+            match c.validate() {
+                Err(SimError::BadConfig { name, .. }) => assert_eq!(name, field),
+                other => panic!("{field}: expected BadConfig, got {other:?}"),
+            }
+        };
+        mismatch("network.fading_rate", |c| c.network.fading_rate *= 2.0);
+        mismatch("network.fading_mean", |c| c.network.fading_mean = 6.0e-5);
+        mismatch("network.fading_noise", |c| c.params.varrho_h = 2.0e-5);
+        mismatch("network.fading_min", |c| c.network.fading_min = 2.0e-5);
+        mismatch("network.fading_max", |c| c.params.h_max = 9.0e-5);
     }
 
     #[test]
@@ -267,20 +298,6 @@ mod tests {
             Err(SimError::BadConfig { name, .. }) => assert_eq!(name, "audit_sample"),
             other => panic!("expected BadConfig, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn with_catalog_normalizes_sizes() {
-        use mfgcp_workload::Content;
-        let catalog = Catalog::new(vec![
-            Content::new(100e6, 3600.0).unwrap(),
-            Content::new(50e6, 3600.0).unwrap(),
-            Content::new(250e6, 3600.0).unwrap(), // clamped to the unit
-        ])
-        .unwrap();
-        let cfg = SimConfig::small().with_catalog(&catalog, 100e6);
-        assert_eq!(cfg.num_contents, 3);
-        assert_eq!(cfg.content_sizes, vec![1.0, 0.5, 1.0]);
     }
 
     #[test]

@@ -398,11 +398,6 @@ impl Simulation {
         self.control = Some(control);
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     /// The current remaining-space states of every EDP for one content —
     /// after [`Simulation::run`], the end-of-run empirical distribution
     /// (used by the propagation-of-chaos ablation).

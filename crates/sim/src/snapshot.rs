@@ -67,11 +67,6 @@ impl Histogram {
         }
         Some(Self { lo, hi, counts })
     }
-
-    /// Total number of binned samples.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
 }
 
 /// A point-in-time view of a running simulation, published at every slot
@@ -183,7 +178,7 @@ mod tests {
         assert_eq!(h.lo, 0.0);
         assert_eq!(h.hi, 63.0);
         assert_eq!(h.counts.len(), SNAPSHOT_BINS);
-        assert_eq!(h.total(), 64);
+        assert_eq!(h.counts.iter().sum::<u64>(), 64);
         // Uniform samples spread evenly: 4 per bin.
         assert!(h.counts.iter().all(|&c| c == 4));
     }
@@ -195,7 +190,7 @@ mod tests {
         let h = Histogram::from_values(&[2.5, 2.5, 2.5]).unwrap();
         assert_eq!(h.lo, h.hi);
         assert_eq!(h.counts[0], 3);
-        assert_eq!(h.total(), 3);
+        assert_eq!(h.counts.iter().sum::<u64>(), 3);
     }
 
     #[test]

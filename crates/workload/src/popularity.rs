@@ -30,28 +30,6 @@ impl Popularity {
         })
     }
 
-    /// Initialize from explicit prior probabilities (used by trace-driven
-    /// workloads where the prior comes from historical counts).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `prior` is empty; the prior is renormalized.
-    pub fn from_prior(prior: Vec<f64>) -> Result<Self, WorkloadError> {
-        if prior.is_empty() {
-            return Err(WorkloadError::EmptyCatalog);
-        }
-        let total: f64 = prior.iter().sum();
-        let initial: Vec<f64> = if total > 0.0 {
-            prior.iter().map(|p| p / total).collect()
-        } else {
-            vec![1.0 / prior.len() as f64; prior.len()]
-        };
-        Ok(Self {
-            current: initial.clone(),
-            initial,
-        })
-    }
-
     /// Number of contents `K`.
     pub fn len(&self) -> usize {
         self.initial.len()
@@ -71,11 +49,6 @@ impl Popularity {
     /// The full current popularity vector.
     pub fn all(&self) -> &[f64] {
         &self.current
-    }
-
-    /// The Zipf prior `Π_k(t₀)`.
-    pub fn prior(&self, k: usize) -> f64 {
-        self.initial[k]
     }
 
     /// Apply Eq. (3) given the per-content request counts `|I_k(t)|`.
@@ -123,7 +96,7 @@ mod tests {
     #[test]
     fn update_follows_eq_3_exactly() {
         let mut p = Popularity::zipf(3, 1.0).unwrap();
-        let prior = [p.prior(0), p.prior(1), p.prior(2)];
+        let prior = [p.initial[0], p.initial[1], p.initial[2]];
         let counts = [4usize, 1, 0];
         p.update(&counts);
         let denom = 3.0 + 5.0;
@@ -147,7 +120,7 @@ mod tests {
         let mut p = Popularity::zipf(4, 1.2).unwrap();
         p.update(&[0, 0, 0, 0]);
         for k in 0..4 {
-            assert!((p.get(k) - p.prior(k)).abs() < 1e-12);
+            assert!((p.get(k) - p.initial[k]).abs() < 1e-12);
         }
     }
 
@@ -159,14 +132,5 @@ mod tests {
         p.update(&[0, 0, 100]);
         assert_eq!(p.most_popular(), 2);
         assert_eq!(p.ranked()[0], 2);
-    }
-
-    #[test]
-    fn from_prior_renormalizes() {
-        let p = Popularity::from_prior(vec![2.0, 2.0]).unwrap();
-        assert_eq!(p.get(0), 0.5);
-        let uniform = Popularity::from_prior(vec![0.0, 0.0, 0.0]).unwrap();
-        assert!((uniform.get(1) - 1.0 / 3.0).abs() < 1e-12);
-        assert!(Popularity::from_prior(vec![]).is_err());
     }
 }

@@ -165,11 +165,6 @@ impl RequestProcess {
         batch
     }
 
-    /// Expected number of requests for content `k` from `n` requesters.
-    pub fn expected_count(&self, k: usize, n: usize) -> f64 {
-        self.request_prob * self.weights[k] * n as f64
-    }
-
     /// Generate one slot of requests from an explicit requester set, each
     /// requester drawing from its own counter-based stream keyed
     /// `(seed, requester, slot)`.
@@ -305,12 +300,6 @@ mod tests {
         assert!(RequestProcess::new(0.5, vec![], TimelinessConfig::default()).is_err());
         assert!(RequestProcess::new(0.0, vec![1.0], TimelinessConfig::default()).is_err());
         assert!(RequestProcess::new(1.5, vec![1.0], TimelinessConfig::default()).is_err());
-    }
-
-    #[test]
-    fn expected_count_formula() {
-        let p = process(vec![3.0, 1.0]);
-        assert!((p.expected_count(0, 100) - 0.5 * 0.75 * 100.0).abs() < 1e-12);
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! wanted sooner; in Eq. (4) the factor `ξ^{L_k(t)}`, `ξ ∈ (0, 1)`, shrinks
 //! the discard rate for urgent contents.
 
-use rand::{Rng, RngExt as _};
-
 use crate::WorkloadError;
 
 /// Parameters controlling requester urgency generation.
@@ -150,17 +148,11 @@ impl Timeliness {
         self.current[k] = (1.0 - alpha) * self.current[k] + alpha * batch_mean;
         self.factors[k] = self.config.urgency_factor(self.current[k]);
     }
-
-    /// Draw a requester urgency uniformly in `[0, L_max]`.
-    pub fn sample_requirement<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        rng.random_range(0.0..self.config.l_max)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfgcp_sde::seeded_rng;
 
     #[test]
     fn observe_blends_towards_the_batch_average() {
@@ -220,15 +212,5 @@ mod tests {
         assert!(TimelinessConfig::with_smoothing(5.0, 0.1, 0.0).is_err());
         assert!(TimelinessConfig::with_smoothing(5.0, 0.1, 1.1).is_err());
         assert!(TimelinessConfig::with_smoothing(5.0, 0.1, 1.0).is_ok());
-    }
-
-    #[test]
-    fn sampled_requirements_stay_in_range() {
-        let t = Timeliness::new(1, TimelinessConfig::default());
-        let mut rng = seeded_rng(15);
-        for _ in 0..1_000 {
-            let l = t.sample_requirement(&mut rng);
-            assert!((0.0..5.0).contains(&l));
-        }
     }
 }

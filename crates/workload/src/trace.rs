@@ -88,22 +88,6 @@ impl Trace {
             vec![1.0 / self.categories as f64; self.categories]
         }
     }
-
-    /// Average weight of each category across all epochs (a long-run
-    /// popularity prior).
-    pub fn mean_weights(&self) -> Vec<f64> {
-        let mut acc = vec![0.0; self.categories];
-        for e in 0..self.num_epochs() {
-            for (a, w) in acc.iter_mut().zip(self.weights(e)) {
-                *a += w;
-            }
-        }
-        let inv = 1.0 / self.num_epochs() as f64;
-        for a in &mut acc {
-            *a *= inv;
-        }
-        acc
-    }
 }
 
 /// Generator configuration for the synthetic YouTube-like trace.
@@ -317,13 +301,19 @@ mod tests {
             ..Default::default()
         };
         let t = cfg.generate(&mut rng).unwrap();
-        let means = t.mean_weights();
-        // Head categories should dominate tail categories on average.
+        // Head categories should dominate tail categories on average (the
+        // per-category weight summed over every epoch).
+        let mut totals = vec![0.0; t.num_categories()];
+        for e in 0..t.num_epochs() {
+            for (a, w) in totals.iter_mut().zip(t.weights(e)) {
+                *a += w;
+            }
+        }
         assert!(
-            means[0] > means[19] * 2.0,
+            totals[0] > totals[19] * 2.0,
             "head {} tail {}",
-            means[0],
-            means[19]
+            totals[0],
+            totals[19]
         );
     }
 

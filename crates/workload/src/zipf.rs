@@ -14,7 +14,6 @@ use crate::WorkloadError;
 pub struct Zipf {
     probabilities: Vec<f64>,
     cumulative: Vec<f64>,
-    iota: f64,
 }
 
 impl Zipf {
@@ -49,13 +48,7 @@ impl Zipf {
         Ok(Self {
             probabilities,
             cumulative,
-            iota,
         })
-    }
-
-    /// The steepness parameter `ι`.
-    pub fn iota(&self) -> f64 {
-        self.iota
     }
 
     /// Number of ranks `K`.
