@@ -25,18 +25,43 @@ pub struct CaseProbabilities {
     pub p3: f64,
 }
 
+/// The two sigmoid factors of one caching state `s` against the
+/// threshold: `full = f(α·Q_k − s)` (≈ 1 when the cache suffices) and
+/// `short = f(s − α·Q_k)` (≈ 1 when it falls short). The own state `q`
+/// and the peer state `q₋` each contribute one pair.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct CaseFactors {
+    pub(crate) full: f64,
+    pub(crate) short: f64,
+}
+
+impl CaseFactors {
+    pub(crate) fn at(sigmoid: Sigmoid, s: f64, alpha_qk: f64) -> Self {
+        Self {
+            full: sigmoid.eval(alpha_qk - s),
+            short: sigmoid.eval(s - alpha_qk),
+        }
+    }
+}
+
 impl CaseProbabilities {
     /// Evaluate the paper's formulas at own state `q`, peer state `q_peer`,
     /// threshold `alpha_qk = α·Q_k`.
     pub fn compute(sigmoid: Sigmoid, q: f64, q_peer: f64, alpha_qk: f64) -> Self {
-        let own_short = sigmoid.eval(q - alpha_qk); // ≈ 1 when own cache is short
-        let own_full = sigmoid.eval(alpha_qk - q); // ≈ 1 when own cache suffices
-        let peer_full = sigmoid.eval(alpha_qk - q_peer);
-        let peer_short = sigmoid.eval(q_peer - alpha_qk);
+        Self::from_factors(
+            CaseFactors::at(sigmoid, q, alpha_qk),
+            CaseFactors::at(sigmoid, q_peer, alpha_qk),
+        )
+    }
+
+    /// The probabilities from the own and the peer factor pairs, so a
+    /// sweep can table the own pairs once and evaluate only the peer pair
+    /// per step.
+    pub(crate) fn from_factors(own: CaseFactors, peer: CaseFactors) -> Self {
         Self {
-            p1: own_full,
-            p2: own_short * peer_full,
-            p3: own_short * peer_short,
+            p1: own.full,
+            p2: own.short * peer.full,
+            p3: own.short * peer.short,
         }
     }
 

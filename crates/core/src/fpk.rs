@@ -2,7 +2,7 @@
 //! under the closed-loop caching drift (Alg. 2 line 8).
 
 use mfgcp_obs::RecorderHandle;
-use mfgcp_pde::{Field2d, FokkerPlanck2d, Grid2d, StepperScratch};
+use mfgcp_pde::{CflSummary, Field2d, FokkerPlanck2d, Grid2d, StepperScratch};
 use mfgcp_sde::Normal;
 
 use crate::params::{CoreError, Params};
@@ -16,6 +16,33 @@ use crate::utility::ContentContext;
 pub struct FpkScratch {
     by: Field2d,
     stepper: StepperScratch,
+}
+
+/// One forward sweep's health, folded over its macro steps: the CFL
+/// bookkeeping always, the mass bookkeeping only while a recorder is
+/// attached (it costs a pass over the density per step).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct FpkSummary {
+    /// Smallest CFL headroom and most sub-steps over the sweep.
+    pub cfl: CflSummary,
+    /// The stepper's mass error `∫λ − 1` before clipping at the step where
+    /// it is largest in magnitude (NaN once any step's is); `0.0`
+    /// unrecorded.
+    pub worst_mass_drift: f64,
+    /// The step of [`FpkSummary::worst_mass_drift`].
+    pub worst_mass_drift_step: usize,
+    /// Negative mass clipped to zero, summed over the sweep.
+    pub clipped_mass: f64,
+}
+
+impl FpkSummary {
+    fn add_mass_drift(&mut self, step: usize, drift: f64) {
+        let worst = self.worst_mass_drift;
+        if !worst.is_nan() && (drift.is_nan() || drift.abs() > worst.abs()) {
+            self.worst_mass_drift = drift;
+            self.worst_mass_drift_step = step;
+        }
+    }
 }
 
 /// Forward FPK solver.
@@ -51,13 +78,12 @@ impl FpkSolver {
         })
     }
 
-    /// Attach a telemetry recorder. Each macro step of
-    /// [`FpkSolver::solve_into`] then emits the `pde.fpk.mass_drift` gauge
-    /// (stepper mass-conservation error measured before clipping, with the
-    /// clipped negative mass as a field); the recorder also propagates to
-    /// the underlying stepper for CFL-margin gauges and non-finite
-    /// sentinels. Telemetry reads state only — solves are bit-identical
-    /// with recording on or off.
+    /// Attach a telemetry recorder. [`FpkSolver::solve_into`] then folds
+    /// each macro step's mass bookkeeping (the stepper's mass error before
+    /// clipping and the clipped negative mass) into its [`FpkSummary`];
+    /// the recorder also propagates to the underlying stepper for the
+    /// non-finite sentinel. Telemetry reads state only — solves are
+    /// bit-identical with recording on or off.
     pub fn set_recorder(&mut self, recorder: RecorderHandle) {
         self.stepper.set_recorder(recorder.clone());
         self.recorder = recorder;
@@ -99,7 +125,7 @@ impl FpkSolver {
     ///
     /// Tiny negative undershoots from the upwind scheme are clipped and the
     /// mass renormalized after every macro step, keeping `λ` a valid
-    /// probability density throughout.
+    /// probability density throughout. Returns the sweep's health summary.
     ///
     /// # Panics
     ///
@@ -113,7 +139,7 @@ impl FpkSolver {
         policy: &[Field2d],
         out: &mut Vec<Field2d>,
         scratch: &mut FpkScratch,
-    ) {
+    ) -> FpkSummary {
         let n_steps = self.params.time_steps;
         assert_eq!(policy.len(), n_steps, "need one policy field per time step");
         assert_eq!(contexts.len(), n_steps, "need one context per time step");
@@ -125,6 +151,7 @@ impl FpkSolver {
             assert_eq!(f.grid(), &self.grid, "reused buffer grid mismatch");
         }
         out[0].values_mut().copy_from_slice(initial.values());
+        let mut summary = FpkSummary::default();
         for n in 0..n_steps {
             assert_eq!(
                 policy[n].grid(),
@@ -139,13 +166,13 @@ impl FpkSolver {
             let (head, tail) = out.split_at_mut(n + 1);
             let lam = &mut tail[0];
             lam.values_mut().copy_from_slice(head[n].values());
-            self.stepper.step_scratch(
+            summary.cfl.add(self.stepper.step_scratch(
                 lam,
                 &self.channel_drift,
                 &scratch.by,
                 dt,
                 &mut scratch.stepper,
-            );
+            ));
             if self.recorder.enabled() {
                 // The mass integral and clip accumulator are telemetry-only
                 // derived quantities; the branch below leaves `lam` exactly
@@ -158,11 +185,8 @@ impl FpkSolver {
                         *v = 0.0;
                     }
                 }
-                self.recorder.gauge(
-                    "pde.fpk.mass_drift",
-                    mass - 1.0,
-                    &[("step", n.into()), ("clipped", clipped.into())],
-                );
+                summary.add_mass_drift(n, mass - 1.0);
+                summary.clipped_mass += clipped;
             } else {
                 for v in lam.values_mut() {
                     if *v < 0.0 {
@@ -172,6 +196,7 @@ impl FpkSolver {
             }
             lam.normalize();
         }
+        summary
     }
 }
 

@@ -8,26 +8,42 @@
 //! exactly lines 4–5 of Alg. 2.
 
 use mfgcp_obs::RecorderHandle;
-use mfgcp_pde::{BackwardParabolic2d, Field2d, Grid2d, StepperScratch};
+use mfgcp_pde::{BackwardParabolic2d, CflSummary, Field2d, Grid2d, StepperScratch};
 
-use crate::cases::CaseProbabilities;
+use crate::cases::{CaseFactors, CaseProbabilities};
 use crate::estimator::MeanFieldSnapshot;
 use crate::params::{CoreError, Params};
 use crate::utility::{ContentContext, Utility};
 
 /// Reusable cross-iteration workspace for [`HjbSolver::solve_into`]: the
-/// closed-loop drift and running-reward fields, the step's case-probability
-/// row and the stepper scratch, allocated once (via
+/// closed-loop drift and running-reward fields, the step's per-`q` rows of
+/// Eq. (10) and the stepper scratch, allocated once (via
 /// [`HjbSolver::scratch`]) and reused across every Picard iteration of
 /// Alg. 2.
 #[derive(Debug, Clone)]
 pub struct HjbScratch {
     by: Field2d,
     source: Field2d,
-    /// `CaseProbabilities` at `(q_j, q̄₋(t_n))` per `q` node, rebuilt each
-    /// step.
-    cases: Vec<CaseProbabilities>,
+    rows: SourceRows,
     stepper: StepperScratch,
+}
+
+/// The terms of Eq. (10) that depend on neither `h` nor `x`, one entry per
+/// `q` node, rebuilt each step from `(q_j, q̄₋(t_n))` and the step's
+/// context. Each entry is the same expression on the same operands as in
+/// [`Utility::breakdown`], so the cell loop reproduces it bit for bit.
+#[derive(Debug, Clone)]
+struct SourceRows {
+    /// Trading income `Φ¹` (Eq. (6)) plus the sharing benefit `Φ̄²`.
+    income: Vec<f64>,
+    /// Case-1 numerator of Eq. (9), `P¹·(Q_k − q)⁺`.
+    short1: Vec<f64>,
+    /// Case-2 numerator of Eq. (9), `P²·(Q_k − q̄₋)⁺`.
+    short2: Vec<f64>,
+    /// `P³`.
+    p3: Vec<f64>,
+    /// Sharing cost `C³ = P²·p̄_k·(q − q̄₋)⁺`.
+    sharing: Vec<f64>,
 }
 
 /// Backward HJB solver.
@@ -42,8 +58,15 @@ pub struct HjbSolver {
     channel_drift: Field2d,
     /// Floored edge rate `H(h_i)` per `h` node (state-only, like the drift).
     edge_rates: Vec<f64>,
+    /// `Q_k / H(h_i)` per `h` node.
+    qk_over_rate: Vec<f64>,
     /// `q_j` per `q` node.
     q_nodes: Vec<f64>,
+    /// `q_j / H_c` per `q` node.
+    q_over_center: Vec<f64>,
+    /// The own-state sigmoid pair of Eq. (10) per `q` node; a step adds
+    /// only the peer pair at `q̄₋(t_n)`.
+    own_factors: Vec<CaseFactors>,
 }
 
 impl HjbSolver {
@@ -59,13 +82,16 @@ impl HjbSolver {
             .expect("validated diffusions");
         let utility = Utility::new(params.clone());
         let channel_drift = Field2d::from_fn(grid.clone(), |h, _q| params.drift_h(h));
-        let edge_rates = grid
+        let edge_rates: Vec<f64> = grid
             .x()
             .coords()
             .iter()
             .map(|&h| utility.edge_rate(h))
             .collect();
+        let qk_over_rate = edge_rates.iter().map(|&hj| params.q_size / hj).collect();
         let q_nodes = grid.y().coords();
+        let q_over_center = q_nodes.iter().map(|&q| q / params.center_rate).collect();
+        let own_factors = q_nodes.iter().map(|&q| utility.case_factors(q)).collect();
         Ok(Self {
             params,
             utility,
@@ -73,24 +99,34 @@ impl HjbSolver {
             grid,
             channel_drift,
             edge_rates,
+            qk_over_rate,
             q_nodes,
+            q_over_center,
+            own_factors,
         })
     }
 
     /// Attach a telemetry recorder, propagated to the underlying backward
-    /// stepper (CFL-margin gauges and non-finite sentinels). Telemetry
-    /// reads state only — sweeps are bit-identical with recording on or
-    /// off.
+    /// stepper (non-finite sentinels). Telemetry reads state only — sweeps
+    /// are bit-identical with recording on or off.
     pub fn set_recorder(&mut self, recorder: RecorderHandle) {
         self.stepper.set_recorder(recorder);
     }
 
     /// A fresh workspace for [`HjbSolver::solve_into`].
     pub fn scratch(&self) -> HjbScratch {
+        let ny = self.q_nodes.len();
+        let row = || vec![0.0; ny];
         HjbScratch {
             by: Field2d::zeros(self.grid.clone()),
             source: Field2d::zeros(self.grid.clone()),
-            cases: Vec::with_capacity(self.q_nodes.len()),
+            rows: SourceRows {
+                income: row(),
+                short1: row(),
+                short2: row(),
+                p3: row(),
+                sharing: row(),
+            },
             stepper: StepperScratch::new(),
         }
     }
@@ -103,7 +139,8 @@ impl HjbSolver {
     /// Alg. 2 runs on. `contexts` and `snapshots` must each have
     /// `params.time_steps` entries (one per macro step `t_n`). The sweep
     /// runs on the calling thread; parallelism lives one level up, across
-    /// an epoch's independent per-content solves.
+    /// an epoch's independent per-content solves. Returns the sweep's CFL
+    /// bookkeeping folded over its steps.
     ///
     /// # Panics
     ///
@@ -116,7 +153,7 @@ impl HjbSolver {
         values: &mut Vec<Field2d>,
         policy: &mut Vec<Field2d>,
         scratch: &mut HjbScratch,
-    ) {
+    ) -> CflSummary {
         let n_steps = self.params.time_steps;
         assert_eq!(contexts.len(), n_steps, "need one context per time step");
         assert_eq!(snapshots.len(), n_steps, "need one snapshot per time step");
@@ -138,20 +175,13 @@ impl HjbSolver {
             }
         }
 
+        let mut cfl = CflSummary::default();
         for n in (0..n_steps).rev() {
             let ctx = &contexts[n];
             let snap = &snapshots[n];
             let (head, tail) = values.split_at_mut(n + 1);
             let v_next = &tail[0];
-
-            // The step's state-only factors: every transcendental of
-            // Eq. (10) depends on q_j and q̄₋(t_n), or on h_i alone.
-            scratch.cases.clear();
-            scratch.cases.extend(
-                self.q_nodes
-                    .iter()
-                    .map(|&q| self.utility.cases(q, snap.q_bar)),
-            );
+            self.fill_rows(ctx, snap, &mut scratch.rows);
 
             // Extract x* from ∂_q V(t_{n+1}) (Thm. 1), then build the
             // closed-loop drift and running reward for the step back.
@@ -162,37 +192,100 @@ impl HjbSolver {
                 .zip(policy[n].values_mut().chunks_exact_mut(ny))
                 .zip(scratch.by.values_mut().chunks_exact_mut(ny))
                 .zip(scratch.source.values_mut().chunks_exact_mut(ny))
-                .zip(&self.edge_rates);
-            for ((((v_row, pol_row), by_row), src_row), &hj) in rows {
-                for j in 0..ny {
-                    let dv_dq = if j == 0 {
-                        (v_row[1] - v_row[0]) / dq
-                    } else if j == ny - 1 {
-                        (v_row[ny - 1] - v_row[ny - 2]) / dq
-                    } else {
-                        (v_row[j + 1] - v_row[j - 1]) / (2.0 * dq)
-                    };
-                    let x = self.utility.optimal_control(dv_dq);
-                    pol_row[j] = x;
-                    by_row[j] = self.params.drift_q(x, ctx.popularity, ctx.urgency_factor);
-                    src_row[j] = self
-                        .utility
-                        .breakdown_with(ctx, snap, x, self.q_nodes[j], &scratch.cases[j], hj)
-                        .total();
+                .zip(self.edge_rates.iter().zip(&self.qk_over_rate));
+            for ((((v_row, pol_row), by_row), src_row), (&hj, &qk_hj)) in rows {
+                // ∂_q V: one-sided at the walls, centred inside; held in
+                // the policy row until the cell loop replaces it by x*.
+                pol_row[0] = (v_row[1] - v_row[0]) / dq;
+                pol_row[ny - 1] = (v_row[ny - 1] - v_row[ny - 2]) / dq;
+                let centred = pol_row[1..ny - 1].iter_mut().zip(v_row.windows(3));
+                for (d, w) in centred {
+                    *d = (w[2] - w[0]) / (2.0 * dq);
                 }
+                source_row(
+                    &self.utility,
+                    &self.params,
+                    ctx,
+                    [hj, qk_hj],
+                    &scratch.rows,
+                    &self.q_over_center,
+                    pol_row,
+                    by_row,
+                    src_row,
+                );
             }
 
             let v = &mut head[n];
             v.values_mut().copy_from_slice(tail[0].values());
-            self.stepper.step_back_scratch(
+            cfl.add(self.stepper.step_back_scratch(
                 v,
                 &self.channel_drift,
                 &scratch.by,
                 &scratch.source,
                 dt,
                 &mut scratch.stepper,
-            );
+            ));
         }
+        cfl
+    }
+
+    /// Rebuild the step's per-`q` rows of Eq. (10) at `q̄₋(t_n)`.
+    fn fill_rows(&self, ctx: &ContentContext, snap: &MeanFieldSnapshot, rows: &mut SourceRows) {
+        let qk = self.params.q_size;
+        let peer = self.utility.case_factors(snap.q_bar);
+        let peer_gap = (qk - snap.q_bar).max(0.0);
+        let terms = rows
+            .income
+            .iter_mut()
+            .zip(rows.short1.iter_mut())
+            .zip(rows.short2.iter_mut())
+            .zip(rows.p3.iter_mut())
+            .zip(rows.sharing.iter_mut())
+            .zip(self.q_nodes.iter().zip(&self.own_factors));
+        for (((((income, short1), short2), p3), sharing), (&q, &own)) in terms {
+            let c = CaseProbabilities::from_factors(own, peer);
+            *short1 = c.p1 * (qk - q).max(0.0);
+            *short2 = c.p2 * peer_gap;
+            *p3 = c.p3;
+            let sold = *short1 + *short2 + c.p3 * qk;
+            *income = ctx.requests * snap.price * sold + snap.share_benefit;
+            *sharing = c.p2 * self.params.p_bar * (q - snap.q_bar).max(0.0);
+        }
+    }
+}
+
+/// One `h` row of the step's cell loop. `policy` comes in holding
+/// `∂_q V` and leaves holding `x*` (Eq. (21)); `drift` gets the caching
+/// drift and `source` the net utility of Eq. (10) at `x*`. The staleness
+/// cost is [`Utility::staleness_cost`]'s expression on the tabled `rows`
+/// and `[hj, qk_hj]` = `[H(h_i), Q_k / H(h_i)]`; everything else calls the
+/// untabled functions, whose loop-invariant parts LLVM hoists. Every slice
+/// is cut to one length first and, as a function of its own, they keep
+/// the no-alias facts LLVM needs to vectorise the loop.
+#[allow(clippy::too_many_arguments)] // internal kernel: all fields are hot-loop state
+fn source_row(
+    utility: &Utility,
+    p: &Params,
+    ctx: &ContentContext,
+    [hj, qk_hj]: [f64; 2],
+    rows: &SourceRows,
+    q_over_center: &[f64],
+    policy: &mut [f64],
+    drift: &mut [f64],
+    source: &mut [f64],
+) {
+    let n = policy.len();
+    let (drift, source) = (&mut drift[..n], &mut source[..n]);
+    let (income, short1, short2) = (&rows.income[..n], &rows.short1[..n], &rows.short2[..n]);
+    let (p3, sharing, q_hc) = (&rows.p3[..n], &rows.sharing[..n], &q_over_center[..n]);
+    for j in 0..n {
+        let x = utility.optimal_control(policy[j]);
+        policy[j] = x;
+        drift[j] = p.drift_q(x, ctx.popularity, ctx.urgency_factor);
+        let download = p.q_size * x / p.center_rate;
+        let per_request = short1[j] / hj + short2[j] / hj + p3[j] * (q_hc[j] + qk_hj);
+        let staleness = p.eta2 * (download + ctx.requests * per_request);
+        source[j] = income[j] - utility.placement_cost(x) - staleness - sharing[j];
     }
 }
 
@@ -418,9 +511,14 @@ mod tests {
                 }
             }
             let mut v = v_next;
-            solver
-                .stepper
-                .step_back(&mut v, &solver.channel_drift, &by, &source, p.dt());
+            solver.stepper.step_back_scratch(
+                &mut v,
+                &solver.channel_drift,
+                &by,
+                &source,
+                p.dt(),
+                &mut StepperScratch::new(),
+            );
             values[n] = v;
         }
         (values, policy)

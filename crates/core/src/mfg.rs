@@ -925,14 +925,17 @@ impl MfgSolver {
             // (lines 4-5) Backward HJB → candidate best response, written
             // into buffers reused across iterations.
             let hjb_span = self.recorder.span("solver.hjb");
-            self.hjb.solve_into(
+            let cfl = self.hjb.solve_into(
                 contexts,
                 &it.snapshots,
                 &mut it.values,
                 &mut br_policy,
                 &mut hjb_scratch,
             );
-            hjb_span.close(&[]);
+            hjb_span.close(&[
+                ("min_cfl_margin", cfl.min_margin.into()),
+                ("max_substeps", cfl.max_substeps.into()),
+            ]);
             // Mix the best response into the iterate: Picard relaxation
             // uses the adaptive weight ω above, fictitious play averages
             // with the 1/(ψ+1) schedule.
@@ -940,16 +943,11 @@ impl MfgSolver {
                 SolveMethod::PicardRelaxation => adaptive_omega,
                 SolveMethod::FictitiousPlay => 1.0 / (psi as f64 + 1.0),
             };
-            let mut residual = 0.0_f64;
-            let mut update_norm = 0.0_f64;
+            let mut norms = MixNorms::default();
             for (pol, new) in it.policy.iter_mut().zip(&br_policy) {
-                for (d, x_new) in pol.values_mut().iter_mut().zip(new.values()) {
-                    let relaxed = (1.0 - omega) * *d + omega * x_new;
-                    residual = residual.max((x_new - *d).abs());
-                    update_norm = update_norm.max((relaxed - *d).abs());
-                    *d = relaxed;
-                }
+                norms.mix(pol.values_mut(), new.values(), omega);
             }
+            let (residual, update_norm) = norms.sup();
             if adaptive {
                 let shrinking = residuals.last().map_or(true, |&prev| residual < prev);
                 adaptive_omega = if shrinking {
@@ -962,14 +960,20 @@ impl MfgSolver {
             update_norms.push(update_norm);
             // (line 8) Forward FPK under the mixed policy.
             let fpk_span = self.recorder.span("solver.fpk");
-            self.fpk.solve_into(
+            let fpk = self.fpk.solve_into(
                 lambda0,
                 contexts,
                 &it.policy,
                 &mut it.density,
                 &mut fpk_scratch,
             );
-            fpk_span.close(&[]);
+            fpk_span.close(&[
+                ("min_cfl_margin", fpk.cfl.min_margin.into()),
+                ("max_substeps", fpk.cfl.max_substeps.into()),
+                ("worst_mass_drift", fpk.worst_mass_drift.into()),
+                ("worst_mass_drift_step", fpk.worst_mass_drift_step.into()),
+                ("clipped_mass", fpk.clipped_mass.into()),
+            ]);
             self.recorder.event(
                 "solver.iteration",
                 &[
@@ -996,6 +1000,50 @@ impl MfgSolver {
             residuals,
             update_norms,
         }
+    }
+}
+
+/// The sup-norms of one Picard mix, `max |BR(x) − x|` (the undamped
+/// residual) and `max |x' − x|` (the applied update), over four lanes
+/// each. Both start at 0.0, and `f64::max` is exact and returns the
+/// non-NaN operand, so the lanes give the serial fold's bits in any
+/// order, while the fold vectorises instead of running one dependency
+/// chain.
+#[derive(Debug, Default)]
+struct MixNorms {
+    residual: [f64; 4],
+    update: [f64; 4],
+}
+
+impl MixNorms {
+    /// Relax `policy` toward `best_response` (same length) with weight
+    /// `omega` in place, folding both gaps in.
+    fn mix(&mut self, policy: &mut [f64], best_response: &[f64], omega: f64) {
+        let mut quads = policy.chunks_exact_mut(4);
+        let mut br_quads = best_response.chunks_exact(4);
+        for (quad, br_quad) in (&mut quads).zip(&mut br_quads) {
+            for lane in 0..4 {
+                self.relax(lane, &mut quad[lane], br_quad[lane], omega);
+            }
+        }
+        let tail = quads.into_remainder().iter_mut().zip(br_quads.remainder());
+        for (d, &x_new) in tail {
+            self.relax(0, d, x_new, omega);
+        }
+    }
+
+    #[inline(always)]
+    fn relax(&mut self, lane: usize, d: &mut f64, x_new: f64, omega: f64) {
+        let relaxed = (1.0 - omega) * *d + omega * x_new;
+        self.residual[lane] = self.residual[lane].max((x_new - *d).abs());
+        self.update[lane] = self.update[lane].max((relaxed - *d).abs());
+        *d = relaxed;
+    }
+
+    /// `(residual, update_norm)`.
+    fn sup(&self) -> (f64, f64) {
+        let fold = |l: &[f64; 4]| l[0].max(l[1]).max(l[2].max(l[3]));
+        (fold(&self.residual), fold(&self.update))
     }
 }
 
@@ -1395,9 +1443,36 @@ mod tests {
             .filter(|e| e.kind == Kind::SpanOpen && e.name == "solver.hjb")
             .count();
         assert_eq!(hjb_opens, eq.report.iterations);
-        // Mass-drift gauges flow up from the FPK solver.
-        assert!(events.iter().any(|e| e.name == "pde.fpk.mass_drift"));
-        assert!(events.iter().any(|e| e.name == "pde.fpk.cfl_margin"));
+        // Each sweep's PDE health rides its span close; no per-step
+        // gauges remain.
+        assert!(!events
+            .iter()
+            .any(|e| e.kind == Kind::Gauge && e.name.starts_with("pde.")));
+        for e in events.iter().filter(|e| e.kind == Kind::SpanClose) {
+            let has = |key: &str| e.field(key).is_some();
+            let cfl = has("min_cfl_margin") && has("max_substeps");
+            let mass =
+                has("worst_mass_drift") && has("worst_mass_drift_step") && has("clipped_mass");
+            match e.name {
+                "solver.hjb" => assert!(cfl && !mass, "{e:?}"),
+                "solver.fpk" => {
+                    assert!(cfl && mass, "{e:?}");
+                    assert!(matches!(
+                        e.field("min_cfl_margin"),
+                        Some(&Value::F64(m)) if m >= 1.0
+                    ));
+                    assert!(matches!(
+                        e.field("worst_mass_drift"),
+                        Some(&Value::F64(d)) if d.abs() < 1e-9
+                    ));
+                    assert!(matches!(
+                        e.field("max_substeps"),
+                        Some(&Value::U64(n)) if n >= 1
+                    ));
+                }
+                _ => {}
+            }
+        }
     }
 
     #[test]

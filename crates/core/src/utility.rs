@@ -12,7 +12,7 @@
 //!   delays to every requester;
 //! * sharing cost `C³ = P²·p̄_k·(q − q̄₋)`.
 
-use crate::cases::CaseProbabilities;
+use crate::cases::{CaseFactors, CaseProbabilities};
 use crate::estimator::MeanFieldSnapshot;
 use crate::params::Params;
 use crate::rate::RateModel;
@@ -91,6 +91,12 @@ impl Utility {
     /// Case probabilities at own state `q` and peer state `q_peer`.
     pub fn cases(&self, q: f64, q_peer: f64) -> CaseProbabilities {
         CaseProbabilities::compute(self.sigmoid, q, q_peer, self.params.alpha_qk())
+    }
+
+    /// The sigmoid pair of one caching state `s` (own or peer) against the
+    /// `α·Q_k` threshold; [`CaseProbabilities::from_factors`] combines two.
+    pub(crate) fn case_factors(&self, s: f64) -> CaseFactors {
+        CaseFactors::at(self.sigmoid, s, self.params.alpha_qk())
     }
 
     /// The edge delivery rate `H(h)` at fading `h`, floored at `1e-9` so

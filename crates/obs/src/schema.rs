@@ -20,13 +20,22 @@
 //! are allowed. `fields` values must be numbers, strings or booleans —
 //! never nested objects, arrays or null.
 //!
-//! Three series carry fields the validator checks by name:
+//! Five series carry fields the validator checks by name:
 //!
 //! | series | kind | fields |
 //! |--------|------|--------|
 //! | `solver.solve` | `span_open` | `seed`: `"cold"` or `"warm"` (required) |
+//! | `solver.hjb` | `span_close` | `min_cfl_margin`: f64; `max_substeps`: u64 (required) |
+//! | `solver.fpk` | `span_close` | as `solver.hjb`, plus `worst_mass_drift`: f64, `worst_mass_drift_step`: u64, `clipped_mass`: f64 (required) |
 //! | `sim.prepare_epoch` | `span_close` | `warm`, `cold`, `fallback`: u64 counts — all three or none |
 //! | `serve.swap_reject` | `counter` | `reason`: `"io"`, `"corrupt"` or `"not_converged"` (required) |
+//!
+//! An f64 field is a number or one of the strings `"NaN"`, `"inf"`,
+//! `"-inf"`. The `solver.hjb`/`solver.fpk` fields are one sweep's PDE
+//! health folded over its macro steps: the smallest CFL headroom
+//! `max_dt / sub_dt` (`"inf"` when no step had dynamics), the most
+//! sub-steps, the largest-magnitude mass error before clipping with its
+//! step, and the negative mass clipped in total.
 //!
 //! The [`Validator`] checks a stream line-by-line; the
 //! `validate_telemetry` binary applies it to files (CI runs it over
@@ -203,8 +212,7 @@ impl Validator {
                     return Err(self.fail("gauge must not carry \"span\" or \"nanos\""));
                 }
                 let v = value.ok_or_else(|| self.fail("gauge missing \"value\""))?;
-                let ok = v.as_f64().is_some() || matches!(v.as_str(), Some("NaN" | "inf" | "-inf"));
-                if !ok {
+                if !is_f64(v) {
                     return Err(
                         self.fail("gauge \"value\" must be a number or \"NaN\"/\"inf\"/\"-inf\"")
                     );
@@ -273,6 +281,30 @@ fn check_named_fields(kind: Kind, name: &str, fields: Option<&Json>) -> Result<(
                 "solver.solve needs a \"seed\" field of \"cold\" or \"warm\", got {other:?}"
             )),
         },
+        (Kind::SpanClose, "solver.hjb" | "solver.fpk") => {
+            let mut required = vec![("min_cfl_margin", true), ("max_substeps", false)];
+            if name == "solver.fpk" {
+                required.extend([
+                    ("worst_mass_drift", true),
+                    ("worst_mass_drift_step", false),
+                    ("clipped_mass", true),
+                ]);
+            }
+            for (key, float) in required {
+                let ok = field(key).is_some_and(|v| {
+                    if float {
+                        is_f64(v)
+                    } else {
+                        v.as_u64().is_some()
+                    }
+                });
+                if !ok {
+                    let kind = if float { "an f64" } else { "a count" };
+                    return Err(format!("{name} close needs {key:?} as {kind}"));
+                }
+            }
+            Ok(())
+        }
         (Kind::SpanClose, "sim.prepare_epoch") => {
             let counts = ["warm", "cold", "fallback"].map(field);
             if counts.iter().all(Option::is_none)
@@ -296,6 +328,11 @@ fn check_named_fields(kind: Kind, name: &str, fields: Option<&Json>) -> Result<(
         },
         _ => Ok(()),
     }
+}
+
+/// A number, or one of the strings non-finite floats encode to.
+fn is_f64(v: &Json) -> bool {
+    v.as_f64().is_some() || matches!(v.as_str(), Some("NaN" | "inf" | "-inf"))
 }
 
 fn require_u64(doc: &Json, key: &str) -> Result<u64, String> {
@@ -335,7 +372,10 @@ mod tests {
         cont.close(&[]);
         for psi in 0..3u64 {
             let hjb = rec.span("solver.hjb");
-            hjb.close(&[]);
+            hjb.close(&[
+                ("min_cfl_margin", 1.8.into()),
+                ("max_substeps", 2u64.into()),
+            ]);
             rec.event(
                 "solver.iteration",
                 &[
@@ -343,7 +383,14 @@ mod tests {
                     ("residual", (0.5f64 / (psi + 1) as f64).into()),
                 ],
             );
-            rec.gauge("pde.fpk.mass_drift", -1e-16, &[("step", psi.into())]);
+            let fpk = rec.span("solver.fpk");
+            fpk.close(&[
+                ("min_cfl_margin", f64::INFINITY.into()),
+                ("max_substeps", 1u64.into()),
+                ("worst_mass_drift", (-1e-16).into()),
+                ("worst_mass_drift_step", psi.into()),
+                ("clipped_mass", 0.0.into()),
+            ]);
             rec.counter("market.trades", 10 * psi, &[]);
         }
         solve.close(&[("converged", true.into())]);
@@ -442,6 +489,42 @@ mod tests {
         let err = validate_str(&format!("{open}\n{close}")).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("all of"), "{err}");
+    }
+
+    #[test]
+    fn rejects_sweep_closes_without_their_health_fields() {
+        let open = |name: &str| {
+            format!(r#"{{"seq":0,"t_nanos":1,"kind":"span_open","name":"{name}","span":0}}"#)
+        };
+        let close = |name: &str, fields: &str| {
+            format!(
+                r#"{{"seq":1,"t_nanos":2,"kind":"span_close","name":"{name}","span":0,"nanos":1{fields}}}"#
+            )
+        };
+        let hjb = r#","fields":{"min_cfl_margin":"inf","max_substeps":3}"#;
+        let fpk = r#","fields":{"min_cfl_margin":1.5,"max_substeps":3,"worst_mass_drift":"NaN","worst_mass_drift_step":4,"clipped_mass":0.0}"#;
+        for (name, fields) in [("solver.hjb", hjb), ("solver.fpk", fpk)] {
+            validate_str(&format!("{}\n{}", open(name), close(name, fields))).unwrap();
+        }
+        for (name, fields, needle) in [
+            ("solver.hjb", "", "min_cfl_margin"),
+            (
+                "solver.hjb",
+                r#","fields":{"min_cfl_margin":2.0,"max_substeps":1.5}"#,
+                "max_substeps",
+            ),
+            ("solver.fpk", hjb, "worst_mass_drift"),
+            (
+                "solver.fpk",
+                r#","fields":{"min_cfl_margin":"x","max_substeps":1,"worst_mass_drift":0.0,"worst_mass_drift_step":0,"clipped_mass":0.0}"#,
+                "min_cfl_margin",
+            ),
+        ] {
+            let err =
+                validate_str(&format!("{}\n{}", open(name), close(name, fields))).unwrap_err();
+            assert_eq!(err.line, 2);
+            assert!(err.message.contains(needle), "{err}");
+        }
     }
 
     #[test]

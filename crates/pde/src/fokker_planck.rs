@@ -18,8 +18,9 @@ use mfgcp_obs::{OnceFlag, RecorderHandle};
 
 use crate::axis::Grid2d;
 use crate::field::{Field1d, Field2d};
-use crate::stability::StabilityLimit;
-use crate::telemetry::{report_cfl, report_nonfinite};
+use crate::ops::select;
+use crate::stability::{abs_max, StabilityLimit};
+use crate::telemetry::{report_nonfinite, CflStep};
 use crate::PdeError;
 
 fn check_diffusion(name: &'static str, d: f64) -> Result<f64, PdeError> {
@@ -29,15 +30,11 @@ fn check_diffusion(name: &'static str, d: f64) -> Result<f64, PdeError> {
     Ok(d)
 }
 
-/// Upwind face flux between two adjacent cells.
+/// Upwind face flux between two adjacent cells. The upstream density is
+/// selected before the one product, so the flux is branch-free.
 #[inline]
 fn face_flux(b_face: f64, left: f64, right: f64, d: f64, dx: f64) -> f64 {
-    let advective = if b_face > 0.0 {
-        b_face * left
-    } else {
-        b_face * right
-    };
-    advective - d * (right - left) / dx
+    b_face * select(b_face > 0.0, left, right) - d * (right - left) / dx
 }
 
 /// 1-D forward Fokker–Planck stepper: the conservative scheme of the
@@ -75,8 +72,7 @@ impl FokkerPlanck1d {
         let n = density.values().len();
         assert_eq!(drift.len(), n, "drift length mismatch");
         let dx = density.axis().dx();
-        let b_max = drift.iter().fold(0.0_f64, |m, b| m.max(b.abs()));
-        let max_dt = self.limit.max_dt_1d(b_max, self.diffusion, dx);
+        let max_dt = self.limit.max_dt_1d(abs_max(drift), self.diffusion, dx);
         let (n_sub, sub_dt) = self.limit.substeps(dt, max_dt);
         for _ in 0..n_sub {
             self.substep(density, drift, sub_dt);
@@ -132,25 +128,18 @@ impl FokkerPlanck2d {
         })
     }
 
-    /// Attach a telemetry recorder: every macro step then emits the
-    /// `pde.fpk.cfl_margin` gauge, and the first non-finite density value
-    /// fires the `pde.fpk.nonfinite` sentinel (once per stepper instance).
+    /// Attach a telemetry recorder: the first non-finite density value
+    /// then fires the `pde.fpk.nonfinite` sentinel (once per stepper
+    /// instance). The per-step CFL bookkeeping is returned by
+    /// [`FokkerPlanck2d::step_scratch`] for the caller to fold.
     pub fn set_recorder(&mut self, recorder: RecorderHandle) {
         self.recorder = recorder;
     }
 
-    /// Advance `density` by `dt` under drift fields `(bx, by)`, sub-stepping
-    /// inside the CFL bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the drift fields are not on the density's grid.
-    pub fn step(&self, density: &mut Field2d, bx: &Field2d, by: &Field2d, dt: f64) {
-        self.step_scratch(density, bx, by, dt, &mut crate::StepperScratch::new());
-    }
-
-    /// [`FokkerPlanck2d::step`] with a caller-owned [`crate::StepperScratch`]
-    /// so repeated steps (e.g. the Picard loop of Alg. 2) allocate nothing.
+    /// Advance `density` by `dt` under drift fields `(bx, by)`,
+    /// sub-stepping inside the CFL bound, with a caller-owned
+    /// [`crate::StepperScratch`] so repeated steps (e.g. the Picard loop
+    /// of Alg. 2) allocate nothing. Returns the step's CFL bookkeeping.
     ///
     /// # Panics
     ///
@@ -162,28 +151,19 @@ impl FokkerPlanck2d {
         by: &Field2d,
         dt: f64,
         scratch: &mut crate::StepperScratch,
-    ) {
+    ) -> CflStep {
         assert_eq!(density.grid(), bx.grid(), "bx grid mismatch");
         assert_eq!(density.grid(), by.grid(), "by grid mismatch");
         let grid = density.grid().clone();
-        let bx_max = bx.values().iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-        let by_max = by.values().iter().fold(0.0_f64, |m, v| m.max(v.abs()));
         let max_dt = self.limit.max_dt(&[
-            (bx_max, self.diffusion_x, grid.x().dx()),
-            (by_max, self.diffusion_y, grid.y().dx()),
+            (abs_max(bx.values()), self.diffusion_x, grid.x().dx()),
+            (abs_max(by.values()), self.diffusion_y, grid.y().dx()),
         ]);
         let (n_sub, sub_dt) = self.limit.substeps(dt, max_dt);
-        report_cfl(
-            &self.recorder,
-            "pde.fpk.cfl_margin",
-            max_dt,
-            dt,
-            n_sub,
-            sub_dt,
-        );
-        let delta = scratch.buf_for(grid.len());
+        let ny = grid.y().len();
+        let (delta, flux) = scratch.buf_for(grid.len() + ny).split_at_mut(grid.len());
         for _ in 0..n_sub {
-            self.substep(density, bx, by, sub_dt, &grid, delta);
+            self.substep(density, bx, by, sub_dt, &grid, delta, &mut flux[..ny - 1]);
         }
         report_nonfinite(
             &self.recorder,
@@ -191,13 +171,18 @@ impl FokkerPlanck2d {
             "pde.fpk.nonfinite",
             density,
         );
+        CflStep::new(max_dt, n_sub, sub_dt)
     }
 
-    /// One explicit sub-step over row slices (no per-cell index math).
+    /// One explicit sub-step over row slices (no per-cell index math),
+    /// written as branch-free loops that vectorise: the upwind choice is
+    /// a select of the face's upstream density before its one product.
     /// Each face flux, and the order in which the fluxes accumulate into
     /// a cell's `delta` (x-faces low then high, then y-faces low then
     /// high, starting from 0.0), is exactly that of the per-cell
-    /// reference kept in the tests.
+    /// reference kept in the tests. `flux` is a scratch row of `ny − 1`
+    /// scaled y-face fluxes.
+    #[allow(clippy::too_many_arguments)] // internal kernel: all fields are hot-loop state
     fn substep(
         &self,
         density: &mut Field2d,
@@ -206,6 +191,7 @@ impl FokkerPlanck2d {
         dt: f64,
         grid: &Grid2d,
         delta: &mut [f64],
+        flux: &mut [f64],
     ) {
         let (nx, ny) = (grid.x().len(), grid.y().len());
         let (dx, dy) = (grid.x().dx(), grid.y().dx());
@@ -219,32 +205,39 @@ impl FokkerPlanck2d {
             let (lam_lo, lam_hi) = lam[rows.clone()].split_at(ny);
             let (bx_lo, bx_hi) = bx[rows.clone()].split_at(ny);
             let (d_lo, d_hi) = delta[rows].split_at_mut(ny);
-            for j in 0..ny {
-                let b_face = 0.5 * (bx_lo[j] + bx_hi[j]);
-                let f = face_flux(b_face, lam_lo[j], lam_hi[j], self.diffusion_x, dx);
-                d_lo[j] -= scale_x * f;
-                d_hi[j] += scale_x * f;
+            let faces = bx_lo.iter().zip(bx_hi).zip(lam_lo.iter().zip(lam_hi));
+            for (((&b_lo, &b_hi), (&left, &right)), (d_lo, d_hi)) in
+                faces.zip(d_lo.iter_mut().zip(d_hi.iter_mut()))
+            {
+                let f = scale_x * face_flux(0.5 * (b_lo + b_hi), left, right, self.diffusion_x, dx);
+                *d_lo -= f;
+                *d_hi += f;
             }
         }
-        // Y-direction face fluxes between (i, j) and (i, j + 1); a row's
-        // delta is final after its y pass, so it is applied right away.
+        // Y-direction face fluxes between (i, j) and (i, j + 1), row by
+        // row: the row's scaled fluxes first, then each cell's delta
+        // `(d + f[j − 1]) − f[j]` (the walls lack one term), which is final
+        // and applied right away.
         let scale_y = dt / dy;
         let rows = density
             .values_mut()
             .chunks_exact_mut(ny)
             .zip(by.values().chunks_exact(ny))
-            .zip(delta.chunks_exact_mut(ny));
+            .zip(delta.chunks_exact(ny));
         for ((lam_row, by_row), d_row) in rows {
-            let (by_row, d_row) = (&by_row[..ny], &mut d_row[..ny]);
-            for j in 0..ny - 1 {
-                let b_face = 0.5 * (by_row[j] + by_row[j + 1]);
-                let f = face_flux(b_face, lam_row[j], lam_row[j + 1], self.diffusion_y, dy);
-                d_row[j] -= scale_y * f;
-                d_row[j + 1] += scale_y * f;
+            let faces = by_row.windows(2).zip(lam_row.windows(2));
+            for (f, (b, l)) in flux.iter_mut().zip(faces) {
+                *f = scale_y * face_flux(0.5 * (b[0] + b[1]), l[0], l[1], self.diffusion_y, dy);
             }
-            for (v, d) in lam_row.iter_mut().zip(d_row.iter()) {
-                *v += d;
+            lam_row[0] += d_row[0] - flux[0];
+            let inner = lam_row[1..ny - 1]
+                .iter_mut()
+                .zip(&d_row[1..ny - 1])
+                .zip(flux.iter().zip(&flux[1..]));
+            for ((v, &d), (&f_lo, &f_hi)) in inner {
+                *v += (d + f_lo) - f_hi;
             }
+            lam_row[ny - 1] += d_row[ny - 1] + flux[ny - 2];
         }
     }
 }
@@ -253,7 +246,8 @@ impl FokkerPlanck2d {
 mod tests {
     use super::*;
     use crate::axis::Axis;
-    use crate::testing::{mixed_drift, noise};
+    use crate::testing::{kernel_cases, noise};
+    use crate::StepperScratch;
 
     fn axis(lo: f64, hi: f64, n: usize) -> Axis {
         Axis::new(lo, hi, n).unwrap()
@@ -360,8 +354,9 @@ mod tests {
         let by = Field2d::from_fn(grid, |_x, y| -0.2 * y);
         let fpk = FokkerPlanck2d::new(0.005, 0.01).unwrap();
         let m0 = lam.integral();
+        let mut scratch = StepperScratch::new();
         for _ in 0..40 {
-            fpk.step(&mut lam, &bx, &by, 0.025);
+            fpk.step_scratch(&mut lam, &bx, &by, 0.025, &mut scratch);
         }
         assert!(
             (lam.integral() - m0).abs() < 1e-10,
@@ -395,8 +390,9 @@ mod tests {
         let mut fpk1 = FokkerPlanck1d::new(0.004).unwrap();
         let drift1 = vec![drift_y; 101];
 
+        let mut scratch = StepperScratch::new();
         for _ in 0..30 {
-            fpk2.step(&mut lam2, &bx, &by, 0.01);
+            fpk2.step_scratch(&mut lam2, &bx, &by, 0.01, &mut scratch);
             fpk1.step(&mut lam1, &drift1, 0.01);
         }
         let marg = lam2.marginal_y();
@@ -456,11 +452,11 @@ mod tests {
 
     #[test]
     fn row_slice_substep_matches_per_cell_reference_to_0_ulp() {
-        for (nx, ny) in [(4, 4), (5, 7), (24, 48)] {
-            let grid = Grid2d::new(axis(1.0, 2.0, nx), axis(0.0, 1.0, ny));
+        for (grid, bx, by) in
+            kernel_cases(|nx, ny| Grid2d::new(axis(1.0, 2.0, nx), axis(0.0, 1.0, ny)))
+        {
+            let (nx, ny) = (grid.x().len(), grid.y().len());
             let fpk = FokkerPlanck2d::new(0.003, 0.007).unwrap();
-            let bx = mixed_drift(&grid, 1);
-            let by = mixed_drift(&grid, 2);
             let mut lam0 = Field2d::from_values(
                 grid.clone(),
                 (0..grid.len())
@@ -472,8 +468,9 @@ mod tests {
             for n_sub in [1, 3] {
                 let (mut kernel, mut reference) = (lam0.clone(), lam0.clone());
                 let mut delta = vec![0.0; grid.len()];
+                let mut flux = vec![0.0; ny - 1];
                 for _ in 0..n_sub {
-                    fpk.substep(&mut kernel, &bx, &by, 0.004, &grid, &mut delta);
+                    fpk.substep(&mut kernel, &bx, &by, 0.004, &grid, &mut delta, &mut flux);
                     substep_reference(&fpk, &mut reference, &bx, &by, 0.004);
                 }
                 for (k, (a, b)) in kernel.values().iter().zip(reference.values()).enumerate() {

@@ -64,6 +64,7 @@ pub use fokker_planck::{FokkerPlanck1d, FokkerPlanck2d};
 pub use ops::Derivative1d;
 pub use scratch::StepperScratch;
 pub use stability::StabilityLimit;
+pub use telemetry::{CflStep, CflSummary};
 pub use transfer::{coarsen_axis, coarsen_grid, mass, prolong, restrict_density, ulp_distance};
 
 /// Errors from grid/solver construction.

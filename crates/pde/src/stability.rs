@@ -56,6 +56,26 @@ impl StabilityLimit {
     }
 }
 
+/// `max |v|` over `values`, starting from `0.0`: the CFL speed bound of a
+/// drift field. `f64::max` is exact and returns the non-NaN operand, so
+/// the result (the largest non-NaN `|v|`, or `0.0`) does not depend on the
+/// order of the fold; four independent lanes let it vectorise instead of
+/// running one serial dependency chain.
+pub(crate) fn abs_max(values: &[f64]) -> f64 {
+    let mut lanes = [0.0_f64; 4];
+    let mut chunks = values.chunks_exact(4);
+    for quad in &mut chunks {
+        for (lane, v) in lanes.iter_mut().zip(quad) {
+            *lane = lane.max(v.abs());
+        }
+    }
+    let tail = chunks
+        .remainder()
+        .iter()
+        .fold(0.0_f64, |m, v| m.max(v.abs()));
+    lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3])).max(tail)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,6 +106,44 @@ mod tests {
         let s = StabilityLimit::default();
         assert!(s.max_dt_1d(0.0, 0.0, 0.1).is_infinite());
         assert_eq!(s.substeps(1.0, f64::INFINITY), (1, 1.0));
+    }
+
+    /// The serial fold the lane-wise [`abs_max`] replaces.
+    fn serial_abs_max(values: &[f64]) -> f64 {
+        values.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
+    }
+
+    #[test]
+    fn lane_abs_max_matches_the_serial_fold_to_0_ulp() {
+        let mut cases: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![-0.0],
+            vec![f64::NAN],
+            vec![f64::NAN; 9],
+            vec![-0.0, 0.0, -0.0, -0.0, 0.0],
+            vec![f64::NAN, -3.0, 0.5, f64::NAN, 2.0, -0.0, f64::NAN],
+            vec![1.0, f64::NEG_INFINITY, f64::NAN, 4.0, 5.0],
+            vec![-f64::MIN_POSITIVE, 1e-310, -0.0, f64::NAN],
+        ];
+        // Every length 0..=13, so each lane and remainder position holds
+        // the maximum once, with NaN and -0.0 around it.
+        for n in 0..=13 {
+            for at in 0..n {
+                let mut v: Vec<f64> = (0..n)
+                    .map(|k| match k % 3 {
+                        0 => f64::NAN,
+                        1 => -0.0,
+                        _ => -0.25 * k as f64,
+                    })
+                    .collect();
+                v[at] = -100.0;
+                cases.push(v);
+            }
+        }
+        for v in &cases {
+            assert_eq!(abs_max(v).to_bits(), serial_abs_max(v).to_bits(), "{v:?}");
+        }
+        assert_eq!(abs_max(&[f64::NAN, -0.0]).to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]

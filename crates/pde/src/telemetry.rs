@@ -1,37 +1,60 @@
-//! Shared instrumentation helpers for the 2-D steppers.
+//! Shared instrumentation for the 2-D steppers.
 //!
-//! Every helper early-returns on a disabled recorder, so the numerical
-//! kernels pay one branch per macro step when telemetry is off. None of
-//! them touch the fields they observe: telemetry reads state, never
-//! perturbs it.
+//! Each macro step returns its [`CflStep`]; callers fold a sweep's steps
+//! into one [`CflSummary`] and report that once. The non-finite sentinel
+//! early-returns on a disabled recorder, so the numerical kernels pay one
+//! branch per macro step when telemetry is off. Nothing here touches the
+//! fields it observes: telemetry reads state, never perturbs it.
 
 use mfgcp_obs::{OnceFlag, RecorderHandle};
 
 use crate::field::Field2d;
 
-/// Emit the CFL health gauge for one macro step: `value` is the headroom
-/// ratio `max_dt / sub_dt` (≥ 1 when the sub-stepping honoured the bound;
-/// `"inf"` when the step has no dynamics and the bound is vacuous).
-pub(crate) fn report_cfl(
-    rec: &RecorderHandle,
-    name: &'static str,
-    max_dt: f64,
-    dt: f64,
-    n_sub: usize,
-    sub_dt: f64,
-) {
-    if !rec.enabled() {
-        return;
+/// The CFL bookkeeping of one macro step of a 2-D stepper.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CflStep {
+    /// Headroom `max_dt / sub_dt`: ≥ 1 when the sub-stepping honoured the
+    /// bound, `inf` when the step has no dynamics and the bound is vacuous.
+    pub margin: f64,
+    /// Sub-steps the macro step took.
+    pub substeps: usize,
+}
+
+impl CflStep {
+    pub(crate) fn new(max_dt: f64, substeps: usize, sub_dt: f64) -> Self {
+        Self {
+            margin: max_dt / sub_dt,
+            substeps,
+        }
     }
-    rec.gauge(
-        name,
-        max_dt / sub_dt,
-        &[
-            ("max_dt", max_dt.into()),
-            ("dt", dt.into()),
-            ("substeps", n_sub.into()),
-        ],
-    );
+}
+
+/// The CFL bookkeeping of a whole sweep folded to its worst step: the
+/// smallest headroom and the most sub-steps. The empty summary reads
+/// `inf` and `0`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CflSummary {
+    /// Smallest [`CflStep::margin`] seen.
+    pub min_margin: f64,
+    /// Largest [`CflStep::substeps`] seen.
+    pub max_substeps: usize,
+}
+
+impl Default for CflSummary {
+    fn default() -> Self {
+        Self {
+            min_margin: f64::INFINITY,
+            max_substeps: 0,
+        }
+    }
+}
+
+impl CflSummary {
+    /// Fold one macro step in.
+    pub fn add(&mut self, step: CflStep) {
+        self.min_margin = self.min_margin.min(step.margin);
+        self.max_substeps = self.max_substeps.max(step.substeps);
+    }
 }
 
 /// Scan `field` for the first non-finite value and fire the sentinel event
@@ -96,14 +119,13 @@ mod tests {
     }
 
     #[test]
-    fn cfl_gauge_reports_headroom_and_substeps() {
-        let sink = Arc::new(MemorySink::new());
-        let rec = RecorderHandle::new(sink.clone());
-        report_cfl(&rec, "pde.test.cfl_margin", 0.3, 1.0, 4, 0.25);
-        report_cfl(&rec, "pde.test.cfl_margin", f64::INFINITY, 1.0, 1, 1.0);
-        let events = sink.events();
-        assert_eq!(events[0].value, Some(Value::F64(0.3 / 0.25)));
-        assert_eq!(events[0].field("substeps"), Some(&Value::U64(4)));
-        assert_eq!(events[1].value, Some(Value::F64(f64::INFINITY)));
+    fn cfl_summary_keeps_the_worst_step() {
+        let mut summary = CflSummary::default();
+        assert_eq!(summary.min_margin, f64::INFINITY);
+        summary.add(CflStep::new(0.3, 4, 0.25));
+        summary.add(CflStep::new(f64::INFINITY, 1, 1.0));
+        summary.add(CflStep::new(0.5, 2, 0.25));
+        assert_eq!(summary.min_margin, 0.3 / 0.25);
+        assert_eq!(summary.max_substeps, 4);
     }
 }

@@ -24,3 +24,26 @@ pub(crate) fn mixed_drift(grid: &Grid2d, seed: u64) -> Field2d {
         .collect();
     Field2d::from_values(grid.clone(), values).unwrap()
 }
+
+/// The kernels' differential-test inputs: grids from 2×2 up to the
+/// default 24×48, including 2×2, 2×5, 5×2 and 3×3, where the branch-free
+/// interior is empty or one cell; each with the mixed drift pair of
+/// [`mixed_drift`] and with drifts that hold only `0.0` and `-0.0`.
+pub(crate) fn kernel_cases(
+    grid: impl Fn(usize, usize) -> Grid2d,
+) -> Vec<(Grid2d, Field2d, Field2d)> {
+    let dims = [(2, 2), (2, 5), (5, 2), (3, 3), (4, 4), (5, 7), (24, 48)];
+    let mut cases = Vec::new();
+    for (nx, ny) in dims {
+        let g = grid(nx, ny);
+        cases.push((g.clone(), mixed_drift(&g, 1), mixed_drift(&g, 2)));
+        let signed_zeros = |parity: usize| {
+            let values = (0..g.len())
+                .map(|k| if (k + parity) % 2 == 0 { 0.0 } else { -0.0 })
+                .collect();
+            Field2d::from_values(g.clone(), values).unwrap()
+        };
+        cases.push((g.clone(), signed_zeros(0), signed_zeros(1)));
+    }
+    cases
+}

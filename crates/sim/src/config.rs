@@ -30,7 +30,9 @@ pub struct SimConfig {
     pub content_sizes: Vec<f64>,
     /// Game/model parameters shared with the mean-field solver.
     pub params: Params,
-    /// Wireless network parameters.
+    /// Wireless network parameters. The channel runs the solver's Eq. (1)
+    /// fading law: [`SimConfig::channel_network`] takes the five
+    /// `fading_*` fields from `params`, so the values here are not read.
     pub network: NetworkConfig,
     /// Requester mobility (random waypoint); `None` = static requesters.
     /// Moving requesters change their link distances every slot and are
@@ -177,41 +179,24 @@ impl SimConfig {
                 "must equal the simulator population (keeps Eq. (5) and the estimator consistent)",
             ));
         }
-        // The channel runs `network`'s Eq. (1) while the equilibrium is
-        // solved on the `params` law and `h` axis: two different laws would
-        // price links on a fading process they never see.
-        let (net, p) = (&self.network, &self.params);
-        for (name, value, solver_name, solver_value) in [
-            (
-                "network.fading_rate",
-                net.fading_rate,
-                "varsigma_h",
-                p.varsigma_h,
-            ),
-            (
-                "network.fading_mean",
-                net.fading_mean,
-                "upsilon_h",
-                p.upsilon_h,
-            ),
-            (
-                "network.fading_noise",
-                net.fading_noise,
-                "varrho_h",
-                p.varrho_h,
-            ),
-            ("network.fading_min", net.fading_min, "h_min", p.h_min),
-            ("network.fading_max", net.fading_max, "h_max", p.h_max),
-        ] {
-            if value != solver_value {
-                return Err(bad(
-                    name,
-                    &format!("must equal params.{solver_name} (one Eq. (1) fading law)"),
-                ));
-            }
-        }
         self.params.validate()?;
         Ok(())
+    }
+
+    /// The channel's network: `network` with its Eq. (1) fading law
+    /// (`fading_{rate, mean, noise, min, max}`) taken from the solver's
+    /// `params.{varsigma_h, upsilon_h, varrho_h, h_min, h_max}`, so links
+    /// are priced on the fading process they see.
+    pub fn channel_network(&self) -> NetworkConfig {
+        let p = &self.params;
+        NetworkConfig {
+            fading_rate: p.varsigma_h,
+            fading_mean: p.upsilon_h,
+            fading_noise: p.varrho_h,
+            fading_min: p.h_min,
+            fading_max: p.h_max,
+            ..self.network.clone()
+        }
     }
 
     /// Slot duration in epoch time units.
@@ -274,20 +259,6 @@ mod tests {
         let mut c = base.clone();
         c.slots_per_epoch = 0;
         assert!(c.validate().is_err());
-        // A channel fading law that differs from the solver's.
-        let mismatch = |field: &str, perturb: fn(&mut SimConfig)| {
-            let mut c = base.clone();
-            perturb(&mut c);
-            match c.validate() {
-                Err(SimError::BadConfig { name, .. }) => assert_eq!(name, field),
-                other => panic!("{field}: expected BadConfig, got {other:?}"),
-            }
-        };
-        mismatch("network.fading_rate", |c| c.network.fading_rate *= 2.0);
-        mismatch("network.fading_mean", |c| c.network.fading_mean = 6.0e-5);
-        mismatch("network.fading_noise", |c| c.params.varrho_h = 2.0e-5);
-        mismatch("network.fading_min", |c| c.network.fading_min = 2.0e-5);
-        mismatch("network.fading_max", |c| c.params.h_max = 9.0e-5);
     }
 
     #[test]
@@ -298,6 +269,36 @@ mod tests {
             Err(SimError::BadConfig { name, .. }) => assert_eq!(name, "audit_sample"),
             other => panic!("expected BadConfig, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_channel_runs_the_solver_fading_law() {
+        let mut c = SimConfig::small();
+        c.params.varsigma_h = 3.0;
+        c.params.upsilon_h = 6.0e-5;
+        c.params.varrho_h = 2.0e-5;
+        c.params.h_min = 2.0e-5;
+        c.params.h_max = 9.0e-5;
+        c.network.fading_rate = 99.0;
+        c.validate().unwrap();
+        let net = c.channel_network();
+        assert_eq!(
+            [
+                net.fading_rate,
+                net.fading_mean,
+                net.fading_noise,
+                net.fading_min,
+                net.fading_max
+            ],
+            [3.0, 6.0e-5, 2.0e-5, 2.0e-5, 9.0e-5]
+        );
+        assert_eq!(net.k_int, c.network.k_int);
+        // The defaults already agree, so the channel of a default run is
+        // the configured network itself.
+        assert_eq!(
+            SimConfig::small().channel_network(),
+            SimConfig::small().network
+        );
     }
 
     #[test]

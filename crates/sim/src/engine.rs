@@ -311,13 +311,10 @@ impl Simulation {
             });
         }
         let mut master_rng = seeded_rng(cfg.seed);
-        let topology = Topology::random(
-            cfg.num_edps,
-            cfg.num_requesters,
-            &cfg.network,
-            &mut master_rng,
-        );
-        let channels = ChannelState::init(&topology, &cfg.network, &mut master_rng);
+        let network = cfg.channel_network();
+        let topology =
+            Topology::random(cfg.num_edps, cfg.num_requesters, &network, &mut master_rng);
+        let channels = ChannelState::init(&topology, &network, &mut master_rng);
         let q_sizes = cfg.resolved_sizes();
         // λ(0) is specified as a fraction of each content's own size.
         let frac_dist = mfgcp_sde::Normal::new(cfg.params.lambda0_mean, cfg.params.lambda0_std)

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use mfgcp::core::{
     finite_population_price, CaseProbabilities, MeanFieldEstimator, Params, Sigmoid, Utility,
 };
-use mfgcp::pde::{Axis, Field2d, FokkerPlanck2d, Grid2d};
+use mfgcp::pde::{Axis, Field2d, FokkerPlanck2d, Grid2d, StepperScratch};
 use mfgcp::prelude::*;
 
 fn grid() -> Grid2d {
@@ -40,8 +40,9 @@ proptest! {
         });
         let fpk = FokkerPlanck2d::new(params.diffusion_h(), params.diffusion_q()).unwrap();
         let m0 = lam.integral();
+        let mut scratch = StepperScratch::new();
         for _ in 0..10 {
-            fpk.step(&mut lam, &bx, &by, 0.025);
+            fpk.step_scratch(&mut lam, &bx, &by, 0.025, &mut scratch);
         }
         prop_assert!((lam.integral() - m0).abs() < 1e-9);
         prop_assert!(lam.min() >= -1e-12);
