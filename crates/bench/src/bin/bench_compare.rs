@@ -1,6 +1,6 @@
 //! CI perf-regression gate: diff a freshly produced `BENCH_*.json` report
-//! against its committed baseline and fail (exit 1) if any metric regressed
-//! past the tolerance.
+//! against its committed baseline and fail (exit 1) if any timing or rate
+//! metric regressed past the tolerance or any work counter changed at all.
 //!
 //! Samples are matched by an identity key built from every string-valued
 //! field plus the size fields (`m`, `j`, `nx`, `ny`, `connections`,
@@ -10,7 +10,10 @@
 //! Metric direction is inferred from the field name: `*_nanos`,
 //! `*_micros`, `*_millis`, `*_secs` and `*_iterations` regress upward, `speedup`, `*_speedup` and `*_qps`
 //! regress downward; every other numeric field is informational and
-//! ignored.
+//! ignored. The `*_iterations` columns count deterministic work, so they
+//! are gated exactly: any difference from the baseline, better or worse,
+//! fails until the baseline is re-recorded. The tolerance applies to the
+//! timing and rate columns only.
 //!
 //! Run:
 //! `cargo run --release -p mfgcp-bench --bin bench_compare -- \
@@ -33,6 +36,8 @@ enum Status {
     Ok,
     Improved,
     Regression,
+    /// A work counter differs from its baseline in either direction.
+    Changed,
 }
 
 #[derive(Debug)]
@@ -61,6 +66,11 @@ fn lower_is_better(name: &str) -> Option<bool> {
     } else {
         None
     }
+}
+
+/// Whether `name` is a deterministic work counter, compared exactly.
+fn is_work_counter(name: &str) -> bool {
+    name.ends_with("_iterations")
 }
 
 /// Identity key of one sample: `bench` kind is carried by the caller;
@@ -117,7 +127,13 @@ fn compare(baseline: &Json, fresh: &Json, tolerance: f64) -> (Vec<MetricRow>, Ve
             }
             let delta = (f - b) / b;
             let worse = if lower { delta } else { -delta };
-            let status = if worse > tolerance {
+            let status = if is_work_counter(key) {
+                if f == b {
+                    Status::Ok
+                } else {
+                    Status::Changed
+                }
+            } else if worse > tolerance {
                 Status::Regression
             } else if worse < 0.0 {
                 Status::Improved
@@ -217,6 +233,7 @@ fn main() -> ExitCode {
                 Status::Ok => "ok",
                 Status::Improved => "improved",
                 Status::Regression => "REGRESSION",
+                Status::Changed => "CHANGED",
             }
         );
     }
@@ -227,12 +244,19 @@ fn main() -> ExitCode {
         !rows.is_empty(),
         "no comparable metrics matched between the two reports"
     );
-    let regressions = rows
-        .iter()
-        .filter(|r| r.status == Status::Regression)
-        .count();
+    let count = |status| rows.iter().filter(|r| r.status == status).count();
+    let regressions = count(Status::Regression);
+    let changed = count(Status::Changed);
     if regressions > 0 {
         eprintln!("{regressions} metric(s) regressed past the tolerance");
+    }
+    if changed > 0 {
+        eprintln!(
+            "{changed} work counter(s) differ from the baseline: if the change is \
+             intended, re-record the baseline from a fresh run and commit it"
+        );
+    }
+    if regressions + changed > 0 {
         ExitCode::from(1)
     } else {
         println!("all {} metric(s) within tolerance", rows.len());
@@ -301,6 +325,29 @@ mod tests {
         let (rows, _) = compare(&base, &fresh, 0.2);
         assert_eq!(rows[0].status, Status::Regression);
         assert!((rows[0].delta - 0.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn work_counters_are_gated_exactly_in_both_directions() {
+        let base = report(r#"{"leg":"warm_epoch","warm_picard_iterations":3,"warm_millis":7.0}"#);
+        // Equal counts pass; the wall column keeps its tolerance.
+        let same = report(r#"{"leg":"warm_epoch","warm_picard_iterations":3,"warm_millis":8.0}"#);
+        let (rows, _) = compare(&base, &same, 0.2);
+        assert!(rows.iter().all(|r| r.status != Status::Changed));
+        assert!(rows.iter().all(|r| r.status != Status::Regression));
+        // One more iteration fails, far inside any wall tolerance; one
+        // fewer fails too, until the baseline is re-recorded.
+        for fresh_count in [4, 2] {
+            let fresh = report(&format!(
+                r#"{{"leg":"warm_epoch","warm_picard_iterations":{fresh_count},"warm_millis":7.0}}"#
+            ));
+            let (rows, _) = compare(&base, &fresh, 10.0);
+            let counter = rows
+                .iter()
+                .find(|r| r.metric == "warm_picard_iterations")
+                .expect("counter row");
+            assert_eq!(counter.status, Status::Changed, "{fresh_count} iterations");
+        }
     }
 
     #[test]

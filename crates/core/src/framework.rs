@@ -405,6 +405,29 @@ mod tests {
     }
 
     #[test]
+    fn full_step_reconverges_the_epoch_drift_in_fewer_iterations_than_damping() {
+        let n = tiny_params().time_steps;
+        let warm_iterations = |params: Params| {
+            let solver = MfgSolver::new(params).unwrap();
+            let first = solver.solve_with(&vec![EPOCH_1; n], None);
+            let second = solver.resolve(&vec![EPOCH_2; n], first);
+            assert!(second.report.converged);
+            second.report.iterations
+        };
+        let full_step = warm_iterations(tiny_params());
+        // The earlier defaults: reset weight 0.5, cap 0.9.
+        let damped = warm_iterations(Params {
+            relaxation: 0.5,
+            damping: 0.9,
+            ..tiny_params()
+        });
+        assert!(
+            full_step < damped,
+            "full step {full_step} vs damped {damped} iterations"
+        );
+    }
+
+    #[test]
     fn mismatched_params_and_failed_warm_solves_fall_back_to_the_cold_solve() {
         let n = tiny_params().time_steps;
         // Re-sized content: the previous equilibrium is another game.

@@ -1087,8 +1087,9 @@ impl Seed {
 }
 
 /// Geometric growth factor of the adaptive damping schedule: with the
-/// defaults (`relaxation` 0.5, `damping` 0.9) the weight reaches the cap
-/// after four consecutive shrinking iterations.
+/// defaults (`relaxation` 0.2, `damping` 1.0) the weight takes eight
+/// consecutive shrinking iterations to climb from the reset weight back
+/// to the full step.
 const OMEGA_GROWTH: f64 = 1.25;
 
 #[cfg(test)]
@@ -1322,6 +1323,49 @@ mod tests {
             sup = sup.max(a.sup_distance(b));
         }
         assert!(sup < 10.0 * tol, "policy sup distance {sup}");
+    }
+
+    #[test]
+    fn seeded_solves_take_the_full_step_and_cold_ones_open_at_the_reset_weight() {
+        let defaults = Params::default();
+        assert_eq!((defaults.relaxation, defaults.damping), (0.2, 1.0));
+        // A grid too small to coarsen runs no continuation: the cold
+        // solve starts from the zero policy at ω = `relaxation`, so its
+        // first applied update is exactly that weight times its first gap.
+        let small = MfgSolver::new(Params {
+            grid_h: 6,
+            grid_q: 6,
+            ..fast_params()
+        })
+        .unwrap();
+        assert!(MfgSolver::continuation_dims(small.params()).is_empty());
+        let contexts = vec![ContentContext::from_params(small.params()); small.params().time_steps];
+        let cold = small.solve_with(&contexts, None).report;
+        assert_eq!(
+            cold.update_norms[0],
+            small.params().relaxation * cold.residuals[0]
+        );
+
+        // A warm solve, copied (`solve_from`) or in place (`resolve`),
+        // opens at the `damping` cap: the full best-response step
+        // x ← BR(x), whose applied update is the whole gap.
+        let solver = MfgSolver::new(fast_params()).unwrap();
+        let base = ContentContext::from_params(solver.params());
+        let eq = solver.solve_with(&vec![base; solver.params().time_steps], None);
+        let shifted = vec![
+            ContentContext {
+                popularity: base.popularity * 1.05,
+                ..base
+            };
+            solver.params().time_steps
+        ];
+        let copied = solver
+            .solve_from(&shifted, &eq.policy, Some(&eq.density), None)
+            .report;
+        let in_place = solver.resolve(&shifted, eq).report;
+        assert_eq!(copied, in_place);
+        assert!(in_place.converged);
+        assert_eq!(in_place.update_norms[0], in_place.residuals[0]);
     }
 
     #[test]

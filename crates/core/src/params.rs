@@ -160,7 +160,12 @@ pub struct Params {
     /// the damped applied update `ω·|BR(x) − x|` (see
     /// [`crate::ConvergenceReport`]).
     pub tolerance: f64,
-    /// Picard relaxation weight `ω ∈ (0, 1]` mixing successive policies.
+    /// Picard relaxation weight `ω ∈ (0, 1]` mixing successive policies
+    /// (`x ← (1−ω)x + ω·BR(x)`): the weight a cold solve opens at and
+    /// the one the adaptive schedule falls back to whenever the undamped
+    /// gap grows. Default 0.2: a low reset weight breaks the limit
+    /// cycles an over-relaxed step enters, and since the weight grows
+    /// back while the gap shrinks it costs contracting solves little.
     pub relaxation: f64,
     /// Worker threads an epoch's per-content equilibrium solves fan out
     /// over (`Framework::run_epoch`, the Alg. 1 driver); `0` = one per
@@ -174,9 +179,13 @@ pub struct Params {
     /// best-response gap keeps shrinking, the Picard weight grows
     /// geometrically from [`Params::relaxation`] toward
     /// `max(damping, relaxation)`, and falls back to `relaxation` the
-    /// moment the gap increases. The schedule is a pure function of the
-    /// residual history, so solves stay bit-identical across worker
-    /// thread counts. Ignored by fictitious play.
+    /// moment the gap increases. A seeded solve (warm start, continuation
+    /// hand-off) opens at the cap. Default 1.0, the full best-response
+    /// step of Alg. 2: near the fixed point the best response barely
+    /// moves, so any damping below 1 only stretches the re-convergence.
+    /// The schedule is a pure function of the residual history, so solves
+    /// stay bit-identical across worker thread counts. Ignored by
+    /// fictitious play.
     pub damping: f64,
 }
 
@@ -216,9 +225,9 @@ impl Default for Params {
             terminal_value_weight: 0.0,
             max_iterations: 40,
             tolerance: 2e-3,
-            relaxation: 0.5,
+            relaxation: 0.2,
             worker_threads: 0,
-            damping: 0.9,
+            damping: 1.0,
         }
     }
 }

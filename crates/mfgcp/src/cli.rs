@@ -341,9 +341,11 @@ fan-out of the independent per-content equilibrium solves and the
 per-EDP market phases; results are bit-identical for any N.
 
 The Picard loop is accelerated: a coarse-to-fine continuation ladder
-hands a prolonged near-fixed-point iterate to the fine grid, and the
-relaxation weight adapts upward (capped at `--damping`, default 0.9)
-while the best-response gap shrinks. `simulate --reprice-slot N` re-runs Alg. 2 at global
+hands a prolonged near-fixed-point iterate to the fine grid, which opens
+at the `--damping` cap (default 1.0, the full best-response step). A
+growing best-response gap resets the relaxation weight to 0.2, and it
+adapts back up toward the cap while the gap shrinks.
+`simulate --reprice-slot N` re-runs Alg. 2 at global
 slot boundary N, warm-started from the stale equilibrium and the live
 occupancy column, and hot-swaps the result into the policy
 (generation-counted, audited under `--audit`).

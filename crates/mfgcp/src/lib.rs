@@ -71,7 +71,7 @@ pub mod prelude {
     };
     pub use mfgcp_workload::{
         trace::{parse_kaggle_csv, SyntheticYoutubeTrace, Trace},
-        Catalog, Popularity, RequestProcess, Timeliness, TimelinessConfig, Zipf,
+        Popularity, RequestProcess, Timeliness, TimelinessConfig, Zipf,
     };
 }
 

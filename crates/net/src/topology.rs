@@ -10,7 +10,7 @@
 //! O(J) expected instead of O(M·J). The grid is exact: it reproduces the
 //! dense scan's `(distance, index)` first-minimum semantics bit for bit.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use mfgcp_obs::RecorderHandle;
 use rand::Rng;
@@ -31,10 +31,6 @@ pub struct Topology {
     served: Vec<Vec<usize>>,
     /// Spatial hash over the EDP positions; shared because EDPs never move.
     grid: Arc<SpatialGrid>,
-    /// Lazily-built distance-sorted neighbor lists, one per EDP. EDPs are
-    /// static, so a list built once stays valid for the topology's lifetime
-    /// (mobility only moves requesters).
-    neighbor_cache: Arc<Vec<OnceLock<Vec<usize>>>>,
     /// `anchor[j]` = the position at which requester `j`'s serving EDP was
     /// last established by a full nearest query.
     anchor: Vec<Point>,
@@ -92,14 +88,12 @@ impl Topology {
             anchor.push(*r);
             margin.push(m);
         }
-        let neighbor_cache = Arc::new((0..edps.len()).map(|_| OnceLock::new()).collect());
         Self {
             edps,
             requesters,
             serving_edp,
             served,
             grid,
-            neighbor_cache,
             anchor,
             margin,
             recorder: RecorderHandle::noop(),
@@ -205,27 +199,6 @@ impl Topology {
             );
         }
     }
-
-    /// Indices of the EDPs nearest to EDP `i`, sorted by distance
-    /// (excluding `i` itself) — the "adjacent EDPs" of the sharing model.
-    ///
-    /// The list is built on first use and cached for the lifetime of the
-    /// topology (EDPs never move), so repeated calls from the sharing
-    /// model cost a slice borrow instead of an O(M log M) re-sort.
-    pub fn neighbors(&self, i: usize) -> &[usize] {
-        self.neighbor_cache[i].get_or_init(|| {
-            let me = self.edps[i];
-            let mut others: Vec<(usize, f64)> = self
-                .edps
-                .iter()
-                .enumerate()
-                .filter(|(k, _)| *k != i)
-                .map(|(k, p)| (k, me.distance(p)))
-                .collect();
-            others.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("distances are finite"));
-            others.into_iter().map(|(k, _)| k).collect()
-        })
-    }
 }
 
 /// Full nearest query for `r` plus the skip margin for its new anchor:
@@ -299,28 +272,6 @@ mod tests {
                 .0;
             assert_eq!(t.serving(j), dense, "requester {j}");
         }
-    }
-
-    #[test]
-    fn neighbors_sorted_by_distance() {
-        let t = square_topology();
-        let n = t.neighbors(0);
-        assert_eq!(n.len(), 3);
-        // Corners at distance 1, 1, √2: the diagonal corner (index 3) last.
-        assert_eq!(n[2], 3);
-    }
-
-    #[test]
-    fn neighbors_are_cached_and_survive_reassociation() {
-        let mut t = square_topology();
-        let first: Vec<usize> = t.neighbors(1).to_vec();
-        let ptr_before = t.neighbors(1).as_ptr();
-        // Mobility re-associates requesters but EDPs never move, so the
-        // cached list must be reused (same allocation), not rebuilt.
-        let positions: Vec<Point> = (0..t.num_requesters()).map(|j| t.requester(j)).collect();
-        t.update_requesters(&positions);
-        assert_eq!(t.neighbors(1), first.as_slice());
-        assert_eq!(t.neighbors(1).as_ptr(), ptr_before);
     }
 
     #[test]

@@ -147,11 +147,11 @@ fn small_config_reports_are_pinned() {
             ),
             (
                 "MFG",
-                (4636748675012685936, (0, 0, 238), 4496474471334320093),
+                (4636748674641096409, (0, 0, 238), 17988807101595081123),
             ),
             (
                 "MFG-CP",
-                (4636748632591395965, (0, 0, 238), 15384021131826504591),
+                (4636748632206894680, (0, 0, 238), 7668786668322768888),
             ),
         ],
     );
@@ -176,11 +176,11 @@ fn mobility_audit_reports_are_pinned() {
             ),
             (
                 "MFG",
-                (4643872209302869052, (164, 0, 1487), 11016298887666557153),
+                (4643872222735774928, (164, 0, 1487), 11709635795111796606),
             ),
             (
                 "MFG-CP",
-                (4643932194943679372, (164, 564, 923), 13656926561314355601),
+                (4643932207231725861, (164, 564, 923), 11460775467694533211),
             ),
         ],
     );
@@ -205,11 +205,11 @@ fn chunked_sharing_reports_are_pinned() {
             ),
             (
                 "MFG",
-                (4642662035491861799, (422, 0, 2408), 10667627562016706300),
+                (4642662036551469820, (422, 0, 2408), 6346474380485580899),
             ),
             (
                 "MFG-CP",
-                (4642941955784128643, (422, 1175, 1233), 11388085609525679881),
+                (4642941959194379141, (422, 1175, 1233), 1511849937397632323),
             ),
         ],
     );

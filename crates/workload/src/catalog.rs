@@ -1,4 +1,4 @@
-//! The content catalog `K = {1, …, K}` held by the cloud center (§II-B).
+//! The contents `k ∈ K = {1, …, K}` held by the cloud center (§II-B).
 
 use crate::WorkloadError;
 
@@ -42,103 +42,14 @@ impl Content {
     }
 }
 
-/// The full content catalog.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Catalog {
-    contents: Vec<Content>,
-}
-
-/// One megabyte in bytes; the paper quotes sizes in MB (`Q_k = 100 MB`).
-pub const MEGABYTE: f64 = 1_000_000.0;
-
-impl Catalog {
-    /// Build a catalog from explicit contents.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::EmptyCatalog`] when `contents` is empty.
-    pub fn new(contents: Vec<Content>) -> Result<Self, WorkloadError> {
-        if contents.is_empty() {
-            return Err(WorkloadError::EmptyCatalog);
-        }
-        Ok(Self { contents })
-    }
-
-    /// The paper's default catalog: `K` contents of `size_mb` MB each with
-    /// a one-hour update period.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `k == 0` or `size_mb <= 0`.
-    pub fn uniform(k: usize, size_mb: f64) -> Result<Self, WorkloadError> {
-        if k == 0 {
-            return Err(WorkloadError::EmptyCatalog);
-        }
-        let c = Content::new(size_mb * MEGABYTE, 3600.0)?;
-        Ok(Self {
-            contents: vec![c; k],
-        })
-    }
-
-    /// Number of contents `K`.
-    pub fn len(&self) -> usize {
-        self.contents.len()
-    }
-
-    /// Whether the catalog is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The content with id `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn content(&self, k: ContentId) -> &Content {
-        &self.contents[k]
-    }
-
-    /// Size `Q_k` in bytes.
-    pub fn size(&self, k: ContentId) -> f64 {
-        self.contents[k].size
-    }
-
-    /// Iterate over `(id, content)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (ContentId, &Content)> {
-        self.contents.iter().enumerate()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn uniform_catalog_matches_paper_defaults() {
-        let cat = Catalog::uniform(20, 100.0).unwrap();
-        assert_eq!(cat.len(), 20);
-        assert_eq!(cat.size(0), 100.0 * MEGABYTE);
-        assert_eq!(cat.content(19).update_period, 3600.0);
-    }
-
-    #[test]
-    fn empty_catalog_rejected() {
-        assert_eq!(Catalog::new(vec![]), Err(WorkloadError::EmptyCatalog));
-        assert!(Catalog::uniform(0, 100.0).is_err());
-    }
 
     #[test]
     fn bad_content_rejected() {
         assert!(Content::new(0.0, 1.0).is_err());
         assert!(Content::new(1.0, -5.0).is_err());
         assert!(Content::new(f64::NAN, 1.0).is_err());
-    }
-
-    #[test]
-    fn iter_enumerates_in_order() {
-        let cat = Catalog::uniform(3, 10.0).unwrap();
-        let ids: Vec<usize> = cat.iter().map(|(k, _)| k).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Implements the edge-caching workload model of §II-B:
 //!
-//! * a [`Catalog`] of `K` contents with sizes `Q_k` and update frequencies;
+//! * the [`Content`] description: a size `Q_k` and an update frequency;
 //! * [`Zipf`] initial content popularity (Def. 1:
 //!   `Π_k(t₀) = k^{−ι} / Σ k^{−ι}`);
 //! * the request-driven popularity update of Eq. (3) in [`Popularity`];
@@ -45,7 +45,7 @@ mod timeliness;
 pub mod trace;
 mod zipf;
 
-pub use catalog::{Catalog, Content, ContentId};
+pub use catalog::{Content, ContentId};
 pub use popularity::Popularity;
 pub use requests::{RequestBatch, RequestProcess};
 pub use timeliness::{Timeliness, TimelinessConfig};
