@@ -1,18 +1,15 @@
-//! Channel-layer scaling benchmark: measures the occupancy-local
+//! Channel-layer scaling benchmark: measures the serving-link
 //! [`ChannelState`] for M ∈ {100, 1000, 10000, 100000} EDPs and writes
 //! `BENCH_channel.json` at the workspace root.
 //!
-//! The channel tracks `J · (k_int + 1)` links regardless of M, so its
-//! per-slot fading advance (`advance_millis`: one `ChannelState::advance`
-//! over the whole state, which steps the J serving links — interferers
-//! catch up when read), its nearest-EDP association cost per requester
-//! (spatial hash grid), and its resident bytes should all stay flat
-//! across the sweep, and so should channel construction (`init_millis`)
-//! and re-association after mobility (`reassoc_millis`) up to the
-//! grid's cache footprint. The far-field tail is computed on read, not
-//! by either: `tail_millis` reads it once for every requester against
-//! the last association, a cost that grows with M only through the depth
-//! of the EDP grid's moment pyramid. `bench_compare` gates all four
+//! The channel holds one serving link per requester (J links) regardless
+//! of M, so its per-slot fading advance (`advance_millis`: one
+//! `ChannelState::advance` over the J serving links), channel
+//! construction (`init_millis`) and re-association after mobility
+//! (`reassoc_millis`) should stay flat across the sweep, while the
+//! nearest-EDP association cost per requester (spatial hash grid) grows
+//! only with the grid's cache footprint and the resident bytes only by
+//! one occupancy count per EDP. `bench_compare` gates the three
 //! `_millis` columns lower-is-better.
 //! Run: `cargo run --release -p mfgcp-bench --bin bench_channel`
 //!
@@ -61,7 +58,6 @@ struct Sample {
     assoc_micros_per_requester: f64,
     init_millis: f64,
     reassoc_millis: f64,
-    tail_millis: f64,
     advance_millis: f64,
     sharded_bytes: usize,
 }
@@ -112,23 +108,12 @@ fn measure(m: usize, recorder: &RecorderHandle) -> Sample {
         reassoc_millis = reassoc_millis.min(start.elapsed().as_secs_f64() * 1e3);
     }
 
-    // Every requester's far-field tail, read on demand against the last
-    // association, best of a few rounds.
-    let mut tail_millis = f64::INFINITY;
-    for _ in 0..ASSOC_ROUNDS {
-        let start = Instant::now();
-        let total: f64 = (0..REQUESTERS).map(|j| channels.tail_gain(&topo, j)).sum();
-        std::hint::black_box(total);
-        tail_millis = tail_millis.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-
     let sample = Sample {
         m,
         requesters: REQUESTERS,
         assoc_micros_per_requester: assoc_best,
         init_millis,
         reassoc_millis,
-        tail_millis,
         advance_millis: advance_millis(&mut channels),
         sharded_bytes: channels.memory_bytes(),
     };
@@ -143,7 +128,6 @@ fn measure(m: usize, recorder: &RecorderHandle) -> Sample {
             ),
             ("init_millis", sample.init_millis.into()),
             ("reassoc_millis", sample.reassoc_millis.into()),
-            ("tail_millis", sample.tail_millis.into()),
             ("advance_millis", sample.advance_millis.into()),
             ("sharded_bytes", sample.sharded_bytes.into()),
         ],
@@ -269,9 +253,8 @@ fn main() {
         (
             "unit_note".into(),
             Json::Str(
-                "advance, bytes and association columns flat in M <=> \
-                 occupancy-local scaling; tail reads every requester's far-field \
-                 tail, which init/reassoc no longer compute"
+                "init, reassoc, advance and bytes columns flat in M <=> \
+                 one serving link per requester"
                     .into(),
             ),
         ),
@@ -290,7 +273,6 @@ fn main() {
                             ),
                             ("init_millis".into(), Json::Num(s.init_millis)),
                             ("reassoc_millis".into(), Json::Num(s.reassoc_millis)),
-                            ("tail_millis".into(), Json::Num(s.tail_millis)),
                             ("advance_millis".into(), Json::Num(s.advance_millis)),
                             ("sharded_bytes".into(), Json::Num(s.sharded_bytes as f64)),
                         ])
@@ -330,15 +312,14 @@ fn main() {
         .expect("write BENCH_channel.json");
 
     println!("{json}");
-    println!("m, assoc_us/req, init_ms, reassoc_ms, tail_ms, advance_ms, sharded_bytes");
+    println!("m, assoc_us/req, init_ms, reassoc_ms, advance_ms, sharded_bytes");
     for s in &samples {
         println!(
-            "{}, {:.3}, {:.3}, {:.3}, {:.3}, {:.4}, {}",
+            "{}, {:.3}, {:.3}, {:.3}, {:.4}, {}",
             s.m,
             s.assoc_micros_per_requester,
             s.init_millis,
             s.reassoc_millis,
-            s.tail_millis,
             s.advance_millis,
             s.sharded_bytes
         );

@@ -280,7 +280,6 @@ mod tests {
         assert_eq!(lower_is_better("epoch_wall_millis"), Some(true));
         assert_eq!(lower_is_better("init_millis"), Some(true));
         assert_eq!(lower_is_better("reassoc_millis"), Some(true));
-        assert_eq!(lower_is_better("tail_millis"), Some(true));
         assert_eq!(lower_is_better("advance_millis"), Some(true));
         // Only the channel sweep's `_millis` columns are gated; its
         // per-requester rates stay informational.

@@ -81,8 +81,8 @@ fn config(scenario: Scenario, m: usize) -> SimConfig {
     let cfg = SimConfig {
         num_edps: m,
         // Keep the requester side fixed and moderate so the sweep isolates
-        // the M-dependence of the market phase (the channel state is
-        // O(J·k_int), flat in M).
+        // the M-dependence of the market phase (the channel state is one
+        // serving link per requester, flat in M).
         num_requesters: 300,
         num_contents: 10,
         epochs: 1,

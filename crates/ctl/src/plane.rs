@@ -467,7 +467,7 @@ pub fn snapshot_json(s: &SimSnapshot) -> Json {
         ));
     }
     if let Some(n) = &s.net {
-        let mut net = vec![
+        let net = vec![
             ("mean_occupancy".to_string(), Json::Num(n.mean_occupancy)),
             (
                 "max_occupancy".to_string(),
@@ -479,16 +479,7 @@ pub fn snapshot_json(s: &SimSnapshot) -> Json {
             ),
             ("edps".to_string(), Json::Num(n.edps as f64)),
             ("requesters".to_string(), Json::Num(n.requesters as f64)),
-            (
-                "mean_interferers".to_string(),
-                Json::Num(n.mean_interferers),
-            ),
-            ("k_int".to_string(), Json::Num(n.k_int as f64)),
         ];
-        if let Some((fraction, count)) = n.truncated_power {
-            net.push(("truncated_fraction".to_string(), Json::Num(fraction)));
-            net.push(("truncated_count".to_string(), Json::Num(count as f64)));
-        }
         fields.push(("net".into(), Json::Obj(net)));
     }
     Json::Obj(fields)

@@ -283,7 +283,7 @@ USAGE:
     mfgcp simulate [--scheme mfg-cp|mfg|udcs|mpc|rr] [--edps N]
                    [--requesters N] [--contents K] [--epochs E]
                    [--slots N] [--seed S] [--mobility] [--audit]
-                   [--audit-sample N] [--k-int N] [--reprice-slot N]
+                   [--audit-sample N] [--reprice-slot N]
                    [--telemetry FILE.jsonl]
                    [--observe HOST:PORT] [--observe-hold]
                    (plus all `solve` flags for the game parameters)
@@ -327,10 +327,9 @@ violated. `--audit-sample N` implies `--audit` but runs the per-slot
 checks on every Nth slot only — the cumulative I1-I3 totals still see
 every slot, which keeps the gate affordable at production scale.
 
-The channel layer is occupancy-local: it tracks the serving link and
-the `--k-int` nearest interferers per requester, plus a frozen
-mean-field tail for the far field; memory and per-step cost are flat in
-the EDP count.
+The channel layer holds one link per requester: its serving EDP and
+that link's fading, the only channel state the market reads. Memory and
+per-step cost are flat in the EDP count.
 
 The per-slot trade loop resolves flattened (EDP, content) entries on
 scoped threads — bit-identical for any thread count.
@@ -522,18 +521,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         }
                         config.audit = true;
                         config.audit_sample = n;
-                    }
-                    "--k-int" => {
-                        let value = value()?;
-                        let k = parse_usize(flag, value)?;
-                        if k == 0 {
-                            return Err(CliError::BadValue {
-                                flag: flag.clone(),
-                                value: value.to_string(),
-                                expected: "at least 1 tracked interferer",
-                            });
-                        }
-                        config.network.k_int = k;
                     }
                     "--threads" => {
                         config.worker_threads = parse_usize(flag, value()?)?;
@@ -868,21 +855,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn channel_layout_flags_reach_the_network_config() {
-        let cmd = parse(&argv("simulate --k-int 8")).unwrap();
-        match cmd {
-            Command::Simulate { config, .. } => assert_eq!(config.network.k_int, 8),
-            other => panic!("unexpected {other:?}"),
-        }
-        // The dense layout is gone from production, and so is its flag.
-        assert!(parse(&argv("simulate --dense-channel")).is_err());
-        assert!(matches!(
-            parse(&argv("simulate --k-int 0")),
-            Err(CliError::BadValue { flag, .. }) if flag == "--k-int"
-        ));
-    }
-
     /// Every sub-command checks that a flag is known before it reads the
     /// flag's value, so a trailing unknown flag is named as unknown.
     #[test]
@@ -908,27 +880,43 @@ mod tests {
     }
 
     #[test]
+    fn channel_layout_flags_reach_the_network_config() {
+        // The channel holds one serving link per requester, so no flag
+        // sets its layout: the interferer budget and the dense layout are
+        // refused, naming the flag, and a plain run keeps the default
+        // network config.
+        for line in [
+            "simulate --k-int 8",
+            "simulate --k-int 0",
+            "simulate --dense-channel",
+        ] {
+            let flag = line.split(' ').nth(1).unwrap();
+            assert!(
+                matches!(parse(&argv(line)), Err(CliError::UnknownFlag(f)) if f == flag),
+                "{line}"
+            );
+        }
+        match parse(&argv("simulate")).unwrap() {
+            Command::Simulate { config, .. } => {
+                assert_eq!(config.network, SimConfig::default().network);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
     fn adaptive_k_int_flag_parses() {
         // The adaptive interferer budget is retired: its flag is refused,
         // naming the flag, so a stale script fails loudly instead of
         // silently running a different channel model.
-        assert!(matches!(
-            parse(&argv("simulate --adaptive-k-int")),
-            Err(CliError::UnknownFlag(flag)) if flag == "--adaptive-k-int"
-        ));
-        assert!(matches!(
-            parse(&argv("simulate --adaptive-k-int 1")),
-            Err(CliError::UnknownFlag(flag)) if flag == "--adaptive-k-int"
-        ));
-        match parse(&argv("simulate")).unwrap() {
-            Command::Simulate { config, .. } => {
-                assert_eq!(
-                    config.network.k_int,
-                    SimConfig::default().network.k_int,
-                    "fixed k_int is the default"
-                );
-            }
-            other => panic!("unexpected {other:?}"),
+        for line in ["simulate --adaptive-k-int", "simulate --adaptive-k-int 1"] {
+            assert!(
+                matches!(
+                    parse(&argv(line)),
+                    Err(CliError::UnknownFlag(flag)) if flag == "--adaptive-k-int"
+                ),
+                "{line}"
+            );
         }
     }
 

@@ -9,28 +9,28 @@
 //!
 //! `H_{i,j} = B log₂(1 + |g_{i,j}|² G_i / (ϱ² + Σ_{i'≠i} |g_{i',j}|² G_{i'}))`.
 //!
-//! Channel state is **occupancy-local**: a spatial hash grid over the EDP
-//! placement answers nearest-EDP association and k-nearest-interferer
-//! queries in O(1) expected, and only each requester's serving link plus
-//! its `k_int` strongest interferers carry OU fading state. The untracked
-//! far field enters Eq. (2) as a tail at the stationary-mean fading,
-//! frozen at the last (re)association and summed on read from a moment
-//! pyramid over the same grid — link by link near the requester, from
-//! cell moments far away — so a tail read costs O(log M), not O(M), and
-//! (re)association pays for no tail at all. Each slot steps only the
-//! serving links; an interferer catches up on read by replaying the
-//! per-link draws it missed.
+//! The channel state holds exactly what the market reads: one serving
+//! link per requester, an EDP index plus its OU fading, stepped every
+//! slot from per-link counter-based streams. A spatial hash grid over the
+//! EDP placement answers nearest-EDP association in O(1) expected. The
+//! Eq. (2) formulas are free functions ([`shannon_rate`],
+//! [`channel_gain`]) for callers that evaluate rates from a topology's
+//! distances and the channel's fading.
 //!
 //! # Example
 //!
 //! ```
-//! use mfgcp_net::{NetworkConfig, Topology, ChannelState};
+//! use mfgcp_net::{channel_gain, shannon_rate, ChannelState, NetworkConfig, Topology};
 //! let cfg = NetworkConfig::default();
 //! let mut rng = mfgcp_sde::seeded_rng(1);
 //! let topo = Topology::random(8, 40, &cfg, &mut rng);
 //! let mut channels = ChannelState::init(&topo, &cfg, &mut rng);
 //! channels.advance(0.01);
-//! let rate = channels.rate(&topo, 0, topo.served_by(0)[0]);
+//! // Eq. (2) for requester 0's serving link, interference-free, at §V-A's
+//! // B = 10 MHz, τ = 3, G = 1 W and ϱ² = 10⁻¹³ W.
+//! let i = topo.serving(0);
+//! let gain = channel_gain(channels.fading(i, 0), topo.distance(i, 0), 3.0, 1.0);
+//! let rate = shannon_rate(10e6, gain, 1.0, 1e-13, 0.0);
 //! assert!(rate > 0.0);
 //! ```
 
@@ -48,13 +48,13 @@ mod sharded_vs_dense;
 mod topology;
 
 pub use channel::{ChannelState, ShardStats};
-pub use config::{NetworkConfig, TRUNCATION_TOL};
+pub use config::NetworkConfig;
 pub use geometry::{uniform_in_disc, Point};
 pub use mobility::{MobileRequesters, RandomWaypoint};
 pub use topology::Topology;
 
 /// Shannon rate of Eq. (2) given the desired-link gain, the total
-/// interference gain (already weighted by the interferers' powers), the
+/// interference gain (already weighted by the interfering EDPs' powers), the
 /// transmit power of the serving EDP, the noise power, and the bandwidth.
 ///
 /// All quantities are linear (not dB). Returns bits/s.

@@ -143,15 +143,9 @@ impl Topology {
         self.edps[i].distance(&self.requesters[j])
     }
 
-    /// The spatial hash over the EDP placement (shared with the sharded
-    /// channel state for interferer selection).
-    pub(crate) fn grid(&self) -> &SpatialGrid {
-        &self.grid
-    }
-
     /// Replace the requester positions (mobility) and recompute the
     /// nearest-EDP association in place — O(J) expected via the spatial
-    /// grid; the EDP placement, grid, and neighbor cache are untouched.
+    /// grid; the EDP placement and the grid are untouched.
     ///
     /// Incremental: a requester whose displacement since its last full
     /// nearest query is strictly below its stored margin (a guarded

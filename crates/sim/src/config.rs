@@ -292,7 +292,6 @@ mod tests {
             ],
             [3.0, 6.0e-5, 2.0e-5, 2.0e-5, 9.0e-5]
         );
-        assert_eq!(net.k_int, c.network.k_int);
         // The defaults already agree, so the channel of a default run is
         // the configured network itself.
         assert_eq!(

@@ -164,23 +164,23 @@ fn mobility_audit_reports_are_pinned() {
         &[
             (
                 "RR",
-                (4643595440466459213, (762, 0, 889), 4647956677256841917),
+                (4643595732026618625, (762, 0, 889), 1913532776600567392),
             ),
             (
                 "MPC",
-                (4642572055393963775, (1236, 0, 415), 14088835985260265801),
+                (4642572635514473434, (1236, 0, 415), 11429418664813245912),
             ),
             (
                 "UDCS",
-                (4643847877588156459, (393, 0, 1258), 392241738063231664),
+                (4643849017585673549, (392, 0, 1259), 16423604577212462212),
             ),
             (
                 "MFG",
-                (4643872222735774928, (164, 0, 1487), 11709635795111796606),
+                (4643872462789372528, (164, 0, 1487), 420064600110246840),
             ),
             (
                 "MFG-CP",
-                (4643932207231725861, (164, 564, 923), 11460775467694533211),
+                (4643932451809102308, (164, 564, 923), 1536515851657467033),
             ),
         ],
     );
@@ -193,23 +193,23 @@ fn chunked_sharing_reports_are_pinned() {
         &[
             (
                 "RR",
-                (4642270272316440873, (1524, 0, 1306), 11443016721229930181),
+                (4642270352988713224, (1524, 0, 1306), 17771455707835756584),
             ),
             (
                 "MPC",
-                (4641220240053430999, (1751, 0, 1079), 8676231099135849663),
+                (4641220325343393631, (1751, 0, 1079), 8240036681566702660),
             ),
             (
                 "UDCS",
-                (4642693880354103771, (623, 0, 2207), 9860385618772634991),
+                (4642690724198835085, (627, 0, 2203), 14383241442746919285),
             ),
             (
                 "MFG",
-                (4642662036551469820, (422, 0, 2408), 6346474380485580899),
+                (4642662095412119276, (422, 0, 2408), 12781563903135404744),
             ),
             (
                 "MFG-CP",
-                (4642941959194379141, (422, 1175, 1233), 1511849937397632323),
+                (4642942004858395323, (422, 1175, 1233), 17677451913858895781),
             ),
         ],
     );

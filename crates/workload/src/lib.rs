@@ -2,7 +2,6 @@
 //!
 //! Implements the edge-caching workload model of §II-B:
 //!
-//! * the [`Content`] description: a size `Q_k` and an update frequency;
 //! * [`Zipf`] initial content popularity (Def. 1:
 //!   `Π_k(t₀) = k^{−ι} / Σ k^{−ι}`);
 //! * the request-driven popularity update of Eq. (3) in [`Popularity`];
@@ -38,14 +37,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod catalog;
 mod popularity;
 mod requests;
 mod timeliness;
 pub mod trace;
 mod zipf;
 
-pub use catalog::{Content, ContentId};
 pub use popularity::Popularity;
 pub use requests::{RequestBatch, RequestProcess};
 pub use timeliness::{Timeliness, TimelinessConfig};

@@ -4,9 +4,17 @@
 //!
 //! Run with: `cargo run --release --example channel_playground`
 
-use mfgcp::net::{ChannelState, NetworkConfig, Topology};
+use mfgcp::net::{channel_gain, shannon_rate, ChannelState, NetworkConfig, Topology};
 use mfgcp::prelude::*;
 use mfgcp::sde::Sde;
+
+/// §V-A: bandwidth `B` (Hz), path-loss exponent `τ`, transmit power `G`
+/// (W) and noise power `ϱ²` (W); distances below 1 m are clamped.
+const BANDWIDTH: f64 = 10e6;
+const TAU: f64 = 3.0;
+const TX_POWER: f64 = 1.0;
+const NOISE_POWER: f64 = 1e-13;
+const MIN_DISTANCE: f64 = 1.0;
 
 fn main() {
     let mut rng = seeded_rng(3);
@@ -45,18 +53,37 @@ fn main() {
     let mut rng = seeded_rng(4);
     let topo = Topology::random(6, 24, &cfg, &mut rng);
     let mut channels = ChannelState::init(&topo, &cfg, &mut rng);
+    // The channel holds each requester's serving-link fading; Eq. (2)
+    // adds path loss and sums every other EDP's interference, taken here
+    // at the stationary-mean fading.
+    let h_bar = ou.stationary_mean();
+    let rate = |channels: &ChannelState, i: usize, j: usize| {
+        let gain = |h: f64, edp: usize| channel_gain(h, topo.distance(edp, j), TAU, MIN_DISTANCE);
+        let interference: f64 = (0..topo.num_edps())
+            .filter(|&other| other != i)
+            .map(|other| gain(h_bar, other) * TX_POWER)
+            .sum();
+        shannon_rate(
+            BANDWIDTH,
+            gain(channels.fading(i, j), i),
+            TX_POWER,
+            NOISE_POWER,
+            interference,
+        )
+    };
     println!(
         "\n6 EDPs / 24 requesters in a {:.0} m disc; per-EDP mean rates:",
         cfg.area_radius
     );
     println!("{:>4} {:>8} {:>14}", "EDP", "#served", "mean rate Mb/s");
     for i in 0..topo.num_edps() {
-        let served = topo.served_by(i).len();
-        let rate = channels
-            .mean_rate_to_served(&topo, i)
-            .map(|r| r / 1e6)
-            .unwrap_or(0.0);
-        println!("{i:>4} {served:>8} {rate:>14.1}");
+        let served = topo.served_by(i);
+        let mean = if served.is_empty() {
+            0.0
+        } else {
+            served.iter().map(|&j| rate(&channels, i, j)).sum::<f64>() / served.len() as f64
+        };
+        println!("{i:>4} {:>8} {:>14.1}", served.len(), mean / 1e6);
     }
 
     // --- Part 3: rates fluctuate as the fading evolves.
@@ -69,7 +96,7 @@ fn main() {
                 "{:>6.2} {:>12.3e} {:>14.2}",
                 step as f64 * 0.2,
                 channels.fading(0, j),
-                channels.rate(&topo, 0, j) / 1e6
+                rate(&channels, 0, j) / 1e6
             );
             channels.advance(0.2);
         }

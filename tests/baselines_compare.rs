@@ -33,8 +33,8 @@ fn mfgcp_beats_every_baseline_on_utility() {
     // The Fig. 14 ordering is structural at the paper's catalog richness
     // (K = 20) once the market is big enough; at toy scale the two
     // strongest schemes sit within one realization's market noise of
-    // each other. Run near the paper's setting — affordable now that the
-    // channel layer is occupancy-local — and average out the residual
+    // each other. Run near the paper's setting — affordable because the
+    // channel layer is flat in M — and average out the residual
     // noise over a few seeds.
     let headline = |seed: u64| SimConfig {
         num_edps: 120,
